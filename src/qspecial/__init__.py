@@ -55,12 +55,15 @@ from qspecial.qorthopoly import (
     FamilyParams,
     big_qjacobi,
     big_qjacobi_gram,
+    big_qjacobi_gram_matrix,
     big_qjacobi_monic,
     big_qjacobi_norm,
     family_eval,
+    family_gram_matrix,
     family_orthogonality,
     little_qjacobi,
     little_qjacobi_gram,
+    little_qjacobi_gram_matrix,
     little_qjacobi_norm,
 )
 from qspecial.qseries import ConvergenceClass, SeriesSpec, classify, eval_phi, eval_psi
@@ -100,12 +103,15 @@ __all__ = [
     "big_qjacobi_monic",
     "big_qjacobi_norm",
     "big_qjacobi_gram",
+    "big_qjacobi_gram_matrix",
     "little_qjacobi",
     "little_qjacobi_gram",
+    "little_qjacobi_gram_matrix",
     "little_qjacobi_norm",
     "FamilyParams",
     "family_eval",
     "family_orthogonality",
+    "family_gram_matrix",
     "AWParams",
     "aw_poly",
     "aw_poly_by_recurrence",

@@ -18,6 +18,7 @@ import numpy as np
 from qspecial.errors import DomainError
 from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch, qpoch_list
 from qspecial.qseries import SeriesSpec, eval_phi
+from qspecial.recurrence import Recurrence, eval_all, from_terms, gram
 
 
 @dataclass(frozen=True)
@@ -257,13 +258,15 @@ def aw_recurrence(n, p, pol=DEFAULT_POLICY):
     return an, bn, cn
 
 
+def aw_recurrence_table(n, p, pol=DEFAULT_POLICY):
+    """The recurrence of p_0..p_n: aw_recurrence(k, p) for k < n, with
+    x scaled by 2."""
+    return from_terms((aw_recurrence(k, p, pol) for k in range(n)), s=2.0)
+
+
 def aw_poly_by_recurrence(n, x, p, pol=DEFAULT_POLICY):
     """p_n through the three term recurrence; dual path to the series."""
-    prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
-    for k in range(n):
-        ak, bk, ck = aw_recurrence(k, p, pol)
-        prev, cur = cur, (2.0 * x * cur - bk * cur - ck * prev) / ak
-    return cur
+    return complex(eval_all(aw_recurrence_table(n, p, pol), x)[n, 0])
 
 
 def aw_qdifference_residual(n, z, p, pol=DEFAULT_POLICY):
@@ -299,6 +302,21 @@ def aw_qdifference_residual(n, z, p, pol=DEFAULT_POLICY):
 def al_salam_chihara(n, x, a, b, q, pol=DEFAULT_POLICY):
     """Al-Salam-Chihara polynomial p_n(x; a, b, 0, 0 | q)."""
     return aw_poly(n, x, AWParams(a, b, 0, 0, q), pol)
+
+
+def al_salam_chihara_recurrence_table(n, a, b, q):
+    """The recurrence of the Al-Salam-Chihara p_0..p_n in closed form:
+
+    2x p_k = p_{k+1} + (a+b) q^k p_k + (1-q^k)(1-ab q^{k-1}) p_{k-1}.
+    """
+    q = check_q(q)
+    qk = q ** np.arange(n, dtype=float)
+    return Recurrence(
+        2.0,
+        np.ones(n, dtype=complex),
+        (a + b) * qk + 0j,
+        (1.0 - qk) * (1.0 - a * b * qk / q) + 0j,
+    )
 
 
 def continuous_q_hermite(n, x, q):
@@ -441,15 +459,8 @@ def q_racah_orthogonality(n, m, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT
 
 def aw_gram_quadrature(p, nmax, n_nodes=1024, pol=DEFAULT_POLICY):
     """Matrix of quadrature inner products (1/2 pi) int_0^pi p_n p_m w
-    d theta for n, m <= nmax, via the uniform grid on the full circle."""
+    d theta for n, m <= nmax, via the uniform grid on the full circle,
+    with the values from the three term recurrence."""
     theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    z = np.exp(1j * theta)
-    w = _weight_grid(p, n_nodes, pol)
-    vals = np.empty((nmax + 1, n_nodes), dtype=complex)
-    for n in range(nmax + 1):
-        vals[n] = [_aw_poly_z(n, zz, p, pol) for zz in z]
-    gram = np.empty((nmax + 1, nmax + 1), dtype=complex)
-    for n in range(nmax + 1):
-        for m in range(n, nmax + 1):
-            gram[n, m] = gram[m, n] = np.sum(vals[n] * vals[m] * w) / (2.0 * n_nodes)
-    return gram
+    vals = eval_all(aw_recurrence_table(nmax, p, pol), np.cos(theta))
+    return gram(vals, _weight_grid(p, n_nodes, pol)) / (2.0 * n_nodes)

@@ -31,11 +31,11 @@ from qspecial.qfunctions import (
 from qspecial.qorthopoly import (
     BigQJacobiParams,
     FamilyParams,
-    big_qjacobi_gram,
+    big_qjacobi_gram_matrix,
     big_qjacobi_norm,
     family_eval,
-    family_orthogonality,
-    little_qjacobi_gram,
+    family_gram_matrix,
+    little_qjacobi_gram_matrix,
     little_qjacobi_norm,
 )
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
@@ -414,10 +414,7 @@ def cmd_ortho(args, out):
         q = _pop_float(params, "q")
         _reject_extras(params)
         p = BigQJacobiParams(a, b, c, d, q)
-        gram = [
-            [big_qjacobi_gram(n, m, p) for m in range(nmax + 1)]
-            for n in range(nmax + 1)
-        ]
+        gram = big_qjacobi_gram_matrix(nmax, p)
         closed = [big_qjacobi_norm(n, p) for n in range(nmax + 1)]
         return _gram_report(gram, closed, out, args.format, notes)
     if family == "little_q_jacobi":
@@ -425,10 +422,7 @@ def cmd_ortho(args, out):
         b = _pop_float(params, "b")
         q = _pop_float(params, "q")
         _reject_extras(params)
-        gram = [
-            [little_qjacobi_gram(n, m, a, b, q) for m in range(nmax + 1)]
-            for n in range(nmax + 1)
-        ]
+        gram = little_qjacobi_gram_matrix(nmax, a, b, q)
         closed = [little_qjacobi_norm(n, a, b, q) for n in range(nmax + 1)]
         return _gram_report(gram, closed, out, args.format, notes)
     if family == "q_racah":
@@ -457,10 +451,7 @@ def cmd_ortho(args, out):
             _pop_int(params, key) if key == "N" else _pop_float(params, key)
         )
     fam = FamilyParams(family, q, **kwargs)
-    gram = [
-        [family_orthogonality(fam, n, m) for m in range(nmax + 1)]
-        for n in range(nmax + 1)
-    ]
+    gram = family_gram_matrix(fam, nmax)
     return _gram_report(gram, None, out, args.format, notes)
 
 

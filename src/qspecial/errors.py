@@ -13,9 +13,5 @@ class ConvergenceError(QSpecialError):
     """A truncated product/series failed to meet its tail bound in budget."""
 
 
-class UnknownIdentity(QSpecialError):
-    """Requested identity id is not in the registry."""
-
-
-class UnknownPath(QSpecialError):
+class UnknownPath(DomainError):
     """Requested limit path is not in the catalog."""

@@ -19,8 +19,9 @@ from qspecial.qcalculus import qintegral_0a
 from qspecial.qfunctions import E_q, e_q, gamma_q, gamma_q_reciprocal, partition_count
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 from qspecial.qorthopoly import little_qjacobi
-from qspecial.askey_wilson import AWParams, aw_poly, aw_poly_by_recurrence
+from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
 from qspecial.limits import classical_eval
+from qspecial.recurrence import eval_all
 
 TOLERANCES = {
     "EXACT_TERMINATING": 1e-11,
@@ -85,11 +86,13 @@ def _jsonable(v):
 
 
 def _rel_err(l, r):
+    """Worst relative error; a non-finite error counts as inf (a failure)."""
     if isinstance(l, (list, tuple)):
         return max(
             (_rel_err(a, b) for a, b in zip(l, r)), default=0.0
         )
-    return abs(l - r) / max(1.0, abs(l), abs(r))
+    err = abs(l - r) / max(1.0, abs(l), abs(r))
+    return err if math.isfinite(err) else math.inf
 
 
 def _pinf(vals, q, pol=DEFAULT_POLICY):
@@ -1463,13 +1466,10 @@ def _asc_genfn_lhs(p):
 
 def _asc_genfn_rhs(p):
     q, c, d, theta = p["q"], p["c"], p["d"], p["theta"]
-    x = math.cos(theta)
-    aw = AWParams(0, 0, c, d, q)
     # recurrence evaluation: the series form loses digits past degree 7
-    return tuple(
-        aw_poly_by_recurrence(m, x, aw) / qpoch(q, q, m)
-        for m in range(_GF_ORDER + 1)
-    )
+    rec = al_salam_chihara_recurrence_table(_GF_ORDER, c, d, q)
+    asc = eval_all(rec, math.cos(theta))
+    return tuple(asc[m, 0] / qpoch(q, q, m) for m in range(_GF_ORDER + 1))
 
 
 _add(
@@ -1500,19 +1500,24 @@ def _aw_kernel_lhs(p):
     return pref * aw_poly(n, math.cos(theta), aw) * kernel
 
 
+_KERNEL_TERMS = 400
+
+
 def _aw_kernel_rhs(p):
     q, a, b, c, d, theta, n = (
         p["q"], p["a"], p["b"], p["c"], p["d"], p["theta"], p["n"],
     )
-    x = math.cos(theta)
-    aw0 = AWParams(0, 0, c, d, q)
+    # p_m(x; c, d) by one running recurrence: the 4phi3 for each m loses
+    # all its digits by m = 10
+    rec = al_salam_chihara_recurrence_table(_KERNEL_TERMS, c, d, q)
+    asc = eval_all(rec, math.cos(theta))
     total = 0.0 + 0.0j
     quiet = 0
-    for m in range(400):
+    for m in range(_KERNEL_TERMS):
         term = (
             little_qjacobi(n, q**m, a * b / q, c * d / q, q)
             * a**m
-            * aw_poly(m, x, aw0)
+            * asc[m, 0]
             / qpoch(q, q, m)
         )
         total += term

@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from qspecial.errors import DomainError
+from qspecial.errors import DomainError, UnknownPath
 from qspecial.qcore import DEFAULT_POLICY, TruncationPolicy, qbinomial
 from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import (
@@ -24,10 +24,6 @@ from qspecial.qorthopoly import (
 )
 from qspecial.askey_wilson import AWParams, aw_poly_r
 from qspecial.qseries import SeriesSpec, eval_phi
-
-
-class UnknownPath(DomainError):
-    """Raised for a limit-path name not in the catalog."""
 
 
 def pochhammer(a, k):
@@ -264,7 +260,9 @@ class LimitReport:
 
 
 def _rel(approx, target):
-    return abs(approx - target) / max(1.0, abs(target))
+    """Relative error; a non-finite error counts as inf (a failure)."""
+    err = abs(approx - target) / max(1.0, abs(target))
+    return err if math.isfinite(err) else math.inf
 
 
 def _march(name, tolerance, values, step_error):

@@ -9,6 +9,7 @@ The q-shifted factorial (a;q)_k is the building block for everything else:
 Throughout the package the base satisfies 0 < q < 1.
 """
 
+import math
 from dataclasses import dataclass
 
 from qspecial import kernels
@@ -26,10 +27,12 @@ class TruncationPolicy:
     max_terms: int = 100_000
 
     def __post_init__(self):
-        if not self.tail_epsilon > 0:
-            raise DomainError("tail_epsilon must be positive")
+        if not 0 < self.tail_epsilon < math.inf:
+            raise DomainError("tail_epsilon must be positive and finite")
         if self.max_factors < 1:
             raise DomainError("max_factors must be >= 1")
+        if self.max_terms < 1:
+            raise DomainError("max_terms must be >= 1")
 
 
 DEFAULT_POLICY = TruncationPolicy()

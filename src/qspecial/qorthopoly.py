@@ -14,11 +14,15 @@ extractor.
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from qspecial.errors import DomainError
-from qspecial.qcalculus import qderiv_backward, qintegral_0a, qintegral_0inf
+from qspecial.qcalculus import qderiv_backward
 from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch, qpoch_list
 from qspecial.qseries import SeriesSpec, eval_phi
+from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram
 
 _MAX_FINITE_N = 60  # keeps q^{-x} in double range down to q = 0.1
 
@@ -264,21 +268,34 @@ def big_qjacobi_norm(n, p, pol=DEFAULT_POLICY):
     return ratio * big_qjacobi_weight_integral(p, pol)
 
 
-def big_qjacobi_gram(n, m, p, pol=DEFAULT_POLICY):
-    """Gram entry int_{-d}^{c} P~_n P~_m w d_qx of the monic family.
+def big_qjacobi_gram_matrix(nmax, p, pol=DEFAULT_POLICY):
+    """Gram matrix int_{-d}^{c} P~_n P~_m w d_qx, n, m <= nmax, of the
+    monic family.
 
-    The integral splits over the two endpoint lattices; diagonal entries
-    match big_qjacobi_norm, off-diagonals vanish.
+    The integral splits over the two endpoint lattices c q^k and -d q^k.
+    The values come from the three term recurrence; the weight takes its
+    infinite products once at each lattice end and steps inward by
+    w(qx)/w(x) = (1-qax/c)(1+qbx/d) / ((1-qx/c)(1+qx/d)).  Diagonal
+    entries match big_qjacobi_norm, off-diagonals vanish.
     """
+    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
+    values = partial(eval_all, big_qjacobi_recurrence_table(nmax, p))
 
-    def f(x):
-        return (
-            big_qjacobi_monic(n, x, p, pol)
-            * big_qjacobi_monic(m, x, p, pol)
-            * big_qjacobi_weight(x, p, pol)
+    def ratio(x):
+        return (1.0 - q * a * x / c) * (1.0 + q * b * x / d) / (
+            (1.0 - q * x / c) * (1.0 + q * x / d)
         )
 
-    return qintegral_0a(f, p.c, p.q, pol) - qintegral_0a(f, -p.d, p.q, pol)
+    def part(end):
+        w0 = big_qjacobi_weight(end, p, pol)
+        return end * (1.0 - q) * lattice_gram(values, end, 1.0, q, w0, ratio, pol)
+
+    return part(c) - part(-d)
+
+
+def big_qjacobi_gram(n, m, p, pol=DEFAULT_POLICY):
+    """Gram entry int_{-d}^{c} P~_n P~_m w d_qx of the monic family."""
+    return complex(big_qjacobi_gram_matrix(_max_degree(n, m), p, pol)[n, m])
 
 
 def big_qjacobi_recurrence(n, p):
@@ -328,14 +345,16 @@ def big_qjacobi_recurrence(n, p):
     return bn, cn
 
 
+def big_qjacobi_recurrence_table(n, p):
+    """The recurrence of P~_0..P~_n: big_qjacobi_recurrence(k, p) for
+    k < n, with A_k = 1."""
+    return from_terms((1.0, *big_qjacobi_recurrence(k, p)) for k in range(n))
+
+
 def big_qjacobi_by_recurrence(n, x, p):
     """Monic value through the three term recurrence; dual path to the
     hypergeometric evaluation."""
-    prev, cur = 0.0 + 0.0j, 1.0 + 0.0j
-    for k in range(n):
-        bk, ck = big_qjacobi_recurrence(k, p)
-        prev, cur = cur, (x - bk) * cur - ck * prev
-    return cur
+    return complex(eval_all(big_qjacobi_recurrence_table(n, p), x)[n, 0])
 
 
 def qtaylor_coefficients(f, n, a, c, q, pol=DEFAULT_POLICY):
@@ -398,32 +417,30 @@ def little_qjacobi(n, x, a, b, q, form="2phi1", pol=DEFAULT_POLICY):
     raise DomainError(f"unknown form {form!r}")
 
 
-def little_qjacobi_gram(n, m, a, b, q, pol=DEFAULT_POLICY):
-    """Normalized q-integral Gram entry of the little q-Jacobi family:
+def little_qjacobi_gram_matrix(nmax, a, b, q, pol=DEFAULT_POLICY):
+    """Normalized q-integral Gram matrix of the little q-Jacobi family,
+    n, m <= nmax:
 
     (1/B) int_0^1 p_n p_m t^alpha (qt;q)_oo/(qbt;q)_oo d_qt,
 
     with a = q^alpha, b = q^beta and B the corresponding q-beta value
     (1-q)(q, q^2 ab;q)_oo / ((qa, qb;q)_oo).  b = 0 (Wall) is allowed.
+    The weight takes its products once at t = 1 and steps by
+    w(qt)/w(t) = q^alpha (1-qbt)/(1-qt).
     """
     q = check_q(q)
     if not 0 < a < 1:
         raise DomainError("requires 0 < a < 1")
     alpha = math.log(a) / math.log(q)
+    w0 = qpoch(q, q, INFINITY, pol) / qpoch(q * b, q, INFINITY, pol)
 
-    def integrand(t):
-        w = (
-            t**alpha
-            * qpoch(q * t, q, INFINITY, pol)
-            / qpoch(q * b * t, q, INFINITY, pol)
-        )
-        return (
-            little_qjacobi(n, t, a, b, q, pol=pol)
-            * little_qjacobi(m, t, a, b, q, pol=pol)
-            * w
-        )
+    def ratio(t):
+        return q**alpha * (1.0 - q * b * t) / (1.0 - q * t)
 
-    total = qintegral_0a(integrand, 1.0, q, pol)
+    values = _series_values(
+        lambda n, t: little_qjacobi(n, t, a, b, q, pol=pol), nmax
+    )
+    total = (1.0 - q) * lattice_gram(values, 1.0, 1.0, q, w0, ratio, pol)
     norm = (
         (1.0 - q)
         * qpoch(q, q, INFINITY, pol)
@@ -431,6 +448,12 @@ def little_qjacobi_gram(n, m, a, b, q, pol=DEFAULT_POLICY):
         / (qpoch(q * a, q, INFINITY, pol) * qpoch(q * b, q, INFINITY, pol))
     )
     return total / norm
+
+
+def little_qjacobi_gram(n, m, a, b, q, pol=DEFAULT_POLICY):
+    """Normalized q-integral Gram entry of the little q-Jacobi family."""
+    gram = little_qjacobi_gram_matrix(_max_degree(n, m), a, b, q, pol)
+    return complex(gram[n, m])
 
 
 def little_qjacobi_norm(n, a, b, q):
@@ -648,30 +671,41 @@ def family_eval(fam, n, x, form="primary", pol=DEFAULT_POLICY):
     raise DomainError(f"unknown family {name!r}")
 
 
-def _finite_gram(fam, n, m, weight, pol):
-    big_n = fam["N"]
-    _check_degree(fam, n)
-    _check_degree(fam, m)
-    q = fam.q
-    total = 0.0 + 0.0j
-    for x in range(big_n + 1):
-        point = q ** float(-x)
-        total += (
-            family_eval(fam, n, point, pol=pol)
-            * family_eval(fam, m, point, pol=pol)
-            * weight(x)
-        )
-    return total
+def _max_degree(n, m):
+    if n < 0 or m < 0:
+        raise DomainError("degree must be nonnegative")
+    return max(n, m)
 
 
-def family_orthogonality(fam, n, m, pol=DEFAULT_POLICY):
-    """Gram entry <p_n, p_m> of the family under its printed measure.
+def _series_values(evaluate, nmax):
+    """values(x) for lattice_gram from a scalar evaluator (n, x): each
+    (degree, node) pair is evaluated once."""
+    return lambda xs: np.array(
+        [[evaluate(n, x) for x in xs.tolist()] for n in range(nmax + 1)],
+        dtype=complex,
+    )
+
+
+def _finite_gram(fam, nmax, weight, pol):
+    points = [fam.q ** float(-x) for x in range(fam["N"] + 1)]
+    v = np.array(
+        [[family_eval(fam, n, t, pol=pol) for t in points] for n in range(nmax + 1)],
+        dtype=complex,
+    )
+    return gram(v, np.array([weight(x) for x in range(fam["N"] + 1)], dtype=complex))
+
+
+def family_gram_matrix(fam, nmax, pol=DEFAULT_POLICY):
+    """Gram matrix <p_n, p_m>, n, m <= nmax, of the family under its
+    printed measure.
 
     Finite families are summed exactly over x = 0..N; q-integral
-    measures are tail-truncated by the policy.  Families without a
+    measures are tail-truncated by the policy, with each weight stepped
+    along its lattice by its ratio w(qx)/w(x).  Families without a
     printed measure (q-Meixner, Al-Salam-Carlitz V, Stieltjes-Wigert,
     case 3a) raise DomainError.
     """
+    _check_degree(fam, nmax)
     q = fam.q
     name = fam.name
     if name == "q_hahn":
@@ -685,14 +719,14 @@ def family_orthogonality(fam, n, m, pol=DEFAULT_POLICY):
                 / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
             )
 
-        return _finite_gram(fam, n, m, weight, pol)
+        return _finite_gram(fam, nmax, weight, pol)
     if name == "q_krawtchouk":
         b, big_n = fam["b"], fam["N"]
 
         def weight(x):
             return qpoch(q ** float(-big_n), q, x) * (-b) ** x / qpoch(q, q, x)
 
-        return _finite_gram(fam, n, m, weight, pol)
+        return _finite_gram(fam, nmax, weight, pol)
     if name == "affine_q_krawtchouk":
         a, big_n = fam["a"], fam["N"]
 
@@ -703,7 +737,7 @@ def family_orthogonality(fam, n, m, pol=DEFAULT_POLICY):
                 / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
             )
 
-        return _finite_gram(fam, n, m, weight, pol)
+        return _finite_gram(fam, nmax, weight, pol)
     if name == "affine_qinv_krawtchouk":
         b, big_n = fam["b"], fam["N"]
 
@@ -715,43 +749,52 @@ def family_orthogonality(fam, n, m, pol=DEFAULT_POLICY):
                 / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
             )
 
-        return _finite_gram(fam, n, m, weight, pol)
+        return _finite_gram(fam, nmax, weight, pol)
     if name in ("little_q_jacobi", "wall"):
         a = fam["a"]
         b = fam["b"] if name == "little_q_jacobi" else 0.0
-        return little_qjacobi_gram(n, m, a, b, q, pol)
+        return little_qjacobi_gram_matrix(nmax, a, b, q, pol)
     if name == "moak":
+        # bilateral q-integral of x^alpha / (-(1-q)x;q)_oo; the polynomials
+        # are sampled at (1-q)x so that the lattice matches that factor
         alpha = fam["alpha"]
+        values = _series_values(
+            lambda n, x: family_eval(fam, n, (1.0 - q) * x, pol=pol), nmax
+        )
+        w0 = 1.0 / qpoch(-(1.0 - q), q, INFINITY, pol)
 
-        def integrand(x):
-            # the polynomials are sampled at (1-q)x so that the lattice
-            # matches the (-(1-q)x;q)_oo factor of the measure
-            y = (1.0 - q) * x
-            return (
-                family_eval(fam, n, y, pol=pol)
-                * family_eval(fam, m, y, pol=pol)
-                * x**alpha
-                / qpoch(-(1.0 - q) * x, q, INFINITY, pol)
-            )
+        def down(x):
+            return q**alpha * (1.0 + (1.0 - q) * x)
 
-        return qintegral_0inf(integrand, q, pol=pol)
+        def up(x):
+            return q**-alpha / (1.0 + (1.0 - q) * x / q)
+
+        return (1.0 - q) * (
+            lattice_gram(values, 1.0, 1.0, q, w0, down, pol)
+            + lattice_gram(values, 1.0, 1.0 / q, 1.0 / q, w0 * up(1.0), up, pol)
+        )
     if name == "al_salam_carlitz_u":
         a = fam["a"]
         if not a < 0:
             raise DomainError("orthogonality requires a < 0")
-
-        def integrand(x):
-            return (
-                al_salam_carlitz_u(n, x, a, q, pol)
-                * al_salam_carlitz_u(m, x, a, q, pol)
-                * qpoch(q * x, q, INFINITY, pol)
-                * qpoch(q * x / a, q, INFINITY, pol)
-            )
-
-        return qintegral_0a(integrand, 1.0, q, pol) - qintegral_0a(
-            integrand, a, q, pol
+        values = _series_values(
+            lambda n, x: al_salam_carlitz_u(n, x, a, q, pol), nmax
         )
+
+        def ratio(x):
+            return 1.0 / ((1.0 - q * x) * (1.0 - q * x / a))
+
+        def part(end):
+            w0 = qpoch(q * end, q, INFINITY, pol) * qpoch(q * end / a, q, INFINITY, pol)
+            return end * (1.0 - q) * lattice_gram(values, end, 1.0, q, w0, ratio, pol)
+
+        return part(1.0) - part(a)
     raise DomainError(f"no printed orthogonality measure for {name!r}")
+
+
+def family_orthogonality(fam, n, m, pol=DEFAULT_POLICY):
+    """Gram entry <p_n, p_m> of the family under its printed measure."""
+    return complex(family_gram_matrix(fam, _max_degree(n, m), pol)[n, m])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ recurrence as an independent evaluation path.
 """
 
 import cmath
+import json
 import math
 import random
 
@@ -27,12 +28,16 @@ from qspecial import (
 )
 from qspecial.askey_wilson import (
     al_salam_chihara,
+    al_salam_chihara_recurrence_table,
     aw_gram_quadrature,
     aw_leading_coefficient,
     aw_qdifference_residual,
+    aw_recurrence_table,
     q_racah_orthogonality,
 )
+from qspecial.cli import main
 from qspecial.errors import DomainError
+from qspecial.recurrence import eval_all
 
 P = AWParams(0.6, 0.4, -0.3, 0.2, 0.55)
 
@@ -89,6 +94,49 @@ def test_series_vs_recurrence():
         v1 = aw_poly(n, x, pp)
         v2 = aw_poly_by_recurrence(n, x, pp)
         assert abs(v1 - v2) <= 1e-9 * max(1.0, abs(v1), abs(v2))
+
+
+def test_eval_all_rows_match_scalar_recurrence():
+    nmax = 8
+    xs = [-0.95, -0.3, 0.1, 0.7]
+    rows = eval_all(aw_recurrence_table(nmax, P), xs)
+    for j, x in enumerate(xs):
+        prev, cur = 0.0, 1.0
+        for n in range(nmax + 1):
+            assert abs(rows[n, j] - cur) <= 1e-14 * max(1.0, abs(cur))
+            assert rows[n, j] == aw_poly_by_recurrence(n, x, P)
+            an, bn, cn = aw_recurrence(n, P)
+            prev, cur = cur, ((2.0 * x - bn) * cur - cn * prev) / an
+
+
+def test_al_salam_chihara_table_matches_aw_recurrence():
+    c, d, q = 0.6, -0.35, 0.45
+    closed = al_salam_chihara_recurrence_table(12, c, d, q)
+    general = aw_recurrence_table(12, AWParams(0, 0, c, d, q))
+    for got, want in zip(closed[1:], general[1:]):
+        assert max(abs(got - want)) <= 1e-13
+    xs = [-0.5, 0.25]
+    rows = eval_all(closed, xs)
+    # low degrees only: the 4phi3 series loses digits as n grows
+    for n in (2, 4):
+        for j, x in enumerate(xs):
+            v = al_salam_chihara(n, x, c, d, q)
+            assert abs(rows[n, j] - v) <= 1e-9 * max(1.0, abs(v))
+
+
+def test_ortho_aw_degree_eight_report(capsys):
+    # the Gram values come from the recurrence, which keeps its digits at
+    # degree 8 where the 4phi3 series has lost about six
+    code = main(
+        "ortho aw a=0.6 b=0.4 c=-0.3 d=0.2 q=0.55 --nmax 8 --nodes 512 "
+        "--format json".split()
+    )
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)
+    for row in rows:
+        if row["n"] == row["m"]:
+            want = complex(aw_norm(row["n"], P)).real
+            assert abs(row["gram"] - want) <= 1e-8 * abs(want)
 
 
 def test_leading_coefficient_matches_recurrence_normalization():

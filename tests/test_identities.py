@@ -1,10 +1,12 @@
 """Tests for the machine-checked identity catalog."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
-from qspecial import list_identities, verify, verify_all
+from qspecial import identities, list_identities, verify, verify_all
 from qspecial.errors import DomainError
 from qspecial.identities import TOLERANCES, VerificationReport, get_identity
 
@@ -72,3 +74,20 @@ def test_verify_all_tolerance_overrides():
     by_id = {r.id: r for r in reports}
     assert by_id["q_gauss"].tolerance == 1e-30
     assert not by_id["q_gauss"].passed
+
+
+def test_non_finite_error_is_a_failure(monkeypatch):
+    rec = get_identity("q_binomial_theorem")
+    spoiled = dataclasses.replace(rec, rhs=lambda p: math.nan)
+    monkeypatch.setitem(identities._REGISTRY, rec.id, spoiled)
+    rep = verify(rec.id, samples=3, seed=0)
+    assert not rep.passed
+    assert len(rep.failures) == 3
+    assert rep.max_rel_error == math.inf
+
+
+def test_aw_kernel_transform_is_checked():
+    rep = verify("aw_kernel_transform", samples=5, seed=0)
+    assert math.isfinite(rep.max_rel_error)
+    assert rep.max_rel_error <= 1e-8
+    assert rep.passed

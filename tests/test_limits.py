@@ -5,8 +5,8 @@ import math
 import pytest
 
 from qspecial import LimitReport, list_paths, run_limit
-from qspecial.errors import DomainError
-from qspecial.limits import classical_bessel_j, classical_eval, classical_gamma
+from qspecial.errors import DomainError, UnknownPath
+from qspecial.limits import _rel, classical_bessel_j, classical_eval, classical_gamma
 
 
 def test_at_least_fourteen_paths():
@@ -36,6 +36,14 @@ def test_report_fields():
 def test_unknown_path_raises():
     with pytest.raises(DomainError):
         run_limit("no_such_arrow")
+    with pytest.raises(UnknownPath, match="unknown limit path 'no_such_arrow'"):
+        run_limit("no_such_arrow")
+
+
+def test_non_finite_step_error_is_inf():
+    assert _rel(math.nan, 1.0) == math.inf
+    assert _rel(math.inf, 1.0) == math.inf
+    assert max(0.0, _rel(math.nan, 1.0)) == math.inf
 
 
 def test_strict_tolerance_fails_honestly():

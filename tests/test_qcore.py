@@ -120,3 +120,15 @@ def test_truncation_policy_defaults():
     assert pol.tail_epsilon == 1e-16
     assert pol.max_factors == 10000
     assert pol.max_terms == 100000
+
+
+def test_truncation_policy_rejects_bad_fields():
+    for kwargs in (
+        {"max_terms": 0},
+        {"max_factors": 0},
+        {"tail_epsilon": math.inf},
+        {"tail_epsilon": math.nan},
+        {"tail_epsilon": 0.0},
+    ):
+        with pytest.raises(DomainError):
+            TruncationPolicy(**kwargs)

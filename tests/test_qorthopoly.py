@@ -24,6 +24,9 @@ from qspecial import (
 from qspecial.errors import DomainError
 from qspecial.qorthopoly import (
     big_qjacobi_by_recurrence,
+    big_qjacobi_gram_matrix,
+    big_qjacobi_recurrence,
+    big_qjacobi_recurrence_table,
     big_qjacobi_eigenvalue,
     big_qjacobi_shift_down,
     big_qjacobi_shift_up,
@@ -36,6 +39,7 @@ from qspecial.qorthopoly import (
     quadratic_transform_check,
 )
 from qspecial.qcalculus import qintegral_0a
+from qspecial.recurrence import eval_all
 
 BQJ = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
 
@@ -67,6 +71,63 @@ def test_big_qjacobi_gram_matrix():
                 assert abs(g - diag[n]) <= 1e-8 * max(abs(diag[n]), 1e-300)
             else:
                 assert abs(g) <= 1e-9 * scale
+
+
+def test_big_qjacobi_gram_matrix_degree_ten():
+    nmax = 10
+    gram = big_qjacobi_gram_matrix(nmax, BQJ)
+    diag = [complex(big_qjacobi_norm(n, BQJ)) for n in range(nmax + 1)]
+    scale = max(abs(d) for d in diag)
+    for n in range(nmax + 1):
+        for m in range(nmax + 1):
+            if n == m:
+                assert abs(gram[n, n] - diag[n]) <= 1e-8 * abs(diag[n])
+            else:
+                assert abs(gram[n, m]) <= 1e-9 * scale
+
+
+def test_big_qjacobi_gram_entry_is_matrix_entry():
+    p = BigQJacobiParams(0.4, 0.6, 1.2, 0.7, 0.5)
+    gram = big_qjacobi_gram_matrix(3, p)
+    scale = max(abs(gram[n, n]) for n in range(4))
+    for n, m in ((0, 0), (1, 3), (3, 2), (3, 3)):
+        entry = big_qjacobi_gram(n, m, p)
+        assert entry == big_qjacobi_gram_matrix(max(n, m), p)[n, m]
+        # a smaller matrix may walk fewer lattice nodes
+        assert abs(entry - gram[n, m]) <= 1e-14 * scale
+    with pytest.raises(DomainError):
+        big_qjacobi_gram(-1, 2, p)
+
+
+def test_big_qjacobi_gram_matrix_matches_scalar_qintegral():
+    # the entry-by-entry Jackson integral with product weights is the
+    # reference for the stepped-weight lattice walk
+    p = BigQJacobiParams(0.4, 0.6, 1.2, 0.7, 0.5)
+    gram = big_qjacobi_gram_matrix(2, p)
+    scale = max(abs(gram[n, n]) for n in range(3))
+    for n in range(3):
+        for m in range(3):
+            f = lambda x: (
+                big_qjacobi_by_recurrence(n, x, p)
+                * big_qjacobi_by_recurrence(m, x, p)
+                * big_qjacobi_weight(x, p)
+            )
+            want = qintegral_0a(f, p.c, p.q) - qintegral_0a(f, -p.d, p.q)
+            assert abs(gram[n, m] - want) <= 1e-14 * scale
+
+
+def test_eval_all_rows_match_scalar_recurrence():
+    nmax = 8
+    xs = [-0.9, -0.2, 0.35, 0.8]
+    rows = eval_all(big_qjacobi_recurrence_table(nmax, BQJ), xs)
+    assert rows.shape == (nmax + 1, len(xs))
+    for j, x in enumerate(xs):
+        prev, cur = 0.0, 1.0
+        for n in range(nmax + 1):
+            assert abs(rows[n, j] - cur) <= 1e-14 * max(1.0, abs(cur))
+            assert rows[n, j] == big_qjacobi_by_recurrence(n, x, BQJ)
+            bn, cn = big_qjacobi_recurrence(n, BQJ)
+            prev, cur = cur, (x - bn) * cur - cn * prev
 
 
 def test_big_qjacobi_weight_total_mass():

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qspecial.errors import DomainError
-from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch, qpoch_list
+from qspecial.errors import ConvergenceError, DomainError
+from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, from_terms, gram
 
@@ -57,14 +57,15 @@ def aw_weight(z, p, pol=DEFAULT_POLICY):
     """Weight (z^2, z^{-2};q)_oo / prod_e (ez, e/z;q)_oo on |z| = 1."""
     if abs(abs(z) - 1.0) > 1e-12:
         raise DomainError("z must lie on the unit circle")
-    q = p.q
-    num = qpoch(z * z, q, INFINITY, pol) * qpoch(1.0 / (z * z), q, INFINITY, pol)
-    den = 1.0 + 0.0j
-    for e in p.abcd:
-        den *= qpoch(e * z, q, INFINITY, pol) * qpoch(e / z, q, INFINITY, pol)
-    if den == 0:
-        raise DomainError("weight pole")
-    return num / den
+    den = [f for e in p.abcd for f in (e * z, e / z)]
+    return qpoch_inf_ratio([z * z, 1.0 / (z * z)], den, p.q, pol)
+
+
+def _h0(p, pol, log_factor=0.0):
+    """(abcd;q)_oo / (q, ab, ac, ad, bc, bd, cd;q)_oo, as one exp of logs."""
+    a, b, c, d = p.abcd
+    pairs = [p.q, a * b, a * c, a * d, b * c, b * d, c * d]
+    return qpoch_inf_ratio([a * b * c * d], pairs, p.q, pol, log_factor)
 
 
 def aw_integral_closed(p, pol=DEFAULT_POLICY):
@@ -73,17 +74,13 @@ def aw_integral_closed(p, pol=DEFAULT_POLICY):
     2 (abcd;q)_oo / (ab, ac, ad, bc, bd, cd, q;q)_oo.
     """
     a, b, c, d = p.abcd
-    q = p.q
     for e in p.abcd:
         if abs(e) > 1.0 + 1e-12:
             raise DomainError("closed form requires |a|,|b|,|c|,|d| <= 1")
     for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
         if abs(pair - 1.0) < 1e-12:
             raise DomainError("degenerate parameter pair ef = 1")
-    den = qpoch(q, q, INFINITY, pol)
-    for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
-        den *= qpoch(pair, q, INFINITY, pol)
-    return 2.0 * qpoch(a * b * c * d, q, INFINITY, pol) / den
+    return _h0(p, pol, math.log(2.0))
 
 
 def _weight_grid(p, n_nodes, pol):
@@ -106,8 +103,10 @@ def _weight_grid(p, n_nodes, pol):
         w *= top
         qj *= q
         if qj * scale < pol.tail_epsilon and qj < pol.tail_epsilon:
-            break
-    return w
+            return w
+    raise ConvergenceError(
+        f"weight grid tail bound not reached within {pol.max_factors} factors"
+    )
 
 
 def aw_integral_numeric(p, n_nodes=512, pol=DEFAULT_POLICY):
@@ -216,13 +215,7 @@ def aw_norm(n, p, pol=DEFAULT_POLICY):
     h_0 = (abcd;q)_oo / (q, ab, ac, ad, bc, bd, cd;q)_oo
 
     and the closed-form ratio h_n/h_0."""
-    a, b, c, d = p.abcd
-    q = p.q
-    den = qpoch(q, q, INFINITY, pol)
-    for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
-        den *= qpoch(pair, q, INFINITY, pol)
-    h0 = qpoch(a * b * c * d, q, INFINITY, pol) / den
-    return h0 * aw_norm_ratio(n, p, pol)
+    return _h0(p, pol) * aw_norm_ratio(n, p, pol)
 
 
 def aw_recurrence(n, p, pol=DEFAULT_POLICY):
@@ -425,6 +418,21 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
     return eval_phi(spec, pol)
 
 
+def _q_racah_table(alpha, beta, gamma, delta, q, big_n, pol):
+    """R_n(mu(x)) for n, x = 0..N, each evaluated once."""
+    nodes = range(big_n + 1)
+    return np.array(
+        [[q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol) for x in nodes] for n in nodes],
+        dtype=complex,
+    )
+
+
+def _q_racah_solve(table):
+    rhs = np.zeros(len(table), dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(table, rhs)
+
+
 def q_racah_weights(alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
     """Weights w(x) on x = 0..N derived numerically from the moment
     conditions sum_x R_n(mu(x)) w(x) = delta_{n,0}, n = 0..N.
@@ -434,27 +442,26 @@ def q_racah_weights(alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
     contract and is exact up to conditioning.
     """
     _racah_check(alpha, beta, gamma, delta, big_n, q)
-    m = np.zeros((big_n + 1, big_n + 1), dtype=complex)
-    for n in range(big_n + 1):
-        for x in range(big_n + 1):
-            m[n, x] = q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol)
-    rhs = np.zeros(big_n + 1, dtype=complex)
-    rhs[0] = 1.0
-    return np.linalg.solve(m, rhs)
+    return _q_racah_solve(_q_racah_table(alpha, beta, gamma, delta, q, big_n, pol))
+
+
+def q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
+    """Gram matrix sum_x R_n(mu(x)) R_m(mu(x)) w(x), n, m = 0..nmax, with
+    the derived weights: one moment solve, each R_n(mu(x)) evaluated once."""
+    _racah_check(alpha, beta, gamma, delta, big_n, check_q(q))
+    if not 0 <= nmax <= big_n:
+        raise DomainError("need 0 <= nmax <= N")
+    table = _q_racah_table(alpha, beta, gamma, delta, q, big_n, pol)
+    return gram(table[: nmax + 1], _q_racah_solve(table))
 
 
 def q_racah_orthogonality(n, m, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
     """Gram entry sum_x R_n(mu(x)) R_m(mu(x)) w(x) with the derived
     weights; diagonal h_n, off-diagonal approximately zero."""
-    w = q_racah_weights(alpha, beta, gamma, delta, q, big_n, pol)
-    total = 0.0 + 0.0j
-    for x in range(big_n + 1):
-        total += (
-            q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol)
-            * q_racah(m, x, alpha, beta, gamma, delta, q, big_n, pol)
-            * w[x]
-        )
-    return total
+    if n < 0 or m < 0:
+        raise DomainError("degrees must be nonnegative")
+    gram_nm = q_racah_gram_matrix(max(n, m), alpha, beta, gamma, delta, q, big_n, pol)
+    return complex(gram_nm[n, m])
 
 
 def aw_gram_quadrature(p, nmax, n_nodes=1024, pol=DEFAULT_POLICY):

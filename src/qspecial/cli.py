@@ -13,7 +13,7 @@ from qspecial.askey_wilson import (
     aw_gram_quadrature,
     aw_norm,
     aw_poly,
-    q_racah_orthogonality,
+    q_racah_gram_matrix,
 )
 from qspecial.errors import QSpecialError
 from qspecial.identities import list_identities, verify
@@ -435,13 +435,7 @@ def cmd_ortho(args, out):
         _reject_extras(params)
         if nmax > big_n:
             raise UsageError("--nmax exceeds N")
-        gram = [
-            [
-                q_racah_orthogonality(n, m, alpha, beta, gamma, delta, q, big_n)
-                for m in range(nmax + 1)
-            ]
-            for n in range(nmax + 1)
-        ]
+        gram = q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n)
         return _gram_report(gram, None, out, args.format, notes)
     # tableau families with a printed measure
     q = _pop_float(params, "q")

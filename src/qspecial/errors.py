@@ -13,5 +13,9 @@ class ConvergenceError(QSpecialError):
     """A truncated product/series failed to meet its tail bound in budget."""
 
 
+class OutOfRangeError(QSpecialError):
+    """A value exists but lies outside the normal range of a double."""
+
+
 class UnknownPath(DomainError):
     """Requested limit path is not in the catalog."""

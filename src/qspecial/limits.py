@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from qspecial.errors import DomainError, UnknownPath
-from qspecial.qcore import DEFAULT_POLICY, TruncationPolicy, qbinomial
+from qspecial.qcore import DEFAULT_POLICY, qbinomial, shifted_factorial
 from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import (
     BigQJacobiParams,
@@ -24,14 +24,6 @@ from qspecial.qorthopoly import (
 )
 from qspecial.askey_wilson import AWParams, aw_poly_r
 from qspecial.qseries import SeriesSpec, eval_phi
-
-
-def pochhammer(a, k):
-    """Shifted factorial (a)_k = a (a+1) ... (a+k-1)."""
-    out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
-    for j in range(k):
-        out *= a + j
-    return out
 
 
 def _is_nonpositive_int(a):
@@ -114,7 +106,7 @@ def classical_eval(family, n, x, **par):
     if family == "laguerre":
         al = par["alpha"]
         return (
-            pochhammer(al + 1.0, n)
+            shifted_factorial(al + 1.0, n)
             / math.factorial(n)
             * hyp_terminating([-n], [al + 1.0], x)
         )
@@ -157,7 +149,11 @@ def classical_eval(family, n, x, **par):
         )
     if family == "wilson":
         a, b, c, d = par["a"], par["b"], par["c"], par["d"]
-        pref = pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
+        pref = (
+            shifted_factorial(a + b, n)
+            * shifted_factorial(a + c, n)
+            * shifted_factorial(a + d, n)
+        )
         return pref * hyp_terminating(
             [-n, n + a + b + c + d - 1.0, a + 1j * x, a - 1j * x],
             [a + b, a + c, a + d],
@@ -165,7 +161,7 @@ def classical_eval(family, n, x, **par):
         )
     if family == "continuous_dual_hahn":
         a, b, c = par["a"], par["b"], par["c"]
-        pref = pochhammer(a + b, n) * pochhammer(a + c, n)
+        pref = shifted_factorial(a + b, n) * shifted_factorial(a + c, n)
         return pref * hyp_terminating(
             [-n, a + 1j * x, a - 1j * x], [a + b, a + c], 1.0
         )
@@ -174,8 +170,8 @@ def classical_eval(family, n, x, **par):
         ac, bc = a.conjugate(), b.conjugate()
         pref = (
             1j**n
-            * pochhammer(a + ac, n)
-            * pochhammer(a + bc, n)
+            * shifted_factorial(a + ac, n)
+            * shifted_factorial(a + bc, n)
             / math.factorial(n)
         )
         return pref * hyp_terminating(
@@ -183,7 +179,7 @@ def classical_eval(family, n, x, **par):
         )
     if family == "meixner_pollaczek":
         a, phi = par["a"], par["phi"]
-        pref = pochhammer(2.0 * a, n) / math.factorial(n) * cmath.exp(1j * n * phi)
+        pref = shifted_factorial(2.0 * a, n) / math.factorial(n) * cmath.exp(1j * n * phi)
         return pref * hyp_terminating(
             [-n, a + 1j * x], [2.0 * a], 1.0 - cmath.exp(-2j * phi)
         )
@@ -614,20 +610,12 @@ def _path_bessel_from_jacobi(tol, pol):
     return _march("bessel_from_jacobi", tol, [2**j for j in range(2, 13)], err)
 
 
-def _long_product_policy(pol):
-    # infinite products need ~ -log(eps)/(1-q) factors as q -> 1
-    return TruncationPolicy(
-        tail_epsilon=pol.tail_epsilon, max_factors=2_000_000, max_terms=pol.max_terms
-    )
-
-
 def _path_exp_from_Eq(tol, pol):
     zs = [0.8, -1.3, 2.5]
-    lp = _long_product_policy(pol)
 
     def err(q):
         return max(
-            _rel(E_q((1.0 - q) * z, q, lp), math.exp(z)) for z in zs
+            _rel(E_q((1.0 - q) * z, q, pol), math.exp(z)) for z in zs
         )
 
     return _march(
@@ -637,11 +625,10 @@ def _path_exp_from_Eq(tol, pol):
 
 def _path_gamma_from_gamma_q(tol, pol):
     zs = [0.5, 1.7, 3.2]
-    lp = _long_product_policy(pol)
 
     def err(q):
         return max(
-            _rel(gamma_q(z, q, lp), classical_gamma(z)) for z in zs
+            _rel(gamma_q(z, q, pol), classical_gamma(z)) for z in zs
         )
 
     return _march(

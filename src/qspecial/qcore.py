@@ -4,18 +4,39 @@ The q-shifted factorial (a;q)_k is the building block for everything else:
 
     (a;q)_k = prod_{j=0}^{k-1} (1 - a q^j)            k >= 0
     (a;q)_k = 1 / prod_{j=1}^{|k|} (1 - a q^{-j})      k < 0
-    (a;q)_oo = prod_{j>=0} (1 - a q^j)                 truncated product
+    (a;q)_oo = prod_{j>=0} (1 - a q^j)                 product or log series
 
-Throughout the package the base satisfies 0 < q < 1.
+Throughout the package the base satisfies 0 < q < 1.  (a;q)_oo is the
+kernel product when that needs few factors, and otherwise the exp of
+log_qpoch_inf, which holds for every 0 < q < 1.
 """
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from qspecial import kernels
-from qspecial.errors import ConvergenceError, DomainError
+from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 
 INFINITY = "oo"
+
+# (a;q)_oo is the kernel product while that needs at most this many factors,
+# log(tail_epsilon (1-q)/|a|)/log q, and the log series beyond: where the
+# timings of the two paths cross for each backend (README, "Numerical notes")
+_SERIES_FROM = {"python": 80, "c": 4000}[kernels.BACKEND]
+# the log series starts once |a q^j| <= _PEEL; earlier factors are peeled off
+_PEEL = 0.5
+# peeled factors are summed in numpy blocks of about this many factors (64 kB
+# of complex temporaries, reused by malloc), and a peel longer than _MAX_PEEL
+# (q within about 1e-7 of 1) raises ConvergenceError
+_BLOCK = 4096
+_MAX_PEEL = 10**7
+# log of the smallest normal and of the largest double
+_LOG_MIN = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -46,27 +67,156 @@ def check_q(q):
     return q
 
 
+def _finite(a):
+    """a as a complex number; DomainError when it is NaN or infinite."""
+    a = complex(a)
+    if not cmath.isfinite(a):
+        raise DomainError(f"argument must be finite, got {a}")
+    return a
+
+
+def _in_range(value):
+    """True when |value| is a normal double (so not 0, inf or NaN)."""
+    return sys.float_info.min <= abs(value) <= sys.float_info.max
+
+
+def _few_factors(alist, q, pol):
+    """True when the kernel product of every a of alist stops within
+    _SERIES_FROM factors."""
+    cap = q**_SERIES_FROM
+    eps = pol.tail_epsilon * (1.0 - q)
+    return all(abs(a) * cap <= eps for a in alist)
+
+
+def _product(a, q, pol):
+    """The kernel product (a;q)_oo, truncated once the factors a q^j are
+    below pol.tail_epsilon (1 - q), so that the tail they leave out,
+    at most that bound over 1 - q, is below pol.tail_epsilon."""
+    eps = pol.tail_epsilon * (1.0 - q)
+    value, status = kernels.qpoch_infinite(a, q, eps, pol.max_factors)
+    if status:
+        raise ConvergenceError(
+            f"(a;q)_oo tail bound not reached within {pol.max_factors} factors"
+        )
+    return value
+
+
+def _log_head(alist, lq, n):
+    """sum_{j<n} log(1 - a q^j) for each a of alist: a loop for short
+    peels, numpy blocks for long ones.  -inf when a factor vanishes."""
+    if n * len(alist) <= 32:
+        qj = [math.exp(lq * j) for j in range(n)]
+        out = []
+        for a in alist:
+            total = 0j
+            for x in qj:
+                f = 1.0 - a * x
+                if f == 0:
+                    total = complex(-math.inf)
+                    break
+                total += cmath.log(f)
+            out.append(total)
+        return out
+    out = np.zeros(len(alist), dtype=complex)
+    a = np.array(alist, dtype=complex)[:, None]
+    block = max(256, _BLOCK // len(alist))
+    with np.errstate(divide="ignore"):
+        for start in range(0, n, block):
+            f = a * np.exp(lq * np.arange(start, min(start + block, n)))
+            np.subtract(1.0, f, out=f)
+            out += np.log(f, out=f).sum(axis=1)
+    return [complex(v) for v in out]
+
+
+def _log_tail(b, lq, eps):
+    """log (b;q)_oo = -sum_{k>=1} b^k / (k (1 - q^k)) for |b| <= 1/2.
+
+    The terms shrink at least by |b|, so the tail after a term t is below
+    |t| |b| / (1 - |b|); the sum stops when that is below eps.
+    """
+    r = abs(b)
+    if r == 0:
+        return 0.0
+    if b.imag == 0:
+        b = b.real
+    stop = eps * (1.0 - r) / r
+    total, power, k = 0.0, b, 1
+    while True:
+        t = power / (k * -math.expm1(k * lq))
+        total -= t
+        if abs(t) < stop:
+            return total
+        power *= b
+        k += 1
+
+
+def _log_qpochs(alist, q, eps):
+    """log (a;q)_oo for each a of alist, with one peel length n for all.
+
+    The factors with |a q^j| > 1/2 (j < n) are peeled off and their logs
+    summed, so no partial product can underflow.  What is left, (b;q)_oo
+    with b = a q^n and |b| <= 1/2, is the log of the q-binomial theorem
+    (Gasper-Rahman 1990, Sec. 1.3).
+    """
+    lq = math.log(q)
+    top = max(abs(a) for a in alist)
+    n = math.ceil(math.log(top / _PEEL) / -lq) if top > _PEEL else 0
+    if n > _MAX_PEEL:
+        raise ConvergenceError(f"(a;q)_oo would peel {n} factors, more than {_MAX_PEEL}")
+    heads = _log_head(alist, lq, n) if n else [0j] * len(alist)
+    qn = math.exp(lq * n)
+    return [h + _log_tail(a * qn, lq, eps) for h, a in zip(heads, alist)]
+
+
+def log_qpoch_inf(a, q, pol=DEFAULT_POLICY):
+    """log (a;q)_oo for every 0 < q < 1, by the peeled log series.
+
+    Factors with |a q^j| > 1/2 are peeled off in log form; the rest is
+    -sum_k b^k / (k (1 - q^k)), summed until its tail is below
+    pol.tail_epsilon.  The real part is log|(a;q)_oo| (-inf when a factor
+    vanishes), the imaginary part a branch of its argument.
+    """
+    return _log_qpochs([_finite(a)], check_q(q), pol.tail_epsilon)[0]
+
+
+def _exp_log(log_value, real=False):
+    """exp(log_value) as a double.
+
+    0 when the real part is -inf (a vanishing factor); OutOfRangeError,
+    naming log|value|, when the value lies outside the normal double range.
+    real drops the rounding residue of the phase of a value known to be
+    real.
+    """
+    x = log_value.real
+    if x == -math.inf:
+        return 0j
+    if not _LOG_MIN <= x <= _LOG_MAX:
+        raise OutOfRangeError(f"value outside the double range: log|value| = {x:.6g}")
+    value = cmath.rect(math.exp(x), log_value.imag)
+    return complex(value.real) if real else value
+
+
 def qpoch(a, q, k, pol=DEFAULT_POLICY):
     """q-shifted factorial (a;q)_k.
 
     k may be any integer or the sentinel INFINITY.  Negative k uses the
-    closed reciprocal product; INFINITY truncates once the tail factors
-    are below pol.tail_epsilon.
+    closed reciprocal product.  INFINITY takes the kernel product, whose
+    left-out tail is below pol.tail_epsilon, when that needs few factors,
+    and exp(log_qpoch_inf) otherwise; a value outside the double range
+    raises OutOfRangeError.
     """
     q = check_q(q)
+    a = _finite(a)
     if k == INFINITY:
-        value, status = kernels.qpoch_infinite(
-            complex(a), q, pol.tail_epsilon, pol.max_factors
-        )
-        if status:
-            raise ConvergenceError(
-                f"(a;q)_oo tail bound not reached within {pol.max_factors} factors"
-            )
-        return value
+        if _few_factors([a], q, pol):
+            value = _product(a, q, pol)
+            if _in_range(value):
+                return value
+        return _exp_log(_log_qpochs([a], q, pol.tail_epsilon)[0], a.imag == 0)
     k = int(k)
     if k >= 0:
-        return kernels.qpoch_finite(complex(a), q, k)
-    value, status = kernels.qpoch_negative(complex(a), q, -k)
+        return kernels.qpoch_finite(a, q, k)
+    value, status = kernels.qpoch_negative(a, q, -k)
     if status:
         raise DomainError(f"(a;q)_{k} undefined: zero denominator factor, a={a}")
     return value
@@ -78,6 +228,39 @@ def qpoch_list(alist, q, k, pol=DEFAULT_POLICY):
     for a in alist:
         out *= qpoch(a, q, k, pol)
     return out
+
+
+def qpoch_inf_ratio(upper, lower, q, pol=DEFAULT_POLICY, log_factor=0.0):
+    """exp(log_factor) prod_u (u;q)_oo / prod_l (l;q)_oo.
+
+    Kernel products when every factor needs few factors and the parts are
+    in range; otherwise one exp of a sum of logs, so that no partial
+    product underflows or overflows.  DomainError when a lower product
+    vanishes (a pole), OutOfRangeError when the value is outside the
+    double range.
+    """
+    q = check_q(q)
+    upper = [_finite(a) for a in upper]
+    lower = [_finite(a) for a in lower]
+    log_factor = complex(log_factor)
+    cheap = _few_factors(upper + lower, q, pol)
+    if cheap and _LOG_MIN <= log_factor.real <= _LOG_MAX:
+        num = cmath.exp(log_factor)
+        for a in upper:
+            num *= _product(a, q, pol)
+        den = 1.0 + 0.0j
+        for a in lower:
+            den *= _product(a, q, pol)
+        if _in_range(num) and _in_range(den) and _in_range(num / den):
+            return num / den
+    logs = _log_qpochs(upper + lower, q, pol.tail_epsilon)
+    top, bottom = logs[: len(upper)], logs[len(upper) :]
+    for a, la in zip(lower, bottom):
+        if la.real == -math.inf:
+            raise DomainError(f"pole: ({a};q)_oo = 0 in a denominator")
+    total = sum(top, log_factor) - sum(bottom, 0j)
+    real = log_factor.imag == 0 and all(a.imag == 0 for a in upper + lower)
+    return _exp_log(total, real)
 
 
 def qbinomial(n, k, q):

@@ -9,9 +9,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from qspecial.errors import DomainError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch
+from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi
 
 
@@ -116,44 +115,43 @@ def solution_u5(p, z, pol=DEFAULT_POLICY):
     return complex(z) ** (-complex(p.b)) * body
 
 
-def _theta_ratio(alpha, beta, z, q, pol):
-    """(q^alpha z, q^{1-alpha}/z;q)_oo z^{alpha-beta} / (q^beta z, q^{1-beta}/z;q)_oo.
+def _theta_ratio(alpha, beta, z, q):
+    """(q^alpha z, q^{1-alpha}/z;q)_oo z^{alpha-beta} / (q^beta z, q^{1-beta}/z;q)_oo,
+    as (upper, lower, log of z^{alpha-beta}) for qpoch_inf_ratio.
 
     Invariant under z -> qz; building block of the connection coefficients.
     """
     qe = lambda e: cmath.exp(complex(e) * math.log(q))
-    num = qpoch(qe(alpha) * z, q, INFINITY, pol) * qpoch(qe(1 - alpha) / z, q, INFINITY, pol)
-    den = qpoch(qe(beta) * z, q, INFINITY, pol) * qpoch(qe(1 - beta) / z, q, INFINITY, pol)
-    if den == 0:
-        raise DomainError("connection coefficient pole")
-    return num * complex(z) ** complex(alpha - beta) / den
+    z = complex(z)
+    return (
+        [qe(alpha) * z, qe(1 - alpha) / z],
+        [qe(beta) * z, qe(1 - beta) / z],
+        complex(alpha - beta) * cmath.log(z),
+    )
 
 
 def connection_coefficients(p, z, pol=DEFAULT_POLICY):
     """Coefficients (C2, C3) of the three-term connection identity
-    u1(z) + C2(z) u2(z) = C3(z) u3(z)."""
+    u1(z) + C2(z) u2(z) = C3(z) u3(z).  Each is one exp of a sum of logs
+    of infinite products, so no partial product underflows."""
     q = p.q
     a, b, c = p.a, p.b, p.c
     qe = p.qp
-    c2 = (
-        qpoch(qe(a), q, INFINITY, pol)
-        * qpoch(qe(1 - c), q, INFINITY, pol)
-        * qpoch(qe(c - b), q, INFINITY, pol)
-        / (
-            qpoch(qe(c - 1), q, INFINITY, pol)
-            * qpoch(qe(a - c + 1), q, INFINITY, pol)
-            * qpoch(qe(1 - b), q, INFINITY, pol)
-        )
-        * _theta_ratio(b - 1, b - c, z, q, pol)
+    up, down, log_z = _theta_ratio(b - 1, b - c, z, q)
+    c2 = qpoch_inf_ratio(
+        [qe(a), qe(1 - c), qe(c - b)] + up,
+        [qe(c - 1), qe(a - c + 1), qe(1 - b)] + down,
+        q,
+        pol,
+        log_z,
     )
-    c3 = (
-        qpoch(qe(1 - c), q, INFINITY, pol)
-        * qpoch(qe(a - b + 1), q, INFINITY, pol)
-        / (
-            qpoch(qe(1 - b), q, INFINITY, pol)
-            * qpoch(qe(a - c + 1), q, INFINITY, pol)
-        )
-        * _theta_ratio(a + b - c, b - c, z, q, pol)
+    up, down, log_z = _theta_ratio(a + b - c, b - c, z, q)
+    c3 = qpoch_inf_ratio(
+        [qe(1 - c), qe(a - b + 1)] + up,
+        [qe(1 - b), qe(a - c + 1)] + down,
+        q,
+        pol,
+        log_z,
     )
     return c2, c3
 

@@ -8,17 +8,14 @@ one, and an exact integer partition-count oracle.
 import cmath
 import math
 
-from qspecial.errors import ConvergenceError, DomainError
-from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch
+from qspecial.errors import DomainError
+from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi
 
 
 def e_q(z, q, pol=DEFAULT_POLICY):
     """q-exponential e_q(z) = 1/(z;q)_oo = sum z^k/(q;q)_k for |z|<1."""
-    den = qpoch(z, q, INFINITY, pol)
-    if den == 0:
-        raise DomainError(f"e_q pole at z = {z}")
-    return 1.0 / den
+    return qpoch_inf_ratio([], [z], q, pol)
 
 
 def E_q(z, q, pol=DEFAULT_POLICY):
@@ -30,29 +27,13 @@ def gamma_q(z, q, pol=DEFAULT_POLICY):
     """q-gamma function (q;q)_oo (1-q)^{1-z} / (q^z;q)_oo.
 
     Satisfies Gamma_q(z+1) = (1-q^z)/(1-q) Gamma_q(z), Gamma_q(1) = 1.
+    The two products share one peel and are combined as logs: each alone
+    underflows as q -> 1 while their ratio stays of moderate size.
     """
     q = check_q(q)
     z = complex(z)
-    # the two infinite products are combined factorwise,
-    # (1-q)^{1-z} prod_k (1-q^{k+1})/(1-q^{k+z}): the separate products
-    # underflow as q -> 1 while the ratio stays of moderate size
     qz = cmath.exp(z * math.log(q))
-    dev = abs(qz - q)
-    prod = 1.0 + 0.0j
-    qk = 1.0
-    done = False
-    for _ in range(pol.max_factors):
-        den = 1.0 - qk * qz
-        if den == 0:
-            raise DomainError(f"Gamma_q pole at z = {z}")
-        prod *= (1.0 - qk * q) / den
-        qk *= q
-        if qk * dev < pol.tail_epsilon and qk < pol.tail_epsilon:
-            done = True
-            break
-    if not done:
-        raise ConvergenceError("Gamma_q product tail bound not reached")
-    return prod * (1.0 - q) ** (1.0 - z)
+    return qpoch_inf_ratio([q], [qz], q, pol, (1.0 - z) * math.log1p(-q))
 
 
 def gamma_q_reciprocal(z, q, pol=DEFAULT_POLICY):
@@ -70,16 +51,12 @@ def beta_q(a, b, q, pol=DEFAULT_POLICY):
     q = check_q(q)
     a, b = complex(a), complex(b)
     lq = math.log(q)
-    den = qpoch(cmath.exp(a * lq), q, INFINITY, pol) * qpoch(
-        cmath.exp(b * lq), q, INFINITY, pol
-    )
-    if abs(den) == 0:
-        raise DomainError(f"B_q pole at (a,b) = ({a},{b})")
-    return (
-        (1.0 - q)
-        * qpoch(q, q, INFINITY, pol)
-        * qpoch(cmath.exp((a + b) * lq), q, INFINITY, pol)
-        / den
+    return qpoch_inf_ratio(
+        [q, cmath.exp((a + b) * lq)],
+        [cmath.exp(a * lq), cmath.exp(b * lq)],
+        q,
+        pol,
+        math.log1p(-q),
     )
 
 
@@ -88,11 +65,7 @@ def theta4(x, q, pol=DEFAULT_POLICY):
     q = check_q(q)
     w = cmath.exp(2j * math.pi * x)
     q2 = q * q
-    return (
-        qpoch(q2, q2, INFINITY, pol)
-        * qpoch(q * w, q2, INFINITY, pol)
-        * qpoch(q / w, q2, INFINITY, pol)
-    )
+    return qpoch_inf_ratio([q2, q * w, q / w], [], q2, pol)
 
 
 def theta4_series(x, q, pol=DEFAULT_POLICY):
@@ -109,7 +82,7 @@ def theta4_series(x, q, pol=DEFAULT_POLICY):
 
 
 def _bessel_prefactor(nu, q, pol):
-    return qpoch(q ** (nu + 1.0), q, INFINITY, pol) / qpoch(q, q, INFINITY, pol)
+    return qpoch_inf_ratio([q ** (nu + 1.0)], [q], q, pol)
 
 
 def jackson_bessel_1(nu, z, q, pol=DEFAULT_POLICY):

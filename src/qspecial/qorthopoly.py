@@ -20,7 +20,14 @@ import numpy as np
 
 from qspecial.errors import DomainError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch, qpoch_list
+from qspecial.qcore import (
+    DEFAULT_POLICY,
+    INFINITY,
+    check_q,
+    qpoch,
+    qpoch_inf_ratio,
+    qpoch_list,
+)
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram
 
@@ -70,13 +77,9 @@ def big_qjacobi_weight(x, p, pol=DEFAULT_POLICY):
     the positive-weight regime.
     """
     q = p.q
-    num = qpoch(q * x / p.c, q, INFINITY, pol) * qpoch(-q * x / p.d, q, INFINITY, pol)
-    den = qpoch(q * p.a * x / p.c, q, INFINITY, pol) * qpoch(
-        -q * p.b * x / p.d, q, INFINITY, pol
+    return qpoch_inf_ratio(
+        [q * x / p.c, -q * x / p.d], [q * p.a * x / p.c, -q * p.b * x / p.d], q, pol
     )
-    if den == 0:
-        raise DomainError(f"weight pole at x = {x}")
-    return num / den
 
 
 def big_qjacobi(n, x, p, pol=DEFAULT_POLICY):
@@ -231,19 +234,12 @@ def big_qjacobi_weight_integral(p, pol=DEFAULT_POLICY):
     (1-q) c (q, -d/c, -qc/d, q^2 ab;q)_oo / (qa, qb, -qbc/d, -qad/c;q)_oo.
     """
     q = p.q
-    num = (
-        qpoch(q, q, INFINITY, pol)
-        * qpoch(-p.d / p.c, q, INFINITY, pol)
-        * qpoch(-q * p.c / p.d, q, INFINITY, pol)
-        * qpoch(q * q * p.a * p.b, q, INFINITY, pol)
+    return (1.0 - q) * p.c * qpoch_inf_ratio(
+        [q, -p.d / p.c, -q * p.c / p.d, q * q * p.a * p.b],
+        [q * p.a, q * p.b, -q * p.b * p.c / p.d, -q * p.a * p.d / p.c],
+        q,
+        pol,
     )
-    den = (
-        qpoch(q * p.a, q, INFINITY, pol)
-        * qpoch(q * p.b, q, INFINITY, pol)
-        * qpoch(-q * p.b * p.c / p.d, q, INFINITY, pol)
-        * qpoch(-q * p.a * p.d / p.c, q, INFINITY, pol)
-    )
-    return (1.0 - q) * p.c * num / den
 
 
 def big_qjacobi_norm(n, p, pol=DEFAULT_POLICY):
@@ -432,7 +428,7 @@ def little_qjacobi_gram_matrix(nmax, a, b, q, pol=DEFAULT_POLICY):
     if not 0 < a < 1:
         raise DomainError("requires 0 < a < 1")
     alpha = math.log(a) / math.log(q)
-    w0 = qpoch(q, q, INFINITY, pol) / qpoch(q * b, q, INFINITY, pol)
+    w0 = qpoch_inf_ratio([q], [q * b], q, pol)
 
     def ratio(t):
         return q**alpha * (1.0 - q * b * t) / (1.0 - q * t)
@@ -441,12 +437,7 @@ def little_qjacobi_gram_matrix(nmax, a, b, q, pol=DEFAULT_POLICY):
         lambda n, t: little_qjacobi(n, t, a, b, q, pol=pol), nmax
     )
     total = (1.0 - q) * lattice_gram(values, 1.0, 1.0, q, w0, ratio, pol)
-    norm = (
-        (1.0 - q)
-        * qpoch(q, q, INFINITY, pol)
-        * qpoch(q * q * a * b, q, INFINITY, pol)
-        / (qpoch(q * a, q, INFINITY, pol) * qpoch(q * b, q, INFINITY, pol))
-    )
+    norm = qpoch_inf_ratio([q, q * q * a * b], [q * a, q * b], q, pol, math.log1p(-q))
     return total / norm
 
 

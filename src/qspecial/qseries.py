@@ -12,6 +12,7 @@ Terms are generated by the forward recurrence on the term ratio, which
 is rational in q^k; per-term Pochhammers are never recomputed.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +38,9 @@ class SeriesSpec:
         object.__setattr__(self, "lower", tuple(complex(b) for b in lower))
         object.__setattr__(self, "q", check_q(q))
         object.__setattr__(self, "z", complex(z))
+        for v in self.upper + self.lower + (self.z,):
+            if not cmath.isfinite(v):
+                raise DomainError(f"series entries must be finite, got {v}")
         for b in self.lower:
             if b == 0:
                 continue

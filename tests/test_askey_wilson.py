@@ -10,11 +10,13 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 
 from qspecial import (
     AWParams,
     INFINITY,
+    TruncationPolicy,
     aw_integral_closed,
     aw_integral_numeric,
     aw_norm,
@@ -33,11 +35,15 @@ from qspecial.askey_wilson import (
     aw_leading_coefficient,
     aw_qdifference_residual,
     aw_recurrence_table,
+    q_racah_gram_matrix,
     q_racah_orthogonality,
+    q_racah_weights,
 )
 from qspecial.cli import main
-from qspecial.errors import DomainError
+from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.recurrence import eval_all
+
+from mp_oracle import log_qpoch_oracle
 
 P = AWParams(0.6, 0.4, -0.3, 0.2, 0.55)
 
@@ -242,3 +248,41 @@ def test_recurrence_coefficients_positive_c():
     for n in range(1, 7):
         _, _, cn = aw_recurrence(n, P)
         assert complex(cn).real > 0
+
+
+def test_q_racah_gram_matrix_matches_entries():
+    # one moment solve for the whole matrix; the entries summed one by one
+    alpha, beta, gamma, delta, q, N = 0.4, 0.3, 128.0, 0.6, 0.5, 6
+    gram = q_racah_gram_matrix(N, alpha, beta, gamma, delta, q, N)
+    w = q_racah_weights(alpha, beta, gamma, delta, q, N)
+    nodes = range(N + 1)
+    values = [[q_racah(n, x, alpha, beta, gamma, delta, q, N) for x in nodes] for n in nodes]
+    scale = max(abs(gram[n, n]) for n in range(N + 1))
+    for n in range(N + 1):
+        for m in range(N + 1):
+            entry = sum(values[n][x] * values[m][x] * w[x] for x in range(N + 1))
+            assert abs(gram[n, m] - entry) <= 1e-13 * scale
+            assert q_racah_orthogonality(n, m, alpha, beta, gamma, delta, q, N) == gram[n, m]
+
+
+def test_weight_grid_truncation_raises():
+    with pytest.raises(ConvergenceError):
+        aw_integral_numeric(
+            AWParams(0.6, 0.4, -0.3, 0.2, 0.9), pol=TruncationPolicy(max_factors=50)
+        )
+
+
+def test_h0_near_one_is_one_exp_of_logs():
+    a, b, c, d = 0.6, 0.4, -0.3, 0.2
+    pairs = [a * b, a * c, a * d, b * c, b * d, c * d]
+    q = 0.995
+    with mpmath.workdps(50):
+        log_h0 = log_qpoch_oracle(a * b * c * d, q)[0] - sum(
+            log_qpoch_oracle(v, q)[0] for v in [q] + pairs
+        )
+        want = mpmath.exp(log_h0)
+        got = aw_norm(0, AWParams(a, b, c, d, q))
+        assert float(abs(got - want) / abs(want)) <= 1e-11
+    # at q = 0.998, h_0 = exp(882): no double holds it
+    with pytest.raises(OutOfRangeError):
+        aw_integral_closed(AWParams(a, b, c, d, 0.998))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qspecial import LimitReport, list_paths, run_limit
+from qspecial import DEFAULT_POLICY, LimitReport, list_paths, run_limit
 from qspecial.errors import DomainError, UnknownPath
 from qspecial.limits import _rel, classical_bessel_j, classical_eval, classical_gamma
 
@@ -75,3 +75,19 @@ def test_classical_gamma_and_bessel():
     assert classical_bessel_j(0.5, 1.3) == pytest.approx(
         float(jv(0.5, 1.3)), rel=1e-10
     )
+
+
+def test_product_limit_paths_under_default_policy():
+    # q = 1 - 2^-j, j = 2..13: up to 37/(1-q) = 300 000 factors by the plain
+    # product; the log series needs no budget.  The errors are those of the
+    # q-analogues themselves, pinned to 3 digits.
+    pinned = {
+        "gamma_from_gamma_q": [0.161, 0.0815, 0.041, 0.0206, 0.0103, 0.00515,
+                               0.00258, 0.00129, 0.000644, 0.000322, 0.000161, 8.06e-05],
+        "exp_from_Eq": [0.291, 0.167, 0.0899, 0.0468, 0.0239, 0.0121,
+                        0.00607, 0.00304, 0.00152, 0.000762, 0.000381, 0.000191],
+    }
+    for name, errors in pinned.items():
+        rep = run_limit(name, pol=DEFAULT_POLICY)
+        assert rep.passed
+        assert [float("%.3g" % e) for e in rep.errors] == errors

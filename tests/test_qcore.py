@@ -3,6 +3,7 @@
 Oracle: direct product evaluation and mpmath.qp for the infinite case.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -10,9 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspecial import INFINITY, TruncationPolicy, qbinomial, qpoch, qpoch_list
-from qspecial.errors import DomainError
-from qspecial.qcore import check_q, qpoch_base_inverted, shifted_factorial
+from qspecial import INFINITY, TruncationPolicy, kernels, qbinomial, qpoch, qpoch_list
+from qspecial.errors import DomainError, OutOfRangeError
+from qspecial.qcore import (
+    check_q,
+    log_qpoch_inf,
+    qpoch_base_inverted,
+    qpoch_inf_ratio,
+    shifted_factorial,
+)
+from qspecial.qfunctions import gamma_q
+
+from mp_oracle import EPS, log_distance, log_qpoch_oracle
 
 
 def product_oracle(a, q, k):
@@ -132,3 +142,120 @@ def test_truncation_policy_rejects_bad_fields():
     ):
         with pytest.raises(DomainError):
             TruncationPolicy(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# (a;q)_oo for every 0 < q < 1: the peeled log series against a 50-digit
+# oracle, and against the kernel product as the second path
+
+# 64 EPS per unit of size: the series path stays within 4, the kernel
+# product over up to a few thousand factors (compiled backend) within 40
+SIZE_TOL = 64 * EPS
+
+argument = st.one_of(
+    st.floats(-10, 10),
+    st.builds(
+        complex,
+        st.floats(-7, 7),
+        st.floats(-7, 7),
+    ),
+)
+base = st.one_of(st.floats(0.01, 0.9999), st.floats(0.99, 0.9999))
+
+
+@given(a=argument, q=base)
+@settings(max_examples=40, deadline=None)
+def test_log_qpoch_inf_matches_oracle(a, q):
+    ref, size = log_qpoch_oracle(a, q)
+    value = log_qpoch_inf(a, q)
+    if ref.real == -math.inf:
+        assert value.real == -math.inf
+        return
+    assert log_distance(value, ref) <= SIZE_TOL * (1 + size)
+
+
+@given(a=argument, q=base)
+@settings(max_examples=40, deadline=None)
+def test_qpoch_infinite_matches_oracle_or_raises_range(a, q):
+    ref, size = log_qpoch_oracle(a, q)
+    if ref.real == -math.inf:
+        assert qpoch(a, q, INFINITY) == 0
+        return
+    log_abs = float(mpmath.re(ref))
+    if not -700 <= log_abs <= 700:
+        if log_abs < -710 or log_abs > 710:
+            with pytest.raises(OutOfRangeError, match="log\\|value\\|"):
+                qpoch(a, q, INFINITY)
+        return
+    value = qpoch(a, q, INFINITY)
+    with mpmath.workdps(50):
+        want = mpmath.exp(ref)
+        assert float(abs(value - want) / abs(want)) <= SIZE_TOL * (1 + size)
+
+
+@given(z=st.floats(-3.5, 8), q=base)
+@settings(max_examples=30, deadline=None)
+def test_gamma_q_matches_oracle(z, q):
+    if z < 0.5 and abs(z - round(z)) < 0.01:
+        return  # next to a pole, where the value's conditioning blows up
+    with mpmath.workdps(50):
+        qz = mpmath.mpf(q) ** z
+        top, size_top = log_qpoch_oracle(q, q)
+        bottom, size_bottom = log_qpoch_oracle(qz, q)
+        ref = top - bottom + (1 - z) * mpmath.log(1 - mpmath.mpf(q))
+        want = mpmath.exp(ref)
+    # q^z is rounded in double: a relative perturbation of |z log q| EPS
+    size = size_top + size_bottom * (1 + abs(z * math.log(q)))
+    value = gamma_q(z, q)
+    assert float(abs(value - want) / abs(want)) <= SIZE_TOL * (1 + size)
+
+
+@given(a=argument, q=st.floats(0.01, 0.99))
+@settings(max_examples=60, deadline=None)
+def test_log_series_matches_kernel_product(a, q):
+    # the two paths of (a;q)_oo; the product stops within max_factors here
+    value, status = kernels.qpoch_infinite(complex(a), q, 1e-17 * (1 - q), 100_000)
+    assert status == 0
+    series = cmath.exp(log_qpoch_inf(a, q))
+    # a factor 1 - a q^j near 0 amplifies the rounding of a q^j by this much
+    cond = sum(abs(a * q**j / (1 - a * q**j)) for j in range(200) if a * q**j != 1)
+    assert abs(series - value) <= max(1e-13, 64 * EPS * cond) * abs(value)
+
+
+def test_qpoch_infinite_near_one_default_policy():
+    # 37/(1-q) factors would exceed the 10 000-factor budget here
+    for a, q in ((0.5, 0.999), (-0.3, 0.999), (0.05 + 0.1j, 0.9995), (0.02, 0.9999)):
+        ref, size = log_qpoch_oracle(a, q)
+        with mpmath.workdps(50):
+            want = mpmath.exp(ref)
+            assert float(abs(qpoch(a, q, INFINITY) - want) / abs(want)) <= 1e-12
+
+
+def test_qpoch_out_of_range_names_log():
+    # (0.5; 0.9999)_oo = exp(-5822.46): no double holds it, and it is not 0
+    with pytest.raises(OutOfRangeError, match=r"log\|value\| = -5822\.46"):
+        qpoch(0.5, 0.9999, INFINITY)
+    assert log_qpoch_inf(0.5, 0.9999).real == pytest.approx(-5822.460721459, rel=1e-12)
+
+
+def test_log_qpoch_inf_zero_factor():
+    assert log_qpoch_inf(1.0, 0.7).real == -math.inf
+    assert log_qpoch_inf(4.0, 0.5).real == -math.inf
+    assert qpoch(4.0, 0.5, INFINITY) == 0
+
+
+def test_qpoch_inf_ratio_pole_and_zero():
+    with pytest.raises(DomainError, match="pole"):
+        qpoch_inf_ratio([0.3], [2.0], 0.5)
+    assert qpoch_inf_ratio([2.0], [0.3], 0.5) == 0
+
+
+def test_qpoch_rejects_non_finite_input():
+    for a in (math.nan, math.inf, -math.inf, complex(0.1, math.nan)):
+        for k in (INFINITY, 3, -2):
+            with pytest.raises(DomainError, match="finite"):
+                qpoch(a, 0.5, k)
+    with pytest.raises(DomainError):
+        qpoch(0.5, math.nan, INFINITY)
+    with pytest.raises(DomainError, match="finite"):
+        log_qpoch_inf(math.nan, 0.5)

@@ -26,6 +26,8 @@ from qspecial import (
 from qspecial.errors import DomainError
 from qspecial.qfunctions import gamma_q_reciprocal, theta4_series
 
+from mp_oracle import log_qpoch_oracle
+
 
 def test_e_q_product_form():
     # e_q(z) = 1 / (z; q)_oo for |z| < 1
@@ -176,3 +178,69 @@ def test_partition_rejects_out_of_range():
         partition_count(-1)
     with pytest.raises(DomainError):
         partition_count(10_001)
+
+
+# ---------------------------------------------------------------------------
+# q -> 1: every product by the log series, quotients as one exp of logs
+
+
+def _exp_oracle(log_value):
+    with mpmath.workdps(50):
+        return mpmath.exp(log_value)
+
+
+def _rel(value, want):
+    with mpmath.workdps(50):
+        return float(abs(value - want) / abs(want))
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9999])
+def test_gamma_q_near_one_default_policy(q):
+    for z in (0.5, 1.7, 3.2):
+        with mpmath.workdps(50):
+            top, _ = log_qpoch_oracle(q, q)
+            bottom, _ = log_qpoch_oracle(mpmath.mpf(q) ** z, q)
+            want = mpmath.exp(top - bottom + (1 - z) * mpmath.log(1 - mpmath.mpf(q)))
+        assert _rel(gamma_q(z, q), want) <= 1e-11
+
+
+@pytest.mark.parametrize("q", [0.999, 0.9999])
+def test_E_q_near_one_default_policy(q):
+    # the exp_from_Eq limit path: E_q((1-q) z) -> e^z
+    for z in (0.8, -1.3, 2.5):
+        ref, _ = log_qpoch_oracle(-(1 - q) * z, q)
+        assert _rel(E_q((1 - q) * z, q), _exp_oracle(ref)) <= 1e-13
+
+
+def _beta_oracle(a, b, q):
+    with mpmath.workdps(50):
+        qm = mpmath.mpf(q)
+        logs = [log_qpoch_oracle(v, q)[0] for v in (qm, qm ** (a + b), qm**a, qm**b)]
+        return mpmath.exp(mpmath.log(1 - qm) + logs[0] + logs[1] - logs[2] - logs[3])
+
+
+def test_beta_q_near_one_no_false_pole():
+    # (q^a, q^b;q)_oo underflows to 0 in double here; the quotient does not
+    for a, b, q in ((2.987, 0.343, 0.9958), (0.5, 1.5, 0.999)):
+        assert _rel(beta_q(a, b, q), _beta_oracle(a, b, q)) <= 1e-11
+
+
+def test_theta4_near_one_tiny_value():
+    # 9.7e-267: the partial products underflow to 0, the sum of logs does not
+    q, x = 0.999, 0.25
+    q2 = q * q  # rounded to double, as theta4 does
+    with mpmath.workdps(50):
+        w = mpmath.expjpi(2 * mpmath.mpf(x))
+        want = mpmath.exp(sum(log_qpoch_oracle(v, q2)[0] for v in (q2, q * w, q / w)))
+    value = theta4(x, q)
+    assert _rel(value, want) <= 1e-11
+    assert abs(value) == pytest.approx(9.7222182450e-267, rel=1e-9)
+
+
+def test_true_poles_keep_domain_error():
+    with pytest.raises(DomainError):
+        beta_q(0, 1.5, 0.9)
+    with pytest.raises(DomainError):
+        gamma_q(-2, 0.5)
+    with pytest.raises(DomainError):
+        e_q(1.0, 0.999)

@@ -198,3 +198,12 @@ def test_confluence_limit_check_decreasing():
     errs = rep.errors
     assert errs[-1] < errs[0]
     assert errs[-1] < 1e-2
+
+
+def test_non_finite_series_input_rejected_at_once():
+    nan, inf = float("nan"), float("inf")
+    for upper, lower, z in (([nan], [0.5], 0.3), ([0.2], [inf], 0.3), ([0.2], [0.5], nan)):
+        with pytest.raises(DomainError, match="finite"):
+            SeriesSpec(upper, lower, 0.5, z)
+    with pytest.raises(DomainError, match="finite"):
+        eval_phi(SeriesSpec([0.2, complex(0.1, nan)], [0.5], 0.5, 0.3))

@@ -16,7 +16,7 @@ from qspecial.askey_wilson import (
     q_racah_gram_matrix,
 )
 from qspecial.errors import QSpecialError
-from qspecial.identities import list_identities, verify
+from qspecial.identities import _jsonable, list_identities, verify
 from qspecial.limits import list_paths, run_limit
 from qspecial.qfunctions import (
     E_q,
@@ -67,18 +67,6 @@ def _fmt(x):
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)
-
-
-def _jsonable(x):
-    if isinstance(x, complex):
-        if abs(x.imag) <= 1e-12 * (1.0 + abs(x.real)):
-            return x.real
-        return [x.real, x.imag]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    return x
 
 
 def _emit_rows(header, rows, fmt, out):

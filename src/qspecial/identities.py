@@ -13,11 +13,19 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from qspecial.errors import DomainError
-from qspecial.qcore import DEFAULT_POLICY, INFINITY, qbinomial, qpoch, qpoch_list
+from qspecial.errors import ConvergenceError, DomainError
+from qspecial.qcore import (
+    DEFAULT_POLICY,
+    INFINITY,
+    TruncationPolicy,
+    qbinomial,
+    qpoch,
+    qpoch_list,
+    tail_sum,
+)
 from qspecial.qcalculus import qintegral_0a
 from qspecial.qfunctions import E_q, e_q, gamma_q, gamma_q_reciprocal, partition_count
-from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
+from qspecial.qseries import SeriesSpec, eval_phi, eval_psi, psi_walk
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
 from qspecial.limits import classical_eval
@@ -75,14 +83,18 @@ class VerificationReport:
 # small helpers
 
 
-def _jsonable(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    return v
+def _jsonable(x):
+    """x with complex numbers as [re, im], or as re when the imaginary part
+    is negligible (at most 1e-12 (1 + |re|))."""
+    if isinstance(x, complex):
+        if abs(x.imag) <= 1e-12 * (1.0 + abs(x.real)):
+            return x.real
+        return [x.real, x.imag]
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    return x
 
 
 def _rel_err(l, r):
@@ -151,50 +163,15 @@ def _phi_cond(upper, lower, q, z, cap=5000):
     return ab / max(1e-300, abs(tot))
 
 
-def _psi_cond(upper, lower, q, z, cap=5000):
-    """Float amplification estimate for a bilateral psi series."""
-    sp = len(lower) - len(upper)
-    tot = 1.0 + 0.0j
-    ab = 1.0
-    t = 1.0 + 0.0j
-    for k in range(cap):
-        qk = q**k
-        num = complex(z)
-        for a in upper:
-            num *= 1.0 - a * qk
-        den = 1.0 + 0.0j
-        for b in lower:
-            den *= 1.0 - b * qk
-        if den == 0:
-            return math.inf
-        if sp:
-            num *= (-qk) ** sp
-        t *= num / den
-        tot += t
-        ab += abs(t)
-        if abs(t) < 1e-18 * max(1.0, ab):
-            break
-    t = 1.0 + 0.0j
-    nz = [b for b in lower if b != 0]
-    excess = len(lower) - len(nz)
-    for k in range(1, cap):
-        w = q**k
-        den = complex(z)
-        for a in upper:
-            den *= a - w
-        if den == 0:
-            break
-        num = 1.0 + 0.0j
-        for b in nz:
-            num *= b - w
-        if excess:
-            num *= (-w) ** excess
-        t *= num / den
-        tot += t
-        ab += abs(t)
-        if abs(t) < 1e-18 * max(1.0, ab):
-            break
-    return ab / max(1e-300, abs(tot))
+def _psi_kappa(upper, lower, q, z):
+    """Amplification sum|t_k| / |sum t_k| of a bilateral psi series, from
+    the walk of eval_psi; inf when that walk hits a zero denominator or
+    does not reach its tail."""
+    try:
+        value, mass = psi_walk(SeriesSpec(upper, lower, q, z))
+    except (ConvergenceError, DomainError):
+        return math.inf
+    return mass / max(1e-300, abs(value))
 
 
 def _nmax(q, budget=2.0):
@@ -223,14 +200,10 @@ def _draw(rng, build, tries=500):
 # integer power series in q (lists of ints, index = exponent)
 
 
-def _ipoly_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
+def _times_binomial(prod, j, sign):
+    """prod *= 1 + sign q^j in place, truncated at the length of prod."""
+    for i in range(len(prod) - 1, j - 1, -1):
+        prod[i] += sign * prod[i - j]
 
 
 def _ipoly_inv(a, order):
@@ -249,7 +222,7 @@ def _euler_inv_series(m, order):
     """Coefficients of 1/(q^m;q)_oo up to the given order."""
     prod = [1] + [0] * order
     for j in range(m, order + 1):
-        prod = _ipoly_mul(prod, [1] + [0] * (j - 1) + [-1], order)
+        _times_binomial(prod, j, -1)
     return _ipoly_inv(prod, order)
 
 
@@ -257,7 +230,7 @@ def _qq_pochhammer_poly(k, order):
     """(q;q)_k as an integer polynomial in q."""
     prod = [1] + [0] * order
     for j in range(1, k + 1):
-        prod = _ipoly_mul(prod, [1] + [0] * (j - 1) + [-1], order)
+        _times_binomial(prod, j, -1)
     return prod
 
 
@@ -940,7 +913,7 @@ def _sample_1psi1(rng):
         return None
     if abs(c / (b * z) - 1.0) < 1e-3 or abs(q / (b * z) - 1.0) < 1e-3:
         return None
-    if _psi_cond([b], [c], q, z) > 1e4:
+    if _psi_kappa([b], [c], q, z) > 1e4:
         return None
     return {"q": q, "b": b, "c": c, "z": z}
 
@@ -968,7 +941,7 @@ def _sample_0psi1(rng):
         return None
     if abs(c / z - 1.0) < 1e-3:
         return None
-    if _psi_cond([], [c], q, z) > 1e4:
+    if _psi_kappa([], [c], q, z) > 1e4:
         return None
     return {"q": q, "c": c, "z": z}
 
@@ -1326,7 +1299,7 @@ def _euler_plus_int_series(m, order):
     # coefficients of (-q^m;q)_oo
     prod = [1] + [0] * order
     for j in range(m, order + 1):
-        prod = _ipoly_mul(prod, [1] + [0] * (j - 1) + [1], order)
+        _times_binomial(prod, j, 1)
     return prod
 
 
@@ -1501,6 +1474,7 @@ def _aw_kernel_lhs(p):
 
 
 _KERNEL_TERMS = 400
+_KERNEL_POLICY = TruncationPolicy(max_terms=_KERNEL_TERMS)
 
 
 def _aw_kernel_rhs(p):
@@ -1510,24 +1484,13 @@ def _aw_kernel_rhs(p):
     # p_m(x; c, d) by one running recurrence: the 4phi3 for each m loses
     # all its digits by m = 10
     rec = al_salam_chihara_recurrence_table(_KERNEL_TERMS, c, d, q)
-    asc = eval_all(rec, math.cos(theta))
-    total = 0.0 + 0.0j
-    quiet = 0
-    for m in range(_KERNEL_TERMS):
-        term = (
-            little_qjacobi(n, q**m, a * b / q, c * d / q, q)
-            * a**m
-            * asc[m, 0]
-            / qpoch(q, q, m)
-        )
-        total += term
-        if abs(term) < 1e-15 * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 5:
-                break
-        else:
-            quiet = 0
-    return total
+    asc = eval_all(rec, math.cos(theta))[:, 0]
+    terms = (
+        little_qjacobi(n, q**m, a * b / q, c * d / q, q) * a**m * asc[m] / qpoch(q, q, m)
+        for m in range(_KERNEL_TERMS)
+    )
+    message = f"kernel series tail not reached within {_KERNEL_TERMS} terms"
+    return tail_sum(terms, _KERNEL_POLICY, message)[0]
 
 
 _add(

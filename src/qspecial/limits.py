@@ -243,7 +243,7 @@ class LimitReport:
 
     @property
     def final_error(self):
-        return self.errors[-1]
+        return self.errors[-1] if self.errors else math.inf
 
     @property
     def finally_decreasing(self):
@@ -267,6 +267,28 @@ def _march(name, tolerance, values, step_error):
         rep.parameters.append(v)
         rep.errors.append(step_error(v))
     return rep
+
+
+def confluence_limit_check(spec, direction, magnitudes, pol=DEFAULT_POLICY):
+    """Check the confluence limit sending upper[direction] -> oo with z/a scaling.
+
+    Evaluates r_phi_s(..., a, ...; q, z/a) for a running through the given
+    magnitudes and compares against the (r-1)_phi_s value at argument z.
+    Returns a LimitReport named "confluence".
+    """
+    if spec.r < 1:
+        raise DomainError("need at least one upper parameter")
+    kept = list(spec.upper)
+    kept.pop(direction)
+    target = eval_phi(SeriesSpec(kept, spec.lower, spec.q, spec.z), pol)
+
+    def err(mag):
+        upper = list(spec.upper)
+        upper[direction] = mag
+        value = eval_phi(SeriesSpec(upper, spec.lower, spec.q, spec.z / mag), pol)
+        return abs(value - target) / max(abs(target), 1e-300)
+
+    return _march("confluence", 1e-6, magnitudes, err)
 
 
 def _path_laguerre_from_jacobi(tol, pol):

@@ -2,7 +2,8 @@
 
 The backward q-derivative is (f(x) - f(qx)) / ((1-q)x); the forward one
 is (f(x/q) - f(x)) / ((1-q)x).  The q-integral from 0 to a is the
-geometric-mesh sum a(1-q) sum_{k>=0} f(a q^k) q^k.
+geometric-mesh sum a(1-q) sum_{k>=0} f(a q^k) q^k.  Every infinite sum
+here ends by the tail rule of qcore.tail_sum.
 
 Orientation note: qintegral_ab(f, a, b, q) is defined as
 int_0^a - int_0^b, which is the NEGATIVE of the usual orientation.
@@ -11,8 +12,8 @@ The integration-by-parts residual below uses the usual orientation
 boundary-term bookkeeping close.
 """
 
-from qspecial.errors import ConvergenceError, DomainError
-from qspecial.qcore import DEFAULT_POLICY, check_q
+from qspecial.errors import DomainError
+from qspecial.qcore import DEFAULT_POLICY, check_q, tail_sum
 
 
 def qderiv_backward(f, x, q):
@@ -31,33 +32,24 @@ def qderiv_forward(f, x, q):
     return (f(x / q) - f(x)) / ((1.0 - q) * x)
 
 
+def _jackson_terms(f, a, w, step):
+    """The terms f(a w) w of a Jackson sum, with w running w, w step, ..."""
+    while True:
+        yield f(a * w) * w
+        w *= step
+
+
 def qintegral_0a(f, a, q, pol=DEFAULT_POLICY):
     """Jackson integral a(1-q) sum_{k>=0} f(a q^k) q^k.
 
-    Valid for negative a as well.  Stops when 5 consecutive terms each
-    contribute less than tail_epsilon of the running magnitude.
+    Valid for negative a as well.  The sum ends by qcore.tail_sum.
     """
     q = check_q(q)
     if a == 0:
         return 0.0 + 0.0j
-    total = 0.0 + 0.0j
-    scale = 0.0
-    w = 1.0
-    quiet = 0
-    for _ in range(pol.max_terms):
-        term = f(a * w) * w
-        total += term
-        t = abs(term)
-        if t > scale:
-            scale = t
-        if t < pol.tail_epsilon * max(scale, 1e-300):
-            quiet += 1
-            if quiet >= 5:
-                return a * (1.0 - q) * total
-        else:
-            quiet = 0
-        w *= q
-    raise ConvergenceError("q-integral tail not reached within max_terms")
+    terms = _jackson_terms(f, a, 1.0, q)
+    total = tail_sum(terms, pol, "q-integral tail not reached within max_terms")[0]
+    return a * (1.0 - q) * total
 
 
 def qintegral_ab(f, a, b, q, pol=DEFAULT_POLICY):
@@ -71,36 +63,16 @@ def qintegral_ab(f, a, b, q, pol=DEFAULT_POLICY):
 def qintegral_0inf(f, q, a=1.0, pol=DEFAULT_POLICY):
     """Bilateral q-integral a(1-q) sum_{k in Z} f(a q^k) q^k.
 
-    The result is invariant under a -> a q^n.  Both tails are truncated
-    independently.
+    The result is invariant under a -> a q^n.  Each tail ends by
+    qcore.tail_sum on its own.
     """
     q = check_q(q)
     if a == 0:
         raise DomainError("scale a must be nonzero")
-
-    def one_sided(start_w, step):
-        total = 0.0 + 0.0j
-        scale = 0.0
-        w = start_w
-        quiet = 0
-        for _ in range(pol.max_terms):
-            term = f(a * w) * w
-            total += term
-            t = abs(term)
-            if t > scale:
-                scale = t
-            if t < pol.tail_epsilon * max(scale, 1e-300):
-                quiet += 1
-                if quiet >= 5:
-                    return total
-            else:
-                quiet = 0
-            w *= step
-        raise ConvergenceError("bilateral q-integral tail not reached")
-
+    message = "bilateral q-integral tail not reached"
     # k >= 0 runs toward zero, k < 0 runs toward infinity
-    down = one_sided(1.0, q)
-    up = one_sided(1.0 / q, 1.0 / q)
+    down = tail_sum(_jackson_terms(f, a, 1.0, q), pol, message)[0]
+    up = tail_sum(_jackson_terms(f, a, 1.0 / q, 1.0 / q), pol, message)[0]
     return a * (1.0 - q) * (down + up)
 
 

@@ -58,6 +58,40 @@ class TruncationPolicy:
 
 DEFAULT_POLICY = TruncationPolicy()
 
+# the tail rule: a series ends after this many consecutive terms each below
+# tail_epsilon times the largest |term| so far
+QUIET_TERMS = 5
+
+
+def tail_sum(terms, pol, message, scale=0.0):
+    """Sum an iterator of terms under the tail rule.
+
+    The sum stops once QUIET_TERMS consecutive terms are each below
+    pol.tail_epsilon times the running maximum |term| (floored at 1e-300);
+    scale seeds that maximum.  An iterator that ends gives an exact sum.
+    Returns (sum, sum of |term|, running maximum); ConvergenceError(message)
+    when pol.max_terms terms pass without the rule being met.
+    """
+    eps = pol.tail_epsilon
+    bound = eps * max(scale, 1e-300)
+    total, mass, quiet = 0j, 0.0, 0
+    for count, term in enumerate(terms, 1):
+        total += term
+        t = abs(term)
+        mass += t
+        if t > scale:
+            scale = t
+            bound = eps * max(scale, 1e-300)
+        if t < bound:
+            quiet += 1
+            if quiet == QUIET_TERMS:
+                break
+        else:
+            quiet = 0
+        if count == pol.max_terms:
+            raise ConvergenceError(message)
+    return total, mass, scale
+
 
 def check_q(q):
     """Validate the base; returns q as float. Requires 0 < q < 1."""

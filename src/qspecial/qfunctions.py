@@ -23,15 +23,27 @@ def E_q(z, q, pol=DEFAULT_POLICY):
     return qpoch(-complex(z), q, INFINITY, pol)
 
 
+def _is_pole(z):
+    """True when z is (numerically) one of the poles 0, -1, -2, ... of Gamma_q."""
+    if abs(z.imag) >= 1e-12:
+        return False
+    nearest = round(z.real)
+    return nearest <= 0 and abs(z.real - nearest) < 1e-9
+
+
 def gamma_q(z, q, pol=DEFAULT_POLICY):
     """q-gamma function (q;q)_oo (1-q)^{1-z} / (q^z;q)_oo.
 
     Satisfies Gamma_q(z+1) = (1-q^z)/(1-q) Gamma_q(z), Gamma_q(1) = 1.
     The two products share one peel and are combined as logs: each alone
     underflows as q -> 1 while their ratio stays of moderate size.
+    DomainError at the poles z = 0, -1, -2, ..., where q^z is not an exact
+    power of q in double and the vanishing factor would be missed.
     """
     q = check_q(q)
     z = complex(z)
+    if _is_pole(z):
+        raise DomainError(f"Gamma_q pole at z = {z}")
     qz = cmath.exp(z * math.log(q))
     return qpoch_inf_ratio([q], [qz], q, pol, (1.0 - z) * math.log1p(-q))
 
@@ -39,17 +51,20 @@ def gamma_q(z, q, pol=DEFAULT_POLICY):
 def gamma_q_reciprocal(z, q, pol=DEFAULT_POLICY):
     """1/Gamma_q(z) with the pole convention: 0 at z = 0, -1, -2, ..."""
     z = complex(z)
-    if abs(z.imag) < 1e-12:
-        nearest = round(z.real)
-        if nearest <= 0 and abs(z.real - nearest) < 1e-9:
-            return 0.0 + 0.0j
+    if _is_pole(z):
+        return 0.0 + 0.0j
     return 1.0 / gamma_q(z, q, pol)
 
 
 def beta_q(a, b, q, pol=DEFAULT_POLICY):
-    """q-beta function (1-q)(q, q^{a+b};q)_oo / ((q^a, q^b;q)_oo)."""
+    """q-beta function (1-q)(q, q^{a+b};q)_oo / ((q^a, q^b;q)_oo).
+
+    DomainError when a or b is a pole of Gamma_q.
+    """
     q = check_q(q)
     a, b = complex(a), complex(b)
+    if _is_pole(a) or _is_pole(b):
+        raise DomainError(f"B_q pole at a = {a}, b = {b}")
     lq = math.log(q)
     return qpoch_inf_ratio(
         [q, cmath.exp((a + b) * lq)],

@@ -13,12 +13,13 @@ is rational in q^k; per-term Pochhammers are never recomputed.
 """
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from qspecial import kernels
 from qspecial.errors import ConvergenceError, DomainError
-from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_list
+from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_list, tail_sum
 
 _TERMINATION_RTOL = 1e-12
 _MAX_TERMINATION_N = 10_000
@@ -136,6 +137,83 @@ def eval_phi(spec, pol=DEFAULT_POLICY):
     return value
 
 
+def _psi_up(spec):
+    """Terms t_0 = 1, t_1, t_2, ... of the bilateral series, each from the
+    last by the term ratio t_{k+1} / t_k."""
+    q, z, upper, lower = spec.q, spec.z, spec.upper, spec.lower
+    sign_power = spec.s - spec.r
+    term = 1.0 + 0.0j
+    yield term
+    for k in itertools.count():
+        qk = q**k
+        top = z
+        for a in upper:
+            top *= 1.0 - a * qk
+        bot = 1.0 + 0.0j
+        for b in lower:
+            bot *= 1.0 - b * qk
+        if bot == 0:
+            raise DomainError("bilateral series hit a zero denominator factor")
+        if sign_power:
+            top *= (-qk) ** sign_power
+        term = term * top / bot
+        yield term
+
+
+def _psi_down(spec):
+    """Terms t_{-1}, t_{-2}, ... of the bilateral series.
+
+    The multiplier t_{-k}/t_{-k+1} is computed in a factored form using
+    w = q^k only: pulling q^{-k} out of every (1 - c q^{-k}) factor avoids
+    overflow when many terms are needed.  A vanishing numerator factor
+    kills that term and all lower ones, and ends the terms.
+    """
+    q, z, upper = spec.q, spec.z, spec.upper
+    nonzero_lower = [b for b in spec.lower if b != 0]
+    excess = spec.s - len(nonzero_lower)
+    term = 1.0 + 0.0j
+    for k in itertools.count(1):
+        w = q**k
+        top = z
+        for a in upper:
+            top *= a - w
+        if top == 0:
+            return
+        bot = 1.0 + 0.0j
+        for b in nonzero_lower:
+            bot *= b - w
+        if excess:
+            bot *= (-w) ** excess
+        term = term * bot / top
+        yield term
+
+
+def psi_walk(spec, pol=DEFAULT_POLICY):
+    """The bilateral r_psi_s series over k in Z and the sum of |t_k|.
+
+    The upward terms k >= 0 and the downward ones k < 0 are each summed
+    by qcore.tail_sum; the running scale of the upward walk carries into
+    the downward one.  Returns (value, sum |t_k|), so the amplification
+    sum |t_k| / |value| comes with the value.  Domain as for eval_psi.
+    """
+    if any(a == 0 for a in spec.upper):
+        raise DomainError("bilateral series requires nonzero upper parameters")
+    if spec.z == 0:
+        raise DomainError("bilateral series undefined at z = 0")
+    inner = math.prod(spec.lower, start=1 + 0j) / math.prod(spec.upper, start=1 + 0j)
+    if abs(spec.z) <= abs(inner):
+        raise DomainError("outside convergence annulus: need |b1..bs/(a1..ar)| < |z|")
+    if spec.s == spec.r and abs(spec.z) >= 1:
+        raise DomainError("s = r bilateral series requires |z| < 1")
+    up, up_mass, scale = tail_sum(
+        _psi_up(spec), pol, "bilateral series upper tail not reached"
+    )
+    down, down_mass, _ = tail_sum(
+        _psi_down(spec), pol, "bilateral series lower tail not reached", scale
+    )
+    return up + down, up_mass + down_mass
+
+
 def eval_psi(spec, pol=DEFAULT_POLICY):
     """Evaluate the bilateral r_psi_s series over k in Z.
 
@@ -144,90 +222,7 @@ def eval_psi(spec, pol=DEFAULT_POLICY):
     kills all k < 0 terms; pass the parameter as lower 0 instead).
     Lower parameters may be 0.
     """
-    q, z = spec.q, spec.z
-    if any(a == 0 for a in spec.upper):
-        raise DomainError("bilateral series requires nonzero upper parameters")
-    if z == 0:
-        raise DomainError("bilateral series undefined at z = 0")
-    num = 1.0 + 0.0j
-    for b in spec.lower:
-        num *= b
-    den = 1.0 + 0.0j
-    for a in spec.upper:
-        den *= a
-    if abs(z) <= abs(num / den):
-        raise DomainError("outside convergence annulus: need |b1..bs/(a1..ar)| < |z|")
-    if spec.s == spec.r and abs(z) >= 1:
-        raise DomainError("s = r bilateral series requires |z| < 1")
-    sign_power = spec.s - spec.r
-
-    def ratio(k):
-        # t_{k+1} / t_k as a function of k (any sign)
-        qk = q**k
-        top = z
-        for a in spec.upper:
-            top *= 1.0 - a * qk
-        bot = 1.0 + 0.0j
-        for b in spec.lower:
-            bot *= 1.0 - b * qk
-        if sign_power:
-            top *= (-qk) ** sign_power
-        return top, bot
-
-    total = 1.0 + 0.0j
-    # upward k = 1, 2, ...
-    term = 1.0 + 0.0j
-    scale = 1.0
-    quiet = 0
-    for k in range(pol.max_terms):
-        top, bot = ratio(k)
-        if bot == 0:
-            raise DomainError("bilateral series hit a zero denominator factor")
-        term = term * top / bot
-        total += term
-        t = abs(term)
-        scale = max(scale, t)
-        if t < pol.tail_epsilon * scale:
-            quiet += 1
-            if quiet >= 5:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ConvergenceError("bilateral series upper tail not reached")
-    # downward k = -1, -2, ...  The multiplier t_{-k}/t_{-k+1} is computed
-    # in a factored form using w = q^k only: pulling q^{-k} out of every
-    # (1 - c q^{-k}) factor avoids overflow when many terms are needed.
-    nonzero_lower = [b for b in spec.lower if b != 0]
-    excess = spec.s - len(nonzero_lower)
-    term = 1.0 + 0.0j
-    quiet = 0
-    for k in range(1, pol.max_terms):
-        w = q**k
-        top = z
-        for a in spec.upper:
-            top *= a - w
-        if top == 0:
-            # a vanishing numerator factor kills this and all lower terms
-            break
-        bot = 1.0 + 0.0j
-        for b in nonzero_lower:
-            bot *= b - w
-        if excess:
-            bot *= (-w) ** excess
-        term = term * bot / top
-        total += term
-        t = abs(term)
-        scale = max(scale, t)
-        if t < pol.tail_epsilon * scale:
-            quiet += 1
-            if quiet >= 5:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ConvergenceError("bilateral series lower tail not reached")
-    return total
+    return psi_walk(spec, pol)[0]
 
 
 def reverse_terminating(spec):
@@ -268,52 +263,3 @@ def reverse_terminating(spec):
         prod_a *= a
     new_z = q ** float(n + 1) * prod_b / (prod_a * z)
     return SeriesSpec(new_upper, new_lower, q, new_z), prefactor
-
-
-@dataclass
-class ConvergenceReport:
-    """Step-by-step error record for a numerically checked limit."""
-
-    label: str
-    steps: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    tolerance: float = 1e-3
-
-    @property
-    def final_error(self):
-        return self.errors[-1] if self.errors else math.inf
-
-    @property
-    def finally_decreasing(self):
-        if len(self.errors) < 3:
-            return False
-        e = self.errors[-3:]
-        return e[0] >= e[1] >= e[2]
-
-    @property
-    def passed(self):
-        return self.final_error <= self.tolerance and self.finally_decreasing
-
-
-def confluence_limit_check(spec, direction, magnitudes, pol=DEFAULT_POLICY):
-    """Check the confluence limit sending upper[direction] -> oo with z/a scaling.
-
-    Evaluates r_phi_s(..., a, ...; q, z/a) for a running through the given
-    magnitudes and compares against the (r-1)_phi_s value at argument z.
-    """
-    if spec.r < 1:
-        raise DomainError("need at least one upper parameter")
-    kept = list(spec.upper)
-    kept.pop(direction)
-    limit_spec = SeriesSpec(kept, spec.lower, spec.q, spec.z)
-    target = eval_phi(limit_spec, pol)
-    report = ConvergenceReport(label="confluence", tolerance=1e-6)
-    for mag in magnitudes:
-        upper = list(spec.upper)
-        upper[direction] = mag
-        trial = SeriesSpec(upper, spec.lower, spec.q, spec.z / mag)
-        value = eval_phi(trial, pol)
-        err = abs(value - target) / max(abs(target), 1e-300)
-        report.steps.append(mag)
-        report.errors.append(err)
-    return report

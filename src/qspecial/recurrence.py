@@ -12,7 +12,7 @@ V holds the values of degrees 0..N (one row per degree), w the weights.
 It is bilinear, with no conjugate.  On a geometric lattice (a Jackson
 q-integral) the nodes are walked in chunks, the weight steps by its
 rational ratio w(step x)/w(x), and the walk ends by the tail rule of
-qcalculus.qintegral_0a applied to every entry.
+qcore.tail_sum applied to every entry.
 """
 
 import math
@@ -21,8 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qspecial.errors import ConvergenceError
-
-_QUIET_TERMS = 5
+from qspecial.qcore import QUIET_TERMS
 
 
 class Recurrence(NamedTuple):
@@ -62,19 +61,18 @@ def gram(v, w):
 
 
 def _walk_length(mags, eps):
-    """Nodes summed once every entry has had 5 consecutive terms below
-    eps times its running maximum (the rule of qintegral_0a), or None if
-    some entry has not yet.  mags is (nodes, entries)."""
-    if len(mags) < _QUIET_TERMS:
+    """Nodes summed once every entry has met the rule of qcore.tail_sum,
+    or None if some entry has not yet.  mags is (nodes, entries)."""
+    if len(mags) < QUIET_TERMS:
         return None
     scale = np.maximum.accumulate(mags, axis=0)
-    quiet = mags < eps * np.maximum(scale, 1e-300)
-    run = quiet[_QUIET_TERMS - 1 :].copy()
-    for lag in range(1, _QUIET_TERMS):
-        run &= quiet[_QUIET_TERMS - 1 - lag : len(quiet) - lag]
+    small = mags < eps * np.maximum(scale, 1e-300)
+    run = small[QUIET_TERMS - 1 :].copy()
+    for lag in range(1, QUIET_TERMS):
+        run &= small[QUIET_TERMS - 1 - lag : len(small) - lag]
     if not run.any(axis=0).all():
         return None
-    return int(run.argmax(axis=0).max()) + _QUIET_TERMS
+    return int(run.argmax(axis=0).max()) + QUIET_TERMS
 
 
 def lattice_gram(values, a, start, step, w0, ratio, pol):

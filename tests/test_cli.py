@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from qspecial import identities
 from qspecial.cli import main
 
 
@@ -140,6 +141,27 @@ def test_verify_tolerance_override_failure(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_json_failure_payload(capsys, monkeypatch):
+    # a real-valued side (negligible imaginary part) is written as a
+    # number, a complex-valued one as [re, im]
+    record = identities.IdentityRecord(
+        "pinned_failure",
+        lambda p: complex(p["x"], 1e-15),
+        lambda p: complex(p["x"], 0.25),
+        lambda rng: {"x": 0.5, "z": complex(1.0, -2.0)},
+        "PRODUCT_SERIES",
+        "a pair of sides that differ",
+    )
+    monkeypatch.setitem(identities._REGISTRY, "pinned_failure", record)
+    code, out, _ = run_cli(
+        ["verify", "pinned_failure", "--samples", "1", "--format", "json"], capsys
+    )
+    assert code == 1
+    assert json.loads(out)[0]["failures"] == [
+        {"params": {"x": 0.5, "z": [1.0, -2.0]}, "lhs": 0.5, "rhs": [0.5, 0.25]}
+    ]
 
 
 def test_ortho_big_qjacobi_passes(capsys):

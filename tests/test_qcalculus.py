@@ -82,6 +82,16 @@ def test_qintegral_0inf_scale_invariance():
     assert v1 == pytest.approx(v2, rel=1e-12)
 
 
+@pytest.mark.parametrize("q", [0.3, 0.7, 0.93])
+@pytest.mark.parametrize("a", [1.0, 0.37, -2.2])
+def test_qintegral_0inf_one_step_shift(q, a):
+    # a and a q give the same lattice; each tail ends on its own
+    f = lambda t: t / (1 + t**4) + 1j * t**2 / (1 + t**6)
+    v1 = qintegral_0inf(f, q, a)
+    v2 = qintegral_0inf(f, q, a * q)
+    assert abs(v1 - v2) <= 1e-14 * abs(v1)
+
+
 def test_qintegration_by_parts_residual_small():
     q = 0.6
     f = lambda t: t**2

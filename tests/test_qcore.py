@@ -4,6 +4,7 @@ Oracle: direct product evaluation and mpmath.qp for the infinite case.
 """
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -12,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qspecial import INFINITY, TruncationPolicy, kernels, qbinomial, qpoch, qpoch_list
-from qspecial.errors import DomainError, OutOfRangeError
+from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.qcore import (
+    DEFAULT_POLICY,
+    QUIET_TERMS,
     check_q,
     log_qpoch_inf,
     qpoch_base_inverted,
     qpoch_inf_ratio,
     shifted_factorial,
+    tail_sum,
 )
 from qspecial.qfunctions import gamma_q
 
@@ -259,3 +263,30 @@ def test_qpoch_rejects_non_finite_input():
         qpoch(0.5, math.nan, INFINITY)
     with pytest.raises(DomainError, match="finite"):
         log_qpoch_inf(math.nan, 0.5)
+
+
+def test_tail_sum_finite_iterator_is_exact():
+    total, mass, scale = tail_sum(iter([1.0, -2.5, 0.25, 1e-30]), DEFAULT_POLICY, "unused")
+    assert (total, mass, scale) == (-1.25, 3.75, 2.5)
+    assert tail_sum(iter([]), DEFAULT_POLICY, "unused") == (0, 0.0, 0.0)
+
+
+def test_tail_sum_stops_after_quiet_terms():
+    # 2^-k drops below 1e-16 of the first term at k = 54; four more follow
+    seen = []
+    terms = (seen.append(k) or 0.5**k for k in itertools.count())
+    total, mass, scale = tail_sum(terms, DEFAULT_POLICY, "unused")
+    assert len(seen) == 54 + QUIET_TERMS
+    assert total == pytest.approx(2.0, rel=1e-15) and mass == total.real
+    assert scale == 1.0
+    # a seeded scale makes every term of a small series quiet at once
+    total, _, scale = tail_sum(itertools.repeat(1e-20), DEFAULT_POLICY, "unused", 1.0)
+    assert total == pytest.approx(QUIET_TERMS * 1e-20) and scale == 1.0
+
+
+def test_tail_sum_max_terms_raises():
+    pol = TruncationPolicy(max_terms=10)
+    with pytest.raises(ConvergenceError, match="no tail here"):
+        tail_sum(itertools.repeat(1.0), pol, "no tail here")
+    # a finite iterator shorter than the budget is summed
+    assert tail_sum(iter([1.0] * 9), pol, "unused")[0] == 9.0

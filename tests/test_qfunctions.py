@@ -237,6 +237,19 @@ def test_theta4_near_one_tiny_value():
     assert abs(value) == pytest.approx(9.7222182450e-267, rel=1e-9)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+def test_gamma_beta_poles_raise(q):
+    # q^z is not an exact power of q in double; the pole must not be missed
+    for z in range(0, -11, -1):
+        with pytest.raises(DomainError, match="pole"):
+            gamma_q(z, q)
+        with pytest.raises(DomainError, match="pole"):
+            beta_q(z, 1.5, q)
+        with pytest.raises(DomainError, match="pole"):
+            beta_q(0.7, z, q)
+        assert gamma_q_reciprocal(z, q) == 0
+
+
 def test_true_poles_keep_domain_error():
     with pytest.raises(DomainError):
         beta_q(0, 1.5, 0.9)

@@ -18,7 +18,8 @@ from qspecial import (
     qpoch,
 )
 from qspecial.errors import ConvergenceError, DomainError
-from qspecial.qseries import ConvergenceReport, confluence_limit_check, reverse_terminating
+from qspecial.limits import LimitReport as ConvergenceReport, confluence_limit_check
+from qspecial.qseries import psi_walk, reverse_terminating
 
 
 def mp_phi(upper, lower, q, z, kmax=400):
@@ -181,6 +182,22 @@ def test_eval_psi_downward_tail_no_overflow():
     val = eval_psi(SeriesSpec([1.4], [0.9], 0.12, 0.68))
     assert abs(val) < 1e3
     assert val == pytest.approx(val)  # finite, not nan
+
+
+@pytest.mark.parametrize(
+    "spec, pinned",
+    [
+        (SeriesSpec([], [0.35], 0.6, 0.8), 0.004332483359193386),
+        (SeriesSpec([-1.3], [0.45], 0.83, 0.7), 531.7639212611562),
+    ],
+)
+def test_eval_psi_pinned_values(spec, pinned):
+    # a 0psi1 and a 1psi1, pinned to 17 digits: the walk may move them
+    # only by rounding, within 1e-15 of the sum of |t_k|
+    value, mass = psi_walk(spec)
+    assert eval_psi(spec) == value
+    assert abs(value - pinned) <= 1e-15 * mass
+    assert mass >= abs(value)
 
 
 def test_eval_psi_annulus_domain_check():

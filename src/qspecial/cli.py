@@ -35,8 +35,7 @@ from qspecial.qorthopoly import (
     big_qjacobi_norm,
     family_eval,
     family_gram_matrix,
-    little_qjacobi_gram_matrix,
-    little_qjacobi_norm,
+    family_norm,
 )
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
@@ -175,6 +174,13 @@ def _tolerance_overrides(pairs):
     return overrides
 
 
+def _family_params(name, params):
+    """FamilyParams of a tableau family from q and the family's own
+    parameters, all read as numbers."""
+    q = _pop_float(params, "q")
+    return FamilyParams(name, q, **{k: _pop_float(params, k) for k in list(params)})
+
+
 def _check_nodes(n):
     if n < 64 or n > 4096 or n & (n - 1):
         raise UsageError("--nodes must be a power of two between 64 and 4096")
@@ -236,15 +242,8 @@ def _eval_target(target, params):
         name = target.split(":", 1)[1]
         n = _pop_int(params, "n")
         x = _pop_float(params, "x")
-        q = _pop_float(params, "q")
         form = params.pop("form", "primary")
-        kwargs = {}
-        for key in list(params):
-            kwargs[key] = (
-                _pop_int(params, key) if key == "N" else _pop_float(params, key)
-            )
-        fam = FamilyParams(name, q, **kwargs)
-        return family_eval(fam, n, x, form=form)
+        return family_eval(_family_params(name, params), n, x, form=form)
     if target == "aw":
         n = _pop_int(params, "n")
         x = _pop_float(params, "x")
@@ -405,14 +404,6 @@ def cmd_ortho(args, out):
         gram = big_qjacobi_gram_matrix(nmax, p)
         closed = [big_qjacobi_norm(n, p) for n in range(nmax + 1)]
         return _gram_report(gram, closed, out, args.format, notes)
-    if family == "little_q_jacobi":
-        a = _pop_float(params, "a")
-        b = _pop_float(params, "b")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        gram = little_qjacobi_gram_matrix(nmax, a, b, q)
-        closed = [little_qjacobi_norm(n, a, b, q) for n in range(nmax + 1)]
-        return _gram_report(gram, closed, out, args.format, notes)
     if family == "q_racah":
         alpha = _pop_float(params, "alpha")
         beta = _pop_float(params, "beta")
@@ -426,15 +417,10 @@ def cmd_ortho(args, out):
         gram = q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n)
         return _gram_report(gram, None, out, args.format, notes)
     # tableau families with a printed measure
-    q = _pop_float(params, "q")
-    kwargs = {}
-    for key in list(params):
-        kwargs[key] = (
-            _pop_int(params, key) if key == "N" else _pop_float(params, key)
-        )
-    fam = FamilyParams(family, q, **kwargs)
+    fam = _family_params(family, params)
     gram = family_gram_matrix(fam, nmax)
-    return _gram_report(gram, None, out, args.format, notes)
+    closed = [family_norm(fam, n) for n in range(nmax + 1)]
+    return _gram_report(gram, closed, out, args.format, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -537,20 +523,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, nodes=False):
-        p.add_argument("--q", type=float, default=None, help="default base q")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=25)
-        if nodes:
-            p.add_argument("--nodes", type=int, default=512)
+    def common(p, q=True):
+        if q:
+            p.add_argument("--q", type=float, default=None, help="default base q")
         p.add_argument(
             "--format", choices=("json", "csv", "text"), default="text"
-        )
-        p.add_argument(
-            "--tolerance",
-            action="append",
-            metavar="ID=VAL",
-            help="per-identity tolerance override",
         )
         p.add_argument("--out", default=None, help="write output to a file")
 
@@ -561,13 +538,22 @@ def _build_parser():
 
     p_verify = sub.add_parser("verify", help="verify identities")
     p_verify.add_argument("id", help="identity id or 'all'")
-    common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--samples", type=int, default=25)
+    p_verify.add_argument(
+        "--tolerance",
+        action="append",
+        metavar="ID=VAL",
+        help="per-identity tolerance override",
+    )
+    common(p_verify, q=False)
 
     p_ortho = sub.add_parser("ortho", help="orthogonality Gram report")
     p_ortho.add_argument("family")
     p_ortho.add_argument("params", nargs="*", metavar="key=value")
     p_ortho.add_argument("--nmax", type=int, default=4)
-    common(p_ortho, nodes=True)
+    p_ortho.add_argument("--nodes", type=int, default=512)
+    common(p_ortho)
 
     p_table = sub.add_parser("table", help="tabulate a target over a grid")
     p_table.add_argument("target")
@@ -588,7 +574,7 @@ def _build_parser():
         default=1e-3,
         help="final relative error bound",
     )
-    common(p_limits)
+    common(p_limits, q=False)
     return parser
 
 

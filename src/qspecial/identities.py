@@ -911,7 +911,8 @@ def _sample_1psi1(rng):
     b, c, z = _s(rng, 0.3, 0.9), _s(rng, 0.1, 0.9), _s(rng, 0.3, 0.9)
     if not abs(c / b) < abs(z) < 1.0:
         return None
-    if abs(c / (b * z) - 1.0) < 1e-3 or abs(q / (b * z) - 1.0) < 1e-3:
+    # |c/(bz)| near 1 leaves a downward tail too slow for the kappa walk
+    if abs(abs(c / (b * z)) - 1.0) < 1e-3 or abs(q / (b * z) - 1.0) < 1e-3:
         return None
     if _psi_kappa([b], [c], q, z) > 1e4:
         return None

@@ -2,10 +2,12 @@
 
 Independent evaluators for the classical (q = 1) hypergeometric
 orthogonal polynomial families, the gamma function and Bessel J, plus a
-catalog of named limit paths that march a degeneration parameter toward
-its target and record the approximation error at each step.  A path
-passes when the final error is below tolerance and the last three steps
-are monotonically decreasing.
+catalog of named limit paths.  Each path is one record: the steps of a
+degeneration parameter toward its limit, a few probe points, the
+approximant and the limit value.  One driver, run_limit, records at each
+step the worst relative error over the probes.  A path passes when the
+final error is below tolerance and the last three steps are
+monotonically decreasing.
 """
 
 import cmath
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from qspecial.errors import DomainError, UnknownPath
-from qspecial.qcore import DEFAULT_POLICY, qbinomial, shifted_factorial
+from qspecial.qcore import DEFAULT_POLICY, qbinomial, qpoch, shifted_factorial
 from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import (
     BigQJacobiParams,
@@ -291,407 +293,261 @@ def confluence_limit_check(spec, direction, magnitudes, pol=DEFAULT_POLICY):
     return _march("confluence", 1e-6, magnitudes, err)
 
 
-def _path_laguerre_from_jacobi(tol, pol):
-    probes = [(1, 0.5), (3, 0.5), (4, 2.0)]
-    alpha = 0.7
+@dataclass(frozen=True)
+class _LimitPath:
+    """One limit path: the steps of its degeneration parameter, the probe
+    points, the approximant (step, *probe, pol) and the limit value
+    (*probe, pol)."""
 
-    def err(beta):
-        worst = 0.0
-        for n, x in probes:
-            approx = classical_eval(
-                "jacobi", n, 1.0 - 2.0 * x / beta, alpha=alpha, beta=beta
-            )
-            target = classical_eval("laguerre", n, x, alpha=alpha)
-            worst = max(worst, _rel(approx, target))
-        return worst
+    steps: list
+    probes: list
+    approximant: object
+    target: object
 
-    return _march(
-        "laguerre_from_jacobi", tol, [2.0**j for j in range(3, 16)], err
+
+_PATHS = {}
+
+
+def _path(name, steps, probes, approximant, target):
+    if name in _PATHS:
+        raise DomainError(f"duplicate limit path {name!r}")
+    _PATHS[name] = _LimitPath(steps, probes, approximant, target)
+
+
+def _q_steps(jmax=14):
+    """q = 1 - 2^{-j} for j = 2..jmax-1."""
+    return [1.0 - 2.0**-j for j in range(2, jmax)]
+
+
+def _jacobi(alpha, beta, n, t):
+    """2F1(-n, n + alpha + beta + 1; alpha + 1; t): the Jacobi polynomial
+    in the variable t = (1 - x)/2, normalized to 1 at t = 0."""
+    return hyp_terminating([-n, n + alpha + beta + 1.0], [alpha + 1.0], t)
+
+
+def _laguerre(alpha, n, x):
+    """1F1(-n; alpha + 1; x): the Laguerre polynomial normalized to 1 at 0."""
+    return hyp_terminating([-n], [alpha + 1.0], x)
+
+
+def _hermite(n, x, pol):
+    return hermite(n, x)
+
+
+def _hermite_from_charlier(a, n, x, pol):
+    s = math.sqrt(2.0 * a)
+    return (-s) ** n * classical_eval("charlier", n, s * x + a, a=a)
+
+
+def _aw_to_big_qjacobi(lam, n, x, pol):
+    q, a, b, c, d = 0.45, 0.6, 0.4, 1.3, 0.8
+    rt = math.sqrt(q * d / c)
+    rti = math.sqrt(q * c / d)
+    aw = AWParams(lam * a * rt, rti / lam, -rt / lam, -lam * b * rti, q)
+    return aw_poly_r(n, math.sqrt(q) * x / (2.0 * lam * math.sqrt(c * d)), aw, pol)
+
+
+def _big_qjacobi_normalized(n, x, pol):
+    q, a, b, c, d = 0.45, 0.6, 0.4, 1.3, 0.8
+    p = BigQJacobiParams(a, b, c, d, q)
+    return big_qjacobi_by_recurrence(n, x, p) / (
+        big_qjacobi_by_recurrence(n, c / (q * a), p)
     )
 
 
-def _path_hermite_from_jacobi(tol, pol):
-    probes = [(1, 0.6), (3, 0.6), (4, -1.1)]
+def _aw_to_little_qjacobi(lam, n, x, pol):
+    q, a, b = 0.45, 0.6, 0.4
+    sq = math.sqrt(q)
+    aw = AWParams(sq * lam * lam * a, sq / (lam * lam), -sq, -sq * b, q)
+    return aw_poly_r(n, sq * x / (2.0 * lam * lam), aw, pol)
 
-    def err(alpha):
-        worst = 0.0
-        for n, x in probes:
-            approx = (
-                2.0**n
-                * math.factorial(n)
-                * alpha ** (-n / 2.0)
-                * classical_eval(
-                    "jacobi", n, x / math.sqrt(alpha), alpha=alpha, beta=alpha
-                )
-            )
-            worst = max(worst, _rel(approx, hermite(n, x)))
-        return worst
 
-    return _march(
-        "hermite_from_jacobi", tol, [4.0**j for j in range(2, 10)], err
+def _little_qjacobi_scaled(n, x, pol):
+    q, a, b = 0.45, 0.6, 0.4
+    return (
+        qpoch(q * b, q, n)
+        / qpoch(q ** float(-n) / a, q, n)
+        * little_qjacobi(n, x, b, a, q, pol=pol)
     )
 
 
-def _path_hermite_from_laguerre(tol, pol):
-    probes = [(1, 0.6), (2, -0.4), (3, 0.6)]
-
-    def err(alpha):
-        worst = 0.0
-        for n, x in probes:
-            approx = (
-                (-1.0) ** n
-                * 2.0 ** (n / 2.0)
-                * math.factorial(n)
-                * alpha ** (-n / 2.0)
-                * classical_eval(
-                    "laguerre", n, math.sqrt(2.0 * alpha) * x + alpha, alpha=alpha
-                )
-            )
-            worst = max(worst, _rel(approx, hermite(n, x)))
-        return worst
-
-    return _march(
-        "hermite_from_laguerre", tol, [4.0**j for j in range(2, 14)], err
-    )
-
-
-def _path_hermite_from_charlier(tol, pol):
-    probes = [(1, 0.6), (2, -0.4), (3, 0.6)]
-
-    def err(a):
-        worst = 0.0
-        for n, x in probes:
-            s = math.sqrt(2.0 * a)
-            approx = (-s) ** n * classical_eval("charlier", n, s * x + a, a=a)
-            worst = max(worst, _rel(approx, hermite(n, x)))
-        return worst
-
-    return _march(
-        "hermite_from_charlier", tol, [4.0**j for j in range(2, 12)], err
-    )
-
-
-def _path_jacobi_from_hahn(tol, pol):
-    alpha, beta = 0.4, 1.1
-    probes = [(1, 0.3), (3, 0.3), (4, 0.8)]
-
-    def err(big_n):
-        worst = 0.0
-        for n, t in probes:
-            approx = classical_eval(
-                "hahn", n, big_n * t, alpha=alpha, beta=beta, N=int(big_n)
-            )
-            target = hyp_terminating(
-                [-n, n + alpha + beta + 1.0], [alpha + 1.0], t
-            )
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(
-        "jacobi_from_hahn", tol, [2**j for j in range(4, 16)], err
-    )
-
-
-def _qhahn_probe_error(q, alpha, beta, big_n, probes, pol):
-    fam = FamilyParams("q_hahn", q, a=q**alpha, b=q**beta, N=big_n)
-    worst = 0.0
-    for n, x in probes:
-        approx = family_eval(fam, n, q ** float(-x), pol=pol)
-        target = classical_eval("hahn", n, x, alpha=alpha, beta=beta, N=big_n)
-        worst = max(worst, _rel(approx, target))
-    return worst
-
-
-def _path_hahn_from_qhahn(tol, pol):
-    alpha, beta, big_n = 0.4, 1.1, 8
-    probes = [(1, 2), (3, 5), (4, 7)]
-    return _march(
-        "hahn_from_qhahn",
-        tol,
-        [1.0 - 2.0**-j for j in range(2, 14)],
-        lambda q: _qhahn_probe_error(q, alpha, beta, big_n, probes, pol),
-    )
-
-
-def _krawtchouk_path(name, make_family, p_of_param, param, tol, pol, jmax=14):
-    big_n = 8
-    probes = [(1, 2), (3, 5), (4, 7)]
-
-    def err(q):
-        fam = make_family(q, param, big_n)
-        worst = 0.0
-        for n, x in probes:
-            approx = family_eval(fam, n, q ** float(-x), pol=pol)
-            target = classical_eval(
-                "krawtchouk", n, x, p=p_of_param(param), N=big_n
-            )
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(name, tol, [1.0 - 2.0**-j for j in range(2, jmax)], err)
-
-
-def _path_krawtchouk_from_qkrawtchouk(tol, pol):
-    return _krawtchouk_path(
-        "krawtchouk_from_qkrawtchouk",
-        lambda q, b, N: FamilyParams("q_krawtchouk", q, b=b, N=N),
-        lambda b: b / (b + 1.0),
-        1.5,
-        tol,
-        pol,
-    )
-
-
-def _path_krawtchouk_from_affine_qkrawtchouk(tol, pol):
-    return _krawtchouk_path(
-        "krawtchouk_from_affine_qkrawtchouk",
-        lambda q, a, N: FamilyParams("affine_q_krawtchouk", q, a=a, N=N),
-        lambda a: 1.0 - a,
-        0.35,
-        tol,
-        pol,
-    )
-
-
-def _path_krawtchouk_from_affine_qinv_krawtchouk(tol, pol):
-    return _krawtchouk_path(
-        "krawtchouk_from_affine_qinv_krawtchouk",
-        lambda q, b, N: FamilyParams("affine_qinv_krawtchouk", q, b=b, N=N),
-        lambda b: 1.0 / b,
-        2.5,
-        tol,
-        pol,
-        jmax=17,
-    )
-
-
-def _path_jacobi_from_little_qjacobi(tol, pol):
-    alpha, beta = 0.4, 1.1
-    probes = [(1, 0.3), (3, 0.3), (4, 0.8)]
-
-    def err(q):
-        worst = 0.0
-        for n, x in probes:
-            approx = little_qjacobi(n, x, q**alpha, q**beta, q, pol=pol)
-            target = hyp_terminating(
-                [-n, n + alpha + beta + 1.0], [alpha + 1.0], x
-            )
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(
-        "jacobi_from_little_qjacobi",
-        tol,
-        [1.0 - 2.0**-j for j in range(2, 14)],
-        err,
-    )
-
-
-def _path_laguerre_from_little_qjacobi(tol, pol):
-    alpha, b = 0.7, 0.5
-    probes = [(1, 0.5), (3, 0.5), (4, 2.0)]
-
-    def err(q):
-        worst = 0.0
-        for n, x in probes:
-            approx = little_qjacobi(
-                n, (1.0 - q) * x / (1.0 - b), q**alpha, b, q, pol=pol
-            )
-            target = hyp_terminating([-n], [alpha + 1.0], x)
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(
-        "laguerre_from_little_qjacobi",
-        tol,
-        [1.0 - 2.0**-j for j in range(2, 14)],
-        err,
-    )
-
-
-def _path_laguerre_from_big_qlaguerre(tol, pol):
-    alpha, c = 0.7, 2.0
-    probes = [(1, 0.3), (3, 0.3), (4, 1.2)]
-
-    def err(q):
-        fam = FamilyParams(
-            "big_q_laguerre", q, a=q**alpha, c=c, d=1.0 / (1.0 - q)
-        )
-        worst = 0.0
-        for n, x in probes:
-            approx = family_eval(fam, n, x, pol=pol)
-            target = hyp_terminating([-n], [alpha + 1.0], c - x)
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(
-        "laguerre_from_big_qlaguerre",
-        tol,
-        [1.0 - 2.0**-j for j in range(2, 14)],
-        err,
-    )
-
-
-def _path_aw_to_big_qjacobi(tol, pol):
-    q = 0.45
-    a, b, c, d = 0.6, 0.4, 1.3, 0.8
-    probes = [(1, 0.5), (2, -0.3), (3, 0.5)]
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p = BigQJacobiParams(a, b, c, d, q)
-
-    def err(lam):
-        rt = math.sqrt(q * d / c)
-        rti = math.sqrt(q * c / d)
-        aw = AWParams(lam * a * rt, rti / lam, -rt / lam, -lam * b * rti, q)
-        worst = 0.0
-        for n, x in probes:
-            xx = math.sqrt(q) * x / (2.0 * lam * math.sqrt(c * d))
-            approx = aw_poly_r(n, xx, aw, pol)
-            target = big_qjacobi_by_recurrence(n, x, p) / (
-                big_qjacobi_by_recurrence(n, c / (q * a), p)
-            )
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(
-        "aw_to_big_qjacobi", tol, [2.0**-j for j in range(1, 9)], err
-    )
-
-
-def _path_aw_to_little_qjacobi(tol, pol):
-    q = 0.45
-    a, b = 0.6, 0.4
-    probes = [(1, 0.5), (2, 0.15), (3, 0.5)]
-    from qspecial.qcore import qpoch
-
-    def err(lam):
-        sq = math.sqrt(q)
-        aw = AWParams(sq * lam * lam * a, sq / (lam * lam), -sq, -sq * b, q)
-        worst = 0.0
-        for n, x in probes:
-            xx = sq * x / (2.0 * lam * lam)
-            approx = aw_poly_r(n, xx, aw, pol)
-            target = (
-                qpoch(q * b, q, n)
-                / qpoch(q ** float(-n) / a, q, n)
-                * little_qjacobi(n, x, b, a, q, pol=pol)
-            )
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(
-        "aw_to_little_qjacobi", tol, [2.0**-j for j in range(1, 9)], err
-    )
-
-
-def _path_hahn_exton_from_little_qjacobi(tol, pol):
-    q = 0.45
-    a, b = 0.55, 0.3
-    probes = [(0, 0.7), (1, 0.7), (2, 1.4)]
-
-    def err(big_n):
-        worst = 0.0
-        for n, x in probes:
-            approx = little_qjacobi(
-                big_n - n, q ** float(big_n) * x, a, b, q, pol=pol
-            )
-            target = eval_phi(
-                SeriesSpec([0], [a * q], q, q ** float(n + 1) * x), pol
-            )
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march(
-        "hahn_exton_from_little_qjacobi", tol, list(range(4, 16)), err
-    )
-
-
-def _path_bessel_from_jacobi(tol, pol):
-    alpha, beta = 0.7, 0.2
-    xs = [0.8, 2.1]
-
-    def err(m):
-        worst = 0.0
-        for x in xs:
-            approx = hyp_terminating(
-                [-m, m + alpha + beta + 1.0],
-                [alpha + 1.0],
-                x * x / (4.0 * m * m),
-            )
-            target = (
-                classical_gamma(alpha + 1.0)
-                * (x / 2.0) ** (-alpha)
-                * classical_bessel_j(alpha, x)
-            )
-            worst = max(worst, _rel(approx, target))
-        return worst
-
-    return _march("bessel_from_jacobi", tol, [2**j for j in range(2, 13)], err)
-
-
-def _path_exp_from_Eq(tol, pol):
-    zs = [0.8, -1.3, 2.5]
-
-    def err(q):
-        return max(
-            _rel(E_q((1.0 - q) * z, q, pol), math.exp(z)) for z in zs
-        )
-
-    return _march(
-        "exp_from_Eq", tol, [1.0 - 2.0**-j for j in range(2, 14)], err
-    )
-
-
-def _path_gamma_from_gamma_q(tol, pol):
-    zs = [0.5, 1.7, 3.2]
-
-    def err(q):
-        return max(
-            _rel(gamma_q(z, q, pol), classical_gamma(z)) for z in zs
-        )
-
-    return _march(
-        "gamma_from_gamma_q", tol, [1.0 - 2.0**-j for j in range(2, 14)], err
-    )
-
-
-def _path_qbinomial_to_binomial(tol, pol):
-    cases = [(8, 3), (10, 5), (12, 2)]
-
-    def err(q):
-        return max(
-            _rel(qbinomial(n, k, q), math.comb(n, k)) for n, k in cases
-        )
-
-    return _march(
-        "qbinomial_to_binomial", tol, [1.0 - 2.0**-j for j in range(2, 16)], err
-    )
-
-
-_PATHS = {
-    "laguerre_from_jacobi": _path_laguerre_from_jacobi,
-    "hermite_from_jacobi": _path_hermite_from_jacobi,
-    "hermite_from_laguerre": _path_hermite_from_laguerre,
-    "hermite_from_charlier": _path_hermite_from_charlier,
-    "jacobi_from_hahn": _path_jacobi_from_hahn,
-    "hahn_from_qhahn": _path_hahn_from_qhahn,
-    "krawtchouk_from_qkrawtchouk": _path_krawtchouk_from_qkrawtchouk,
-    "krawtchouk_from_affine_qkrawtchouk": _path_krawtchouk_from_affine_qkrawtchouk,
-    "krawtchouk_from_affine_qinv_krawtchouk": _path_krawtchouk_from_affine_qinv_krawtchouk,
-    "jacobi_from_little_qjacobi": _path_jacobi_from_little_qjacobi,
-    "laguerre_from_little_qjacobi": _path_laguerre_from_little_qjacobi,
-    "laguerre_from_big_qlaguerre": _path_laguerre_from_big_qlaguerre,
-    "aw_to_big_qjacobi": _path_aw_to_big_qjacobi,
-    "aw_to_little_qjacobi": _path_aw_to_little_qjacobi,
-    "hahn_exton_from_little_qjacobi": _path_hahn_exton_from_little_qjacobi,
-    "bessel_from_jacobi": _path_bessel_from_jacobi,
-    "exp_from_Eq": _path_exp_from_Eq,
-    "gamma_from_gamma_q": _path_gamma_from_gamma_q,
-    "qbinomial_to_binomial": _path_qbinomial_to_binomial,
-}
+def _little_qjacobi_top_degrees(big_n, n, x, pol):
+    q, a, b = 0.45, 0.55, 0.3
+    return little_qjacobi(big_n - n, q ** float(big_n) * x, a, b, q, pol=pol)
+
+
+def _hahn_exton_phi(n, x, pol):
+    q, a = 0.45, 0.55
+    return eval_phi(SeriesSpec([0], [a * q], q, q ** float(n + 1) * x), pol)
+
+
+_path(
+    "laguerre_from_jacobi",
+    [2.0**j for j in range(3, 16)],
+    [(1, 0.5), (3, 0.5), (4, 2.0)],
+    lambda beta, n, x, pol: classical_eval(
+        "jacobi", n, 1.0 - 2.0 * x / beta, alpha=0.7, beta=beta
+    ),
+    lambda n, x, pol: classical_eval("laguerre", n, x, alpha=0.7),
+)
+_path(
+    "hermite_from_jacobi",
+    [4.0**j for j in range(2, 10)],
+    [(1, 0.6), (3, 0.6), (4, -1.1)],
+    lambda alpha, n, x, pol: 2.0**n
+    * math.factorial(n)
+    * alpha ** (-n / 2.0)
+    * classical_eval("jacobi", n, x / math.sqrt(alpha), alpha=alpha, beta=alpha),
+    _hermite,
+)
+_path(
+    "hermite_from_laguerre",
+    [4.0**j for j in range(2, 14)],
+    [(1, 0.6), (2, -0.4), (3, 0.6)],
+    lambda alpha, n, x, pol: (-1.0) ** n
+    * 2.0 ** (n / 2.0)
+    * math.factorial(n)
+    * alpha ** (-n / 2.0)
+    * classical_eval(
+        "laguerre", n, math.sqrt(2.0 * alpha) * x + alpha, alpha=alpha
+    ),
+    _hermite,
+)
+_path(
+    "hermite_from_charlier",
+    [4.0**j for j in range(2, 12)],
+    [(1, 0.6), (2, -0.4), (3, 0.6)],
+    _hermite_from_charlier,
+    _hermite,
+)
+_path(
+    "jacobi_from_hahn",
+    [2**j for j in range(4, 16)],
+    [(1, 0.3), (3, 0.3), (4, 0.8)],
+    lambda big_n, n, t, pol: classical_eval(
+        "hahn", n, big_n * t, alpha=0.4, beta=1.1, N=int(big_n)
+    ),
+    lambda n, t, pol: _jacobi(0.4, 1.1, n, t),
+)
+# the discrete q-families at the lattice points q^{-x} with N = 8
+_path(
+    "hahn_from_qhahn",
+    _q_steps(),
+    [(1, 2), (3, 5), (4, 7)],
+    lambda q, n, x, pol: family_eval(
+        FamilyParams("q_hahn", q, a=q**0.4, b=q**1.1, N=8), n, q ** float(-x), pol=pol
+    ),
+    lambda n, x, pol: classical_eval("hahn", n, x, alpha=0.4, beta=1.1, N=8),
+)
+_path(
+    "krawtchouk_from_qkrawtchouk",
+    _q_steps(),
+    [(1, 2), (3, 5), (4, 7)],
+    lambda q, n, x, pol: family_eval(
+        FamilyParams("q_krawtchouk", q, b=1.5, N=8), n, q ** float(-x), pol=pol
+    ),
+    lambda n, x, pol: classical_eval("krawtchouk", n, x, p=1.5 / (1.5 + 1.0), N=8),
+)
+_path(
+    "krawtchouk_from_affine_qkrawtchouk",
+    _q_steps(),
+    [(1, 2), (3, 5), (4, 7)],
+    lambda q, n, x, pol: family_eval(
+        FamilyParams("affine_q_krawtchouk", q, a=0.35, N=8), n, q ** float(-x), pol=pol
+    ),
+    lambda n, x, pol: classical_eval("krawtchouk", n, x, p=1.0 - 0.35, N=8),
+)
+_path(
+    "krawtchouk_from_affine_qinv_krawtchouk",
+    _q_steps(17),
+    [(1, 2), (3, 5), (4, 7)],
+    lambda q, n, x, pol: family_eval(
+        FamilyParams("affine_qinv_krawtchouk", q, b=2.5, N=8),
+        n,
+        q ** float(-x),
+        pol=pol,
+    ),
+    lambda n, x, pol: classical_eval("krawtchouk", n, x, p=1.0 / 2.5, N=8),
+)
+_path(
+    "jacobi_from_little_qjacobi",
+    _q_steps(),
+    [(1, 0.3), (3, 0.3), (4, 0.8)],
+    lambda q, n, x, pol: little_qjacobi(n, x, q**0.4, q**1.1, q, pol=pol),
+    lambda n, x, pol: _jacobi(0.4, 1.1, n, x),
+)
+_path(
+    "laguerre_from_little_qjacobi",
+    _q_steps(),
+    [(1, 0.5), (3, 0.5), (4, 2.0)],
+    lambda q, n, x, pol: little_qjacobi(
+        n, (1.0 - q) * x / (1.0 - 0.5), q**0.7, 0.5, q, pol=pol
+    ),
+    lambda n, x, pol: _laguerre(0.7, n, x),
+)
+_path(
+    "laguerre_from_big_qlaguerre",
+    _q_steps(),
+    [(1, 0.3), (3, 0.3), (4, 1.2)],
+    lambda q, n, x, pol: family_eval(
+        FamilyParams("big_q_laguerre", q, a=q**0.7, c=2.0, d=1.0 / (1.0 - q)),
+        n,
+        x,
+        pol=pol,
+    ),
+    lambda n, x, pol: _laguerre(0.7, n, 2.0 - x),
+)
+_path(
+    "aw_to_big_qjacobi",
+    [2.0**-j for j in range(1, 9)],
+    [(1, 0.5), (2, -0.3), (3, 0.5)],
+    _aw_to_big_qjacobi,
+    _big_qjacobi_normalized,
+)
+_path(
+    "aw_to_little_qjacobi",
+    [2.0**-j for j in range(1, 9)],
+    [(1, 0.5), (2, 0.15), (3, 0.5)],
+    _aw_to_little_qjacobi,
+    _little_qjacobi_scaled,
+)
+_path(
+    "hahn_exton_from_little_qjacobi",
+    list(range(4, 16)),
+    [(0, 0.7), (1, 0.7), (2, 1.4)],
+    _little_qjacobi_top_degrees,
+    _hahn_exton_phi,
+)
+_path(
+    "bessel_from_jacobi",
+    [2**j for j in range(2, 13)],
+    [(0.8,), (2.1,)],
+    lambda m, x, pol: _jacobi(0.7, 0.2, m, x * x / (4.0 * m * m)),
+    lambda x, pol: classical_gamma(0.7 + 1.0)
+    * (x / 2.0) ** (-0.7)
+    * classical_bessel_j(0.7, x),
+)
+_path(
+    "exp_from_Eq",
+    _q_steps(),
+    [(0.8,), (-1.3,), (2.5,)],
+    lambda q, z, pol: E_q((1.0 - q) * z, q, pol),
+    lambda z, pol: math.exp(z),
+)
+_path(
+    "gamma_from_gamma_q",
+    _q_steps(),
+    [(0.5,), (1.7,), (3.2,)],
+    lambda q, z, pol: gamma_q(z, q, pol),
+    lambda z, pol: classical_gamma(z),
+)
+_path(
+    "qbinomial_to_binomial",
+    _q_steps(16),
+    [(8, 3), (10, 5), (12, 2)],
+    lambda q, n, k, pol: qbinomial(n, k, q),
+    lambda n, k, pol: math.comb(n, k),
+)
 
 
 def list_paths():
@@ -700,7 +556,16 @@ def list_paths():
 
 
 def run_limit(name, tolerance=1e-3, pol=DEFAULT_POLICY):
-    """Run one named limit path and return its LimitReport."""
+    """Run one named limit path and return its LimitReport; the error at a
+    step is the worst relative error of the approximant over the probes."""
     if name not in _PATHS:
         raise UnknownPath(f"unknown limit path {name!r}")
-    return _PATHS[name](tolerance, pol)
+    path = _PATHS[name]
+
+    def worst(step):
+        return max(
+            _rel(path.approximant(step, *p, pol), path.target(*p, pol))
+            for p in path.probes
+        )
+
+    return _march(name, tolerance, path.steps, worst)

@@ -9,6 +9,15 @@ evaluation paths where two series representations exist, discrete /
 q-integral orthogonality verifiers, the quadratic transformations
 between little and big polynomials, and the q-Taylor coefficient
 extractor.
+
+The tableau families form a registry with one FamilyRecord each: the
+parameter names, the printed series, a second printed series where one
+exists, the Gram builder and the closed-form norm.  family_eval,
+family_gram_matrix and family_norm read only the registry.  Special
+cases reuse the general code: Al-Salam-Carlitz U takes its recurrence,
+Gram and norm from big q-Jacobi with (0, 0, 1, -a), Wall takes little
+q-Jacobi's with b = 0, and affine q-Krawtchouk weighs by the q-Hahn
+weight at b = 0.
 """
 
 import math
@@ -477,53 +486,65 @@ def little_qjacobi_orthogonality(n, m, alpha, beta, q, pol=DEFAULT_POLICY):
 # tableau families
 
 
-_FAMILY_KEYS = {
-    "q_hahn": ("a", "b", "N"),
-    "q_krawtchouk": ("b", "N"),
-    "affine_q_krawtchouk": ("a", "N"),
-    "affine_qinv_krawtchouk": ("b", "N"),
-    "q_meixner": ("a", "c"),
-    "big_q_laguerre": ("a", "c", "d"),
-    "wall": ("a",),
-    "moak": ("alpha",),
-    "al_salam_carlitz_u": ("a",),
-    "al_salam_carlitz_v": ("a",),
-    "stieltjes_wigert": (),
-    "little_q_jacobi": ("a", "b"),
-    "case_3a": ("b",),
-}
+@dataclass(frozen=True)
+class FamilyRecord:
+    """One tableau family.  Each callable takes the parameters in the
+    order of keys, then q: the printed series and the optional second one
+    (n, x, *params, q, pol=), the optional Gram builder
+    (nmax, *params, q, pol=) and the optional closed-form diagonal of that
+    Gram (n, *params, q)."""
+
+    keys: tuple
+    series: object
+    alt: object
+    gram: object
+    norm: object
+
+
+_FAMILIES = {}
+
+
+def _family(name, keys, series, alt=None, gram=None, norm=None):
+    if name in _FAMILIES:
+        raise DomainError(f"duplicate family {name!r}")
+    _FAMILIES[name] = FamilyRecord(keys, series, alt, gram, norm)
 
 
 @dataclass(frozen=True)
 class FamilyParams:
-    """Tagged parameter bundle for a tableau family."""
+    """Tagged parameter bundle for a tableau family; N is stored as an int."""
 
     name: str
     q: float
     params: tuple
 
     def __init__(self, name, q, **kwargs):
-        if name not in _FAMILY_KEYS:
+        if name not in _FAMILIES:
             raise DomainError(f"unknown family {name!r}")
-        keys = _FAMILY_KEYS[name]
+        keys = _FAMILIES[name].keys
         if set(kwargs) != set(keys):
             raise DomainError(f"family {name!r} takes parameters {keys}")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "q", check_q(q))
-        object.__setattr__(self, "params", tuple(kwargs[k] for k in keys))
         if "N" in keys:
-            big_n = self["N"]
-            if big_n != int(big_n) or not 0 <= big_n <= _MAX_FINITE_N:
+            big_n = kwargs["N"]
+            if not (0 <= big_n <= _MAX_FINITE_N and big_n == int(big_n)):
                 raise DomainError(f"N must be an integer in [0, {_MAX_FINITE_N}]")
+            kwargs["N"] = int(big_n)
+        object.__setattr__(self, "params", tuple(kwargs[k] for k in keys))
+
+    @property
+    def record(self):
+        return _FAMILIES[self.name]
 
     def __getitem__(self, key):
-        return self.params[_FAMILY_KEYS[self.name].index(key)]
+        return self.params[self.record.keys.index(key)]
 
 
 def _check_degree(fam, n):
     if n < 0:
         raise DomainError("degree must be nonnegative")
-    if "N" in _FAMILY_KEYS[fam.name] and n > fam["N"]:
+    if "N" in fam.record.keys and n > fam["N"]:
         raise DomainError("degree exceeds N")
 
 
@@ -531,135 +552,45 @@ def family_eval(fam, n, x, form="primary", pol=DEFAULT_POLICY):
     """Evaluate the degree-n polynomial of the family at x.
 
     form="alt" selects the second printed series representation for the
-    families that have one (big q-Laguerre, Wall, Moak, affine
-    q^{-1}-Krawtchouk, little q-Jacobi); elsewhere it raises.
+    families that have one (big q-Laguerre, Wall, Moak, the affine
+    q-Krawtchouk pair, little q-Jacobi), and for Al-Salam-Carlitz U the
+    big q-Jacobi recurrence with (0, 0, 1, -a); elsewhere it raises.
     """
     _check_degree(fam, n)
-    q = fam.q
-    qn = q ** float(-n)
-    name = fam.name
-    alt = form == "alt"
     if form not in ("primary", "alt"):
         raise DomainError(f"unknown form {form!r}")
+    series = fam.record.alt if form == "alt" else fam.record.series
+    if series is None:
+        raise DomainError(f"{fam.name} has a single printed representation")
+    return series(n, x, *fam.params, fam.q, pol=pol)
 
-    if name == "q_hahn":
-        a, b = fam["a"], fam["b"]
-        if alt:
-            raise DomainError("q_hahn has a single printed representation")
-        return eval_phi(
-            SeriesSpec(
-                [qn, a * b * q ** float(n + 1), x],
-                [a * q, q ** float(-fam["N"])],
-                q,
-                q,
-            ),
-            pol,
-        )
-    if name == "q_krawtchouk":
-        if alt:
-            raise DomainError("q_krawtchouk has a single printed representation")
-        return eval_phi(
-            SeriesSpec(
-                [qn, -q ** float(n) / fam["b"], x],
-                [0, q ** float(-fam["N"])],
-                q,
-                q,
-            ),
-            pol,
-        )
-    if name == "affine_q_krawtchouk":
-        a = fam["a"]
-        if alt:
-            # the big-q-Jacobi specialization Q_n(x; a, 0, N; q)
-            qh = FamilyParams("q_hahn", q, a=a, b=0, N=fam["N"])
-            return family_eval(qh, n, x, pol=pol)
-        return eval_phi(
-            SeriesSpec([qn, 0, x], [a * q, q ** float(-fam["N"])], q, q), pol
-        )
-    if name == "affine_qinv_krawtchouk":
-        b = fam["b"]
-        if alt:
-            qm = FamilyParams(
-                "q_meixner", q, a=q ** float(-fam["N"] - 1), c=-1.0 / b
-            )
-            return family_eval(qm, n, x, pol=pol)
-        return eval_phi(
-            SeriesSpec([qn, x], [q ** float(-fam["N"])], q, b * q ** float(n + 1)),
-            pol,
-        )
-    if name == "q_meixner":
-        if alt:
-            raise DomainError("q_meixner has a single printed representation")
-        a, c = fam["a"], fam["c"]
-        return eval_phi(
-            SeriesSpec([qn, x], [q * a], q, -q ** float(n + 1) / c), pol
-        )
-    if name == "big_q_laguerre":
-        a, c, d = fam["a"], fam["c"], fam["d"]
-        if alt:
-            if x == 0:
-                raise DomainError("alt path needs x != 0")
-            pref = 1.0 / qpoch(-qn * c / (a * d), q, n)
-            body = eval_phi(
-                SeriesSpec([qn, c / x], [q * a], q, -q * x / d), pol
-            )
-            return pref * body
-        return eval_phi(
-            SeriesSpec([qn, 0, q * a * x / c], [q * a, -q * a * d / c], q, q), pol
-        )
-    if name == "wall":
-        a = fam["a"]
-        if alt:
-            if x == 0:
-                raise DomainError("alt path needs x != 0")
-            pref = 1.0 / qpoch(q ** float(-n) / a, q, n)
-            body = eval_phi(SeriesSpec([qn, 1.0 / x], [], q, x / a), pol)
-            return pref * body
-        return little_qjacobi(n, x, a, 0.0, q, pol=pol)
-    if name == "moak":
-        alpha = fam["alpha"]
-        if alt:
-            return eval_phi(
-                SeriesSpec([qn, -x], [0], q, q ** (n + alpha + 1)), pol
-            ) / qpoch(q, q, n)
-        pref = qpoch(q ** (alpha + 1.0), q, n) / qpoch(q, q, n)
-        body = eval_phi(
-            SeriesSpec([qn], [q ** (alpha + 1.0)], q, -x * q ** (n + alpha + 1)), pol
-        )
-        return pref * body
-    if name == "al_salam_carlitz_u":
-        if alt:
-            raise DomainError("use the recurrence as the dual path for U")
-        return al_salam_carlitz_u(n, x, fam["a"], q, pol)
-    if name == "al_salam_carlitz_v":
-        a = fam["a"]
-        if alt:
-            raise DomainError("al_salam_carlitz_v has a single printed representation")
-        if a == 0:
-            raise DomainError("a must be nonzero")
-        body = eval_phi(
-            SeriesSpec([qn, x], [], q, q ** float(n) / a), pol
-        )
-        return (-1.0) ** n * q ** (-n * (n - 1) / 2) * a**n * body
-    if name == "stieltjes_wigert":
-        if alt:
-            raise DomainError("stieltjes_wigert has a single printed representation")
-        body = eval_phi(
-            SeriesSpec([qn], [0], q, -q ** (n + 1.5) * x), pol
-        )
-        return (-1.0) ** n * q ** (-n * (2 * n + 1) / 2) * body
-    if name == "little_q_jacobi":
-        return little_qjacobi(
-            n, x, fam["a"], fam["b"], q, form="3phi2" if alt else "2phi1", pol=pol
-        )
-    if name == "case_3a":
-        # undocumented case: series evaluation only, no orthogonality claim
-        if alt:
-            raise DomainError("case_3a has a single printed representation")
-        return eval_phi(
-            SeriesSpec([qn, q ** float(n) * fam["b"]], [0], q, q * x), pol
-        )
-    raise DomainError(f"unknown family {name!r}")
+
+def family_gram_matrix(fam, nmax, pol=DEFAULT_POLICY):
+    """Gram matrix <p_n, p_m>, n, m <= nmax, of the family under its
+    printed measure.
+
+    Finite families are summed exactly over x = 0..N; q-integral
+    measures are tail-truncated by the policy, with each weight stepped
+    along its lattice by its ratio w(qx)/w(x).  Families without a
+    printed measure (q-Meixner, Al-Salam-Carlitz V, Stieltjes-Wigert,
+    case 3a) raise DomainError.
+    """
+    _check_degree(fam, nmax)
+    if fam.record.gram is None:
+        raise DomainError(f"no printed orthogonality measure for {fam.name!r}")
+    return fam.record.gram(nmax, *fam.params, fam.q, pol=pol)
+
+
+def family_norm(fam, n):
+    """Closed-form diagonal <p_n, p_n> of family_gram_matrix, or None for
+    a family without one."""
+    norm = fam.record.norm
+    return None if norm is None else norm(n, *fam.params, fam.q)
+
+
+def family_orthogonality(fam, n, m, pol=DEFAULT_POLICY):
+    """Gram entry <p_n, p_m> of the family under its printed measure."""
+    return complex(family_gram_matrix(fam, _max_degree(n, m), pol)[n, m])
 
 
 def _max_degree(n, m):
@@ -677,115 +608,232 @@ def _series_values(evaluate, nmax):
     )
 
 
-def _finite_gram(fam, nmax, weight, pol):
-    points = [fam.q ** float(-x) for x in range(fam["N"] + 1)]
-    v = np.array(
-        [[family_eval(fam, n, t, pol=pol) for t in points] for n in range(nmax + 1)],
-        dtype=complex,
+def _finite_gram(series, weight):
+    """Gram builder of a family whose last parameter is N: the exact sum
+    over the points q^{-x}, x = 0..N, with weight(x, *params, q)."""
+
+    def build(nmax, *args, pol):
+        xs = range(args[-2] + 1)
+        q = args[-1]
+        v = np.array(
+            [
+                [series(n, q ** float(-x), *args, pol=pol) for x in xs]
+                for n in range(nmax + 1)
+            ],
+            dtype=complex,
+        )
+        return gram(v, np.array([weight(x, *args) for x in xs], dtype=complex))
+
+    return build
+
+
+def _q_hahn(n, x, a, b, big_n, q, pol):
+    return eval_phi(
+        SeriesSpec(
+            [q ** float(-n), a * b * q ** float(n + 1), x],
+            [a * q, q ** float(-big_n)],
+            q,
+            q,
+        ),
+        pol,
     )
-    return gram(v, np.array([weight(x) for x in range(fam["N"] + 1)], dtype=complex))
 
 
-def family_gram_matrix(fam, nmax, pol=DEFAULT_POLICY):
-    """Gram matrix <p_n, p_m>, n, m <= nmax, of the family under its
-    printed measure.
-
-    Finite families are summed exactly over x = 0..N; q-integral
-    measures are tail-truncated by the policy, with each weight stepped
-    along its lattice by its ratio w(qx)/w(x).  Families without a
-    printed measure (q-Meixner, Al-Salam-Carlitz V, Stieltjes-Wigert,
-    case 3a) raise DomainError.
-    """
-    _check_degree(fam, nmax)
-    q = fam.q
-    name = fam.name
-    if name == "q_hahn":
-        a, b, big_n = fam["a"], fam["b"], fam["N"]
-
-        def weight(x):
-            return (
-                qpoch(a * q, q, x)
-                * qpoch(b * q, q, big_n - x)
-                * (a * q) ** float(-x)
-                / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
-            )
-
-        return _finite_gram(fam, nmax, weight, pol)
-    if name == "q_krawtchouk":
-        b, big_n = fam["b"], fam["N"]
-
-        def weight(x):
-            return qpoch(q ** float(-big_n), q, x) * (-b) ** x / qpoch(q, q, x)
-
-        return _finite_gram(fam, nmax, weight, pol)
-    if name == "affine_q_krawtchouk":
-        a, big_n = fam["a"], fam["N"]
-
-        def weight(x):
-            return (
-                qpoch(a * q, q, x)
-                * (a * q) ** float(-x)
-                / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
-            )
-
-        return _finite_gram(fam, nmax, weight, pol)
-    if name == "affine_qinv_krawtchouk":
-        b, big_n = fam["b"], fam["N"]
-
-        def weight(x):
-            return (
-                qpoch(b * q, q, big_n - x)
-                * (-1.0) ** (big_n - x)
-                * q ** (x * (x - 1) / 2)
-                / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
-            )
-
-        return _finite_gram(fam, nmax, weight, pol)
-    if name in ("little_q_jacobi", "wall"):
-        a = fam["a"]
-        b = fam["b"] if name == "little_q_jacobi" else 0.0
-        return little_qjacobi_gram_matrix(nmax, a, b, q, pol)
-    if name == "moak":
-        # bilateral q-integral of x^alpha / (-(1-q)x;q)_oo; the polynomials
-        # are sampled at (1-q)x so that the lattice matches that factor
-        alpha = fam["alpha"]
-        values = _series_values(
-            lambda n, x: family_eval(fam, n, (1.0 - q) * x, pol=pol), nmax
-        )
-        w0 = 1.0 / qpoch(-(1.0 - q), q, INFINITY, pol)
-
-        def down(x):
-            return q**alpha * (1.0 + (1.0 - q) * x)
-
-        def up(x):
-            return q**-alpha / (1.0 + (1.0 - q) * x / q)
-
-        return (1.0 - q) * (
-            lattice_gram(values, 1.0, 1.0, q, w0, down, pol)
-            + lattice_gram(values, 1.0, 1.0 / q, 1.0 / q, w0 * up(1.0), up, pol)
-        )
-    if name == "al_salam_carlitz_u":
-        a = fam["a"]
-        if not a < 0:
-            raise DomainError("orthogonality requires a < 0")
-        values = _series_values(
-            lambda n, x: al_salam_carlitz_u(n, x, a, q, pol), nmax
-        )
-
-        def ratio(x):
-            return 1.0 / ((1.0 - q * x) * (1.0 - q * x / a))
-
-        def part(end):
-            w0 = qpoch(q * end, q, INFINITY, pol) * qpoch(q * end / a, q, INFINITY, pol)
-            return end * (1.0 - q) * lattice_gram(values, end, 1.0, q, w0, ratio, pol)
-
-        return part(1.0) - part(a)
-    raise DomainError(f"no printed orthogonality measure for {name!r}")
+def _q_hahn_weight(x, a, b, big_n, q):
+    return (
+        qpoch(a * q, q, x)
+        * qpoch(b * q, q, big_n - x)
+        * (a * q) ** float(-x)
+        / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
+    )
 
 
-def family_orthogonality(fam, n, m, pol=DEFAULT_POLICY):
-    """Gram entry <p_n, p_m> of the family under its printed measure."""
-    return complex(family_gram_matrix(fam, _max_degree(n, m), pol)[n, m])
+def _q_krawtchouk(n, x, b, big_n, q, pol):
+    return eval_phi(
+        SeriesSpec(
+            [q ** float(-n), -q ** float(n) / b, x], [0, q ** float(-big_n)], q, q
+        ),
+        pol,
+    )
+
+
+def _affine_q_krawtchouk(n, x, a, big_n, q, pol):
+    return eval_phi(
+        SeriesSpec([q ** float(-n), 0, x], [a * q, q ** float(-big_n)], q, q), pol
+    )
+
+
+def _affine_qinv_krawtchouk(n, x, b, big_n, q, pol):
+    return eval_phi(
+        SeriesSpec([q ** float(-n), x], [q ** float(-big_n)], q, b * q ** float(n + 1)),
+        pol,
+    )
+
+
+def _affine_qinv_krawtchouk_weight(x, b, big_n, q):
+    return (
+        qpoch(b * q, q, big_n - x)
+        * (-1.0) ** (big_n - x)
+        * q ** (x * (x - 1) / 2)
+        / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
+    )
+
+
+def _q_meixner(n, x, a, c, q, pol):
+    return eval_phi(
+        SeriesSpec([q ** float(-n), x], [q * a], q, -q ** float(n + 1) / c), pol
+    )
+
+
+def _big_q_laguerre_alt(n, x, a, c, d, q, pol):
+    if x == 0:
+        raise DomainError("alt path needs x != 0")
+    qn = q ** float(-n)
+    pref = 1.0 / qpoch(-qn * c / (a * d), q, n)
+    return pref * eval_phi(SeriesSpec([qn, c / x], [q * a], q, -q * x / d), pol)
+
+
+def _wall_alt(n, x, a, q, pol):
+    if x == 0:
+        raise DomainError("alt path needs x != 0")
+    qn = q ** float(-n)
+    pref = 1.0 / qpoch(qn / a, q, n)
+    return pref * eval_phi(SeriesSpec([qn, 1.0 / x], [], q, x / a), pol)
+
+
+def _moak(n, x, alpha, q, pol):
+    pref = qpoch(q ** (alpha + 1.0), q, n) / qpoch(q, q, n)
+    z = -x * q ** (n + alpha + 1)
+    body = eval_phi(SeriesSpec([q ** float(-n)], [q ** (alpha + 1.0)], q, z), pol)
+    return pref * body
+
+
+def _moak_alt(n, x, alpha, q, pol):
+    return eval_phi(
+        SeriesSpec([q ** float(-n), -x], [0], q, q ** (n + alpha + 1)), pol
+    ) / qpoch(q, q, n)
+
+
+def _moak_gram(nmax, alpha, q, pol):
+    # bilateral q-integral of x^alpha / (-(1-q)x;q)_oo; the polynomials
+    # are sampled at (1-q)x so that the lattice matches that factor
+    values = _series_values(lambda n, x: _moak(n, (1.0 - q) * x, alpha, q, pol), nmax)
+    w0 = 1.0 / qpoch(-(1.0 - q), q, INFINITY, pol)
+
+    def down(x):
+        return q**alpha * (1.0 + (1.0 - q) * x)
+
+    def up(x):
+        return q**-alpha / (1.0 + (1.0 - q) * x / q)
+
+    return (1.0 - q) * (
+        lattice_gram(values, 1.0, 1.0, q, w0, down, pol)
+        + lattice_gram(values, 1.0, 1.0 / q, 1.0 / q, w0 * up(1.0), up, pol)
+    )
+
+
+def _u_as_big_qjacobi(a, q):
+    """U_n^{(a)}(x) = P~_n(x; 0, 0, 1, -a; q) (Koekoek, Lesky and
+    Swarttouw 2010, 14.24), so U has the big q-Jacobi measure on [a, 1]."""
+    if not a < 0:
+        raise DomainError("the big q-Jacobi form of U requires a < 0")
+    return BigQJacobiParams(0, 0, 1.0, -a, q)
+
+
+def _al_salam_carlitz_v(n, x, a, q, pol):
+    if a == 0:
+        raise DomainError("a must be nonzero")
+    body = eval_phi(SeriesSpec([q ** float(-n), x], [], q, q ** float(n) / a), pol)
+    return (-1.0) ** n * q ** (-n * (n - 1) / 2) * a**n * body
+
+
+def _stieltjes_wigert(n, x, q, pol):
+    body = eval_phi(SeriesSpec([q ** float(-n)], [0], q, -q ** (n + 1.5) * x), pol)
+    return (-1.0) ** n * q ** (-n * (2 * n + 1) / 2) * body
+
+
+def _case_3a(n, x, b, q, pol):
+    # undocumented case: series evaluation only, no orthogonality claim
+    return eval_phi(
+        SeriesSpec([q ** float(-n), q ** float(n) * b], [0], q, q * x), pol
+    )
+
+
+_family(
+    "q_hahn",
+    ("a", "b", "N"),
+    _q_hahn,
+    gram=_finite_gram(_q_hahn, _q_hahn_weight),
+)
+_family(
+    "q_krawtchouk",
+    ("b", "N"),
+    _q_krawtchouk,
+    gram=_finite_gram(
+        _q_krawtchouk,
+        lambda x, b, big_n, q: qpoch(q ** float(-big_n), q, x)
+        * (-b) ** x
+        / qpoch(q, q, x),
+    ),
+)
+_family(
+    "affine_q_krawtchouk",
+    ("a", "N"),
+    _affine_q_krawtchouk,
+    # the q-Hahn polynomial Q_n(x; a, 0, N; q)
+    lambda n, x, a, big_n, q, pol: _q_hahn(n, x, a, 0, big_n, q, pol),
+    _finite_gram(
+        _affine_q_krawtchouk,
+        lambda x, a, big_n, q: _q_hahn_weight(x, a, 0, big_n, q),
+    ),
+)
+_family(
+    "affine_qinv_krawtchouk",
+    ("b", "N"),
+    _affine_qinv_krawtchouk,
+    lambda n, x, b, big_n, q, pol: _q_meixner(
+        n, x, q ** float(-big_n - 1), -1.0 / b, q, pol
+    ),
+    _finite_gram(_affine_qinv_krawtchouk, _affine_qinv_krawtchouk_weight),
+)
+_family("q_meixner", ("a", "c"), _q_meixner)
+_family(
+    "big_q_laguerre",
+    ("a", "c", "d"),
+    lambda n, x, a, c, d, q, pol: eval_phi(
+        SeriesSpec([q ** float(-n), 0, q * a * x / c], [q * a, -q * a * d / c], q, q),
+        pol,
+    ),
+    _big_q_laguerre_alt,
+)
+_family(
+    "wall",
+    ("a",),
+    lambda n, x, a, q, pol: little_qjacobi(n, x, a, 0.0, q, pol=pol),
+    _wall_alt,
+    lambda nmax, a, q, pol: little_qjacobi_gram_matrix(nmax, a, 0.0, q, pol),
+    lambda n, a, q: little_qjacobi_norm(n, a, 0.0, q),
+)
+_family("moak", ("alpha",), _moak, _moak_alt, _moak_gram)
+_family(
+    "al_salam_carlitz_u",
+    ("a",),
+    al_salam_carlitz_u,
+    lambda n, x, a, q, pol: big_qjacobi_monic(n, x, _u_as_big_qjacobi(a, q), pol),
+    lambda nmax, a, q, pol: big_qjacobi_gram_matrix(nmax, _u_as_big_qjacobi(a, q), pol),
+    lambda n, a, q: big_qjacobi_norm(n, _u_as_big_qjacobi(a, q)),
+)
+_family("al_salam_carlitz_v", ("a",), _al_salam_carlitz_v)
+_family("stieltjes_wigert", (), _stieltjes_wigert)
+_family(
+    "little_q_jacobi",
+    ("a", "b"),
+    little_qjacobi,
+    lambda n, x, a, b, q, pol: little_qjacobi(n, x, a, b, q, form="3phi2", pol=pol),
+    little_qjacobi_gram_matrix,
+    little_qjacobi_norm,
+)
+_family("case_3a", ("b",), _case_3a)
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,47 @@ def test_ortho_bad_nodes(capsys):
     assert code == 2
 
 
+def test_ortho_al_salam_carlitz_u_closed_diagonals(capsys):
+    code, out, _ = run_cli(
+        [
+            "ortho",
+            "al_salam_carlitz_u",
+            "a=-0.6",
+            "q=0.5",
+            "--nmax",
+            "4",
+            "--format",
+            "json",
+        ],
+        capsys,
+    )
+    assert code == 0
+    diag = [row for row in json.loads(out) if row["n"] == row["m"]]
+    assert len(diag) == 5
+    for row in diag:
+        assert isinstance(row["closed"], float)
+        assert row["rel_error"] <= 1e-8
+        assert row["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "gammaq", "z=3", "q=0.5", "--seed", "1"],
+        ["eval", "gammaq", "z=3", "q=0.5", "--samples", "3"],
+        ["eval", "gammaq", "z=3", "q=0.5", "--tolerance", "x=1"],
+        ["table", "theta4", "q=0.5", "--grid", "x=0:1:0.5", "--seed", "1"],
+        ["ortho", "wall", "a=0.4", "q=0.5", "--samples", "3"],
+        ["limits", "exp_from_Eq", "--q", "0.3"],
+        ["verify", "q_saalschutz", "--q", "0.3"],
+    ],
+)
+def test_option_outside_its_subcommand_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
 def test_table_theta4_grid(capsys):
     code, out, _ = run_cli(
         ["table", "theta4", "q=0.5", "--grid", "x=0:1:0.1"], capsys

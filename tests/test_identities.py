@@ -91,3 +91,22 @@ def test_aw_kernel_transform_is_checked():
     assert math.isfinite(rep.max_rel_error)
     assert rep.max_rel_error <= 1e-8
     assert rep.passed
+
+
+def test_1psi1_sampler_rejects_slow_tail_before_the_walk(monkeypatch):
+    # seed 127 draws c/(bz) = -0.9998, whose downward tail would run the
+    # whole term budget of the kappa walk
+    walked = []
+    real_walk = identities.psi_walk
+
+    def walk(spec, *args):
+        walked.append(spec.lower[0] / (spec.upper[0] * spec.z))
+        return real_walk(spec, *args)
+
+    monkeypatch.setattr(identities, "psi_walk", walk)
+    rng = identities.random.Random("ramanujan_1psi1|127")
+    sampler = get_identity("ramanujan_1psi1").sampler
+    for _ in range(25):
+        sampler(rng)
+    assert walked
+    assert all(abs(abs(r) - 1.0) >= 1e-3 for r in walked)

@@ -4,6 +4,7 @@ Oracles: closed-form norms, Gram entries via q-integrals and finite
 sums, dual series representations, and shift-operator algebra.
 """
 
+import math
 import random
 
 import pytest
@@ -23,6 +24,8 @@ from qspecial import (
 )
 from qspecial.errors import DomainError
 from qspecial.qorthopoly import (
+    _FAMILIES,
+    al_salam_carlitz_u,
     big_qjacobi_by_recurrence,
     big_qjacobi_gram_matrix,
     big_qjacobi_recurrence,
@@ -32,6 +35,8 @@ from qspecial.qorthopoly import (
     big_qjacobi_shift_up,
     big_qjacobi_weight_integral,
     big_qjacobi_weight,
+    family_gram_matrix,
+    family_norm,
     little_qjacobi_orthogonality,
     qtaylor_coefficients,
     quadratic_transform_u,
@@ -304,6 +309,74 @@ def test_infinite_family_orthogonality():
             for m in range(n + 1, 4):
                 off = abs(complex(family_orthogonality(fam, n, m)))
                 assert off <= 1e-9 * scale
+
+
+# one parameter set per registered family
+FAMILY_SAMPLES = {
+    "q_hahn": dict(a=0.4, b=0.3, N=5),
+    "q_krawtchouk": dict(b=0.6, N=5),
+    "affine_q_krawtchouk": dict(a=0.5, N=5),
+    "affine_qinv_krawtchouk": dict(b=0.7, N=5),
+    "q_meixner": dict(a=0.4, c=0.8),
+    "big_q_laguerre": dict(a=0.4, c=1.0, d=1.3),
+    "wall": dict(a=0.4),
+    "moak": dict(alpha=0.7),
+    "al_salam_carlitz_u": dict(a=-0.6),
+    "al_salam_carlitz_v": dict(a=0.7),
+    "stieltjes_wigert": dict(),
+    "little_q_jacobi": dict(a=0.4, b=0.3),
+    "case_3a": dict(b=0.5),
+}
+
+
+def test_every_registered_family():
+    assert set(FAMILY_SAMPLES) == set(_FAMILIES)
+    q, x, nmax = 0.5, 0.35, 3
+    for name, kw in FAMILY_SAMPLES.items():
+        fam = FamilyParams(name, q, **kw)
+        for n in range(nmax + 1):
+            v = complex(family_eval(fam, n, x))
+            assert math.isfinite(abs(v)), (name, n)
+            try:
+                alt = complex(family_eval(fam, n, x, form="alt"))
+            except DomainError:
+                continue
+            assert abs(v - alt) <= 1e-9 * max(1.0, abs(v), abs(alt)), (name, n)
+        if fam.record.gram is None:
+            with pytest.raises(DomainError):
+                family_gram_matrix(fam, nmax)
+            continue
+        g = family_gram_matrix(fam, nmax)
+        scale = max(abs(g[n, n]) for n in range(nmax + 1))
+        for n in range(nmax + 1):
+            assert abs(g[n, n]) > 0, (name, n)
+            norm = family_norm(fam, n)
+            if norm is not None:
+                assert abs(g[n, n] - norm) <= 1e-8 * abs(norm), (name, n)
+            for m in range(n + 1, nmax + 1):
+                assert abs(g[n, m]) <= 1e-9 * scale, (name, n, m)
+
+
+def test_al_salam_carlitz_u_series_matches_big_qjacobi_recurrence():
+    # U_n^{(a)} = P~_n(x; 0, 0, 1, -a; q): the Gram and norm of U rely on it
+    for q in (0.3, 0.7):
+        for a in (-0.3, -0.6, -1.2):
+            p = BigQJacobiParams(0, 0, 1.0, -a, q)
+            for n in range(9):
+                for x in (a, 0.0, 0.4, 1.0):
+                    u = complex(al_salam_carlitz_u(n, x, a, q))
+                    v = complex(big_qjacobi_monic(n, x, p))
+                    assert abs(u - v) <= 1e-9 * max(1.0, abs(u)), (q, a, n, x)
+
+
+def test_family_params_stores_integer_n():
+    fam = FamilyParams("q_hahn", 0.5, a=0.4, b=0.3, N=5.0)
+    assert fam["N"] == 5 and isinstance(fam["N"], int)
+    want = family_gram_matrix(FamilyParams("q_hahn", 0.5, a=0.4, b=0.3, N=5), 2)
+    assert (family_gram_matrix(fam, 2) == want).all()
+    for bad in (5.5, -1, 61, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            FamilyParams("q_hahn", 0.5, a=0.4, b=0.3, N=bad)
 
 
 def test_family_params_validates_keys():

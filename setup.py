@@ -1,19 +1,10 @@
 """Build script for the optional compiled kernels.
 
-The package works without the extension (pure-Python fallback); the
-build therefore tolerates a missing compiler or Cython.
+The extension is one hand-written C file, built by the system C
+compiler.  The package works without it (pure-Python fallback), so a
+missing compiler only skips the build.
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("qspecial._kernels", ["src/qspecial/_kernels.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("qspecial._kernels", ["src/qspecial/_kernels.c"], optional=True)])

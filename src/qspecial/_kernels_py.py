@@ -1,11 +1,10 @@
 """Pure-Python twins of the compiled kernels.
 
-Same call signatures and semantics as the Cython module ``_kernels``;
-selected automatically when the extension is unavailable.  Status codes:
-0 ok, 1 convergence budget exhausted, 2 zero denominator factor.
+Same call signatures and semantics as the compiled extension
+``_kernels`` (hand-written C, ``_kernels.c``); selected automatically when
+the extension is unavailable.  Status codes: 0 ok, 1 convergence budget
+exhausted, 2 zero denominator factor.
 """
-
-import cmath
 
 BACKEND = "python"
 
@@ -63,10 +62,13 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
 
     n_terms >= 0 sums exactly k = 0..n_terms (terminating); n_terms < 0
     runs until 5 consecutive terms are below tail_epsilon relative to the
-    running magnitude.  Returns (value, status).
+    running magnitude.  Returns (value, status, sum |t_k|), the last over
+    the terms summed, t_0 = 1 included.
     """
+    z = complex(z)
     total = 1.0 + 0.0j
     term = 1.0 + 0.0j
+    mass = 1.0
     scale = 1.0
     qk = 1.0
     quiet = 0
@@ -74,29 +76,30 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
     while True:
         if n_terms >= 0:
             if k >= n_terms:
-                return total, 0
+                return total, 0, mass
         elif k >= max_terms:
-            return total, 1
-        num = complex(z)
+            return total, 1, mass
+        num = z
         for a in upper:
             num *= 1.0 - a * qk
         den = 1.0 - q * qk
         for b in lower:
             den *= 1.0 - b * qk
         if den == 0:
-            return total, 2
+            return total, 2, mass
         if sign_power:
             num *= (-qk) ** sign_power
         term = term * num / den
         total += term
         t = abs(term)
+        mass += t
         if t > scale:
             scale = t
         if n_terms < 0:
             if t < tail_epsilon * scale:
                 quiet += 1
                 if quiet >= 5:
-                    return total, 0
+                    return total, 0, mass
             else:
                 quiet = 0
         qk *= q

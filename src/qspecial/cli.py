@@ -1,11 +1,13 @@
 """Command-line front end: evaluation, identity verification, Gram
 reports, value tables, and limit diagnostics.
 
-Exit codes: 0 all checks pass, 1 a numeric check failed, 2 usage error.
+Exit codes: 0 all checks pass, 1 a numeric check failed or the reader
+closed the output pipe early (without a traceback), 2 usage error.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from qspecial.askey_wilson import (
@@ -599,6 +601,12 @@ def main(argv=None):
                 code = _COMMANDS[args.command](args, handle)
         else:
             code = _COMMANDS[args.command](args, sys.stdout)
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit cannot raise again (the recipe of the signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from qspecial.errors import ConvergenceError, DomainError
+from qspecial.errors import DomainError, QSpecialError
 from qspecial.qcore import (
     DEFAULT_POLICY,
     INFINITY,
@@ -25,7 +25,7 @@ from qspecial.qcore import (
 )
 from qspecial.qcalculus import qintegral_0a
 from qspecial.qfunctions import E_q, e_q, gamma_q, gamma_q_reciprocal, partition_count
-from qspecial.qseries import SeriesSpec, eval_phi, eval_psi, psi_walk
+from qspecial.qseries import SeriesSpec, eval_phi, eval_psi, phi_walk, psi_walk
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
 from qspecial.limits import classical_eval
@@ -137,39 +137,12 @@ def _lower_ok(vals, q, margin=0.05):
     return True
 
 
-def _phi_cond(upper, lower, q, z, cap=5000):
-    """Float amplification estimate for a phi series: sum|t_k| / |sum t_k|."""
-    sp = 1 + len(lower) - len(upper)
-    t = 1.0 + 0.0j
-    tot = 0.0 + 0.0j
-    ab = 0.0
-    for k in range(cap):
-        tot += t
-        ab += abs(t)
-        qk = q**k
-        num = complex(z)
-        for a in upper:
-            num *= 1.0 - a * qk
-        for b in lower:
-            den = 1.0 - b * qk
-            if den == 0:
-                return math.inf
-            num /= den
-        if sp:
-            num *= (-qk) ** sp
-        t *= num / (1.0 - q ** (k + 1))
-        if abs(t) < 1e-18 * max(1.0, ab):
-            break
-    return ab / max(1e-300, abs(tot))
-
-
-def _psi_kappa(upper, lower, q, z):
-    """Amplification sum|t_k| / |sum t_k| of a bilateral psi series, from
-    the walk of eval_psi; inf when that walk hits a zero denominator or
-    does not reach its tail."""
+def _kappa(walk, upper, lower, q, z):
+    """Amplification sum|t_k| / |sum t_k| of a series, from the walk
+    (phi_walk or psi_walk) that evaluates it; inf when the walk raises."""
     try:
-        value, mass = psi_walk(SeriesSpec(upper, lower, q, z))
-    except (ConvergenceError, DomainError):
+        value, mass = walk(SeriesSpec(upper, lower, q, z))
+    except QSpecialError:
         return math.inf
     return mass / max(1e-300, abs(value))
 
@@ -425,11 +398,11 @@ def _sample_heine(rng):
     if not _lower_ok([c, a * z], q):
         return None
     # every series the client identities evaluate must be well conditioned
-    if _phi_cond([a, b], [c], q, z) > 1e4:
+    if _kappa(phi_walk, [a, b], [c], q, z) > 1e4:
         return None
-    if _phi_cond([c / b, z], [a * z], q, b) > 1e4:
+    if _kappa(phi_walk, [c / b, z], [a * z], q, b) > 1e4:
         return None
-    if _phi_cond([a, c / b], [c, a * z], q, b * z) > 1e4:
+    if _kappa(phi_walk, [a, c / b], [c, a * z], q, b * z) > 1e4:
         return None
     return {"q": q, "a": a, "b": b, "c": c, "z": z}
 
@@ -485,7 +458,7 @@ def _sample_nbc_capped(rng):
     if p is None or p["n"] > _nmax(p["q"]):
         return None
     q, n, b, c = p["q"], p["n"], p["b"], p["c"]
-    if _phi_cond([q ** float(-n), b], [c], q, q) > 1e3:
+    if _kappa(phi_walk, [q ** float(-n), b], [c], q, q) > 1e3:
         return None
     return p
 
@@ -532,9 +505,9 @@ def _sample_q_euler(rng):
     q, a, b, c, z = p["q"], p["a"], p["b"], p["c"], p["z"]
     if abs(a * b * z / c) >= 0.95:
         return None
-    if _phi_cond([a, b], [c], q, z) > 1e4:
+    if _kappa(phi_walk, [a, b], [c], q, z) > 1e4:
         return None
-    if _phi_cond([c / a, c / b], [c], q, a * b * z / c) > 1e4:
+    if _kappa(phi_walk, [c / a, c / b], [c], q, a * b * z / c) > 1e4:
         return None
     return p
 
@@ -568,14 +541,10 @@ def _sample_reversal(rng):
     if not _lower_ok([q ** float(-n + 1) / b], q):
         return None
     qn = q ** float(-n)
-    if _phi_cond([qn, b], [c], q, z) > 1e3:
+    if _kappa(phi_walk, [qn, b], [c], q, z) > 1e3:
         return None
-    if (
-        _phi_cond(
-            [qn, q * qn / c], [q * qn / b], q, q ** float(n + 1) * c / (b * z)
-        )
-        > 1e3
-    ):
+    back = q ** float(n + 1) * c / (b * z)
+    if _kappa(phi_walk, [qn, q * qn / c], [q * qn / b], q, back) > 1e3:
         return None
     return {"q": q, "n": n, "b": b, "c": c, "z": z}
 
@@ -636,14 +605,9 @@ def _sample_term_3phi2(rng):
     if not _lower_ok([c, b * q ** float(1 - n) / c], q):
         return None
     qn = q ** float(-n)
-    if _phi_cond([qn, b], [c], q, z) > 1e3:
+    if _kappa(phi_walk, [qn, b], [c], q, z) > 1e3:
         return None
-    if (
-        _phi_cond(
-            [qn, b, b * z * qn / c], [b * q * qn / c, 0], q, q
-        )
-        > 1e3
-    ):
+    if _kappa(phi_walk, [qn, b, b * z * qn / c], [b * q * qn / c, 0], q, q) > 1e3:
         return None
     return {"q": q, "n": n, "b": b, "c": c, "z": z}
 
@@ -683,9 +647,9 @@ def _sample_jackson_3phi2(rng):
     if not _lower_ok([c, c * q / (b * z)], q):
         return None
     qn = q ** float(-n)
-    if _phi_cond([qn, b], [c], q, z) > 1e3:
+    if _kappa(phi_walk, [qn, b], [c], q, z) > 1e3:
         return None
-    if _phi_cond([qn, c / b, 0], [c, c * q / (b * z)], q, q) > 1e3:
+    if _kappa(phi_walk, [qn, c / b, 0], [c, c * q / (b * z)], q, q) > 1e3:
         return None
     return {"q": q, "n": n, "b": b, "c": c, "z": z}
 
@@ -729,9 +693,9 @@ def _sample_three_term(rng):
             return None
     p = {"q": q, "a": a, "b": b, "c": c, "z": z}
     # both left-hand series and their mutual cancellation must stay tame
-    if _phi_cond([a, b], [c], q, z) > 1e4:
+    if _kappa(phi_walk, [a, b], [c], q, z) > 1e4:
         return None
-    if _phi_cond([a * q / c, b * q / c], [q * q / c], q, z) > 1e4:
+    if _kappa(phi_walk, [a * q / c, b * q / c], [q * q / c], q, z) > 1e4:
         return None
     lhs = _three_term_lhs(p)
     t1 = eval_phi(SeriesSpec([a, b], [c], q, z))
@@ -782,11 +746,11 @@ def _sample_symmetric_connection(rng):
     if abs(b / a - 1.0) < 0.05 or abs(a / b - 1.0) < 0.05:
         return None
     arg = q * c / (a * b * z)
-    if _phi_cond([a, b], [c], q, z) > 1e4:
+    if _kappa(phi_walk, [a, b], [c], q, z) > 1e4:
         return None
-    if _phi_cond([a, q * a / c], [q * a / b], q, arg) > 1e4:
+    if _kappa(phi_walk, [a, q * a / c], [q * a / b], q, arg) > 1e4:
         return None
-    if _phi_cond([b, q * b / c], [q * b / a], q, arg) > 1e4:
+    if _kappa(phi_walk, [b, q * b / c], [q * b / a], q, arg) > 1e4:
         return None
     p = {"q": q, "a": a, "b": b, "c": c, "z": z}
     t1 = _symmetric_connection_term(p, a, b)
@@ -914,7 +878,7 @@ def _sample_1psi1(rng):
     # |c/(bz)| near 1 leaves a downward tail too slow for the kappa walk
     if abs(abs(c / (b * z)) - 1.0) < 1e-3 or abs(q / (b * z) - 1.0) < 1e-3:
         return None
-    if _psi_kappa([b], [c], q, z) > 1e4:
+    if _kappa(psi_walk, [b], [c], q, z) > 1e4:
         return None
     return {"q": q, "b": b, "c": c, "z": z}
 
@@ -942,7 +906,7 @@ def _sample_0psi1(rng):
         return None
     if abs(c / z - 1.0) < 1e-3:
         return None
-    if _psi_kappa([], [c], q, z) > 1e4:
+    if _kappa(psi_walk, [], [c], q, z) > 1e4:
         return None
     return {"q": q, "c": c, "z": z}
 
@@ -976,7 +940,7 @@ def _sample_saalschutz(rng):
     other = a * b * q ** float(1 - n) / c
     if not _lower_ok([c, other], q):
         return None
-    if _phi_cond([a, b, q ** float(-n)], [c, other], q, q) > 1e3:
+    if _kappa(phi_walk, [a, b, q ** float(-n)], [c, other], q, q) > 1e3:
         return None
     return {"q": q, "n": n, "a": a, "b": b, "c": c}
 
@@ -1029,7 +993,8 @@ def _sample_watson(rng, jackson=False):
         return None
     qn = q ** float(-n)
     if (
-        _phi_cond(
+        _kappa(
+            phi_walk,
             [a, q * s, -q * s, b, c, d, e, qn],
             [s, -s, a * q / b, a * q / c, a * q / d, a * q / e, a / qn * q],
             q,
@@ -1039,7 +1004,8 @@ def _sample_watson(rng, jackson=False):
     ):
         return None
     if not jackson and (
-        _phi_cond(
+        _kappa(
+            phi_walk,
             [qn, d, e, a * q / (b * c)],
             [a * q / b, a * q / c, d * e * qn / a],
             q,

@@ -1,7 +1,7 @@
 """Kernel backend selection.
 
-Imports the compiled extension when it was built, otherwise falls back to
-the pure-Python twins.  Both expose the same functions with identical
+Imports the compiled extension (hand-written C, ``_kernels.c``) when it
+was built, otherwise falls back to the pure-Python twins.  Both expose the same functions with identical
 semantics; ``BACKEND`` names the active one ("c" or "python").
 """
 

@@ -101,31 +101,31 @@ def classify(spec):
     return ConvergenceClass("ZERO")
 
 
-def eval_phi(spec, pol=DEFAULT_POLICY):
-    """Evaluate the r_phi_s series.
+def phi_walk(spec, pol=DEFAULT_POLICY):
+    """The r_phi_s series and the sum of |t_k| over the terms it summed.
 
     Terminating series are summed exactly through k = n; nonterminating
-    ones are truncated by the tail policy.  UNIT class requires |z| < 1,
-    ZERO class requires z = 0.
+    ones are truncated by the tail policy.  Returns (value, sum |t_k|),
+    t_0 = 1 included, so the amplification sum |t_k| / |value| comes with
+    the value.  Domain as for eval_phi.
     """
     cls = classify(spec)
-    sign_power = 1 + spec.s - spec.r
     if cls.radius == "TERMINATING":
         n_terms = cls.n
     else:
         if spec.z == 0:
-            return 1.0 + 0.0j
+            return 1.0 + 0.0j, 1.0
         if cls.radius == "ZERO":
             raise DomainError("series has zero radius of convergence for z != 0")
         if cls.radius == "UNIT" and abs(spec.z) >= 1:
             raise DomainError(f"series requires |z| < 1, got |z| = {abs(spec.z)}")
         n_terms = -1
-    value, status = kernels.phi_sum(
+    value, status, mass = kernels.phi_sum(
         spec.upper,
         spec.lower,
         spec.q,
         spec.z,
-        sign_power,
+        1 + spec.s - spec.r,
         n_terms,
         pol.tail_epsilon,
         pol.max_terms,
@@ -134,7 +134,16 @@ def eval_phi(spec, pol=DEFAULT_POLICY):
         raise ConvergenceError("phi series tail not reached within max_terms")
     if status == 2:
         raise DomainError("phi series hit a zero denominator factor")
-    return value
+    return value, mass
+
+
+def eval_phi(spec, pol=DEFAULT_POLICY):
+    """Evaluate the r_phi_s series: phi_walk(spec, pol) without its sum |t_k|.
+
+    UNIT class requires |z| < 1, ZERO class requires z = 0; a terminating
+    series (an upper parameter q^{-n}) is summed through k = n for any z.
+    """
+    return phi_walk(spec, pol)[0]
 
 
 def _psi_up(spec):

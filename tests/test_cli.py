@@ -7,6 +7,10 @@ numeric check fails, 2 on usage errors; json/csv/text formats; --out.
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -381,3 +385,22 @@ def test_missing_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_closed_output_pipe_exits_without_traceback():
+    # 12 001 csv rows (about 360 kB) overfill the pipe, so the program is
+    # still writing when the reader goes away after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["table", "eq", "q=0.5", "--grid", "z=-3000:0:0.25", "--format", "csv"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qspecial.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"z,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -110,3 +111,29 @@ def test_1psi1_sampler_rejects_slow_tail_before_the_walk(monkeypatch):
         sampler(rng)
     assert walked
     assert all(abs(abs(r) - 1.0) >= 1e-3 for r in walked)
+
+
+def test_kappa_stops_a_terminating_series_at_its_degree():
+    # a terminating_reversal candidate: 2.634... = q^-4, so the series ends
+    # at k = 4; a float walk past k = 4 sums garbage terms that grow like
+    # |z|^k until sum |t| overflows, and that walk gave kappa = inf here
+    upper = [2.6340716090179632, -3.187854634919791]
+    lower = [-8.118304082475822]
+    q, z = 0.7849520095955279, -1.526259033547419
+    kappa = identities._kappa(identities.phi_walk, upper, lower, q, z)
+    assert kappa <= 1e3
+    qf, term, terms = Fraction(q), Fraction(1), [Fraction(1)]
+    for k in range(4):
+        qk = qf**k
+        term *= (1 - Fraction(upper[0]) * qk) * (1 - Fraction(upper[1]) * qk) * Fraction(z)
+        term /= (1 - Fraction(lower[0]) * qk) * (1 - qf ** (k + 1))
+        terms.append(term)
+    exact = sum(abs(t) for t in terms) / abs(sum(terms))
+    assert kappa == pytest.approx(float(exact), rel=1e-12)
+
+
+def test_kappa_is_inf_when_the_walk_raises():
+    # |z| >= 1 outside the unit disk of a 2phi1, and a lower parameter at 1/q
+    assert identities._kappa(identities.phi_walk, [0.3, 0.4], [0.5], 0.5, 1.5) == math.inf
+    assert identities._kappa(identities.phi_walk, [0.3], [2.0], 0.5, 0.5) == math.inf
+    assert identities._kappa(identities.psi_walk, [], [0.5], 0.5, 0.3) == math.inf

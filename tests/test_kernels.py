@@ -1,59 +1,107 @@
-"""Parity tests between the compiled kernels and the pure-Python twins."""
+"""Parity tests between the compiled kernels and the pure-Python twins.
+
+The hand-written extension src/qspecial/_kernels.c is compiled here by the
+C compiler that sysconfig names, into a temporary directory, and loaded
+with importlib; the tests skip only when no C compiler is found.
+"""
 
 import importlib.util
 import random
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
 
 import pytest
 
 from qspecial import _kernels_py as py
+from qspecial import kernels, verify_all
 
-spec = importlib.util.find_spec("qspecial._kernels")
-if spec is None:
-    pytest.skip("compiled kernels not built", allow_module_level=True)
-
-from qspecial import _kernels as cy  # noqa: E402
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "qspecial" / "_kernels.c"
 
 
-def test_backend_labels():
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    ld = shlex.split(sysconfig.get_config_var("LDSHARED") or cc[0] + " -shared")
+    if shutil.which(cc[0]) is None or shutil.which(ld[0]) is None:
+        pytest.skip("no C compiler")
+    out = tmp_path_factory.mktemp("kernels")
+    obj = out / "_kernels.o"
+    lib = out / ("_kernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    include = sysconfig.get_paths()["include"]
+    pic = shlex.split(sysconfig.get_config_var("CCSHARED") or "")
+    subprocess.run(
+        [*cc, *pic, "-O2", "-I", include, "-c", str(SOURCE), "-o", str(obj)],
+        check=True,
+    )
+    subprocess.run([*ld, str(obj), "-o", str(lib), "-lm"], check=True)
+    spec = importlib.util.spec_from_file_location("qspecial._kernels", lib)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backend_labels(compiled):
     assert py.BACKEND == "python"
-    assert cy.BACKEND == "c"
+    assert compiled.BACKEND == "c"
 
 
-def test_qpoch_finite_parity():
+def test_qpoch_finite_parity(compiled):
     rng = random.Random(1)
     for _ in range(50):
         a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         q = rng.uniform(0.1, 0.95)
         k = rng.randrange(0, 40)
-        assert cy.qpoch_finite(a, q, k) == pytest.approx(
+        assert compiled.qpoch_finite(a, q, k) == pytest.approx(
             py.qpoch_finite(a, q, k), rel=1e-14, abs=1e-300
         )
 
 
-def test_qpoch_negative_parity():
+def test_qpoch_negative_parity(compiled):
     rng = random.Random(2)
     for _ in range(50):
         a = rng.uniform(-1.5, 1.5)
         q = rng.uniform(0.3, 0.9)
         k = rng.randrange(1, 15)
-        vc, sc = cy.qpoch_negative(a, q, k)
+        vc, sc = compiled.qpoch_negative(a, q, k)
         vp, sp = py.qpoch_negative(a, q, k)
-        assert sc == sp
+        assert sc == sp == 0
         assert vc == pytest.approx(vp, rel=1e-13)
+    # a = q^2: the second factor 1 - a q^-2 vanishes
+    assert compiled.qpoch_negative(0.25, 0.5, 3) == py.qpoch_negative(0.25, 0.5, 3) == (0j, 2)
 
 
-def test_qpoch_infinite_parity():
+def test_qpoch_infinite_parity(compiled):
     rng = random.Random(3)
     for _ in range(50):
         a = complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
         q = rng.uniform(0.1, 0.9)
-        vc, sc = cy.qpoch_infinite(a, q, 1e-16, 10000)
+        vc, sc = compiled.qpoch_infinite(a, q, 1e-16, 10000)
         vp, sp = py.qpoch_infinite(a, q, 1e-16, 10000)
         assert sc == sp == 0
         assert vc == pytest.approx(vp, rel=1e-14)
+    # a budget of 20 factors at q = 0.9 ends before the tail
+    vc, sc = compiled.qpoch_infinite(0.5, 0.9, 1e-16, 20)
+    vp, sp = py.qpoch_infinite(0.5, 0.9, 1e-16, 20)
+    assert sc == sp == 1
+    assert vc == pytest.approx(vp, rel=1e-14)
 
 
-def test_phi_sum_parity():
+def _phi_pair(compiled, *args):
+    """Both backends' phi_sum on args: same status, value and sum |t_k|
+    within 1e-13; returns the Python twin's result."""
+    vc, sc, mc = compiled.phi_sum(*args)
+    vp, sp, mp = py.phi_sum(*args)
+    assert sc == sp
+    assert vc == pytest.approx(vp, rel=1e-13)
+    assert mc == pytest.approx(mp, rel=1e-13)
+    assert mp >= abs(vp) * (1 - 1e-13)
+    return vp, sp, mp
+
+
+def test_phi_sum_parity(compiled):
     rng = random.Random(4)
     for _ in range(50):
         q = rng.uniform(0.2, 0.8)
@@ -64,26 +112,56 @@ def test_phi_sum_parity():
         lower = tuple(complex(rng.uniform(0.1, 0.9)) for _ in range(nl))
         z = rng.uniform(0.05, 0.8)
         sp_pow = 1 + len(lower) - len(upper)
-        vc, sc = cy.phi_sum(upper, lower, q, z, sp_pow, -1, 1e-16, 100000)
-        vp, s2 = py.phi_sum(upper, lower, q, z, sp_pow, -1, 1e-16, 100000)
-        assert sc == s2 == 0
-        assert vc == pytest.approx(vp, rel=1e-13)
+        _, status, _ = _phi_pair(compiled, upper, lower, q, z, sp_pow, -1, 1e-16, 100000)
+        assert status == 0
 
 
-def test_phi_sum_terminating_parity():
+def test_phi_sum_terminating_parity(compiled):
     q = 0.6
     n = 7
     upper = (q ** float(-n), 0.3 + 0.0j)
     lower = (0.5 + 0.0j,)
-    vc, sc = cy.phi_sum(upper, lower, q, 0.4, 0, n, 1e-16, 100000)
-    vp, sp = py.phi_sum(upper, lower, q, 0.4, 0, n, 1e-16, 100000)
+    vc, sc, mc = compiled.phi_sum(upper, lower, q, 0.4, 0, n, 1e-16, 100000)
+    vp, sp, mp = py.phi_sum(upper, lower, q, 0.4, 0, n, 1e-16, 100000)
     assert sc == sp == 0
     assert vc == pytest.approx(vp, rel=1e-14)
+    assert mc == pytest.approx(mp, rel=1e-14)
 
 
-def test_phi_sum_zero_denominator_status():
+def test_phi_sum_zero_denominator_status(compiled):
     q = 0.5
     lower = (q ** -2.0,)
-    vc, sc = cy.phi_sum((0.3 + 0j,), lower, q, 0.2, 1, -1, 1e-16, 1000)
-    vp, sp = py.phi_sum((0.3 + 0j,), lower, q, 0.2, 1, -1, 1e-16, 1000)
-    assert sc == sp == 2
+    _, status, mass = _phi_pair(compiled, (0.3 + 0j,), lower, q, 0.2, 1, -1, 1e-16, 1000)
+    assert status == 2
+    # the terms t_0, t_1 and t_2 were summed before the zero factor at k = 2
+    assert mass > 1.0
+
+
+def test_phi_sum_budget_status(compiled):
+    # 1phi0 at z = 0.999 needs far more than 50 terms
+    _, status, _ = _phi_pair(compiled, (0.5 + 0j,), (), 0.5, 0.999, 0, -1, 1e-16, 50)
+    assert status == 1
+
+
+def test_phi_sum_takes_any_parameter_count(compiled):
+    rng = random.Random(5)
+    upper = [complex(rng.uniform(0.1, 0.9), rng.uniform(-0.2, 0.2)) for _ in range(17)]
+    lower = [complex(rng.uniform(0.1, 0.9), rng.uniform(-0.2, 0.2)) for _ in range(17)]
+    value, status, _ = _phi_pair(compiled, upper, lower, 0.6, 0.7 - 0.2j, 1, -1, 1e-16, 100000)
+    assert status == 0
+    assert value != 1
+
+
+def test_wrong_arity_raises_type_error(compiled):
+    for backend in (compiled, py):
+        with pytest.raises(TypeError):
+            backend.phi_sum((), (), 0.5, 0.1)
+        with pytest.raises(TypeError):
+            backend.qpoch_finite(0.3, 0.5, 2.0)
+
+
+def test_catalog_passes_on_the_compiled_kernels(compiled, monkeypatch):
+    for name in ("qpoch_finite", "qpoch_negative", "qpoch_infinite", "phi_sum"):
+        monkeypatch.setattr(kernels, name, getattr(compiled, name))
+    reports = verify_all(samples=3, seed=0)
+    assert [r.id for r in reports if not r.passed] == []

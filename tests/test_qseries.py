@@ -4,6 +4,8 @@ Oracles: direct term-by-term summation with mpmath at high precision,
 plus classical closed forms (q-binomial theorem, triple product).
 """
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from qspecial import (
 )
 from qspecial.errors import ConvergenceError, DomainError
 from qspecial.limits import LimitReport as ConvergenceReport, confluence_limit_check
-from qspecial.qseries import psi_walk, reverse_terminating
+from qspecial.qseries import phi_walk, psi_walk, reverse_terminating
 
 
 def mp_phi(upper, lower, q, z, kmax=400):
@@ -198,6 +200,25 @@ def test_eval_psi_pinned_values(spec, pinned):
     assert eval_psi(spec) == value
     assert abs(value - pinned) <= 1e-15 * mass
     assert mass >= abs(value)
+
+
+def test_phi_walk_reports_sum_of_term_moduli():
+    # a terminating 2phi1 with alternating terms: the walk stops at k = n,
+    # and its sum |t_k| is that of the exact terms t_0 = 1, ..., t_n
+    q, n, b, c, z = 0.6, 6, 0.4, 0.7, -1.3
+    spec = SeriesSpec([q ** float(-n), b], [c], q, z)
+    value, mass = phi_walk(spec)
+    assert eval_phi(spec) == value
+    qf = Fraction(q)
+    term, terms = Fraction(1), [Fraction(1)]
+    for k in range(n):
+        qk = qf**k
+        term *= (1 - Fraction(spec.upper[0].real) * qk) * (1 - Fraction(b) * qk) * Fraction(z)
+        term /= (1 - Fraction(c) * qk) * (1 - qf ** (k + 1))
+        terms.append(term)
+    assert value.real == pytest.approx(float(sum(terms)), rel=1e-12)
+    assert mass == pytest.approx(float(sum(abs(t) for t in terms)), rel=1e-13)
+    assert phi_walk(SeriesSpec([0.3], [0.5], 0.5, 0.0)) == (1, 1)
 
 
 def test_eval_psi_annulus_domain_check():

@@ -10,11 +10,17 @@ r_psi_s(a_1..a_r; b_1..b_s; q, z)
 
 Terms are generated by the forward recurrence on the term ratio, which
 is rational in q^k; per-term Pochhammers are never recomputed.
+
+Every walk returns sum |t_k| with its value; inside a _conditioning_scope
+it also records the amplification sum |t_k| / |sum t_k|, the condition
+number of the sum, for whoever opened the scope.
 """
 
 import cmath
 import itertools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from qspecial import kernels
@@ -23,6 +29,37 @@ from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_list, tail_sum
 
 _TERMINATION_RTOL = 1e-12
 _MAX_TERMINATION_N = 10_000
+
+_SCOPE = ContextVar("qspecial_conditioning_scope", default=None)
+
+
+class _Scope:
+    """The worst amplification of the walks made in one scope; 0 if none."""
+
+    worst = 0.0
+
+
+@contextmanager
+def _conditioning_scope():
+    """Yield a _Scope that records every phi and psi walk made inside,
+    nested scopes included; outside any, a walk pays one ContextVar.get."""
+    scope = _Scope()
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+        outer = _SCOPE.get()
+        if outer is not None:
+            outer.worst = max(outer.worst, scope.worst)
+
+
+def _walked(value, mass):
+    """(value, mass) of a walk, its amplification noted in the scope."""
+    scope = _SCOPE.get()
+    if scope is not None:
+        scope.worst = max(scope.worst, mass / max(1e-300, abs(value)))
+    return value, mass
 
 
 @dataclass(frozen=True)
@@ -114,7 +151,7 @@ def phi_walk(spec, pol=DEFAULT_POLICY):
         n_terms = cls.n
     else:
         if spec.z == 0:
-            return 1.0 + 0.0j, 1.0
+            return _walked(1.0 + 0.0j, 1.0)
         if cls.radius == "ZERO":
             raise DomainError("series has zero radius of convergence for z != 0")
         if cls.radius == "UNIT" and abs(spec.z) >= 1:
@@ -134,7 +171,7 @@ def phi_walk(spec, pol=DEFAULT_POLICY):
         raise ConvergenceError("phi series tail not reached within max_terms")
     if status == 2:
         raise DomainError("phi series hit a zero denominator factor")
-    return value, mass
+    return _walked(value, mass)
 
 
 def eval_phi(spec, pol=DEFAULT_POLICY):
@@ -220,7 +257,7 @@ def psi_walk(spec, pol=DEFAULT_POLICY):
     down, down_mass, _ = tail_sum(
         _psi_down(spec), pol, "bilateral series lower tail not reached", scale
     )
-    return up + down, up_mass + down_mass
+    return _walked(up + down, up_mass + down_mass)
 
 
 def eval_psi(spec, pol=DEFAULT_POLICY):

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qspecial.errors import ConvergenceError
+from qspecial.errors import ConvergenceError, OutOfRangeError
 from qspecial.qcore import QUIET_TERMS
 
 
@@ -60,19 +60,34 @@ def gram(v, w):
     return np.einsum("nk,mk->nm", v * w, v)
 
 
-def _walk_length(mags, eps):
-    """Nodes summed once every entry has met the rule of qcore.tail_sum,
-    or None if some entry has not yet.  mags is (nodes, entries)."""
-    if len(mags) < QUIET_TERMS:
-        return None
-    scale = np.maximum.accumulate(mags, axis=0)
-    small = mags < eps * np.maximum(scale, 1e-300)
-    run = small[QUIET_TERMS - 1 :].copy()
-    for lag in range(1, QUIET_TERMS):
-        run &= small[QUIET_TERMS - 1 - lag : len(small) - lag]
-    if not run.any(axis=0).all():
-        return None
-    return int(run.argmax(axis=0).max()) + QUIET_TERMS
+class _TailRule:
+    """The rule of qcore.tail_sum for every entry of a walk at once, fed
+    one chunk of node magnitudes (nodes x entries) at a time.  Each entry
+    keeps its running maximum, its quiet run and the nodes it needed, so
+    a chunk costs the same however long the walk has been."""
+
+    def __init__(self, eps):
+        self.eps, self.walked = eps, 0
+        # per entry from the first chunk on; stop is 0 until the rule is met
+        self.scale = self.quiet = self.stop = 0
+
+    def feed(self, mags):
+        """Nodes summed once every entry has met the rule, else None.
+        OutOfRangeError if a node to be summed has a non-finite entry."""
+        scale = np.maximum(np.maximum.accumulate(mags, axis=0), self.scale)
+        small = mags < self.eps * np.maximum(scale, 1e-300)
+        rows = np.arange(len(mags))[:, None]
+        loud = np.maximum.accumulate(np.where(small, -1 - self.quiet, rows), axis=0)
+        quiet = rows - loud  # quiet nodes in a row, the carried run included
+        met = quiet >= QUIET_TERMS
+        first = self.walked + met.argmax(axis=0) + 1
+        self.stop = np.where((self.stop == 0) & met.any(axis=0), first, self.stop)
+        start, self.walked = self.walked, self.walked + len(mags)
+        self.scale, self.quiet = scale[-1], quiet[-1]
+        length = int(self.stop.max()) if self.stop.all() else None
+        if not np.isfinite(mags[: (length or self.walked) - start]).all():
+            raise OutOfRangeError("Gram entry overflows the double range")
+        return length
 
 
 def lattice_gram(values, a, start, step, w0, ratio, pol):
@@ -83,16 +98,18 @@ def lattice_gram(values, a, start, step, w0, ratio, pol):
     the upper half of qintegral_0inf.  values(x) gives the (N+1, len(x))
     values at an array of nodes, w0 = w(a start) and ratio(x) =
     w(step x)/w(x).  Each node is evaluated once; the walk sums as many
-    nodes as the entry with the slowest tail needs.
+    nodes as the entry with the slowest tail needs.  OutOfRangeError
+    once an entry overflows.
     """
     # a quarter of the nodes a tail decaying like step^k needs
     chunk = max(8, int(math.log(pol.tail_epsilon) / -abs(math.log(step))) // 4)
-    us, vs, mags = [], [], []
-    j_next, w_next, walked = start, w0, 0
+    us, vs = [], []
+    rule = _TailRule(pol.tail_epsilon)
+    j_next, w_next = start, w0
     while True:
-        if walked >= pol.max_terms:
+        if rule.walked >= pol.max_terms:
             raise ConvergenceError("q-integral tail not reached within max_terms")
-        size = min(chunk, pol.max_terms - walked)
+        size = min(chunk, pol.max_terms - rule.walked)
         j = np.cumprod(np.r_[j_next, np.full(size - 1, step)])
         x = a * j
         w = np.cumprod(np.r_[w_next, ratio(x[:-1])])
@@ -100,9 +117,8 @@ def lattice_gram(values, a, start, step, w0, ratio, pol):
         v = values(x)
         us.append(w * j)
         vs.append(v)
-        mags.append(np.abs(v[:, None, :] * v[None, :, :] * us[-1]).reshape(-1, size).T)
-        walked += size
-        length = _walk_length(np.concatenate(mags), pol.tail_epsilon)
+        mags = np.abs(v[:, None, :] * v[None, :, :] * us[-1]).reshape(-1, size).T
+        length = rule.feed(mags)
         if length is not None:
             v = np.concatenate(vs, axis=1)[:, :length]
             return gram(v, np.concatenate(us)[:length])

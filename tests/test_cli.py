@@ -404,3 +404,19 @@ def test_closed_output_pipe_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+def test_ortho_overflowing_gram_exits_with_an_error():
+    # the degree-50 Wall values overflow far down the lattice; the walk
+    # stops there instead of running on toward its term budget
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["ortho", "wall", "a=0.4", "q=0.5", "--nmax", "50"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qspecial.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert "error: Gram entry overflows the double range" in proc.stderr.decode()
+    assert "Traceback" not in proc.stderr.decode()

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from qspecial import identities, list_identities, verify, verify_all
-from qspecial.errors import DomainError
+from qspecial import identities, list_identities, qseries, verify, verify_all
+from qspecial.errors import DomainError, QSpecialError
 from qspecial.identities import TOLERANCES, VerificationReport, get_identity
 
 
@@ -96,19 +96,16 @@ def test_aw_kernel_transform_is_checked():
 
 def test_1psi1_sampler_rejects_slow_tail_before_the_walk(monkeypatch):
     # seed 127 draws c/(bz) = -0.9998, whose downward tail would run the
-    # whole term budget of the kappa walk
+    # whole term budget of the walk that verify makes of the left side
     walked = []
-    real_walk = identities.psi_walk
+    real_walk = qseries.psi_walk
 
     def walk(spec, *args):
         walked.append(spec.lower[0] / (spec.upper[0] * spec.z))
         return real_walk(spec, *args)
 
-    monkeypatch.setattr(identities, "psi_walk", walk)
-    rng = identities.random.Random("ramanujan_1psi1|127")
-    sampler = get_identity("ramanujan_1psi1").sampler
-    for _ in range(25):
-        sampler(rng)
+    monkeypatch.setattr(qseries, "psi_walk", walk)
+    assert verify("ramanujan_1psi1", samples=25, seed=127).passed
     assert walked
     assert all(abs(abs(r) - 1.0) >= 1e-3 for r in walked)
 
@@ -120,7 +117,9 @@ def test_kappa_stops_a_terminating_series_at_its_degree():
     upper = [2.6340716090179632, -3.187854634919791]
     lower = [-8.118304082475822]
     q, z = 0.7849520095955279, -1.526259033547419
-    kappa = identities._kappa(identities.phi_walk, upper, lower, q, z)
+    with qseries._conditioning_scope() as scope:
+        qseries.eval_phi(qseries.SeriesSpec(upper, lower, q, z))
+    kappa = scope.worst
     assert kappa <= 1e3
     qf, term, terms = Fraction(q), Fraction(1), [Fraction(1)]
     for k in range(4):
@@ -132,8 +131,79 @@ def test_kappa_stops_a_terminating_series_at_its_degree():
     assert kappa == pytest.approx(float(exact), rel=1e-12)
 
 
-def test_kappa_is_inf_when_the_walk_raises():
-    # |z| >= 1 outside the unit disk of a 2phi1, and a lower parameter at 1/q
-    assert identities._kappa(identities.phi_walk, [0.3, 0.4], [0.5], 0.5, 1.5) == math.inf
-    assert identities._kappa(identities.phi_walk, [0.3], [2.0], 0.5, 0.5) == math.inf
-    assert identities._kappa(identities.psi_walk, [], [0.5], 0.5, 0.3) == math.inf
+def _raising_record(guarded):
+    # candidates whose sides raise: |z| >= 1 outside the unit disk of a
+    # 2phi1, a lower parameter at 1/q, and a 0psi1 outside its annulus;
+    # then one whose sides sum
+    candidates = iter(
+        [
+            ("phi", [0.3, 0.4], [0.5], 1.5),
+            ("phi", [0.3], [2.0], 0.5),
+            ("psi", [], [0.5], 0.3),
+            ("phi", [0.3, 0.4], [0.5], 0.5),
+        ]
+    )
+    walks = {"phi": qseries.eval_phi, "psi": qseries.eval_psi}
+
+    def side(p):
+        return walks[p["walk"]](qseries.SeriesSpec(p["upper"], p["lower"], 0.5, p["z"]))
+
+    def sampler(rng):
+        walk, upper, lower, z = next(candidates)
+        return {"walk": walk, "upper": upper, "lower": lower, "z": z}
+
+    return identities.IdentityRecord(
+        "raising_sides", side, side, sampler, "PRODUCT_SERIES", "", guarded
+    )
+
+
+def test_guarded_draw_is_redrawn_when_a_side_raises(monkeypatch):
+    monkeypatch.setitem(identities._REGISTRY, "raising_sides", _raising_record(True))
+    rep = verify("raising_sides", samples=1)
+    assert rep.passed
+    assert rep.max_kappa == pytest.approx(1.0)
+    # an unguarded record keeps its draw, and the error reaches the caller
+    monkeypatch.setitem(identities._REGISTRY, "raising_sides", _raising_record(False))
+    with pytest.raises(QSpecialError):
+        verify("raising_sides", samples=1)
+
+
+@pytest.mark.parametrize(
+    "tolerance_class, bound",
+    [("EXACT_TERMINATING", 1e3), ("PRODUCT_SERIES", 1e4), ("LIMIT_CHAIN", 1e6)],
+)
+def test_guard_bound_is_the_class_tolerance_at_unit_rounding(
+    tolerance_class, bound, monkeypatch
+):
+    # sides that report one walk each, first just above the bound, then
+    # just below it
+    kappas = iter([1.01 * bound, 0.99 * bound])
+    record = identities.IdentityRecord(
+        "kappa_bound",
+        lambda p: qseries._walked(1.0, p["kappa"])[0],
+        lambda p: 1.0,
+        lambda rng: {"kappa": next(kappas)},
+        tolerance_class,
+        "",
+        True,
+    )
+    monkeypatch.setitem(identities._REGISTRY, "kappa_bound", record)
+    rep = verify("kappa_bound", samples=1, tolerance=1e-30)
+    assert rep.passed
+    assert rep.max_kappa == 0.99 * bound
+
+
+def test_guard_redraws_by_the_worst_kappa_of_both_sides():
+    # seed 116 once accepted a draw whose right-hand 2phi1 has kappa 1.6e12,
+    # a series no guard walked, and failed with error 7.8e-6
+    rep = verify("three_term_2phi1", samples=25, seed=116)
+    assert rep.passed
+    assert 1.0 <= rep.max_kappa <= TOLERANCES["PRODUCT_SERIES"] / 1e-14
+
+
+def test_unguarded_record_reports_the_kappa_of_its_draw():
+    # F3: the q-Gauss draw at seed 16 sums a series with kappa 1.2e18
+    rep = verify("q_gauss", samples=1, seed=16)
+    assert not rep.passed
+    assert rep.max_kappa > 1e17
+    assert json.loads(rep.to_json())["max_kappa"] == rep.max_kappa

@@ -7,6 +7,7 @@ sums, dual series representations, and shift-operator algebra.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from qspecial import (
@@ -22,7 +23,7 @@ from qspecial import (
     little_qjacobi_gram,
     little_qjacobi_norm,
 )
-from qspecial.errors import DomainError
+from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qorthopoly import (
     _FAMILIES,
     al_salam_carlitz_u,
@@ -44,7 +45,8 @@ from qspecial.qorthopoly import (
     quadratic_transform_check,
 )
 from qspecial.qcalculus import qintegral_0a
-from qspecial.recurrence import eval_all
+from qspecial.qcore import QUIET_TERMS
+from qspecial.recurrence import _TailRule, eval_all
 
 BQJ = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
 
@@ -119,6 +121,60 @@ def test_big_qjacobi_gram_matrix_matches_scalar_qintegral():
             )
             want = qintegral_0a(f, p.c, p.q) - qintegral_0a(f, -p.d, p.q)
             assert abs(gram[n, m] - want) <= 1e-14 * scale
+
+
+def _one_pass_walk_length(mags, eps):
+    """The tail rule over the whole walk so far, rescanned from its first
+    node: the nodes summed once every entry has met it, else None."""
+    if len(mags) < QUIET_TERMS:
+        return None
+    scale = np.maximum.accumulate(mags, axis=0)
+    small = mags < eps * np.maximum(scale, 1e-300)
+    run = small[QUIET_TERMS - 1 :].copy()
+    for lag in range(1, QUIET_TERMS):
+        run &= small[QUIET_TERMS - 1 - lag : len(small) - lag]
+    if not run.any(axis=0).all():
+        return None
+    return int(run.argmax(axis=0).max()) + QUIET_TERMS
+
+
+def test_tail_rule_fed_in_chunks_matches_one_pass():
+    rng = np.random.default_rng(7)
+    eps = 1e-6
+    for trial in range(40):
+        entries = int(rng.integers(1, 9))
+        nodes = 200
+        # tails decaying at different rates, with bursts that restart the
+        # quiet count and exact zeros
+        rates = rng.uniform(0.05, 0.5, entries)
+        mags = np.exp(-np.outer(np.arange(nodes), rates)) * rng.uniform(0.1, 1.0, (nodes, entries))
+        mags[rng.random((nodes, entries)) < 0.05] *= 1e8
+        mags[rng.random((nodes, entries)) < 0.05] = 0.0
+        rule, walked, got = _TailRule(eps), 0, None
+        while got is None and walked < nodes:
+            size = int(rng.integers(1, 12))
+            got = rule.feed(mags[walked : walked + size])
+            walked = min(nodes, walked + size)
+            assert got == _one_pass_walk_length(mags[:walked], eps), trial
+        assert got is not None
+
+
+def test_tail_rule_raises_on_a_summed_non_finite_entry():
+    eps = 1e-6
+    mags = np.exp(-np.arange(40.0))[:, None] * np.ones((1, 3))
+    # past the stop at node 19 a non-finite entry is never summed
+    late = mags.copy()
+    late[30, 1] = np.inf
+    assert _TailRule(eps).feed(late) == _one_pass_walk_length(mags, eps) == 19
+    for bad in (np.inf, np.nan):
+        early = mags.copy()
+        early[10, 2] = bad
+        with pytest.raises(OutOfRangeError):
+            _TailRule(eps).feed(early)
+        rule = _TailRule(eps)
+        assert rule.feed(mags[:8]) is None
+        with pytest.raises(OutOfRangeError):
+            rule.feed(early[8:16])
 
 
 def test_eval_all_rows_match_scalar_recurrence():

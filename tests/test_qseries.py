@@ -21,6 +21,7 @@ from qspecial import (
 )
 from qspecial.errors import ConvergenceError, DomainError
 from qspecial.limits import LimitReport as ConvergenceReport, confluence_limit_check
+from qspecial import qseries
 from qspecial.qseries import phi_walk, psi_walk, reverse_terminating
 
 
@@ -219,6 +220,38 @@ def test_phi_walk_reports_sum_of_term_moduli():
     assert value.real == pytest.approx(float(sum(terms)), rel=1e-12)
     assert mass == pytest.approx(float(sum(abs(t) for t in terms)), rel=1e-13)
     assert phi_walk(SeriesSpec([0.3], [0.5], 0.5, 0.0)) == (1, 1)
+
+
+def test_conditioning_scope_records_the_worst_walk():
+    def kappa(walk, spec):
+        value, mass = walk(spec)
+        return mass / abs(value)
+
+    calm = SeriesSpec([0.3, 0.4], [0.5], 0.5, 0.5)  # every term positive
+    q, n = 0.6, 6
+    loud = SeriesSpec([q ** float(-n), 0.4], [0.7], q, 1.3)  # alternating
+    bilateral = SeriesSpec([0.6], [0.2], 0.5, -0.7)
+    k_calm, k_loud = kappa(phi_walk, calm), kappa(phi_walk, loud)
+    k_bilateral = kappa(psi_walk, bilateral)
+    assert k_calm == pytest.approx(1.0)
+    assert k_loud > k_bilateral > 1.0
+    with qseries._conditioning_scope() as outer:
+        eval_phi(calm)
+        assert outer.worst == k_calm
+        with qseries._conditioning_scope() as inner:
+            eval_psi(bilateral)
+            eval_phi(loud)
+            eval_phi(calm)
+        assert inner.worst == k_loud
+        # the outer scope sees the walks of the nested one
+        assert outer.worst == k_loud
+    # outside a scope a walk records nothing
+    eval_phi(loud)
+    assert qseries._SCOPE.get() is None
+    with qseries._conditioning_scope() as fresh:
+        eval_psi(bilateral)
+    assert fresh.worst == k_bilateral
+    assert outer.worst == inner.worst == k_loud
 
 
 def test_eval_psi_annulus_domain_check():

@@ -6,12 +6,14 @@ coefficient stream vs closed generating function) with a seeded
 parameter sampler and a tolerance class.  Verification draws random
 parameters, evaluates both sides, and reports the worst relative error.
 
-A sampler returns None to reject a candidate.  The conditioning of a
-draw is judged in verify, from the walks its two sides make: each phi
-and psi walk reports its amplification sum |t_k| / |sum t_k|, and a
-guarded record redraws when the worst of them would swamp its
-tolerance class at 1e-14 relative rounding per series value, or when a
-side raises.  Unguarded records keep every draw their sampler admits.
+A sampler only draws: it returns None to reject a candidate from its
+parameters alone and evaluates nothing.  The conditioning of a draw is
+judged in verify, from the walks its two sides make: each phi and psi
+walk reports its amplification sum |t_k| / |sum t_k|, a side that adds
+terms which can cancel reports the same of its finite sum (_sum), and
+a guarded record redraws when the worst of them would swamp its
+tolerance class at 1e-14 relative rounding per value, or when a side
+raises.  Unguarded records keep every draw their sampler admits.
 """
 
 import cmath
@@ -31,7 +33,13 @@ from qspecial.qcore import (
 )
 from qspecial.qcalculus import qintegral_0a
 from qspecial.qfunctions import E_q, e_q, gamma_q, gamma_q_reciprocal, partition_count
-from qspecial.qseries import SeriesSpec, _conditioning_scope, eval_phi, eval_psi
+from qspecial.qseries import (
+    SeriesSpec,
+    _conditioning_scope,
+    _walked,
+    eval_phi,
+    eval_psi,
+)
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
 from qspecial.limits import classical_eval
@@ -145,18 +153,11 @@ def _lower_ok(vals, q, margin=0.05):
     return True
 
 
-def _nmax(q, budget=2.0):
-    """Largest termination degree whose series stays well conditioned.
-
-    A terminating series at argument q has intermediate terms as large as
-    roughly q^{-n(n+1)/2}; capping that at 10^budget keeps the absolute
-    rounding error near 10^{budget-16}.
-    """
-    level = math.log10(1.0 / q)
-    n = 1
-    while n < 11 and (n + 1) * (n + 2) / 2.0 * level <= budget:
-        n += 1
-    return n
+def _sum(terms):
+    """sum t_i of a side's terms, its amplification sum |t_i| / |sum t_i|
+    noted in the conditioning scope as a walk's is."""
+    terms = list(terms)
+    return _walked(sum(terms), sum(abs(t) for t in terms))[0]
 
 
 # integer power series in q (lists of ints, index = exponent)
@@ -430,17 +431,12 @@ _add(
 )
 
 
-def _sample_nbc(rng, nmax=13):
+def _sample_nbc(rng):
     q = _q(rng)
-    n, b, c = rng.randrange(0, nmax), _s(rng), _s(rng)
+    n, b, c = rng.randrange(0, 13), _s(rng), _s(rng)
     if not _lower_ok([c], q):
         return None
     return {"q": q, "n": n, "b": b, "c": c}
-
-
-def _sample_nbc_capped(rng):
-    p = _sample_nbc(rng)
-    return None if p is None or p["n"] > _nmax(p["q"]) else p
 
 
 _add(
@@ -507,8 +503,6 @@ _add(
 def _sample_reversal(rng):
     q = _q(rng)
     n, b, c, z = rng.randrange(0, 11), _s(rng), _s(rng), _s(rng)
-    if n > _nmax(q):
-        return None
     if not _lower_ok([c], q):
         return None
     if not _lower_ok([q ** float(-n + 1) / b], q):
@@ -559,7 +553,7 @@ _add(
     lambda p: qpoch(p["c"] / p["b"], p["q"], p["n"])
     * p["b"] ** p["n"]
     / qpoch(p["c"], p["q"], p["n"]),
-    _sample_nbc_capped,
+    _sample_nbc,
     "EXACT_TERMINATING",
     "second terminating q-Chu-Vandermonde summation",
     guarded=True,
@@ -569,8 +563,6 @@ _add(
 def _sample_term_3phi2(rng):
     q = _q(rng)
     n, b, c, z = rng.randrange(0, 11), _s(rng), _s(rng), _s(rng)
-    if n > _nmax(q):
-        return None
     if not _lower_ok([c, b * q ** float(1 - n) / c], q):
         return None
     return {"q": q, "n": n, "b": b, "c": c, "z": z}
@@ -607,8 +599,6 @@ _add(
 def _sample_jackson_3phi2(rng):
     q = _q(rng)
     n, b, c, z = rng.randrange(0, 11), _s(rng), _s(rng), _s(rng)
-    if n > _nmax(q):
-        return None
     if not _lower_ok([c, c * q / (b * z)], q):
         return None
     return {"q": q, "n": n, "b": b, "c": c, "z": z}
@@ -652,13 +642,7 @@ def _sample_three_term(rng):
     for x in (c / q, a * q / c, q / b, b * z / c, c * q / (b * z)):
         if abs(x - 1.0) < 0.02:
             return None
-    p = {"q": q, "a": a, "b": b, "c": c, "z": z}
-    # the two left-hand terms must not cancel each other
-    lhs = _three_term_lhs(p)
-    t1 = eval_phi(SeriesSpec([a, b], [c], q, z))
-    if abs(t1) + abs(lhs - t1) > 1e3 * max(1.0, abs(lhs)):
-        return None
-    return p
+    return {"q": q, "a": a, "b": b, "c": c, "z": z}
 
 
 def _three_term_lhs(p):
@@ -666,8 +650,11 @@ def _three_term_lhs(p):
     num = [a, q / c, c / b, b * z / q, q * q / (b * z)]
     den = [c / q, a * q / c, q / b, b * z / c, c * q / (b * z)]
     coeff = qpoch_list(num, q, INFINITY) / qpoch_list(den, q, INFINITY)
-    return eval_phi(SeriesSpec([a, b], [c], q, z)) + coeff * eval_phi(
-        SeriesSpec([a * q / c, b * q / c], [q * q / c], q, z)
+    return _sum(
+        [
+            eval_phi(SeriesSpec([a, b], [c], q, z)),
+            coeff * eval_phi(SeriesSpec([a * q / c, b * q / c], [q * q / c], q, z)),
+        ]
     )
 
 
@@ -703,12 +690,7 @@ def _sample_symmetric_connection(rng):
     # keep the parameter pair well separated
     if abs(b / a - 1.0) < 0.05 or abs(a / b - 1.0) < 0.05:
         return None
-    p = {"q": q, "a": a, "b": b, "c": c, "z": z}
-    t1 = _symmetric_connection_term(p, a, b)
-    t2 = _symmetric_connection_term(p, b, a)
-    if abs(t1) + abs(t2) > 1e3 * max(1.0, abs(t1 + t2)):
-        return None
-    return p
+    return {"q": q, "a": a, "b": b, "c": c, "z": z}
 
 
 def _symmetric_connection_lhs(p):
@@ -728,8 +710,9 @@ def _symmetric_connection_term(p, aa, bb):
 
 
 def _symmetric_connection_rhs(p):
-    return _symmetric_connection_term(p, p["a"], p["b"]) + _symmetric_connection_term(
-        p, p["b"], p["a"]
+    a, b = p["a"], p["b"]
+    return _sum(
+        [_symmetric_connection_term(p, a, b), _symmetric_connection_term(p, b, a)]
     )
 
 
@@ -751,33 +734,25 @@ def _sample_nonterm_gauss(rng):
         return None
     if abs(c / q - 1.0) < 1e-3:
         return None
-    # the two left-hand series can cancel catastrophically; bound the
-    # first one directly so the float sum keeps absolute accuracy
-    if abs(eval_phi(SeriesSpec([a, b], [c], q, q))) > 1e3:
-        return None
     return {"q": q, "a": a, "b": b, "c": c}
+
+
+def _nonterm_gauss_lhs(p):
+    q, a, b, c = p["q"], p["a"], p["b"], p["c"]
+    coeff = qpoch_list([a, b, q / c], q, INFINITY) / qpoch_list(
+        [a * q / c, b * q / c, c / q], q, INFINITY
+    )
+    return _sum(
+        [
+            eval_phi(SeriesSpec([a, b], [c], q, q)),
+            coeff * eval_phi(SeriesSpec([a * q / c, b * q / c], [q * q / c], q, q)),
+        ]
+    )
 
 
 _add(
     "nonterminating_q_gauss",
-    lambda p: eval_phi(SeriesSpec([p["a"], p["b"]], [p["c"]], p["q"], p["q"]))
-    + qpoch_list([p["a"], p["b"], p["q"] / p["c"]], p["q"], INFINITY)
-    / qpoch_list(
-        [
-            p["a"] * p["q"] / p["c"],
-            p["b"] * p["q"] / p["c"],
-            p["c"] / p["q"],
-        ],
-        p["q"], INFINITY
-    )
-    * eval_phi(
-        SeriesSpec(
-            [p["a"] * p["q"] / p["c"], p["b"] * p["q"] / p["c"]],
-            [p["q"] ** 2 / p["c"]],
-            p["q"],
-            p["q"],
-        )
-    ),
+    _nonterm_gauss_lhs,
     lambda p: qpoch_list(
         [p["a"] * p["b"] * p["q"] / p["c"], p["q"] / p["c"]], p["q"], INFINITY
     ) / qpoch_list(
@@ -786,6 +761,7 @@ _add(
     _sample_nonterm_gauss,
     "PRODUCT_SERIES",
     "nonterminating q-Gauss two-term evaluation",
+    guarded=True,
 )
 
 
@@ -888,8 +864,6 @@ _add(
 def _sample_saalschutz(rng):
     q = _q(rng)
     n = rng.randrange(0, 11)
-    if n > _nmax(q):
-        return None
     a, b, c = _s(rng), _s(rng), _s(rng)
     other = a * b * q ** float(1 - n) / c
     if not _lower_ok([c, other], q):
@@ -922,8 +896,6 @@ _add(
 def _sample_watson(rng, jackson=False):
     q = _q(rng)
     n = rng.randrange(0, 9)
-    if n > _nmax(q):
-        return None
     a = rng.uniform(0.2, 0.9)
     b, c, d = _s(rng, 0.2, 0.9), _s(rng, 0.2, 0.9), _s(rng, 0.2, 0.9)
     if jackson:
@@ -1120,38 +1092,25 @@ _add(
 
 def _qpoch_convolution_rhs(p):
     q, a, b, n = p["q"], p["a"], p["b"], p["n"]
-    total = 0.0 + 0.0j
-    for k in range(n + 1):
-        total += (
-            qbinomial(n, k, q)
-            * b**k
-            * qpoch(a, q, k)
-            * qpoch(b, q, n - k)
-        )
-    return total
-
-
-def _sample_qpoch_convolution(rng):
-    q = _q(rng)
-    a, b = _s(rng, 0.2, 1.5), _s(rng, 0.2, 1.5)
-    n = rng.randrange(0, 11)
-    p = {"q": q, "a": a, "b": b, "n": n}
-    tsum = sum(
-        abs(qbinomial(n, k, q) * b**k * qpoch(a, q, k) * qpoch(b, q, n - k))
+    return _sum(
+        qbinomial(n, k, q) * b**k * qpoch(a, q, k) * qpoch(b, q, n - k)
         for k in range(n + 1)
     )
-    if tsum > 1e3 * max(1.0, abs(qpoch(a * b, q, n))):
-        return None
-    return p
 
 
 _add(
     "qpoch_convolution",
     lambda p: qpoch(p["a"] * p["b"], p["q"], p["n"]),
     _qpoch_convolution_rhs,
-    _sample_qpoch_convolution,
+    lambda rng: {
+        "q": _q(rng),
+        "a": _s(rng, 0.2, 1.5),
+        "b": _s(rng, 0.2, 1.5),
+        "n": rng.randrange(0, 11),
+    },
     "EXACT_TERMINATING",
     "q-binomial convolution of shifted factorials",
+    guarded=True,
 )
 
 # --- partition identities (exact integer coefficient streams) ---------------

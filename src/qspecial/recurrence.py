@@ -117,7 +117,10 @@ def lattice_gram(values, a, start, step, w0, ratio, pol):
         v = values(x)
         us.append(w * j)
         vs.append(v)
-        mags = np.abs(v[:, None, :] * v[None, :, :] * us[-1]).reshape(-1, size).T
+        # nodes past the stop may overflow to inf or nan here; feed raises
+        # OutOfRangeError for any such node it sums, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            mags = np.abs(v[:, None, :] * v[None, :, :] * us[-1]).reshape(-1, size).T
         length = rule.feed(mags)
         if length is not None:
             v = np.concatenate(vs, axis=1)[:, :length]

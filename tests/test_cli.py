@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -420,3 +421,18 @@ def test_ortho_overflowing_gram_exits_with_an_error():
     assert proc.returncode == 2
     assert "error: Gram entry overflows the double range" in proc.stderr.decode()
     assert "Traceback" not in proc.stderr.decode()
+
+
+def test_ortho_moak_report_passes_without_numpy_warnings(capsys):
+    # the lattice walk forms magnitudes for nodes past its stop, where the
+    # degree-15 entries overflow; those nodes are never summed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            ["ortho", "moak", "alpha=0.7", "q=0.5", "--nmax", "15"], capsys
+        )
+    assert code == 0
+    assert err == ""
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 16 * 17 // 2
+    assert all(row.split()[-1] == "ok" for row in rows)

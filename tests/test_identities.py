@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -207,3 +208,67 @@ def test_unguarded_record_reports_the_kappa_of_its_draw():
     assert not rep.passed
     assert rep.max_kappa > 1e17
     assert json.loads(rep.to_json())["max_kappa"] == rep.max_kappa
+
+
+def _cancelling_record(guarded):
+    # 1e5 + (-1e5 + 1) is exactly 1, at amplification 2e5 - 1, above the
+    # PRODUCT_SERIES bound of 1e4; then two terms that do not cancel
+    draws = iter([[1e5, -1e5 + 1.0], [1.0, 2.0]])
+    return identities.IdentityRecord(
+        "cancelling_sum",
+        lambda p: identities._sum(p["terms"]),
+        lambda p: sum(p["terms"]),
+        lambda rng: {"terms": next(draws)},
+        "PRODUCT_SERIES",
+        "",
+        guarded,
+    )
+
+
+def test_guard_judges_a_finite_sum_of_side_terms_like_a_walk(monkeypatch):
+    monkeypatch.setitem(identities._REGISTRY, "cancelling_sum", _cancelling_record(True))
+    rep = verify("cancelling_sum", samples=1, tolerance=1e-30)
+    assert rep.passed
+    assert rep.max_kappa == 1.0
+    monkeypatch.setitem(identities._REGISTRY, "cancelling_sum", _cancelling_record(False))
+    rep = verify("cancelling_sum", samples=1, tolerance=1e-30)
+    assert rep.max_kappa == 2e5 - 1.0
+
+
+# every evaluator the catalog's sides call
+_EVALUATORS = (
+    "eval_phi", "eval_psi", "qpoch", "qpoch_list", "qbinomial", "tail_sum",
+    "qintegral_0a", "E_q", "e_q", "gamma_q", "gamma_q_reciprocal",
+    "partition_count", "little_qjacobi", "aw_poly",
+    "al_salam_chihara_recurrence_table", "classical_eval", "eval_all",
+)
+
+
+def test_samplers_only_draw(monkeypatch):
+    # whether a draw is well conditioned is judged in verify alone, from the
+    # walks its two sides make; a sampler that evaluated would walk again
+    def evaluator(*args, **kwargs):
+        raise AssertionError("a sampler called an evaluator")
+
+    for name in _EVALUATORS:
+        monkeypatch.setattr(identities, name, evaluator)
+    rng = random.Random(0)
+    for identity_id in list_identities():
+        sampler = get_identity(identity_id).sampler
+        for _ in range(50):
+            sampler(rng)
+
+
+def test_three_term_sides_walk_each_series_once(monkeypatch):
+    # 25 draws need 3 walks each, and one draw is redrawn; the sampler's
+    # own cancellation check once walked the left side a second time
+    walks = []
+    real_walk = qseries.phi_walk
+
+    def walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(qseries, "phi_walk", walk)
+    assert verify("three_term_2phi1", samples=25, seed=0).passed
+    assert len(walks) <= 78

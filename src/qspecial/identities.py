@@ -13,7 +13,8 @@ walk reports its amplification sum |t_k| / |sum t_k|, a side that adds
 terms which can cancel reports the same of its finite sum (_sum), and
 a guarded record redraws when the worst of them would swamp its
 tolerance class at 1e-14 relative rounding per value, or when a side
-raises.  Unguarded records keep every draw their sampler admits.
+raises.  Unguarded records keep every draw their sampler admits.  A
+q-integral side is one lattice walk of its weight (_jackson).
 """
 
 import cmath
@@ -21,17 +22,21 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, count
+
+import numpy as np
 
 from qspecial.errors import DomainError, QSpecialError
 from qspecial.qcore import (
+    DEFAULT_POLICY,
     INFINITY,
     TruncationPolicy,
     qbinomial,
     qpoch,
+    qpoch_inf_ratio,
     qpoch_list,
     tail_sum,
 )
-from qspecial.qcalculus import qintegral_0a
 from qspecial.qfunctions import E_q, e_q, gamma_q, gamma_q_reciprocal, partition_count
 from qspecial.qseries import (
     SeriesSpec,
@@ -43,7 +48,7 @@ from qspecial.qseries import (
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
 from qspecial.limits import classical_eval
-from qspecial.recurrence import eval_all
+from qspecial.recurrence import eval_all, lattice_gram
 
 TOLERANCES = {
     "EXACT_TERMINATING": 1e-11,
@@ -297,14 +302,9 @@ _add(
 def _eq_base_inverted(p):
     # e_{1/q}(z) summed directly in base 1/q
     q, z = p["q"], p["z"]
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for k in range(1, 300):
-        term *= z / (1.0 - q ** float(-k))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
-    return total
+    step = lambda t, k: t * z / (1.0 - q ** float(-k))
+    terms = accumulate(count(1), step, initial=1.0 + 0.0j)
+    return tail_sum(terms, DEFAULT_POLICY, "e_{1/q} tail not reached")[0]
 
 
 _add(
@@ -316,14 +316,28 @@ _add(
     "base inversion q -> 1/q of the q-exponential",
 )
 
+
+def _jackson(end, s, upper, lower, q):
+    """int_0^end t^s prod_u (ut;q)_oo / prod_l (lt;q)_oo d_qt, end > 0, by
+    one lattice walk: the products are taken at t = end only, and the
+    weight steps by its ratio q^s prod (1 - lt) / prod (1 - ut)."""
+    at_end = [u * end for u in upper], [l * end for l in lower]
+    w0 = qpoch_inf_ratio(*at_end, q, log_factor=s * math.log(end))
+
+    def ratio(t):
+        num = math.prod((1.0 - l * t for l in lower), start=q**s)
+        return num / math.prod(1.0 - u * t for u in upper)
+
+    ones = lambda t: np.ones((1, len(t)))
+    return complex(lattice_gram(ones, (end, q, w0, ratio), DEFAULT_POLICY)[0, 0])
+
+
 _add(
     "euler_chain_gamma",
     lambda p: gamma_q(p["b"], p["q"]),
-    lambda p: qintegral_0a(
-        lambda t: t ** (p["b"] - 1.0)
-        * E_q(-(1.0 - p["q"]) * p["q"] * t, p["q"]),
-        1.0 / (1.0 - p["q"]),
-        p["q"],
+    # E_q(-(1-q)qt) = ((1-q)qt;q)_oo
+    lambda p: _jackson(
+        1.0 / (1.0 - p["q"]), p["b"] - 1.0, [(1.0 - p["q"]) * p["q"]], [], p["q"]
     ),
     lambda rng: {"q": _q(rng), "b": rng.uniform(0.3, 3.0)},
     "PRODUCT_SERIES",
@@ -335,13 +349,7 @@ _add(
     lambda p: gamma_q(p["a"], p["q"])
     * gamma_q(p["b"], p["q"])
     / gamma_q(p["a"] + p["b"], p["q"]),
-    lambda p: qintegral_0a(
-        lambda t: t ** (p["b"] - 1.0)
-        * qpoch(p["q"] * t, p["q"], INFINITY)
-        / qpoch(p["q"] ** p["a"] * t, p["q"], INFINITY),
-        1.0,
-        p["q"],
-    ),
+    lambda p: _jackson(1.0, p["b"] - 1.0, [p["q"]], [p["q"] ** p["a"]], p["q"]),
     lambda rng: {"q": _q(rng), "a": rng.uniform(0.3, 3.0), "b": rng.uniform(0.3, 3.0)},
     "PRODUCT_SERIES",
     "q-beta integral; Gasper & Rahman (1990), Eq. (1.11.7)",
@@ -358,14 +366,7 @@ def _heine_integral_lhs(p):
 def _heine_integral_rhs(p):
     q, a, b, c, z = p["q"], p["a"], p["b"], p["c"], p["z"]
     pref = gamma_q(c, q) / (gamma_q(b, q) * gamma_q(c - b, q))
-    integrand = lambda t: (
-        t ** (b - 1.0)
-        * qpoch(t * q, q, INFINITY)
-        / qpoch(t * q ** (c - b), q, INFINITY)
-        * qpoch(t * z * q**a, q, INFINITY)
-        / qpoch(t * z, q, INFINITY)
-    )
-    return pref * qintegral_0a(integrand, 1.0, q)
+    return pref * _jackson(1.0, b - 1.0, [q, z * q**a], [q ** (c - b), z], q)
 
 
 _add(
@@ -776,12 +777,8 @@ def _sample_gauss_integral(rng):
 
 def _gauss_integral_lhs(p):
     q, a, b, c = p["q"], p["a"], p["b"], p["c"]
-
-    def f(t):
-        num = qpoch_list([c * t, q * t], q, INFINITY)
-        return num / qpoch_list([a * t, b * t], q, INFINITY)
-
-    return qintegral_0a(f, 1.0, q) - qintegral_0a(f, q / c, q)
+    # (ct, qt;q)_oo / (at, bt;q)_oo over [q/c, 1]
+    return _jackson(1.0, 0.0, [c, q], [a, b], q) - _jackson(q / c, 0.0, [c, q], [a, b], q)
 
 
 _add(

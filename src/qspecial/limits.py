@@ -13,9 +13,10 @@ monotonically decreasing.
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, count
 
 from qspecial.errors import DomainError, UnknownPath
-from qspecial.qcore import DEFAULT_POLICY, qbinomial, qpoch, shifted_factorial
+from qspecial.qcore import DEFAULT_POLICY, qbinomial, qpoch, shifted_factorial, tail_sum
 from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import (
     BigQJacobiParams,
@@ -221,16 +222,12 @@ def classical_gamma(z):
 
 
 def classical_bessel_j(nu, x):
-    """Bessel J_nu by the ascending series with a term recurrence."""
+    """Bessel J_nu by the ascending series, summed by qcore.tail_sum."""
     x = complex(x)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
     w = -x * x / 4.0
-    for k in range(1, 400):
-        term *= w / (k * (nu + k))
-        total += term
-        if abs(term) < 1e-18 * max(1.0, abs(total)):
-            break
+    step = lambda t, k: t * w / (k * (nu + k))
+    terms = accumulate(count(1), step, initial=1.0 + 0.0j)
+    total = tail_sum(terms, DEFAULT_POLICY, "Bessel series tail not reached")[0]
     return (x / 2.0) ** nu / classical_gamma(nu + 1.0) * total
 
 

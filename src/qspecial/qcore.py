@@ -24,9 +24,9 @@ from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 INFINITY = "oo"
 
 # (a;q)_oo is the kernel product while that needs at most this many factors,
-# log(tail_epsilon (1-q)/|a|)/log q, and the log series beyond: where the
-# timings of the two paths cross for each backend (README, "Numerical notes")
-_SERIES_FROM = {"python": 80, "c": 4000}[kernels.BACKEND]
+# log(tail_epsilon (1-q)/|a|)/log q, and the log series beyond: where the two
+# timings cross (Python), or where a longer product would round past 64 eps (C)
+_SERIES_FROM = {"python": 80, "c": 1000}[kernels.BACKEND]
 # the log series starts once |a q^j| <= _PEEL; earlier factors are peeled off
 _PEEL = 0.5
 # peeled factors are summed in numpy blocks of about this many factors (64 kB

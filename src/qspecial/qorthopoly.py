@@ -291,11 +291,9 @@ def big_qjacobi_gram_matrix(nmax, p, pol=DEFAULT_POLICY):
             (1.0 - q * x / c) * (1.0 + q * x / d)
         )
 
-    def part(end):
-        w0 = big_qjacobi_weight(end, p, pol)
-        return end * (1.0 - q) * lattice_gram(values, end, 1.0, q, w0, ratio, pol)
-
-    return part(c) - part(-d)
+    upper = lattice_gram(values, (c, q, big_qjacobi_weight(c, p, pol), ratio), pol)
+    lower = lattice_gram(values, (-d, q, big_qjacobi_weight(-d, p, pol), ratio), pol)
+    return upper - lower
 
 
 def big_qjacobi_gram(n, m, p, pol=DEFAULT_POLICY):
@@ -445,7 +443,7 @@ def little_qjacobi_gram_matrix(nmax, a, b, q, pol=DEFAULT_POLICY):
     values = _series_values(
         lambda n, t: little_qjacobi(n, t, a, b, q, pol=pol), nmax
     )
-    total = (1.0 - q) * lattice_gram(values, 1.0, 1.0, q, w0, ratio, pol)
+    total = lattice_gram(values, (1.0, q, w0, ratio), pol)
     norm = qpoch_inf_ratio([q, q * q * a * b], [q * a, q * b], q, pol, math.log1p(-q))
     return total / norm
 
@@ -726,9 +724,8 @@ def _moak_gram(nmax, alpha, q, pol):
     def up(x):
         return q**-alpha / (1.0 + (1.0 - q) * x / q)
 
-    return (1.0 - q) * (
-        lattice_gram(values, 1.0, 1.0, q, w0, down, pol)
-        + lattice_gram(values, 1.0, 1.0 / q, 1.0 / q, w0 * up(1.0), up, pol)
+    return lattice_gram(values, (1.0, q, w0, down), pol) + lattice_gram(
+        values, (1.0 / q, 1.0 / q, w0 * up(1.0), up), pol
     )
 
 

@@ -11,8 +11,9 @@ A Gram matrix is G = V diag(w) V^T over a measure's nodes and weights:
 V holds the values of degrees 0..N (one row per degree), w the weights.
 It is bilinear, with no conjugate.  On a geometric lattice (a Jackson
 q-integral) the nodes are walked in chunks, the weight steps by its
-rational ratio w(step x)/w(x), and the walk ends by the tail rule of
-qcore.tail_sum applied to every entry.
+rational ratio w(step x)/w(x), each node carries its Jackson mass (1-q) x,
+and the walk, which the catalog's q-integrals also take, ends by the tail
+rule of qcore.tail_sum applied to every entry.
 """
 
 import math
@@ -90,32 +91,31 @@ class _TailRule:
         return length
 
 
-def lattice_gram(values, a, start, step, w0, ratio, pol):
-    """sum_k w(x_k) j_k V(x_k) V(x_k)^T over x_k = a j_k, j_k = start step^k.
+def lattice_gram(values, lattice, pol):
+    """sum_k (1-q) x_k w(x_k) V(x_k) V(x_k)^T over x_k = x0 step^k.
 
-    With start = 1, step = q this is qintegral_0a of every product
-    p_n p_m w without its factor a(1-q); with start = step = 1/q it is
-    the upper half of qintegral_0inf.  values(x) gives the (N+1, len(x))
-    values at an array of nodes, w0 = w(a start) and ratio(x) =
-    w(step x)/w(x).  Each node is evaluated once; the walk sums as many
-    nodes as the entry with the slowest tail needs.  OutOfRangeError
-    once an entry overflows.
+    lattice = (x0, step, w(x0), ratio(x) = w(step x)/w(x)) and q =
+    min(step, 1/step): step = q gives qintegral_0a to x0 of every p_n p_m w,
+    x0 = step = 1/q the upper half of qintegral_0inf.  values(x) gives the
+    (N+1, len(x)) values at an array of nodes, each evaluated once; the walk
+    sums as many nodes as the entry with the slowest tail needs.
+    OutOfRangeError once an entry overflows.
     """
+    x_next, step, w_next, ratio = lattice
+    mass = 1.0 - min(step, 1.0 / step)
     # a quarter of the nodes a tail decaying like step^k needs
     chunk = max(8, int(math.log(pol.tail_epsilon) / -abs(math.log(step))) // 4)
     us, vs = [], []
     rule = _TailRule(pol.tail_epsilon)
-    j_next, w_next = start, w0
     while True:
         if rule.walked >= pol.max_terms:
             raise ConvergenceError("q-integral tail not reached within max_terms")
         size = min(chunk, pol.max_terms - rule.walked)
-        j = np.cumprod(np.r_[j_next, np.full(size - 1, step)])
-        x = a * j
+        x = np.cumprod(np.r_[x_next, np.full(size - 1, step)])
         w = np.cumprod(np.r_[w_next, ratio(x[:-1])])
-        j_next, w_next = j[-1] * step, w[-1] * ratio(x[-1:])[0]
+        x_next, w_next = x[-1] * step, w[-1] * ratio(x[-1:])[0]
         v = values(x)
-        us.append(w * j)
+        us.append(mass * x * w)
         vs.append(v)
         # nodes past the stop may overflow to inf or nan here; feed raises
         # OutOfRangeError for any such node it sums, so numpy need not warn

@@ -8,9 +8,12 @@ from fractions import Fraction
 
 import pytest
 
-from qspecial import identities, list_identities, qseries, verify, verify_all
+from qspecial import INFINITY, identities, list_identities, qseries, verify, verify_all
 from qspecial.errors import DomainError, QSpecialError
 from qspecial.identities import TOLERANCES, VerificationReport, get_identity
+from qspecial.qcalculus import qintegral_0a
+from qspecial.qcore import qpoch, qpoch_list
+from qspecial.qfunctions import E_q, gamma_q
 
 
 def test_catalog_size_and_classes():
@@ -238,7 +241,7 @@ def test_guard_judges_a_finite_sum_of_side_terms_like_a_walk(monkeypatch):
 # every evaluator the catalog's sides call
 _EVALUATORS = (
     "eval_phi", "eval_psi", "qpoch", "qpoch_list", "qbinomial", "tail_sum",
-    "qintegral_0a", "E_q", "e_q", "gamma_q", "gamma_q_reciprocal",
+    "lattice_gram", "qpoch_inf_ratio", "E_q", "e_q", "gamma_q", "gamma_q_reciprocal",
     "partition_count", "little_qjacobi", "aw_poly",
     "al_salam_chihara_recurrence_table", "classical_eval", "eval_all",
 )
@@ -272,3 +275,89 @@ def test_three_term_sides_walk_each_series_once(monkeypatch):
     monkeypatch.setattr(qseries, "phi_walk", walk)
     assert verify("three_term_2phi1", samples=25, seed=0).passed
     assert len(walks) <= 78
+
+
+def _node_by_node_gamma(p):
+    q, b = p["q"], p["b"]
+    f = lambda t: t ** (b - 1.0) * E_q(-(1.0 - q) * q * t, q)
+    return qintegral_0a(f, 1.0 / (1.0 - q), q)
+
+
+def _node_by_node_beta(p):
+    q, a, b = p["q"], p["a"], p["b"]
+    f = lambda t: (
+        t ** (b - 1.0) * qpoch(q * t, q, INFINITY) / qpoch(q**a * t, q, INFINITY)
+    )
+    return qintegral_0a(f, 1.0, q)
+
+
+def _node_by_node_heine(p):
+    q, a, b, c, z = p["q"], p["a"], p["b"], p["c"], p["z"]
+    pref = gamma_q(c, q) / (gamma_q(b, q) * gamma_q(c - b, q))
+    f = lambda t: (
+        t ** (b - 1.0)
+        * qpoch_list([t * q, t * z * q**a], q, INFINITY)
+        / qpoch_list([t * q ** (c - b), t * z], q, INFINITY)
+    )
+    return pref * qintegral_0a(f, 1.0, q)
+
+
+def _node_by_node_gauss(p):
+    q, a, b, c = p["q"], p["a"], p["b"], p["c"]
+    f = lambda t: (
+        qpoch_list([c * t, q * t], q, INFINITY) / qpoch_list([a * t, b * t], q, INFINITY)
+    )
+    return qintegral_0a(f, 1.0, q) - qintegral_0a(f, q / c, q)
+
+
+# each catalog q-integral side, its node-by-node twin, and its lattice ends
+_JACKSON_SIDES = {
+    "euler_chain_gamma": ("rhs", _node_by_node_gamma, 1),
+    "q_beta_integral": ("rhs", _node_by_node_beta, 1),
+    "heine_integral_rep": ("rhs", _node_by_node_heine, 1),
+    "q_gauss_integral_form": ("lhs", _node_by_node_gauss, 2),
+}
+
+
+def _catalog_draws(identity_id, seeds, samples=25):
+    """The candidates verify draws at each seed that the sampler admits."""
+    rec = get_identity(identity_id)
+    for seed in seeds:
+        rng = random.Random(f"{identity_id}|{seed}")
+        for _ in range(samples):
+            params = None
+            while params is None:
+                params = rec.sampler(rng)
+            yield params
+
+
+@pytest.mark.parametrize("identity_id", sorted(_JACKSON_SIDES))
+def test_stepped_integral_side_matches_the_node_by_node_sum(identity_id):
+    side, node_by_node, _ = _JACKSON_SIDES[identity_id]
+    stepped = getattr(get_identity(identity_id), side)
+    for params in _catalog_draws(identity_id, range(4)):
+        assert identities._rel_err(stepped(params), node_by_node(params)) <= 1e-13
+
+
+@pytest.mark.parametrize("identity_id", sorted(_JACKSON_SIDES))
+def test_integral_side_takes_its_products_at_the_lattice_ends_only(identity_id, monkeypatch):
+    side, _, ends = _JACKSON_SIDES[identity_id]
+    calls = []
+    real_ratio = identities.qpoch_inf_ratio
+
+    def ratio(*args, **kwargs):
+        calls.append(args)
+        return real_ratio(*args, **kwargs)
+
+    def per_node(*args, **kwargs):
+        raise AssertionError("an integral side formed a product per node")
+
+    monkeypatch.setattr(identities, "qpoch_inf_ratio", ratio)
+    for name in ("qpoch", "qpoch_list", "E_q"):
+        monkeypatch.setattr(identities, name, per_node)
+    stepped = getattr(get_identity(identity_id), side)
+    # q runs over [0.1, 0.9], so the lattices run from a few dozen nodes to hundreds
+    for params in _catalog_draws(identity_id, range(2)):
+        calls.clear()
+        stepped(params)
+        assert len(calls) == ends

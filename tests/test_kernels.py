@@ -6,19 +6,21 @@ with importlib; the tests skip only when no C compiler is found.
 """
 
 import importlib.util
+import os
 import random
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
 import pytest
 
 from qspecial import _kernels_py as py
-from qspecial import kernels, verify_all
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "qspecial" / "_kernels.c"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "qspecial" / "_kernels.c"
 
 
 @pytest.fixture(scope="module")
@@ -160,8 +162,40 @@ def test_wrong_arity_raises_type_error(compiled):
             backend.qpoch_finite(0.3, 0.5, 2.0)
 
 
-def test_catalog_passes_on_the_compiled_kernels(compiled, monkeypatch):
-    for name in ("qpoch_finite", "qpoch_negative", "qpoch_infinite", "phi_sum"):
-        monkeypatch.setattr(kernels, name, getattr(compiled, name))
-    reports = verify_all(samples=3, seed=0)
-    assert [r.id for r in reports if not r.passed] == []
+def _run_compiled_build(compiled, tmp_path, code):
+    """Run code in a fresh interpreter whose qspecial imports the compiled
+    extension, as a build with it in place does: so qcore also picks the
+    compiled product/log-series crossover at import."""
+    prelude = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("qspecial._kernels", {compiled.__file__!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+sys.modules["qspecial._kernels"] = module
+from qspecial import kernels
+assert kernels.BACKEND == "c"
+"""
+    path = os.pathsep.join([str(SOURCE.parent.parent), str(TESTS)])
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", prelude + code],
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_catalog_passes_on_the_compiled_kernels(compiled, tmp_path):
+    _run_compiled_build(compiled, tmp_path, """
+from qspecial import verify_all
+reports = verify_all(samples=3, seed=0)
+assert [r.id for r in reports if not r.passed] == []
+""")
+
+
+def test_qpoch_infinite_matches_oracle_on_the_compiled_kernels(compiled, tmp_path):
+    _run_compiled_build(compiled, tmp_path, """
+import test_qcore
+test_qcore.test_qpoch_infinite_matches_oracle_or_raises_range()
+""")

@@ -389,11 +389,6 @@ def _racah_check(alpha, beta, gamma, delta, big_n, q):
     raise DomainError("one of alpha*q, beta*delta*q, gamma*q must be q^{-N}")
 
 
-def q_racah_node(x, gamma, delta, q):
-    """Quadratic lattice point mu(x) = q^{-x} + q^{x+1} gamma delta."""
-    return q ** float(-x) + q ** float(x + 1) * gamma * delta
-
-
 def q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
     """q-Racah polynomial R_n(mu(x)):
 

@@ -6,6 +6,7 @@ closed the output pipe early (without a traceback), 2 usage error.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -518,7 +519,11 @@ def cmd_limits(args, out):
 # argument parser
 
 
+@functools.cache
 def _build_parser():
+    """The parser, built on the first main call and shared by every later
+    call in the process; parse_args keeps each call's state in a fresh
+    namespace."""
     parser = argparse.ArgumentParser(
         prog="qspecial",
         description="q-special functions: evaluation and verification.",

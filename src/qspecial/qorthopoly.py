@@ -712,10 +712,28 @@ def _moak_alt(n, x, alpha, q, pol):
     ) / qpoch(q, q, n)
 
 
+def _moak_recurrence_table(nmax, alpha, q):
+    """The recurrence of L_0..L_nmax (Koekoek, Lesky and Swarttouw 2010,
+    14.21.3) divided by q^{2n+alpha+1}:
+
+    -x L_n = A_n L_{n+1} - (A_n + C_n) L_n + C_n L_{n-1},
+    A_n = (1-q^{n+1}) / q^{2n+alpha+1}, C_n = q(1-q^{n+alpha}) / q^{2n+alpha+1}.
+    """
+
+    def terms(n):
+        scale = q ** -(2 * n + alpha + 1.0)
+        a_n = (1.0 - q ** (n + 1.0)) * scale
+        c_n = q * (1.0 - q ** (n + alpha)) * scale
+        return a_n, -(a_n + c_n), c_n
+
+    return from_terms((terms(n) for n in range(nmax)), s=-1.0)
+
+
 def _moak_gram(nmax, alpha, q, pol):
     # bilateral q-integral of x^alpha / (-(1-q)x;q)_oo; the polynomials
     # are sampled at (1-q)x so that the lattice matches that factor
-    values = _series_values(lambda n, x: _moak(n, (1.0 - q) * x, alpha, q, pol), nmax)
+    rec = _moak_recurrence_table(nmax, alpha, q)
+    values = lambda x: eval_all(rec, (1.0 - q) * x)
     w0 = 1.0 / qpoch(-(1.0 - q), q, INFINITY, pol)
 
     def down(x):

@@ -14,6 +14,16 @@ q-integral) the nodes are walked in chunks, the weight steps by its
 rational ratio w(step x)/w(x), each node carries its Jackson mass (1-q) x,
 and the walk, which the catalog's q-integrals also take, ends by the tail
 rule of qcore.tail_sum applied to every entry.
+
+The walk evaluates its nodes in chunks, one numpy pass each.  A walk
+toward 0 (step < 1) sizes its first chunk from the lattice's own decay
+rate r = step |ratio(0)|: a tail decaying like r^k has its first term
+below eps at node k = floor(log eps / log r) + 1, and the chunk ends with
+the quiet run of QUIET_TERMS nodes from there, so most walks end in one
+pass.  Later chunks, and all chunks of a walk away from 0 or with r
+outside (0, 1), hold a quarter of the nodes a tail decaying like step^k
+needs.  Chunking never changes which nodes are summed or the order of the
+products.
 """
 
 import math
@@ -105,12 +115,13 @@ def lattice_gram(values, lattice, pol):
     mass = 1.0 - min(step, 1.0 / step)
     # a quarter of the nodes a tail decaying like step^k needs
     chunk = max(8, int(math.log(pol.tail_epsilon) / -abs(math.log(step))) // 4)
+    size = _first_chunk(step, ratio, pol.tail_epsilon) or chunk
     us, vs = [], []
     rule = _TailRule(pol.tail_epsilon)
     while True:
         if rule.walked >= pol.max_terms:
             raise ConvergenceError("q-integral tail not reached within max_terms")
-        size = min(chunk, pol.max_terms - rule.walked)
+        size = min(size, pol.max_terms - rule.walked)
         x = np.cumprod(np.r_[x_next, np.full(size - 1, step)])
         w = np.cumprod(np.r_[w_next, ratio(x[:-1])])
         x_next, w_next = x[-1] * step, w[-1] * ratio(x[-1:])[0]
@@ -125,3 +136,17 @@ def lattice_gram(values, lattice, pol):
         if length is not None:
             v = np.concatenate(vs, axis=1)[:, :length]
             return gram(v, np.concatenate(us)[:length])
+        size = chunk
+
+
+def _first_chunk(step, ratio, eps):
+    """The nodes a down-walk (step < 1) needs when its terms decay like r^k,
+    r = step |w(step x)/w(x)| at x = 0: through the quiet run from the first
+    node below eps, k = floor(log eps / log r) + 1.  None for an up-walk,
+    or r not in (0, 1)."""
+    if step >= 1.0:
+        return None
+    r = step * abs(ratio(np.zeros(1))[0])
+    if not 0.0 < r < 1.0:
+        return None
+    return int(math.log(eps) / math.log(r)) + 1 + QUIET_TERMS

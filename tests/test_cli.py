@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from qspecial import identities
+from qspecial import cli, identities
 from qspecial.cli import main
 
 
@@ -436,3 +436,25 @@ def test_ortho_moak_report_passes_without_numpy_warnings(capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 16 * 17 // 2
     assert all(row.split()[-1] == "ok" for row in rows)
+
+
+def test_cached_parser_is_reentrant(capsys, monkeypatch):
+    # in-process callers share one parser; each call must print and exit as
+    # it does with a parser of its own, and no --tolerance list may carry over
+    calls = [
+        ["ortho", "moak", "alpha=0.7", "q=0.5", "--nmax", "3"],
+        ["verify", "q_gauss", "--samples", "2", "--tolerance", "q_gauss=1e-6"],
+        ["verify", "q_gauss", "--samples", "2"],
+        ["verify", "q_gauss", "--samples", "two"],
+        ["ortho", "moak", "alpha=0.7", "q=0.5", "--nmax", "3"],
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run_cli(argv, capsys)[:2] for argv in calls]
+    assert [code for code, _ in fresh] == [0, 0, 0, 2, 0]
+    assert fresh[1][1] != fresh[2][1]
+    cli._build_parser.cache_clear()
+    assert [run_cli(argv, capsys)[:2] for argv in calls] == fresh
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert cli._build_parser().parse_args(calls[2]).tolerance is None

@@ -26,12 +26,17 @@ from qspecial import (
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qorthopoly import (
     _FAMILIES,
+    _moak,
+    _moak_alt,
+    _moak_recurrence_table,
     al_salam_carlitz_u,
     big_qjacobi_by_recurrence,
     big_qjacobi_gram_matrix,
     big_qjacobi_recurrence,
     big_qjacobi_recurrence_table,
     big_qjacobi_eigenvalue,
+    big_qjacobi_norm_point_value,
+    big_qjacobi_second_value,
     big_qjacobi_shift_down,
     big_qjacobi_shift_up,
     big_qjacobi_weight_integral,
@@ -45,7 +50,8 @@ from qspecial.qorthopoly import (
     quadratic_transform_check,
 )
 from qspecial.qcalculus import qintegral_0a
-from qspecial.qcore import QUIET_TERMS
+from qspecial.qcore import DEFAULT_POLICY, QUIET_TERMS
+from qspecial.qseries import _conditioning_scope
 from qspecial.recurrence import _TailRule, eval_all
 
 BQJ = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
@@ -55,6 +61,28 @@ def test_big_qjacobi_normalization_point():
     # normalized value 1 at x = c/(qa)
     x0 = BQJ.c / (BQJ.q * BQJ.a)
     assert complex(big_qjacobi(4, x0, BQJ)).real == pytest.approx(1.0, rel=1e-12)
+
+
+def test_big_qjacobi_second_value_matches_series_and_recurrence():
+    # the closed form at x = -d/(qb) against the normalized series (held to
+    # 1e-13 of its sum |t_k|) and the monic recurrence over the value at c/(qa)
+    rng = random.Random(11)
+    draws = [(0.6, 0.4, 1.1, 0.9, 0.5)]
+    draws += [
+        (rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), rng.uniform(0.5, 1.5),
+         rng.uniform(0.5, 1.5), rng.uniform(0.2, 0.8))
+        for _ in range(20)
+    ]
+    for args in draws:
+        p = BigQJacobiParams(*args)
+        x = -p.d / (p.q * p.b)
+        for n in range(9):
+            closed = big_qjacobi_second_value(n, p)
+            with _conditioning_scope() as scope:
+                series = big_qjacobi(n, x, p)
+            assert abs(series - closed) <= 1e-13 * scope.worst * abs(series), (args, n)
+            rec = big_qjacobi_monic(n, x, p) / big_qjacobi_norm_point_value(n, p)
+            assert abs(rec - closed) <= 1e-13 * abs(closed), (args, n)
 
 
 def test_big_qjacobi_dual_path():
@@ -302,6 +330,24 @@ def test_moak_dual_forms():
             v1 = family_eval(fam, n, x, form="primary")
             v2 = family_eval(fam, n, x, form="alt")
             assert abs(v1 - v2) <= 1e-9 * max(1.0, abs(v1), abs(v2))
+
+
+def test_moak_recurrence_matches_both_series():
+    # the Gram's recurrence values (KLS 14.21.3) against the two printed
+    # series at nodes (1-q) q^k of both halves of the Gram lattice; each
+    # series is held to 1e-13 of its sum |t_k|, scaled as its value is
+    rng = random.Random(21)
+    for _ in range(40):
+        alpha, q = rng.uniform(-0.9, 4.0), rng.uniform(0.1, 0.95)
+        xs = [(1.0 - q) * q ** float(rng.randint(-20, 40)) for _ in range(4)]
+        rows = eval_all(_moak_recurrence_table(10, alpha, q), xs)
+        for j, x in enumerate(xs):
+            for n in range(11):
+                for series in (_moak, _moak_alt):
+                    with _conditioning_scope() as scope:
+                        want = series(n, x, alpha, q, DEFAULT_POLICY)
+                    mass = scope.worst * abs(want)
+                    assert abs(rows[n, j] - want) <= 1e-13 * mass, (alpha, q, x, n)
 
 
 def test_big_q_laguerre_dual_forms():

@@ -7,6 +7,10 @@ order q-difference operator, and the special and limit families:
 q-ultraspherical (three printed forms), Al-Salam-Chihara, continuous
 q-Hermite, and the finite q-Racah family with numerically derived
 weights.
+
+The quadrature weights on a node grid come from one array call of
+qcore.log_qpoch_inf (one peel and one log series for every node), scaled
+by the largest weight, so the module holds no product loop of its own.
 """
 
 import cmath
@@ -15,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qspecial.errors import ConvergenceError, DomainError
-from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch, qpoch_inf_ratio, qpoch_list
+from qspecial.errors import DomainError
+from qspecial.qcore import (
+    DEFAULT_POLICY, _exp_log, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
+)
 from qspecial.qseries import SeriesSpec, eval_phi
-from qspecial.recurrence import Recurrence, eval_all, from_terms, gram
+from qspecial.recurrence import Recurrence, eval_all, from_terms, gram, table
 
 
 @dataclass(frozen=True)
@@ -53,14 +59,6 @@ class AWParams:
         return all(abs(u - v) <= 1e-12 * max(1.0, abs(u)) for u, v in zip(vals, conj))
 
 
-def aw_weight(z, p, pol=DEFAULT_POLICY):
-    """Weight (z^2, z^{-2};q)_oo / prod_e (ez, e/z;q)_oo on |z| = 1."""
-    if abs(abs(z) - 1.0) > 1e-12:
-        raise DomainError("z must lie on the unit circle")
-    den = [f for e in p.abcd for f in (e * z, e / z)]
-    return qpoch_inf_ratio([z * z, 1.0 / (z * z)], den, p.q, pol)
-
-
 def _h0(p, pol, log_factor=0.0):
     """(abcd;q)_oo / (q, ab, ac, ad, bc, bd, cd;q)_oo, as one exp of logs."""
     a, b, c, d = p.abcd
@@ -83,30 +81,22 @@ def aw_integral_closed(p, pol=DEFAULT_POLICY):
     return _h0(p, pol, math.log(2.0))
 
 
-def _weight_grid(p, n_nodes, pol):
-    """Vectorized weight values on the midpoint grid
-    z = e^{2 pi i (j+1/2) / n_nodes}.  The midpoint offset keeps the rule
-    spectrally accurate while avoiding the removable 0/0 points at
-    z = +-1 that occur for boundary parameters with |e| = 1."""
-    q = p.q
+def _midpoint_grid(p, n_nodes, pol):
+    """(cos theta, w / top, top / (2 n_nodes)) on z = e^{i theta},
+    theta = 2 pi (j+1/2) / n_nodes, with top the largest |w|.  The ten
+    products of all nodes take one log_qpoch_inf; the scale alone leaves
+    log form (OutOfRangeError outside the double range), so no weight
+    need be a double.  The midpoint offset keeps the rule spectrally
+    accurate while avoiding the removable 0/0 points at z = +-1 that occur
+    for boundary parameters with |e| = 1."""
     theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     z = np.exp(1j * theta)
-    z2 = z * z
-    w = np.ones(n_nodes, dtype=complex)
-    top = np.ones(n_nodes, dtype=complex)
-    scale = max([abs(e) for e in p.abcd] + [1.0])
-    qj = 1.0
-    for _ in range(pol.max_factors):
-        top = (1.0 - z2 * qj) * (1.0 - qj / z2)
-        for e in p.abcd:
-            top = top / ((1.0 - e * z * qj) * (1.0 - e * qj / z))
-        w *= top
-        qj *= q
-        if qj * scale < pol.tail_epsilon and qj < pol.tail_epsilon:
-            return w
-    raise ConvergenceError(
-        f"weight grid tail bound not reached within {pol.max_factors} factors"
-    )
+    args = np.array([z * z, 1.0 / (z * z)] + [f for e in p.abcd for f in (e * z, e / z)])
+    logs = log_qpoch_inf(args, p.q, pol)
+    log_w = logs[0] + logs[1] - logs[2:].sum(axis=0)
+    top = log_w.real.max()
+    scale = _exp_log(top - math.log(2.0 * n_nodes))
+    return np.cos(theta), np.exp(log_w - top), scale
 
 
 def aw_integral_numeric(p, n_nodes=512, pol=DEFAULT_POLICY):
@@ -115,8 +105,8 @@ def aw_integral_numeric(p, n_nodes=512, pol=DEFAULT_POLICY):
     the rule is spectrally accurate).  Equals half the closed form."""
     if n_nodes < 16:
         raise DomainError("need n_nodes >= 16")
-    w = _weight_grid(p, n_nodes, pol)
-    return complex(np.sum(w)) / (2.0 * n_nodes)
+    _, w, scale = _midpoint_grid(p, n_nodes, pol)
+    return complex(np.sum(w)) * scale
 
 
 def _z_of_x(x):
@@ -415,11 +405,8 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
 
 def _q_racah_table(alpha, beta, gamma, delta, q, big_n, pol):
     """R_n(mu(x)) for n, x = 0..N, each evaluated once."""
-    nodes = range(big_n + 1)
-    return np.array(
-        [[q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol) for x in nodes] for n in nodes],
-        dtype=complex,
-    )
+    racah = lambda n, x: q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol)
+    return table(racah, big_n, range(big_n + 1))
 
 
 def _q_racah_solve(table):
@@ -463,6 +450,5 @@ def aw_gram_quadrature(p, nmax, n_nodes=1024, pol=DEFAULT_POLICY):
     """Matrix of quadrature inner products (1/2 pi) int_0^pi p_n p_m w
     d theta for n, m <= nmax, via the uniform grid on the full circle,
     with the values from the three term recurrence."""
-    theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
-    vals = eval_all(aw_recurrence_table(nmax, p, pol), np.cos(theta))
-    return gram(vals, _weight_grid(p, n_nodes, pol)) / (2.0 * n_nodes)
+    x, w, scale = _midpoint_grid(p, n_nodes, pol)
+    return gram(eval_all(aw_recurrence_table(nmax, p, pol), x), w) * scale

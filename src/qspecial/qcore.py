@@ -137,8 +137,9 @@ def _product(a, q, pol):
 
 def _log_head(alist, lq, n):
     """sum_{j<n} log(1 - a q^j) for each a of alist: a loop for short
-    peels, numpy blocks for long ones.  -inf when a factor vanishes."""
-    if n * len(alist) <= 32:
+    peels of a list, numpy blocks otherwise.  -inf when a factor vanishes."""
+    grid = isinstance(alist, np.ndarray)
+    if not grid and n * len(alist) <= 32:
         qj = [math.exp(lq * j) for j in range(n)]
         out = []
         for a in alist:
@@ -153,52 +154,60 @@ def _log_head(alist, lq, n):
         return out
     out = np.zeros(len(alist), dtype=complex)
     a = np.array(alist, dtype=complex)[:, None]
-    block = max(256, _BLOCK // len(alist))
+    block = max(1, _BLOCK // (len(alist) or 1))
     with np.errstate(divide="ignore"):
         for start in range(0, n, block):
             f = a * np.exp(lq * np.arange(start, min(start + block, n)))
             np.subtract(1.0, f, out=f)
             out += np.log(f, out=f).sum(axis=1)
-    return [complex(v) for v in out]
+    return out if grid else [complex(v) for v in out]
 
 
 def _log_tail(b, lq, eps):
     """log (b;q)_oo = -sum_{k>=1} b^k / (k (1 - q^k)) for |b| <= 1/2.
 
     The terms shrink at least by |b|, so the tail after a term t is below
-    |t| |b| / (1 - |b|); the sum stops when that is below eps.
+    |t| |b| / (1 - |b|); the sum stops when that is below eps.  An array b
+    stops with its largest |b|, whose terms bound those of every entry.
     """
-    r = abs(b)
+    size = abs
+    if isinstance(b, np.ndarray):
+        size = lambda t: np.abs(t).max(initial=0.0)
+    elif b.imag == 0:
+        b = b.real
+    r = size(b)
     if r == 0:
         return 0.0
-    if b.imag == 0:
-        b = b.real
     stop = eps * (1.0 - r) / r
     total, power, k = 0.0, b, 1
     while True:
         t = power / (k * -math.expm1(k * lq))
         total -= t
-        if abs(t) < stop:
+        if size(t) < stop:
             return total
-        power *= b
+        power = power * b  # not *=, which would scale an array b itself
         k += 1
 
 
 def _log_qpochs(alist, q, eps):
-    """log (a;q)_oo for each a of alist, with one peel length n for all.
+    """log (a;q)_oo for each a of alist, a list or an array, with one peel
+    length n for all.
 
     The factors with |a q^j| > 1/2 (j < n) are peeled off and their logs
     summed, so no partial product can underflow.  What is left, (b;q)_oo
     with b = a q^n and |b| <= 1/2, is the log of the q-binomial theorem
     (Gasper-Rahman 1990, Sec. 1.3).
     """
+    grid = isinstance(alist, np.ndarray)
     lq = math.log(q)
-    top = max(abs(a) for a in alist)
+    top = np.abs(alist).max(initial=0.0) if grid else max(abs(a) for a in alist)
     n = math.ceil(math.log(top / _PEEL) / -lq) if top > _PEEL else 0
     if n > _MAX_PEEL:
         raise ConvergenceError(f"(a;q)_oo would peel {n} factors, more than {_MAX_PEEL}")
-    heads = _log_head(alist, lq, n) if n else [0j] * len(alist)
     qn = math.exp(lq * n)
+    if grid:
+        return _log_head(alist, lq, n) + _log_tail(alist * qn, lq, eps)
+    heads = _log_head(alist, lq, n) if n else [0j] * len(alist)
     return [h + _log_tail(a * qn, lq, eps) for h, a in zip(heads, alist)]
 
 
@@ -208,9 +217,16 @@ def log_qpoch_inf(a, q, pol=DEFAULT_POLICY):
     Factors with |a q^j| > 1/2 are peeled off in log form; the rest is
     -sum_k b^k / (k (1 - q^k)), summed until its tail is below
     pol.tail_epsilon.  The real part is log|(a;q)_oo| (-inf when a factor
-    vanishes), the imaginary part a branch of its argument.
+    vanishes), the imaginary part a branch of its argument.  For a numpy
+    array a, one peel and one log series give the logs of every entry.
     """
-    return _log_qpochs([_finite(a)], check_q(q), pol.tail_epsilon)[0]
+    q = check_q(q)
+    if isinstance(a, np.ndarray):
+        a = a.astype(complex)
+        if not np.isfinite(a).all():
+            raise DomainError("arguments must be finite")
+        return _log_qpochs(a.ravel(), q, pol.tail_epsilon).reshape(a.shape)
+    return _log_qpochs([_finite(a)], q, pol.tail_epsilon)[0]
 
 
 def _exp_log(log_value, real=False):

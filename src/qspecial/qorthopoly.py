@@ -38,7 +38,7 @@ from qspecial.qcore import (
     qpoch_list,
 )
 from qspecial.qseries import SeriesSpec, eval_phi
-from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram
+from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram, table
 
 _MAX_FINITE_N = 60  # keeps q^{-x} in double range down to q = 0.1
 
@@ -440,9 +440,7 @@ def little_qjacobi_gram_matrix(nmax, a, b, q, pol=DEFAULT_POLICY):
     def ratio(t):
         return q**alpha * (1.0 - q * b * t) / (1.0 - q * t)
 
-    values = _series_values(
-        lambda n, t: little_qjacobi(n, t, a, b, q, pol=pol), nmax
-    )
+    values = partial(table, lambda n, t: little_qjacobi(n, t, a, b, q, pol=pol), nmax)
     total = lattice_gram(values, (1.0, q, w0, ratio), pol)
     norm = qpoch_inf_ratio([q, q * q * a * b], [q * a, q * b], q, pol, math.log1p(-q))
     return total / norm
@@ -597,15 +595,6 @@ def _max_degree(n, m):
     return max(n, m)
 
 
-def _series_values(evaluate, nmax):
-    """values(x) for lattice_gram from a scalar evaluator (n, x): each
-    (degree, node) pair is evaluated once."""
-    return lambda xs: np.array(
-        [[evaluate(n, x) for x in xs.tolist()] for n in range(nmax + 1)],
-        dtype=complex,
-    )
-
-
 def _finite_gram(series, weight):
     """Gram builder of a family whose last parameter is N: the exact sum
     over the points q^{-x}, x = 0..N, with weight(x, *params, q)."""
@@ -613,13 +602,8 @@ def _finite_gram(series, weight):
     def build(nmax, *args, pol):
         xs = range(args[-2] + 1)
         q = args[-1]
-        v = np.array(
-            [
-                [series(n, q ** float(-x), *args, pol=pol) for x in xs]
-                for n in range(nmax + 1)
-            ],
-            dtype=complex,
-        )
+        nodes = [q ** float(-x) for x in xs]
+        v = table(lambda n, t: series(n, t, *args, pol=pol), nmax, nodes)
         return gram(v, np.array([weight(x, *args) for x in xs], dtype=complex))
 
     return build

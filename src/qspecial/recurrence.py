@@ -5,7 +5,8 @@ A family's recurrence
     s x p_k = A_k p_{k+1} + B_k p_k + C_k p_{k-1},   p_{-1} = 0, p_0 = 1,
 
 is held as its coefficient arrays for k = 0..N-1, built once per call.
-eval_all runs it at every point in one numpy pass.
+eval_all runs it at every point in one numpy pass; table gives the same
+array from a scalar evaluator, a series for instance.
 
 A Gram matrix is G = V diag(w) V^T over a measure's nodes and weights:
 V holds the values of degrees 0..N (one row per degree), w the weights.
@@ -62,6 +63,13 @@ def eval_all(rec, x):
         out[k + 1] = ((sx - rec.b[k]) * out[k] - rec.c[k] * prev) / rec.a[k]
         prev = out[k]
     return out
+
+
+def table(evaluate, nmax, x):
+    """eval_all's array from a scalar evaluate(n, t), n = 0..nmax, called
+    once per degree and point t of x, as a Python number."""
+    x = np.asarray(x).tolist()
+    return np.array([[evaluate(n, t) for t in x] for n in range(nmax + 1)], dtype=complex)
 
 
 def gram(v, w):

@@ -29,6 +29,7 @@ from qspecial import (
     qpoch,
 )
 from qspecial.askey_wilson import (
+    _midpoint_grid,
     al_salam_chihara,
     al_salam_chihara_recurrence_table,
     aw_gram_quadrature,
@@ -41,6 +42,7 @@ from qspecial.askey_wilson import (
 )
 from qspecial.cli import main
 from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
+from qspecial.qcore import DEFAULT_POLICY, qpoch_inf_ratio
 from qspecial.recurrence import eval_all
 
 from mp_oracle import log_qpoch_oracle
@@ -266,10 +268,47 @@ def test_q_racah_gram_matrix_matches_entries():
 
 
 def test_weight_grid_truncation_raises():
-    with pytest.raises(ConvergenceError):
-        aw_integral_numeric(
-            AWParams(0.6, 0.4, -0.3, 0.2, 0.9), pol=TruncationPolicy(max_factors=50)
-        )
+    # the grid's one peel is capped like every (a;q)_oo: at q = 1 - 1e-8 the
+    # nodes with |z^2| = 1 would need 0.69/(1-q) peeled factors
+    with pytest.raises(ConvergenceError, match="peel 69314718 factors, more than 10000000"):
+        aw_integral_numeric(AWParams(0.6, 0.4, -0.3, 0.2, 1.0 - 1e-8))
+
+
+@pytest.mark.parametrize("a", [0.6, 0.99])
+def test_integral_numeric_near_q_one(a):
+    # 0.69/(1-q) = 231 peeled factors per node, past the old product budget
+    p = AWParams(a, 0.4, -0.3, 0.2, 0.997)
+    half = aw_integral_closed(p) / 2.0
+    assert abs(aw_integral_numeric(p) - half) <= 1e-12 * abs(half)
+
+
+def test_grid_weights_match_pointwise_weights():
+    # node by node: the one log series of the grid against qpoch_inf_ratio
+    # of the ten products at that node, and against the 50-digit oracle
+    rng = random.Random(11)
+    n_nodes = 6
+    for _ in range(12):
+        q = rng.uniform(0.2, 0.95)
+        re, im = rng.uniform(-0.6, 0.6), rng.uniform(0.05, 0.6)
+        p = AWParams(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9), complex(re, im),
+                     complex(re, -im), q)
+        _, w, scale = _midpoint_grid(p, n_nodes, DEFAULT_POLICY)
+        for j, wj in enumerate(w.tolist()):
+            z = cmath.exp(2j * math.pi * (j + 0.5) / n_nodes)
+            top = [z * z, 1.0 / (z * z)]
+            bottom = [f for e in p.abcd for f in (e * z, e / z)]
+            got = wj * scale * 2 * n_nodes
+            point = qpoch_inf_ratio(top, bottom, q)
+            assert abs(got - point) <= 1e-13 * abs(point)
+            # the parameters are closed under conjugation and |z| = 1, so
+            # z^{-2} and the e/z are the conjugates of z^2 and the ez
+            with mpmath.workdps(50):
+                log_w = 2 * mpmath.re(
+                    log_qpoch_oracle(z * z, q)[0]
+                    - sum(log_qpoch_oracle(e * z, q)[0] for e in p.abcd)
+                )
+                want = mpmath.exp(log_w)
+                assert float(abs(got - want) / want) <= 1e-13
 
 
 def test_h0_near_one_is_one_exp_of_logs():

@@ -208,6 +208,19 @@ def test_ortho_aw_good_parameters(capsys):
     assert code == 0
 
 
+def test_ortho_aw_near_q_one(capsys):
+    # 231 peeled factors per node: the grid's products need the log series
+    code, out, _ = run_cli(
+        ["ortho", "aw", "a=0.6", "b=0.4", "c=-0.3", "d=0.2", "q=0.997",
+         "--nmax", "3", "--nodes", "512", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 10
+    assert all(row["status"] == "ok" for row in rows)
+
+
 def test_ortho_aw_large_parameter_detected(capsys):
     # |a| > 1 puts mass on discrete spectrum the quadrature cannot see
     code, out, _ = run_cli(

@@ -97,7 +97,7 @@ static PyObject *qpoch_infinite(PyObject *self, PyObject *const *args, Py_ssize_
 }
 
 /* The loop of _kernels_py.phi_sum over the parameters in buf: nu upper,
- * then nl lower. */
+ * then nl lower; the ratio has no (1 - q^{k+1}) of its own. */
 static PyObject *sum_series(const double complex *buf, Py_ssize_t nu, Py_ssize_t nl, double q,
                             double complex z, long sign_power, long n_terms, double eps,
                             long max_terms)
@@ -113,7 +113,7 @@ static PyObject *sum_series(const double complex *buf, Py_ssize_t nu, Py_ssize_t
         num = z;
         for (i = 0; i < nu; i++)
             num *= 1.0 - buf[i] * qk;
-        den = 1.0 - q * qk;
+        den = 1.0;
         for (i = nu; i < nu + nl; i++)
             den *= 1.0 - buf[i] * qk;
         if (den == 0)

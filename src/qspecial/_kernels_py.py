@@ -55,10 +55,12 @@ def qpoch_infinite(a, q, tail_epsilon, max_factors):
 
 
 def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
-    """Sum the basic hypergeometric series by forward term-ratio recurrence.
+    """Sum a series from t_0 = 1 by forward term-ratio recurrence.
 
-    term_{k+1}/term_k = prod(1 - a_i q^k) / (prod(1 - b_j q^k)(1 - q^{k+1}))
-                        * ((-1) q^k)^sign_power * z.
+    term_{k+1}/term_k = prod(1 - a_i q^k) / prod(1 - b_j q^k)
+                        * ((-1) q^k)^sign_power * z,
+
+    so an r_phi_s passes q as its first lower parameter, for (q;q)_k.
 
     n_terms >= 0 sums exactly k = 0..n_terms (terminating); n_terms < 0
     runs until 5 consecutive terms are below tail_epsilon relative to the
@@ -72,17 +74,12 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
     scale = 1.0
     qk = 1.0
     quiet = 0
-    k = 0
-    while True:
-        if n_terms >= 0:
-            if k >= n_terms:
-                return total, 0, mass
-        elif k >= max_terms:
-            return total, 1, mass
+    tail = n_terms < 0
+    for _ in range(max_terms if tail else n_terms):
         num = z
         for a in upper:
             num *= 1.0 - a * qk
-        den = 1.0 - q * qk
+        den = 1.0
         for b in lower:
             den *= 1.0 - b * qk
         if den == 0:
@@ -95,7 +92,7 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
         mass += t
         if t > scale:
             scale = t
-        if n_terms < 0:
+        if tail:
             if t < tail_epsilon * scale:
                 quiet += 1
                 if quiet >= 5:
@@ -103,4 +100,4 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
             else:
                 quiet = 0
         qk *= q
-        k += 1
+    return total, 1 if tail else 0, mass

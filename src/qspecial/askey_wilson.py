@@ -88,7 +88,9 @@ def _midpoint_grid(p, n_nodes, pol):
     log form (OutOfRangeError outside the double range), so no weight
     need be a double.  The midpoint offset keeps the rule spectrally
     accurate while avoiding the removable 0/0 points at z = +-1 that occur
-    for boundary parameters with |e| = 1."""
+    for boundary parameters with |e| = 1.  Needs n_nodes >= 16."""
+    if n_nodes < 16:
+        raise DomainError("need n_nodes >= 16")
     theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     z = np.exp(1j * theta)
     args = np.array([z * z, 1.0 / (z * z)] + [f for e in p.abcd for f in (e * z, e / z)])
@@ -103,8 +105,6 @@ def aw_integral_numeric(p, n_nodes=512, pol=DEFAULT_POLICY):
     """(1/2 pi) int_0^pi w(e^{i theta}) d theta by the uniform trapezoid
     rule on the full circle (the integrand is analytic and periodic, so
     the rule is spectrally accurate).  Equals half the closed form."""
-    if n_nodes < 16:
-        raise DomainError("need n_nodes >= 16")
     _, w, scale = _midpoint_grid(p, n_nodes, pol)
     return complex(np.sum(w)) * scale
 

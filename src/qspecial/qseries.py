@@ -8,8 +8,10 @@ r_psi_s(a_1..a_r; b_1..b_s; q, z)
     = sum_{k in Z} (a_1..a_r;q)_k / (b_1..b_s;q)_k
       * ((-1)^k q^{k(k-1)/2})^{s-r} z^k
 
-Terms are generated by the forward recurrence on the term ratio, which
-is rational in q^k; per-term Pochhammers are never recomputed.
+Both are walks of the one kernel, kernels.phi_sum, which generates terms
+by the forward recurrence on a term ratio rational in q^k (per-term
+Pochhammers are never recomputed).  Its ratio has no (q;q)_k of its own:
+phi passes q as a lower parameter, and psi is two walks, one each way.
 
 Every walk returns sum |t_k| with its value; inside a _conditioning_scope
 it also records the amplification sum |t_k| / |sum t_k|, the condition
@@ -17,7 +19,6 @@ number of the sum, for whoever opened the scope.
 """
 
 import cmath
-import itertools
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from qspecial import kernels
 from qspecial.errors import ConvergenceError, DomainError
-from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_list, tail_sum
+from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_list
 
 _TERMINATION_RTOL = 1e-12
 _MAX_TERMINATION_N = 10_000
@@ -138,6 +139,19 @@ def classify(spec):
     return ConvergenceClass("ZERO")
 
 
+def _kernel_sum(what, upper, lower, q, z, sign_power, n_terms, pol):
+    """(value, sum |t_k|) of kernels.phi_sum, its status raised as the
+    error of the series named by what."""
+    value, status, mass = kernels.phi_sum(
+        upper, lower, q, z, sign_power, n_terms, pol.tail_epsilon, pol.max_terms
+    )
+    if status == 1:
+        raise ConvergenceError(f"{what} tail not reached within max_terms")
+    if status == 2:
+        raise DomainError(f"{what} hit a zero denominator factor")
+    return value, mass
+
+
 def phi_walk(spec, pol=DEFAULT_POLICY):
     """The r_phi_s series and the sum of |t_k| over the terms it summed.
 
@@ -157,20 +171,8 @@ def phi_walk(spec, pol=DEFAULT_POLICY):
         if cls.radius == "UNIT" and abs(spec.z) >= 1:
             raise DomainError(f"series requires |z| < 1, got |z| = {abs(spec.z)}")
         n_terms = -1
-    value, status, mass = kernels.phi_sum(
-        spec.upper,
-        spec.lower,
-        spec.q,
-        spec.z,
-        1 + spec.s - spec.r,
-        n_terms,
-        pol.tail_epsilon,
-        pol.max_terms,
-    )
-    if status == 1:
-        raise ConvergenceError("phi series tail not reached within max_terms")
-    if status == 2:
-        raise DomainError("phi series hit a zero denominator factor")
+    lower, power = (spec.q,) + spec.lower, 1 + spec.s - spec.r
+    value, mass = _kernel_sum("phi series", spec.upper, lower, spec.q, spec.z, power, n_terms, pol)
     return _walked(value, mass)
 
 
@@ -183,67 +185,26 @@ def eval_phi(spec, pol=DEFAULT_POLICY):
     return phi_walk(spec, pol)[0]
 
 
-def _psi_up(spec):
-    """Terms t_0 = 1, t_1, t_2, ... of the bilateral series, each from the
-    last by the term ratio t_{k+1} / t_k."""
-    q, z, upper, lower = spec.q, spec.z, spec.upper, spec.lower
-    sign_power = spec.s - spec.r
-    term = 1.0 + 0.0j
-    yield term
-    for k in itertools.count():
-        qk = q**k
-        top = z
-        for a in upper:
-            top *= 1.0 - a * qk
-        bot = 1.0 + 0.0j
-        for b in lower:
-            bot *= 1.0 - b * qk
-        if bot == 0:
-            raise DomainError("bilateral series hit a zero denominator factor")
-        if sign_power:
-            top *= (-qk) ** sign_power
-        term = term * top / bot
-        yield term
-
-
-def _psi_down(spec):
-    """Terms t_{-1}, t_{-2}, ... of the bilateral series.
-
-    The multiplier t_{-k}/t_{-k+1} is computed in a factored form using
-    w = q^k only: pulling q^{-k} out of every (1 - c q^{-k}) factor avoids
-    overflow when many terms are needed.  A vanishing numerator factor
-    kills that term and all lower ones, and ends the terms.
-    """
-    q, z, upper = spec.q, spec.z, spec.upper
-    nonzero_lower = [b for b in spec.lower if b != 0]
-    excess = spec.s - len(nonzero_lower)
-    term = 1.0 + 0.0j
-    for k in itertools.count(1):
-        w = q**k
-        top = z
-        for a in upper:
-            top *= a - w
-        if top == 0:
-            return
-        bot = 1.0 + 0.0j
-        for b in nonzero_lower:
-            bot *= b - w
-        if excess:
-            bot *= (-w) ** excess
-        term = term * bot / top
-        yield term
-
-
 def psi_walk(spec, pol=DEFAULT_POLICY):
     """The bilateral r_psi_s series over k in Z and the sum of |t_k|.
 
-    The upward terms k >= 0 and the downward ones k < 0 are each summed
-    by qcore.tail_sum; the running scale of the upward walk carries into
-    the downward one.  Returns (value, sum |t_k|), so the amplification
+    Both halves are walks of kernels.phi_sum.  The upward one sums
+    t_0, t_1, ...; the downward one sums u_j = t_{-j}, reflected into a
+    series in q^j: with w = q^{j+1}, each (1 - c / w) factor of the ratio
+    is -(c / w)(1 - w / c), so
+
+        u_{j+1} / u_j = z' prod(1 - (q/b) q^j) / prod(1 - (q/a) q^j) (-q^j)^e,
+        z' = q^e prod b / (z prod a),
+
+    the products over the upper a and the nonzero lower b, and e the
+    number of zero lower parameters; no q^{-k} is formed.  Returns
+    (value, sum |t_k|), t_0 counted once, so the amplification
     sum |t_k| / |value| comes with the value.  Domain as for eval_psi.
     """
     if any(a == 0 for a in spec.upper):
         raise DomainError("bilateral series requires nonzero upper parameters")
+    if spec.r > spec.s:
+        raise DomainError("bilateral series with r > s diverges for every z")
     if spec.z == 0:
         raise DomainError("bilateral series undefined at z = 0")
     inner = math.prod(spec.lower, start=1 + 0j) / math.prod(spec.upper, start=1 + 0j)
@@ -251,22 +212,24 @@ def psi_walk(spec, pol=DEFAULT_POLICY):
         raise DomainError("outside convergence annulus: need |b1..bs/(a1..ar)| < |z|")
     if spec.s == spec.r and abs(spec.z) >= 1:
         raise DomainError("s = r bilateral series requires |z| < 1")
-    up, up_mass, scale = tail_sum(
-        _psi_up(spec), pol, "bilateral series upper tail not reached"
-    )
-    down, down_mass, _ = tail_sum(
-        _psi_down(spec), pol, "bilateral series lower tail not reached", scale
-    )
-    return _walked(up + down, up_mass + down_mass)
+    q, z, upper, lower = spec.q, spec.z, spec.upper, spec.lower
+    nonzero = [b for b in lower if b != 0]
+    e = spec.s - len(nonzero)
+    up, up_mass = _kernel_sum("bilateral series", upper, lower, q, z, spec.s - spec.r, -1, pol)
+    down_z = q**e * math.prod(nonzero, start=1 + 0j) / (z * math.prod(upper, start=1 + 0j))
+    reflected = [q / b for b in nonzero], [q / a for a in upper], q, down_z, e
+    down, down_mass = _kernel_sum("bilateral series", *reflected, -1, pol)
+    return _walked(up + down - 1.0, up_mass + down_mass - 1.0)
 
 
 def eval_psi(spec, pol=DEFAULT_POLICY):
     """Evaluate the bilateral r_psi_s series over k in Z.
 
     Convergence annulus: |b_1..b_s / (a_1..a_r)| < |z|, and |z| < 1 when
-    s = r.  Upper parameters must be nonzero (a zero upper parameter
-    kills all k < 0 terms; pass the parameter as lower 0 instead).
-    Lower parameters may be 0.
+    s = r; r > s diverges.  Upper parameters must be nonzero (a zero upper
+    parameter kills all k < 0 terms; pass the parameter as lower 0
+    instead).  Lower parameters may be 0.  An upper parameter q^m, m >= 1,
+    is a pole of the k < 0 terms and raises DomainError.
     """
     return psi_walk(spec, pol)[0]
 

@@ -1,6 +1,7 @@
-"""50-digit mpmath oracle for log (a;q)_oo, shared by the tests.
+"""50-digit mpmath oracles for log (a;q)_oo and the bilateral psi
+series, shared by the tests.
 
-Nothing here comes from qspecial: the factors are multiplied and the log
+Nothing here comes from qspecial: the factors are multiplied and the
 series summed in mpmath, from the exact images of the double inputs.
 """
 
@@ -45,3 +46,46 @@ def log_distance(value, ref):
     with mpmath.workdps(50):
         d_im = (mpmath.mpf(value.imag) - mpmath.im(ref) + mpmath.pi) % (2 * mpmath.pi)
         return max(abs(value.real - float(mpmath.re(ref))), float(abs(d_im - mpmath.pi)))
+
+
+def psi_oracle(upper, lower, q, z, max_terms=20000):
+    """(r_psi_s(upper; lower; q, z) at 50 digits, sum |t_k|) as complex, float.
+
+    Each half runs from t_0 = 1 by the term ratio
+    t_{k+1} / t_k = z prod(1 - a q^k) / prod(1 - b q^k) (-q^k)^(s-r),
+    inverted for k < 0 with q^k formed as it stands (mpmath's exponent
+    range is unbounded).  A half ends once its ratio has modulus below 1
+    and its term is below 1e-55 times the largest term; the input must lie
+    in the convergence annulus, off the poles.
+    """
+    with mpmath.workdps(50):
+        q, z = mpmath.mpf(q), mpmath.mpmathify(z)
+        upper = [mpmath.mpmathify(a) for a in upper]
+        lower = [mpmath.mpmathify(b) for b in lower]
+        power = len(lower) - len(upper)
+
+        def ratio(k):
+            qk = q**k
+            num = z * (-qk) ** power
+            for a in upper:
+                num *= 1 - a * qk
+            den = mpmath.mpf(1)
+            for b in lower:
+                den *= 1 - b * qk
+            return num / den
+
+        total, mass = mpmath.mpf(1), mpmath.mpf(1)
+        for step in (1, -1):
+            term, top, k = mpmath.mpf(1), mpmath.mpf(1), 0
+            for _ in range(max_terms):
+                f = ratio(k) if step == 1 else 1 / ratio(k - 1)
+                term *= f
+                total += term
+                mass += abs(term)
+                top = max(top, abs(term))
+                if abs(f) < 1 and abs(term) < mpmath.mpf(10) ** -55 * top:
+                    break
+                k += step
+            else:
+                raise RuntimeError("psi oracle: a half did not end within max_terms")
+        return complex(total), float(mass)

@@ -171,6 +171,17 @@ def test_gram_quadrature_orthogonality():
                 assert abs(g) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("n_nodes", [0, 2, 15])
+def test_quadratures_need_sixteen_nodes(n_nodes):
+    # at q = 0.5 two nodes gave a Gram whose (0, 0) entry was 5.15 against
+    # a norm of 4.58, and none a bare numpy ValueError: both rules share
+    # one floor
+    with pytest.raises(DomainError, match="n_nodes >= 16"):
+        aw_gram_quadrature(P, 2, n_nodes=n_nodes)
+    with pytest.raises(DomainError, match="n_nodes >= 16"):
+        aw_integral_numeric(P, n_nodes=n_nodes)
+
+
 def test_qdifference_residual():
     for n in range(0, 6):
         for theta in (0.4, 1.1, 2.0):
@@ -286,7 +297,7 @@ def test_grid_weights_match_pointwise_weights():
     # node by node: the one log series of the grid against qpoch_inf_ratio
     # of the ten products at that node, and against the 50-digit oracle
     rng = random.Random(11)
-    n_nodes = 6
+    n_nodes = 16
     for _ in range(12):
         q = rng.uniform(0.2, 0.95)
         re, im = rng.uniform(-0.6, 0.6), rng.uniform(0.05, 0.6)

@@ -83,6 +83,17 @@ def test_eval_bad_value_is_usage_error(capsys):
     assert "z" in err
 
 
+def test_eval_psi_with_more_upper_than_lower_parameters_is_an_error(capsys):
+    # an r > s bilateral series diverges for every z: a domain error,
+    # not an overflow traceback
+    code, _, err = run_cli(
+        ["eval", "psi", "upper=0.5,0.6", "lower=0.3", "q=0.5", "z=2"], capsys
+    )
+    assert code == 2
+    assert err.startswith("error: bilateral series with r > s diverges")
+    assert "Traceback" not in err
+
+
 def test_eval_unknown_target(capsys):
     code, _, err = run_cli(["eval", "nope", "q=0.5"], capsys)
     assert code == 2

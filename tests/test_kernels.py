@@ -108,7 +108,7 @@ def test_phi_sum_parity(compiled):
     for _ in range(50):
         q = rng.uniform(0.2, 0.8)
         nu = rng.randrange(0, 3)
-        # keep the radius of convergence positive: r <= s + 1
+        # keep the ratio bounded: a power 1 + nl - nu >= 0
         nl = rng.randrange(max(0, nu - 1), 3)
         upper = tuple(complex(rng.uniform(0.1, 0.9)) for _ in range(nu))
         lower = tuple(complex(rng.uniform(0.1, 0.9)) for _ in range(nl))
@@ -116,6 +116,27 @@ def test_phi_sum_parity(compiled):
         sp_pow = 1 + len(lower) - len(upper)
         _, status, _ = _phi_pair(compiled, upper, lower, q, z, sp_pow, -1, 1e-16, 100000)
         assert status == 0
+
+
+def test_phi_sum_parity_on_psi_halves(compiled):
+    # the two walks of a bilateral series: k >= 0 with e zero lower
+    # parameters, and k < 0 reflected, with lower q/a, upper q/b and the
+    # power e taken from those zeros
+    rng = random.Random(6)
+    for _ in range(30):
+        q = rng.uniform(0.2, 0.8)
+        upper = [complex(rng.uniform(-2, -0.3), rng.uniform(-0.5, 0.5))
+                 for _ in range(rng.randrange(0, 3))]
+        lower = [complex(rng.uniform(-0.9, 0.9)) for _ in range(rng.randrange(len(upper), 3))]
+        e = rng.randrange(0, 3)
+        z = rng.uniform(0.05, 0.9)
+        up = (upper, lower + [0j] * e, q, z, len(lower) + e - len(upper))
+        down = ([q / b for b in lower], [q / a for a in upper], q, z, e)
+        for args in (up, down):
+            _, status, _ = _phi_pair(compiled, *args, -1, 1e-16, 100000)
+            assert status == 0
+    # an upper parameter a = q makes the reflected lower q/a = 1: a pole
+    assert _phi_pair(compiled, (), (1 + 0j,), 0.5, 0.3, 0, -1, 1e-16, 1000)[1:] == (2, 1.0)
 
 
 def test_phi_sum_terminating_parity(compiled):
@@ -140,7 +161,7 @@ def test_phi_sum_zero_denominator_status(compiled):
 
 
 def test_phi_sum_budget_status(compiled):
-    # 1phi0 at z = 0.999 needs far more than 50 terms
+    # a ratio z (1 - 0.5 q^k) tending to z = 0.999 needs far more than 50 terms
     _, status, _ = _phi_pair(compiled, (0.5 + 0j,), (), 0.5, 0.999, 0, -1, 1e-16, 50)
     assert status == 1
 

@@ -4,6 +4,8 @@ Oracles: direct term-by-term summation with mpmath at high precision,
 plus classical closed forms (q-binomial theorem, triple product).
 """
 
+import cmath
+import random
 from fractions import Fraction
 
 import mpmath
@@ -23,6 +25,8 @@ from qspecial.errors import ConvergenceError, DomainError
 from qspecial.limits import LimitReport as ConvergenceReport, confluence_limit_check
 from qspecial import qseries
 from qspecial.qseries import phi_walk, psi_walk, reverse_terminating
+
+from mp_oracle import psi_oracle
 
 
 def mp_phi(upper, lower, q, z, kmax=400):
@@ -258,6 +262,62 @@ def test_eval_psi_annulus_domain_check():
     # 1psi1 converges for |c/b| < |z| < 1
     with pytest.raises((DomainError, ConvergenceError)):
         eval_psi(SeriesSpec([0.5], [0.3], 0.5, 1.4))
+
+
+@pytest.mark.parametrize("a", [0.5, 0.25])
+def test_eval_psi_upper_parameter_q_power_is_a_pole(a):
+    # (a;q)_k for k < 0 is 1 / (aq^k;q)_{-k}, infinite when a = q or q^2:
+    # the sum has a pole there (at a = 0.5000001 it is -8.8e5), not the
+    # value of its k >= 0 half
+    with pytest.raises(DomainError, match="zero denominator"):
+        eval_psi(SeriesSpec([a], [0.1], 0.5, 0.6))
+
+
+def test_eval_psi_more_upper_than_lower_parameters_diverges():
+    # with r > s the terms grow like q^{-(r-s) k^2 / 2} for every z
+    for z in (2.0, 0.3, 1e-3):
+        with pytest.raises(DomainError, match="r > s"):
+            eval_psi(SeriesSpec([0.5, 0.6], [0.3], 0.5, z))
+
+
+def _psi_draw(rng, shape):
+    """(upper, lower, q, z) of one psi series of the named shape, drawn
+    inside its convergence annulus and off its poles: the upper
+    parameters are negative or off the real line."""
+    q = rng.uniform(0.1, 0.9)
+    turn = cmath.exp(1j * rng.uniform(-3, 3))
+
+    def upper():
+        if rng.random() < 0.5:
+            return rng.uniform(-2, -0.3)
+        return complex(rng.uniform(-1.5, 1.5), rng.uniform(0.1, 1))
+
+    if shape == "1psi1":
+        a, z = upper(), rng.uniform(0.2, 0.95) * turn
+        return [a], [a * z * rng.uniform(0.1, 0.95)], q, z
+    if shape == "0psi1":
+        c = rng.uniform(-0.9, 0.9)
+        return [], [c], q, abs(c) * rng.uniform(1.05, 4) * turn
+    if shape == "triple product":
+        return [], [0], q, rng.uniform(0.05, 5) * turn
+    if shape == "2psi2":
+        a1, a2, z = upper(), upper(), rng.uniform(0.2, 0.95) * turn
+        b1 = rng.uniform(0.1, 0.9)
+        return [a1, a2], [b1, a1 * a2 * z / b1 * rng.uniform(0.1, 0.95)], q, z
+    return [upper()], [rng.uniform(-0.9, 0.9), 0], q, rng.uniform(0.05, 3) * turn
+
+
+@pytest.mark.parametrize("shape", ["1psi1", "0psi1", "triple product", "2psi2", "1psi2"])
+def test_psi_walk_matches_the_50_digit_oracle(shape):
+    # both halves are phi_sum walks, the k < 0 one reflected into a series
+    # in q^j: it must agree with the plain bilateral sum at 50 digits
+    rng = random.Random(shape)
+    for _ in range(3):
+        upper, lower, q, z = _psi_draw(rng, shape)
+        value, mass = psi_walk(SeriesSpec(upper, lower, q, z))
+        ref, ref_mass = psi_oracle(upper, lower, q, z)
+        assert abs(value - ref) <= 1e-13 * mass
+        assert mass == pytest.approx(ref_mass, rel=1e-12)
 
 
 def test_confluence_limit_check_decreasing():

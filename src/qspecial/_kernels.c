@@ -2,7 +2,10 @@
  *
  * Twin of _kernels_py: the same functions, arguments (positional only),
  * semantics and status codes (0 ok, 1 convergence budget exhausted,
- * 2 zero denominator).  Build with `python3 setup.py build_ext --inplace`.
+ * 2 zero denominator).  The products take a counted number of factors
+ * and stop by no rule of their own; qcore counts the factors of a truncated
+ * (a;q)_oo before it calls qpoch_finite.  Build with
+ * `python3 setup.py build_ext --inplace`.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -72,28 +75,6 @@ static PyObject *qpoch_negative(PyObject *self, PyObject *const *args, Py_ssize_
         den *= 1.0 - f;
     }
     return den == 0 ? result(0.0, 2, NULL) : result(1.0 / den, 0, NULL);
-}
-
-static PyObject *qpoch_infinite(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    double complex out = 1.0, f;
-    double q, eps, mag;
-    long max_factors, j;
-    int quiet = 0;
-    if (!arity("qpoch_infinite", nargs, 4) || !as_complex(args[0], &f)
-        || !as_double(args[1], &q) || !as_double(args[2], &eps)
-        || !as_long(args[3], &max_factors))
-        return NULL;
-    mag = cabs(f);
-    for (j = 0; j < max_factors; j++) {
-        quiet = mag < eps ? quiet + 1 : 0;
-        if (quiet >= 3)
-            return result(out, 0, NULL);
-        out *= 1.0 - f;
-        f *= q;
-        mag *= q;
-    }
-    return result(out, 1, NULL);
 }
 
 /* The loop of _kernels_py.phi_sum over the parameters in buf: nu upper,
@@ -174,7 +155,6 @@ done:
 static PyMethodDef methods[] = {
     KERNEL(qpoch_finite, "qpoch_finite(a, q, k): prod_{j<k} (1 - a q^j)."),
     KERNEL(qpoch_negative, "qpoch_negative(a, q, k): (1 / prod_{j=1}^{k} (1 - a q^-j), status)."),
-    KERNEL(qpoch_infinite, "qpoch_infinite(a, q, tail_epsilon, max_factors): (value, status)."),
     KERNEL(phi_sum, "phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):"
                     " (value, status, sum |t_k|)."),
     {NULL, NULL, 0, NULL},

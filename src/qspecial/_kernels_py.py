@@ -3,7 +3,9 @@
 Same call signatures and semantics as the compiled extension
 ``_kernels`` (hand-written C, ``_kernels.c``); selected automatically when
 the extension is unavailable.  Status codes: 0 ok, 1 convergence budget
-exhausted, 2 zero denominator factor.
+exhausted, 2 zero denominator factor.  The products take a counted number
+of factors and have no stopping rule of their own: the truncated
+(a;q)_oo is qpoch_finite with a count qcore sets before the walk.
 """
 
 BACKEND = "python"
@@ -29,29 +31,6 @@ def qpoch_negative(a, q, k):
     if den == 0:
         return 0j, 2
     return 1.0 / den, 0
-
-
-def qpoch_infinite(a, q, tail_epsilon, max_factors):
-    """Truncated infinite product prod_{j>=0} (1 - a q^j).
-
-    Stops once |a| q^j < tail_epsilon and the per-factor relative change
-    stays below tail_epsilon for 3 consecutive factors.
-    """
-    out = 1.0 + 0.0j
-    f = complex(a)
-    mag = abs(a)
-    quiet = 0
-    for _ in range(max_factors):
-        if mag < tail_epsilon:
-            quiet += 1
-            if quiet >= 3:
-                return out, 0
-        else:
-            quiet = 0
-        out *= 1.0 - f
-        f *= q
-        mag *= q
-    return out, 1
 
 
 def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):

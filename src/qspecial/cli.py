@@ -60,12 +60,11 @@ class UsageError(Exception):
 
 
 def _fmt(x):
-    """17 significant digits; drops a negligible imaginary part."""
+    """17 significant digits; drops an imaginary part that _jsonable drops."""
     if isinstance(x, complex):
-        if abs(x.imag) <= 1e-12 * (1.0 + abs(x.real)):
-            x = x.real
-        else:
-            return "%.17g%+.17gj" % (x.real, x.imag)
+        x = _jsonable(x)
+        if isinstance(x, list):
+            return "%.17g%+.17gj" % tuple(x)
     if isinstance(x, float):
         return "%.17g" % x
     return str(x)

@@ -41,17 +41,15 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Budget and tail tolerance for truncated infinite products/series."""
+    """Tail tolerance for truncated infinite products and series, and the
+    term budget of a series."""
 
     tail_epsilon: float = 1e-16
-    max_factors: int = 10_000
     max_terms: int = 100_000
 
     def __post_init__(self):
         if not 0 < self.tail_epsilon < math.inf:
             raise DomainError("tail_epsilon must be positive and finite")
-        if self.max_factors < 1:
-            raise DomainError("max_factors must be >= 1")
         if self.max_terms < 1:
             raise DomainError("max_terms must be >= 1")
 
@@ -114,25 +112,26 @@ def _in_range(value):
     return sys.float_info.min <= abs(value) <= sys.float_info.max
 
 
-def _few_factors(alist, q, pol):
-    """True when the kernel product of every a of alist stops within
-    _SERIES_FROM factors."""
-    cap = q**_SERIES_FROM
-    eps = pol.tail_epsilon * (1.0 - q)
-    return all(abs(a) * cap <= eps for a in alist)
+def _factor_count(a, q, pol):
+    """The number n of factors of the kernel product (a;q)_oo,
+    qpoch_finite(a, q, n): the index of the first j with
+    |a| q^j < pol.tail_epsilon (1 - q), plus 2, so that the tail left out,
+    at most that bound over 1 - q, is below pol.tail_epsilon.  None when
+    |a| q^_SERIES_FROM is above the bound, where the log series is the
+    cheaper path.
 
-
-def _product(a, q, pol):
-    """The kernel product (a;q)_oo, truncated once the factors a q^j are
-    below pol.tail_epsilon (1 - q), so that the tail they leave out,
-    at most that bound over 1 - q, is below pol.tail_epsilon."""
+    The +2 keeps two factors below the bound.  1 - a q^j can still round
+    away from 1 there (for complex a its imaginary part always shows), and
+    with those two factors every value is, bit for bit, the one a product
+    stopping at the third factor below the bound gives.
+    """
     eps = pol.tail_epsilon * (1.0 - q)
-    value, status = kernels.qpoch_infinite(a, q, eps, pol.max_factors)
-    if status:
-        raise ConvergenceError(
-            f"(a;q)_oo tail bound not reached within {pol.max_factors} factors"
-        )
-    return value
+    mag = abs(a)
+    if mag * q**_SERIES_FROM > eps:
+        return None
+    if mag < eps:
+        return 2
+    return math.floor((math.log(eps) - math.log(mag)) / math.log(q)) + 3
 
 
 def _log_head(alist, lq, n):
@@ -250,16 +249,17 @@ def qpoch(a, q, k, pol=DEFAULT_POLICY):
     """q-shifted factorial (a;q)_k.
 
     k may be any integer or the sentinel INFINITY.  Negative k uses the
-    closed reciprocal product.  INFINITY takes the kernel product, whose
-    left-out tail is below pol.tail_epsilon, when that needs few factors,
-    and exp(log_qpoch_inf) otherwise; a value outside the double range
-    raises OutOfRangeError.
+    closed reciprocal product.  INFINITY takes the kernel product over
+    _factor_count factors, whose left-out tail is below pol.tail_epsilon,
+    when that count is small, and exp(log_qpoch_inf) otherwise; a value
+    outside the double range raises OutOfRangeError.
     """
     q = check_q(q)
     a = _finite(a)
     if k == INFINITY:
-        if _few_factors([a], q, pol):
-            value = _product(a, q, pol)
+        n = _factor_count(a, q, pol)
+        if n is not None:
+            value = kernels.qpoch_finite(a, q, n)
             if _in_range(value):
                 return value
         return _exp_log(_log_qpochs([a], q, pol.tail_epsilon)[0], a.imag == 0)
@@ -293,14 +293,14 @@ def qpoch_inf_ratio(upper, lower, q, pol=DEFAULT_POLICY, log_factor=0.0):
     upper = [_finite(a) for a in upper]
     lower = [_finite(a) for a in lower]
     log_factor = complex(log_factor)
-    cheap = _few_factors(upper + lower, q, pol)
-    if cheap and _LOG_MIN <= log_factor.real <= _LOG_MAX:
+    counts = [_factor_count(a, q, pol) for a in upper + lower]
+    if None not in counts and _LOG_MIN <= log_factor.real <= _LOG_MAX:
         num = cmath.exp(log_factor)
-        for a in upper:
-            num *= _product(a, q, pol)
+        for a, n in zip(upper, counts):
+            num *= kernels.qpoch_finite(a, q, n)
         den = 1.0 + 0.0j
-        for a in lower:
-            den *= _product(a, q, pol)
+        for a, n in zip(lower, counts[len(upper) :]):
+            den *= kernels.qpoch_finite(a, q, n)
         if _in_range(num) and _in_range(den) and _in_range(num / den):
             return num / den
     logs = _log_qpochs(upper + lower, q, pol.tail_epsilon)

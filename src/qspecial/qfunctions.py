@@ -10,7 +10,7 @@ import math
 
 from qspecial.errors import DomainError
 from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch, qpoch_inf_ratio
-from qspecial.qseries import SeriesSpec, eval_phi
+from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
 
 def e_q(z, q, pol=DEFAULT_POLICY):
@@ -84,16 +84,12 @@ def theta4(x, q, pol=DEFAULT_POLICY):
 
 
 def theta4_series(x, q, pol=DEFAULT_POLICY):
-    """Bilateral series sum_k (-1)^k q^{k^2} e^{2 pi i k x}; test cross-check."""
+    """The Jacobi triple-product series sum_k (-1)^k q^{k^2} e^{2 pi i k x}
+    of theta4, as the bilateral 0psi1(-; 0; q^2, q e^{2 pi i x}); a test
+    cross-check of the product."""
     q = check_q(q)
     w = cmath.exp(2j * math.pi * x)
-    total = 1.0 + 0.0j
-    for k in range(1, pol.max_factors):
-        mag = q ** (k * k)
-        if mag < pol.tail_epsilon:
-            break
-        total += (-1.0) ** k * mag * (w**k + w**-k)
-    return total
+    return eval_psi(SeriesSpec([], [0], q * q, q * w), pol)
 
 
 def _bessel_prefactor(nu, q, pol):

@@ -133,13 +133,15 @@ def lattice_gram(values, lattice, pol):
         x = np.cumprod(np.r_[x_next, np.full(size - 1, step)])
         w = np.cumprod(np.r_[w_next, ratio(x[:-1])])
         x_next, w_next = x[-1] * step, w[-1] * ratio(x[-1:])[0]
-        v = values(x)
         us.append(mass * x * w)
-        vs.append(v)
-        # nodes past the stop may overflow to inf or nan here; feed raises
-        # OutOfRangeError for any such node it sums, so numpy need not warn
+        # values and magnitudes at nodes past the stop may overflow to inf
+        # or nan; feed raises OutOfRangeError for any such node it sums, so
+        # numpy need not warn.  The magnitudes are formed in the order gram
+        # multiplies, so v^2 cannot overflow where v u is finite.
         with np.errstate(over="ignore", invalid="ignore"):
-            mags = np.abs(v[:, None, :] * v[None, :, :] * us[-1]).reshape(-1, size).T
+            v = values(x)
+            mags = np.abs(v[:, None, :] * (v[None, :, :] * us[-1])).reshape(-1, size).T
+        vs.append(v)
         length = rule.feed(mags)
         if length is not None:
             v = np.concatenate(vs, axis=1)[:, :length]

@@ -462,6 +462,21 @@ def test_ortho_moak_report_passes_without_numpy_warnings(capsys):
     assert all(row.split()[-1] == "ok" for row in rows)
 
 
+def test_ortho_moak_gram_with_finite_entries_passes(capsys):
+    # v_n^2 overflows at nodes where v_n v_m u, the summed magnitude, is
+    # finite; the walk forms it in that order and never sees the overflow
+    code, out, err = run_cli(["ortho", "moak", "alpha=0.7", "q=0.2", "--nmax", "12"], capsys)
+    assert (code, err) == (0, "")
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 13 * 14 // 2
+    assert all(row.split()[-1] == "ok" for row in rows)
+    # here the walk goes on until the up-walk weight underflows to 0, which
+    # ends it too early (a breach, exit 1); the recurrence values overflow
+    # only past that stop, are never summed, and numpy does not warn of them
+    code, out, err = run_cli(["ortho", "moak", "alpha=0.7", "q=0.15", "--nmax", "16"], capsys)
+    assert (code, err) == (1, "")
+
+
 def test_cached_parser_is_reentrant(capsys, monkeypatch):
     # in-process callers share one parser; each call must print and exit as
     # it does with a parser of its own, and no --tolerance list may carry over

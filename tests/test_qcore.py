@@ -134,20 +134,21 @@ def test_check_q_rejects_bad_base():
 def test_truncation_policy_defaults():
     pol = TruncationPolicy()
     assert pol.tail_epsilon == 1e-16
-    assert pol.max_factors == 10000
     assert pol.max_terms == 100000
 
 
 def test_truncation_policy_rejects_bad_fields():
     for kwargs in (
         {"max_terms": 0},
-        {"max_factors": 0},
         {"tail_epsilon": math.inf},
         {"tail_epsilon": math.nan},
         {"tail_epsilon": 0.0},
     ):
         with pytest.raises(DomainError):
             TruncationPolicy(**kwargs)
+    # products take a counted number of factors: there is no factor budget
+    with pytest.raises(TypeError):
+        TruncationPolicy(max_factors=1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +222,12 @@ def test_gamma_q_matches_oracle(z, q):
 @given(a=argument, q=st.floats(0.01, 0.99))
 @settings(max_examples=60, deadline=None)
 def test_log_series_matches_kernel_product(a, q):
-    # the two paths of (a;q)_oo; the product stops within max_factors here
-    value, status = kernels.qpoch_infinite(complex(a), q, 1e-17 * (1 - q), 100_000)
-    assert status == 0
+    # the two paths of (a;q)_oo; the product runs through the first factor
+    # with |a q^j| below 1e-17 (1 - q), and two more
+    n, mag = 2, abs(a)
+    while mag >= 1e-17 * (1 - q):
+        n, mag = n + 1, mag * q
+    value = kernels.qpoch_finite(complex(a), q, n)
     series = cmath.exp(log_qpoch_inf(a, q))
     # a factor 1 - a q^j near 0 amplifies the rounding of a q^j by this much
     cond = sum(abs(a * q**j / (1 - a * q**j)) for j in range(200) if a * q**j != 1)
@@ -237,6 +241,18 @@ def test_qpoch_infinite_near_one_default_policy():
         with mpmath.workdps(50):
             want = mpmath.exp(ref)
             assert float(abs(qpoch(a, q, INFINITY) - want) / abs(want)) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1 - 1e-4, 1 - 1e-5, 1 - 1e-6])
+def test_log_qpoch_inf_matches_dilogarithm_near_one(q):
+    # log (x;q)_oo = -Li2(x)/t + log(1 - x)/2 - t x / (12 (1 - x)) + O(t^3),
+    # t = -log q (Euler-Maclaurin); the O(t^3) rest is below EPS |log| here
+    for x in (0.5, -0.7, 0.9, 0.1, -0.95, 0.3 + 0.4j):
+        with mpmath.workdps(40):
+            t, X = -mpmath.log(mpmath.mpf(q)), mpmath.mpmathify(x)
+            want = -mpmath.polylog(2, X) / t + mpmath.log(1 - X) / 2 - t * X / (12 * (1 - X))
+            want = complex(want)
+        assert abs(log_qpoch_inf(x, q) - want) <= 16 * EPS * abs(want)
 
 
 def test_qpoch_out_of_range_names_log():

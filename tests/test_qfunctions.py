@@ -94,10 +94,11 @@ def test_beta_q_gamma_ratio():
 
 
 def test_theta4_product_equals_series():
-    for x in (0.0, 0.13, 0.5, 0.77):
-        prod = theta4(x, 0.35)
-        ser = theta4_series(x, 0.35)
-        assert abs(prod - ser) <= 1e-12 * max(1.0, abs(ser))
+    for q in (0.35, 0.9, 0.99):
+        for x in (0.0, 0.13, 0.5, 0.77):
+            prod = theta4(x, q)
+            ser = theta4_series(x, q)
+            assert abs(prod - ser) <= 1e-12 * max(1.0, abs(ser))
 
 
 def test_theta4_matches_mpmath_jtheta():

@@ -30,9 +30,7 @@ from qspecial.qcalculus import (
     qintegral_ab,
 )
 from qspecial.qcore import (
-    DEFAULT_POLICY,
     INFINITY,
-    TruncationPolicy,
     qbinomial,
     qpoch,
     qpoch_base_inverted,
@@ -72,9 +70,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "DEFAULT_POLICY",
     "INFINITY",
-    "TruncationPolicy",
     "qpoch",
     "qpoch_list",
     "qbinomial",

@@ -21,7 +21,7 @@ import numpy as np
 
 from qspecial.errors import DomainError
 from qspecial.qcore import (
-    DEFAULT_POLICY, _exp_log, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
+    _exp_log, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
 )
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, from_terms, gram, table
@@ -59,14 +59,14 @@ class AWParams:
         return all(abs(u - v) <= 1e-12 * max(1.0, abs(u)) for u, v in zip(vals, conj))
 
 
-def _h0(p, pol, log_factor=0.0):
+def _h0(p, log_factor=0.0):
     """(abcd;q)_oo / (q, ab, ac, ad, bc, bd, cd;q)_oo, as one exp of logs."""
     a, b, c, d = p.abcd
     pairs = [p.q, a * b, a * c, a * d, b * c, b * d, c * d]
-    return qpoch_inf_ratio([a * b * c * d], pairs, p.q, pol, log_factor)
+    return qpoch_inf_ratio([a * b * c * d], pairs, p.q, log_factor)
 
 
-def aw_integral_closed(p, pol=DEFAULT_POLICY):
+def aw_integral_closed(p):
     """Closed form of the contour integral (1/2 pi i) oint w(z) dz/z:
 
     2 (abcd;q)_oo / (ab, ac, ad, bc, bd, cd, q;q)_oo.
@@ -78,10 +78,10 @@ def aw_integral_closed(p, pol=DEFAULT_POLICY):
     for pair in (a * b, a * c, a * d, b * c, b * d, c * d):
         if abs(pair - 1.0) < 1e-12:
             raise DomainError("degenerate parameter pair ef = 1")
-    return _h0(p, pol, math.log(2.0))
+    return _h0(p, math.log(2.0))
 
 
-def _midpoint_grid(p, n_nodes, pol):
+def _midpoint_grid(p, n_nodes):
     """(cos theta, w / top, top / (2 n_nodes)) on z = e^{i theta},
     theta = 2 pi (j+1/2) / n_nodes, with top the largest |w|.  The ten
     products of all nodes take one log_qpoch_inf; the scale alone leaves
@@ -94,18 +94,18 @@ def _midpoint_grid(p, n_nodes, pol):
     theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
     z = np.exp(1j * theta)
     args = np.array([z * z, 1.0 / (z * z)] + [f for e in p.abcd for f in (e * z, e / z)])
-    logs = log_qpoch_inf(args, p.q, pol)
+    logs = log_qpoch_inf(args, p.q)
     log_w = logs[0] + logs[1] - logs[2:].sum(axis=0)
     top = log_w.real.max()
     scale = _exp_log(top - math.log(2.0 * n_nodes))
     return np.cos(theta), np.exp(log_w - top), scale
 
 
-def aw_integral_numeric(p, n_nodes=512, pol=DEFAULT_POLICY):
+def aw_integral_numeric(p, n_nodes=512):
     """(1/2 pi) int_0^pi w(e^{i theta}) d theta by the uniform trapezoid
     rule on the full circle (the integrand is analytic and periodic, so
     the rule is spectrally accurate).  Equals half the closed form."""
-    _, w, scale = _midpoint_grid(p, n_nodes, pol)
+    _, w, scale = _midpoint_grid(p, n_nodes)
     return complex(np.sum(w)) * scale
 
 
@@ -126,7 +126,7 @@ def _cqh_z(n, z, q):
     return total
 
 
-def _aw_poly_z(n, z, p, pol=DEFAULT_POLICY):
+def _aw_poly_z(n, z, p):
     """p_n at the point x = (z + 1/z)/2, in terms of z.
 
     Series path: a^{-n}(ab,ac,ad;q)_n
@@ -147,18 +147,16 @@ def _aw_poly_z(n, z, p, pol=DEFAULT_POLICY):
         q,
         q,
     )
-    return a ** float(-n) * qpoch_list([a * b, a * c, a * d], q, n) * eval_phi(
-        spec, pol
-    )
+    return a ** float(-n) * qpoch_list([a * b, a * c, a * d], q, n) * eval_phi(spec)
 
 
-def aw_poly(n, x, p, pol=DEFAULT_POLICY):
+def aw_poly(n, x, p):
     """Askey-Wilson polynomial p_n(x; a,b,c,d | q), symmetric in the
     parameters, with leading coefficient k_n = 2^n (q^{n-1}abcd;q)_n."""
-    return _aw_poly_z(n, _z_of_x(x), p, pol)
+    return _aw_poly_z(n, _z_of_x(x), p)
 
 
-def aw_poly_r(n, x, p, pol=DEFAULT_POLICY):
+def aw_poly_r(n, x, p):
     """The normalized 4phi3 itself (value 1 at x = (a + 1/a)/2):
 
     r_n = 4phi3(q^{-n}, q^{n-1}abcd, az, a/z; ab, ac, ad; q, q).
@@ -176,7 +174,7 @@ def aw_poly_r(n, x, p, pol=DEFAULT_POLICY):
         q,
         q,
     )
-    return eval_phi(spec, pol)
+    return eval_phi(spec)
 
 
 def aw_leading_coefficient(n, p):
@@ -185,7 +183,7 @@ def aw_leading_coefficient(n, p):
     return 2.0**n * qpoch(p.q ** float(n - 1) * a * b * c * d, p.q, n)
 
 
-def aw_norm_ratio(n, p, pol=DEFAULT_POLICY):
+def aw_norm_ratio(n, p):
     """h_n / h_0 = (1-q^{n-1}abcd)(q,ab,ac,ad,bc,bd,cd;q)_n
                      / ((1-q^{2n-1}abcd)(abcd;q)_n)."""
     a, b, c, d = p.abcd
@@ -199,16 +197,16 @@ def aw_norm_ratio(n, p, pol=DEFAULT_POLICY):
     )
 
 
-def aw_norm(n, p, pol=DEFAULT_POLICY):
+def aw_norm(n, p):
     """Quadratic norm h_n = (1/2 pi) int_0^pi p_n^2 w d theta, via
 
     h_0 = (abcd;q)_oo / (q, ab, ac, ad, bc, bd, cd;q)_oo
 
     and the closed-form ratio h_n/h_0."""
-    return _h0(p, pol) * aw_norm_ratio(n, p, pol)
+    return _h0(p) * aw_norm_ratio(n, p)
 
 
-def aw_recurrence(n, p, pol=DEFAULT_POLICY):
+def aw_recurrence(n, p):
     """Coefficients (A_n, B_n, C_n) of 2x p_n = A_n p_{n+1} + B_n p_n
     + C_n p_{n-1}.
 
@@ -224,8 +222,8 @@ def aw_recurrence(n, p, pol=DEFAULT_POLICY):
             2.0
             * aw_leading_coefficient(n - 1, p)
             / aw_leading_coefficient(n, p)
-            * aw_norm_ratio(n, p, pol)
-            / aw_norm_ratio(n - 1, p, pol)
+            * aw_norm_ratio(n, p)
+            / aw_norm_ratio(n - 1, p)
         )
     params = sorted(p.abcd, key=lambda e: -abs(e))
     a, b, c, d = params
@@ -241,18 +239,18 @@ def aw_recurrence(n, p, pol=DEFAULT_POLICY):
     return an, bn, cn
 
 
-def aw_recurrence_table(n, p, pol=DEFAULT_POLICY):
+def aw_recurrence_table(n, p):
     """The recurrence of p_0..p_n: aw_recurrence(k, p) for k < n, with
     x scaled by 2."""
-    return from_terms((aw_recurrence(k, p, pol) for k in range(n)), s=2.0)
+    return from_terms((aw_recurrence(k, p) for k in range(n)), s=2.0)
 
 
-def aw_poly_by_recurrence(n, x, p, pol=DEFAULT_POLICY):
+def aw_poly_by_recurrence(n, x, p):
     """p_n through the three term recurrence; dual path to the series."""
-    return complex(eval_all(aw_recurrence_table(n, p, pol), x)[n, 0])
+    return complex(eval_all(aw_recurrence_table(n, p), x)[n, 0])
 
 
-def aw_qdifference_residual(n, z, p, pol=DEFAULT_POLICY):
+def aw_qdifference_residual(n, z, p):
     """Residual of the eigenfunction equation of the Askey-Wilson
     q-difference operator, with A(z) = (1-az)(1-bz)(1-cz)(1-dz)
     / ((1-z^2)(1-qz^2)):
@@ -275,16 +273,16 @@ def aw_qdifference_residual(n, z, p, pol=DEFAULT_POLICY):
 
     a, b, c, d = p.abcd
     az, azi = big_a(z), big_a(1.0 / z)
-    pq = _aw_poly_z(n, q * z, p, pol)
-    p0 = _aw_poly_z(n, z, p, pol)
-    pm = _aw_poly_z(n, z / q, p, pol)
+    pq = _aw_poly_z(n, q * z, p)
+    p0 = _aw_poly_z(n, z, p)
+    pm = _aw_poly_z(n, z / q, p)
     eig = (1.0 - q ** float(-n)) * (1.0 - q ** float(n - 1) * a * b * c * d)
     return az * pq - (az + azi) * p0 + azi * pm + eig * p0
 
 
-def al_salam_chihara(n, x, a, b, q, pol=DEFAULT_POLICY):
+def al_salam_chihara(n, x, a, b, q):
     """Al-Salam-Chihara polynomial p_n(x; a, b, 0, 0 | q)."""
-    return aw_poly(n, x, AWParams(a, b, 0, 0, q), pol)
+    return aw_poly(n, x, AWParams(a, b, 0, 0, q))
 
 
 def al_salam_chihara_recurrence_table(n, a, b, q):
@@ -309,7 +307,7 @@ def continuous_q_hermite(n, x, q):
     return _cqh_z(n, _z_of_x(x), q)
 
 
-def q_ultraspherical(n, theta, beta, q, form="fourier", pol=DEFAULT_POLICY):
+def q_ultraspherical(n, theta, beta, q, form="fourier"):
     """Rogers' q-ultraspherical polynomial C_n(cos theta; beta | q).
 
     form="fourier": sum_k ((beta;q)_k (beta;q)_{n-k}
@@ -349,8 +347,7 @@ def q_ultraspherical(n, theta, beta, q, form="fourier", pol=DEFAULT_POLICY):
                 [beta * sq, -beta * sq, -beta],
                 q,
                 q,
-            ),
-            pol,
+            )
         )
         return qpoch(beta * beta, q, n) / (rb ** float(n) * qpoch(q, q, n)) * body
     if form == "aw":
@@ -362,7 +359,7 @@ def q_ultraspherical(n, theta, beta, q, form="fourier", pol=DEFAULT_POLICY):
             * qpoch(beta, q, n)
             / (qpoch(q, q, n) * aw_leading_coefficient(n, p))
         )
-        return const * aw_poly(n, math.cos(theta), p, pol)
+        return const * aw_poly(n, math.cos(theta), p)
     raise DomainError(f"unknown form {form!r}")
 
 
@@ -379,7 +376,7 @@ def _racah_check(alpha, beta, gamma, delta, big_n, q):
     raise DomainError("one of alpha*q, beta*delta*q, gamma*q must be q^{-N}")
 
 
-def q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
+def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
     """q-Racah polynomial R_n(mu(x)):
 
     4phi3(q^{-n}, q^{n+1} alpha beta, q^{-x}, q^{x+1} gamma delta;
@@ -400,12 +397,12 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
         q,
         q,
     )
-    return eval_phi(spec, pol)
+    return eval_phi(spec)
 
 
-def _q_racah_table(alpha, beta, gamma, delta, q, big_n, pol):
+def _q_racah_table(alpha, beta, gamma, delta, q, big_n):
     """R_n(mu(x)) for n, x = 0..N, each evaluated once."""
-    racah = lambda n, x: q_racah(n, x, alpha, beta, gamma, delta, q, big_n, pol)
+    racah = lambda n, x: q_racah(n, x, alpha, beta, gamma, delta, q, big_n)
     return table(racah, big_n, range(big_n + 1))
 
 
@@ -415,7 +412,7 @@ def _q_racah_solve(table):
     return np.linalg.solve(table, rhs)
 
 
-def q_racah_weights(alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
+def q_racah_weights(alpha, beta, gamma, delta, q, big_n):
     """Weights w(x) on x = 0..N derived numerically from the moment
     conditions sum_x R_n(mu(x)) w(x) = delta_{n,0}, n = 0..N.
 
@@ -424,31 +421,22 @@ def q_racah_weights(alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
     contract and is exact up to conditioning.
     """
     _racah_check(alpha, beta, gamma, delta, big_n, q)
-    return _q_racah_solve(_q_racah_table(alpha, beta, gamma, delta, q, big_n, pol))
+    return _q_racah_solve(_q_racah_table(alpha, beta, gamma, delta, q, big_n))
 
 
-def q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
+def q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n):
     """Gram matrix sum_x R_n(mu(x)) R_m(mu(x)) w(x), n, m = 0..nmax, with
     the derived weights: one moment solve, each R_n(mu(x)) evaluated once."""
     _racah_check(alpha, beta, gamma, delta, big_n, check_q(q))
     if not 0 <= nmax <= big_n:
         raise DomainError("need 0 <= nmax <= N")
-    table = _q_racah_table(alpha, beta, gamma, delta, q, big_n, pol)
+    table = _q_racah_table(alpha, beta, gamma, delta, q, big_n)
     return gram(table[: nmax + 1], _q_racah_solve(table))
 
 
-def q_racah_orthogonality(n, m, alpha, beta, gamma, delta, q, big_n, pol=DEFAULT_POLICY):
-    """Gram entry sum_x R_n(mu(x)) R_m(mu(x)) w(x) with the derived
-    weights; diagonal h_n, off-diagonal approximately zero."""
-    if n < 0 or m < 0:
-        raise DomainError("degrees must be nonnegative")
-    gram_nm = q_racah_gram_matrix(max(n, m), alpha, beta, gamma, delta, q, big_n, pol)
-    return complex(gram_nm[n, m])
-
-
-def aw_gram_quadrature(p, nmax, n_nodes=1024, pol=DEFAULT_POLICY):
+def aw_gram_quadrature(p, nmax, n_nodes=1024):
     """Matrix of quadrature inner products (1/2 pi) int_0^pi p_n p_m w
     d theta for n, m <= nmax, via the uniform grid on the full circle,
     with the values from the three term recurrence."""
-    x, w, scale = _midpoint_grid(p, n_nodes, pol)
-    return gram(eval_all(aw_recurrence_table(nmax, p, pol), x), w) * scale
+    x, w, scale = _midpoint_grid(p, n_nodes)
+    return gram(eval_all(aw_recurrence_table(nmax, p), x), w) * scale

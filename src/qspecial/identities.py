@@ -28,9 +28,7 @@ import numpy as np
 
 from qspecial.errors import DomainError, QSpecialError
 from qspecial.qcore import (
-    DEFAULT_POLICY,
     INFINITY,
-    TruncationPolicy,
     qbinomial,
     qpoch,
     qpoch_inf_ratio,
@@ -44,6 +42,7 @@ from qspecial.qseries import (
     _walked,
     eval_phi,
     eval_psi,
+    reverse_terminating,
 )
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
@@ -304,7 +303,7 @@ def _eq_base_inverted(p):
     q, z = p["q"], p["z"]
     step = lambda t, k: t * z / (1.0 - q ** float(-k))
     terms = accumulate(count(1), step, initial=1.0 + 0.0j)
-    return tail_sum(terms, DEFAULT_POLICY, "e_{1/q} tail not reached")[0]
+    return tail_sum(terms, "e_{1/q} tail not reached")[0]
 
 
 _add(
@@ -329,7 +328,7 @@ def _jackson(end, s, upper, lower, q):
         return num / math.prod(1.0 - u * t for u in upper)
 
     ones = lambda t: np.ones((1, len(t)))
-    return complex(lattice_gram(ones, (end, q, w0, ratio), DEFAULT_POLICY)[0, 0])
+    return complex(lattice_gram(ones, (end, q, w0, ratio))[0, 0])
 
 
 _add(
@@ -511,33 +510,19 @@ def _sample_reversal(rng):
     return {"q": q, "n": n, "b": b, "c": c, "z": z}
 
 
-def _reversal_rhs(p):
-    q, n, b, c, z = p["q"], p["n"], p["b"], p["c"], p["z"]
-    pref = (
-        q ** (-n * (n + 1) / 2.0)
-        * qpoch(b, q, n)
-        / qpoch(c, q, n)
-        * (-z) ** n
-    )
-    body = eval_phi(
-        SeriesSpec(
-            [q ** float(-n), q ** float(-n + 1) / c],
-            [q ** float(-n + 1) / b],
-            q,
-            q ** float(n + 1) * c / (b * z),
-        )
-    )
-    return pref * body
+def _reversal_spec(p):
+    return SeriesSpec([p["q"] ** float(-p["n"]), p["b"]], [p["c"]], p["q"], p["z"])
+
+
+def _reversed_sum(p):
+    spec, prefactor = reverse_terminating(_reversal_spec(p))
+    return prefactor * eval_phi(spec)
 
 
 _add(
     "terminating_reversal",
-    lambda p: eval_phi(
-        SeriesSpec(
-            [p["q"] ** float(-p["n"]), p["b"]], [p["c"]], p["q"], p["z"]
-        )
-    ),
-    _reversal_rhs,
+    lambda p: eval_phi(_reversal_spec(p)),
+    _reversed_sum,
     _sample_reversal,
     "EXACT_TERMINATING",
     "order reversal of a terminating 2phi1",
@@ -1330,7 +1315,6 @@ def _aw_kernel_lhs(p):
 
 
 _KERNEL_TERMS = 400
-_KERNEL_POLICY = TruncationPolicy(max_terms=_KERNEL_TERMS)
 
 
 def _aw_kernel_rhs(p):
@@ -1346,7 +1330,7 @@ def _aw_kernel_rhs(p):
         for m in range(_KERNEL_TERMS)
     )
     message = f"kernel series tail not reached within {_KERNEL_TERMS} terms"
-    return tail_sum(terms, _KERNEL_POLICY, message)[0]
+    return tail_sum(terms, message, max_terms=_KERNEL_TERMS)[0]
 
 
 _add(

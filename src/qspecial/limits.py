@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate, count
 
 from qspecial.errors import DomainError, UnknownPath
-from qspecial.qcore import DEFAULT_POLICY, qbinomial, qpoch, shifted_factorial, tail_sum
+from qspecial.qcore import qbinomial, qpoch, shifted_factorial, tail_sum
 from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import (
     BigQJacobiParams,
     FamilyParams,
-    big_qjacobi_by_recurrence,
+    big_qjacobi_monic,
     family_eval,
     little_qjacobi,
 )
@@ -227,7 +227,7 @@ def classical_bessel_j(nu, x):
     w = -x * x / 4.0
     step = lambda t, k: t * w / (k * (nu + k))
     terms = accumulate(count(1), step, initial=1.0 + 0.0j)
-    total = tail_sum(terms, DEFAULT_POLICY, "Bessel series tail not reached")[0]
+    total = tail_sum(terms, "Bessel series tail not reached")[0]
     return (x / 2.0) ** nu / classical_gamma(nu + 1.0) * total
 
 
@@ -268,7 +268,7 @@ def _march(name, tolerance, values, step_error):
     return rep
 
 
-def confluence_limit_check(spec, direction, magnitudes, pol=DEFAULT_POLICY):
+def confluence_limit_check(spec, direction, magnitudes):
     """Check the confluence limit sending upper[direction] -> oo with z/a scaling.
 
     Evaluates r_phi_s(..., a, ...; q, z/a) for a running through the given
@@ -279,12 +279,12 @@ def confluence_limit_check(spec, direction, magnitudes, pol=DEFAULT_POLICY):
         raise DomainError("need at least one upper parameter")
     kept = list(spec.upper)
     kept.pop(direction)
-    target = eval_phi(SeriesSpec(kept, spec.lower, spec.q, spec.z), pol)
+    target = eval_phi(SeriesSpec(kept, spec.lower, spec.q, spec.z))
 
     def err(mag):
         upper = list(spec.upper)
         upper[direction] = mag
-        value = eval_phi(SeriesSpec(upper, spec.lower, spec.q, spec.z / mag), pol)
+        value = eval_phi(SeriesSpec(upper, spec.lower, spec.q, spec.z / mag))
         return abs(value - target) / max(abs(target), 1e-300)
 
     return _march("confluence", 1e-6, magnitudes, err)
@@ -293,8 +293,8 @@ def confluence_limit_check(spec, direction, magnitudes, pol=DEFAULT_POLICY):
 @dataclass(frozen=True)
 class _LimitPath:
     """One limit path: the steps of its degeneration parameter, the probe
-    points, the approximant (step, *probe, pol) and the limit value
-    (*probe, pol)."""
+    points, the approximant (step, *probe) and the limit value
+    (*probe)."""
 
     steps: list
     probes: list
@@ -327,71 +327,69 @@ def _laguerre(alpha, n, x):
     return hyp_terminating([-n], [alpha + 1.0], x)
 
 
-def _hermite(n, x, pol):
+def _hermite(n, x):
     return hermite(n, x)
 
 
-def _hermite_from_charlier(a, n, x, pol):
+def _hermite_from_charlier(a, n, x):
     s = math.sqrt(2.0 * a)
     return (-s) ** n * classical_eval("charlier", n, s * x + a, a=a)
 
 
-def _aw_to_big_qjacobi(lam, n, x, pol):
+def _aw_to_big_qjacobi(lam, n, x):
     q, a, b, c, d = 0.45, 0.6, 0.4, 1.3, 0.8
     rt = math.sqrt(q * d / c)
     rti = math.sqrt(q * c / d)
     aw = AWParams(lam * a * rt, rti / lam, -rt / lam, -lam * b * rti, q)
-    return aw_poly_r(n, math.sqrt(q) * x / (2.0 * lam * math.sqrt(c * d)), aw, pol)
+    return aw_poly_r(n, math.sqrt(q) * x / (2.0 * lam * math.sqrt(c * d)), aw)
 
 
-def _big_qjacobi_normalized(n, x, pol):
+def _big_qjacobi_normalized(n, x):
     q, a, b, c, d = 0.45, 0.6, 0.4, 1.3, 0.8
     p = BigQJacobiParams(a, b, c, d, q)
-    return big_qjacobi_by_recurrence(n, x, p) / (
-        big_qjacobi_by_recurrence(n, c / (q * a), p)
-    )
+    return big_qjacobi_monic(n, x, p) / big_qjacobi_monic(n, c / (q * a), p)
 
 
-def _aw_to_little_qjacobi(lam, n, x, pol):
+def _aw_to_little_qjacobi(lam, n, x):
     q, a, b = 0.45, 0.6, 0.4
     sq = math.sqrt(q)
     aw = AWParams(sq * lam * lam * a, sq / (lam * lam), -sq, -sq * b, q)
-    return aw_poly_r(n, sq * x / (2.0 * lam * lam), aw, pol)
+    return aw_poly_r(n, sq * x / (2.0 * lam * lam), aw)
 
 
-def _little_qjacobi_scaled(n, x, pol):
+def _little_qjacobi_scaled(n, x):
     q, a, b = 0.45, 0.6, 0.4
     return (
         qpoch(q * b, q, n)
         / qpoch(q ** float(-n) / a, q, n)
-        * little_qjacobi(n, x, b, a, q, pol=pol)
+        * little_qjacobi(n, x, b, a, q)
     )
 
 
-def _little_qjacobi_top_degrees(big_n, n, x, pol):
+def _little_qjacobi_top_degrees(big_n, n, x):
     q, a, b = 0.45, 0.55, 0.3
-    return little_qjacobi(big_n - n, q ** float(big_n) * x, a, b, q, pol=pol)
+    return little_qjacobi(big_n - n, q ** float(big_n) * x, a, b, q)
 
 
-def _hahn_exton_phi(n, x, pol):
+def _hahn_exton_phi(n, x):
     q, a = 0.45, 0.55
-    return eval_phi(SeriesSpec([0], [a * q], q, q ** float(n + 1) * x), pol)
+    return eval_phi(SeriesSpec([0], [a * q], q, q ** float(n + 1) * x))
 
 
 _path(
     "laguerre_from_jacobi",
     [2.0**j for j in range(3, 16)],
     [(1, 0.5), (3, 0.5), (4, 2.0)],
-    lambda beta, n, x, pol: classical_eval(
+    lambda beta, n, x: classical_eval(
         "jacobi", n, 1.0 - 2.0 * x / beta, alpha=0.7, beta=beta
     ),
-    lambda n, x, pol: classical_eval("laguerre", n, x, alpha=0.7),
+    lambda n, x: classical_eval("laguerre", n, x, alpha=0.7),
 )
 _path(
     "hermite_from_jacobi",
     [4.0**j for j in range(2, 10)],
     [(1, 0.6), (3, 0.6), (4, -1.1)],
-    lambda alpha, n, x, pol: 2.0**n
+    lambda alpha, n, x: 2.0**n
     * math.factorial(n)
     * alpha ** (-n / 2.0)
     * classical_eval("jacobi", n, x / math.sqrt(alpha), alpha=alpha, beta=alpha),
@@ -401,7 +399,7 @@ _path(
     "hermite_from_laguerre",
     [4.0**j for j in range(2, 14)],
     [(1, 0.6), (2, -0.4), (3, 0.6)],
-    lambda alpha, n, x, pol: (-1.0) ** n
+    lambda alpha, n, x: (-1.0) ** n
     * 2.0 ** (n / 2.0)
     * math.factorial(n)
     * alpha ** (-n / 2.0)
@@ -421,78 +419,74 @@ _path(
     "jacobi_from_hahn",
     [2**j for j in range(4, 16)],
     [(1, 0.3), (3, 0.3), (4, 0.8)],
-    lambda big_n, n, t, pol: classical_eval(
+    lambda big_n, n, t: classical_eval(
         "hahn", n, big_n * t, alpha=0.4, beta=1.1, N=int(big_n)
     ),
-    lambda n, t, pol: _jacobi(0.4, 1.1, n, t),
+    lambda n, t: _jacobi(0.4, 1.1, n, t),
 )
 # the discrete q-families at the lattice points q^{-x} with N = 8
 _path(
     "hahn_from_qhahn",
     _q_steps(),
     [(1, 2), (3, 5), (4, 7)],
-    lambda q, n, x, pol: family_eval(
-        FamilyParams("q_hahn", q, a=q**0.4, b=q**1.1, N=8), n, q ** float(-x), pol=pol
+    lambda q, n, x: family_eval(
+        FamilyParams("q_hahn", q, a=q**0.4, b=q**1.1, N=8), n, q ** float(-x)
     ),
-    lambda n, x, pol: classical_eval("hahn", n, x, alpha=0.4, beta=1.1, N=8),
+    lambda n, x: classical_eval("hahn", n, x, alpha=0.4, beta=1.1, N=8),
 )
 _path(
     "krawtchouk_from_qkrawtchouk",
     _q_steps(),
     [(1, 2), (3, 5), (4, 7)],
-    lambda q, n, x, pol: family_eval(
-        FamilyParams("q_krawtchouk", q, b=1.5, N=8), n, q ** float(-x), pol=pol
+    lambda q, n, x: family_eval(
+        FamilyParams("q_krawtchouk", q, b=1.5, N=8), n, q ** float(-x)
     ),
-    lambda n, x, pol: classical_eval("krawtchouk", n, x, p=1.5 / (1.5 + 1.0), N=8),
+    lambda n, x: classical_eval("krawtchouk", n, x, p=1.5 / (1.5 + 1.0), N=8),
 )
 _path(
     "krawtchouk_from_affine_qkrawtchouk",
     _q_steps(),
     [(1, 2), (3, 5), (4, 7)],
-    lambda q, n, x, pol: family_eval(
-        FamilyParams("affine_q_krawtchouk", q, a=0.35, N=8), n, q ** float(-x), pol=pol
+    lambda q, n, x: family_eval(
+        FamilyParams("affine_q_krawtchouk", q, a=0.35, N=8), n, q ** float(-x)
     ),
-    lambda n, x, pol: classical_eval("krawtchouk", n, x, p=1.0 - 0.35, N=8),
+    lambda n, x: classical_eval("krawtchouk", n, x, p=1.0 - 0.35, N=8),
 )
 _path(
     "krawtchouk_from_affine_qinv_krawtchouk",
     _q_steps(17),
     [(1, 2), (3, 5), (4, 7)],
-    lambda q, n, x, pol: family_eval(
+    lambda q, n, x: family_eval(
         FamilyParams("affine_qinv_krawtchouk", q, b=2.5, N=8),
         n,
         q ** float(-x),
-        pol=pol,
     ),
-    lambda n, x, pol: classical_eval("krawtchouk", n, x, p=1.0 / 2.5, N=8),
+    lambda n, x: classical_eval("krawtchouk", n, x, p=1.0 / 2.5, N=8),
 )
 _path(
     "jacobi_from_little_qjacobi",
     _q_steps(),
     [(1, 0.3), (3, 0.3), (4, 0.8)],
-    lambda q, n, x, pol: little_qjacobi(n, x, q**0.4, q**1.1, q, pol=pol),
-    lambda n, x, pol: _jacobi(0.4, 1.1, n, x),
+    lambda q, n, x: little_qjacobi(n, x, q**0.4, q**1.1, q),
+    lambda n, x: _jacobi(0.4, 1.1, n, x),
 )
 _path(
     "laguerre_from_little_qjacobi",
     _q_steps(),
     [(1, 0.5), (3, 0.5), (4, 2.0)],
-    lambda q, n, x, pol: little_qjacobi(
-        n, (1.0 - q) * x / (1.0 - 0.5), q**0.7, 0.5, q, pol=pol
-    ),
-    lambda n, x, pol: _laguerre(0.7, n, x),
+    lambda q, n, x: little_qjacobi(n, (1.0 - q) * x / (1.0 - 0.5), q**0.7, 0.5, q),
+    lambda n, x: _laguerre(0.7, n, x),
 )
 _path(
     "laguerre_from_big_qlaguerre",
     _q_steps(),
     [(1, 0.3), (3, 0.3), (4, 1.2)],
-    lambda q, n, x, pol: family_eval(
+    lambda q, n, x: family_eval(
         FamilyParams("big_q_laguerre", q, a=q**0.7, c=2.0, d=1.0 / (1.0 - q)),
         n,
         x,
-        pol=pol,
     ),
-    lambda n, x, pol: _laguerre(0.7, n, 2.0 - x),
+    lambda n, x: _laguerre(0.7, n, 2.0 - x),
 )
 _path(
     "aw_to_big_qjacobi",
@@ -519,8 +513,8 @@ _path(
     "bessel_from_jacobi",
     [2**j for j in range(2, 13)],
     [(0.8,), (2.1,)],
-    lambda m, x, pol: _jacobi(0.7, 0.2, m, x * x / (4.0 * m * m)),
-    lambda x, pol: classical_gamma(0.7 + 1.0)
+    lambda m, x: _jacobi(0.7, 0.2, m, x * x / (4.0 * m * m)),
+    lambda x: classical_gamma(0.7 + 1.0)
     * (x / 2.0) ** (-0.7)
     * classical_bessel_j(0.7, x),
 )
@@ -528,22 +522,22 @@ _path(
     "exp_from_Eq",
     _q_steps(),
     [(0.8,), (-1.3,), (2.5,)],
-    lambda q, z, pol: E_q((1.0 - q) * z, q, pol),
-    lambda z, pol: math.exp(z),
+    lambda q, z: E_q((1.0 - q) * z, q),
+    lambda z: math.exp(z),
 )
 _path(
     "gamma_from_gamma_q",
     _q_steps(),
     [(0.5,), (1.7,), (3.2,)],
-    lambda q, z, pol: gamma_q(z, q, pol),
-    lambda z, pol: classical_gamma(z),
+    lambda q, z: gamma_q(z, q),
+    lambda z: classical_gamma(z),
 )
 _path(
     "qbinomial_to_binomial",
     _q_steps(16),
     [(8, 3), (10, 5), (12, 2)],
-    lambda q, n, k, pol: qbinomial(n, k, q),
-    lambda n, k, pol: math.comb(n, k),
+    lambda q, n, k: qbinomial(n, k, q),
+    lambda n, k: math.comb(n, k),
 )
 
 
@@ -552,7 +546,7 @@ def list_paths():
     return sorted(_PATHS)
 
 
-def run_limit(name, tolerance=1e-3, pol=DEFAULT_POLICY):
+def run_limit(name, tolerance=1e-3):
     """Run one named limit path and return its LimitReport; the error at a
     step is the worst relative error of the approximant over the probes."""
     if name not in _PATHS:
@@ -561,7 +555,7 @@ def run_limit(name, tolerance=1e-3, pol=DEFAULT_POLICY):
 
     def worst(step):
         return max(
-            _rel(path.approximant(step, *p, pol), path.target(*p, pol))
+            _rel(path.approximant(step, *p), path.target(*p))
             for p in path.probes
         )
 

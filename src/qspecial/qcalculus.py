@@ -15,7 +15,7 @@ boundary-term bookkeeping close.
 """
 
 from qspecial.errors import DomainError
-from qspecial.qcore import DEFAULT_POLICY, check_q, tail_sum
+from qspecial.qcore import check_q, tail_sum
 
 
 def qderiv_backward(f, x, q):
@@ -41,7 +41,7 @@ def _jackson_terms(f, a, w, step):
         w *= step
 
 
-def qintegral_0a(f, a, q, pol=DEFAULT_POLICY):
+def qintegral_0a(f, a, q):
     """Jackson integral a(1-q) sum_{k>=0} f(a q^k) q^k.
 
     Valid for negative a as well.  The sum ends by qcore.tail_sum.
@@ -50,19 +50,19 @@ def qintegral_0a(f, a, q, pol=DEFAULT_POLICY):
     if a == 0:
         return 0.0 + 0.0j
     terms = _jackson_terms(f, a, 1.0, q)
-    total = tail_sum(terms, pol, "q-integral tail not reached within max_terms")[0]
+    total = tail_sum(terms, "q-integral tail not reached within max_terms")[0]
     return a * (1.0 - q) * total
 
 
-def qintegral_ab(f, a, b, q, pol=DEFAULT_POLICY):
+def qintegral_ab(f, a, b, q):
     """Two-endpoint q-integral with the convention int_a^b := int_0^a - int_0^b.
 
     Note this is the negative of the usual orientation; see module docstring.
     """
-    return qintegral_0a(f, a, q, pol) - qintegral_0a(f, b, q, pol)
+    return qintegral_0a(f, a, q) - qintegral_0a(f, b, q)
 
 
-def qintegral_0inf(f, q, a=1.0, pol=DEFAULT_POLICY):
+def qintegral_0inf(f, q, a=1.0):
     """Bilateral q-integral a(1-q) sum_{k in Z} f(a q^k) q^k.
 
     The result is invariant under a -> a q^n.  Each tail ends by
@@ -73,12 +73,12 @@ def qintegral_0inf(f, q, a=1.0, pol=DEFAULT_POLICY):
         raise DomainError("scale a must be nonzero")
     message = "bilateral q-integral tail not reached"
     # k >= 0 runs toward zero, k < 0 runs toward infinity
-    down = tail_sum(_jackson_terms(f, a, 1.0, q), pol, message)[0]
-    up = tail_sum(_jackson_terms(f, a, 1.0 / q, 1.0 / q), pol, message)[0]
+    down = tail_sum(_jackson_terms(f, a, 1.0, q), message)[0]
+    up = tail_sum(_jackson_terms(f, a, 1.0 / q, 1.0 / q), message)[0]
     return a * (1.0 - q) * (down + up)
 
 
-def qintegration_by_parts_residual(f, g, c, d, q, pol=DEFAULT_POLICY):
+def qintegration_by_parts_residual(f, g, c, d, q):
     """Residual of q-integration by parts on [-d, c], c, d >= 0.
 
     Returns int (D_q^- f) g - [f(c)g(c/q) - f(-d)g(-d/q) - int f (D_q^+ g)]
@@ -90,7 +90,7 @@ def qintegration_by_parts_residual(f, g, c, d, q, pol=DEFAULT_POLICY):
         raise DomainError("c and d must be nonnegative")
 
     def natural(h):
-        return qintegral_0a(h, c, q, pol) - qintegral_0a(h, -d, q, pol)
+        return qintegral_0a(h, c, q) - qintegral_0a(h, -d, q)
 
     lhs = natural(lambda x: qderiv_backward(f, x, q) * g(x))
     boundary = f(c) * g(c / q) - f(-d) * g(-d / q)

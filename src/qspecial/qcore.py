@@ -1,4 +1,4 @@
-"""Base-q conventions: q validation, truncation policy, q-shifted factorials.
+"""Base-q conventions: q validation, the tail rule, q-shifted factorials.
 
 The q-shifted factorial (a;q)_k is the building block for everything else:
 
@@ -9,12 +9,16 @@ The q-shifted factorial (a;q)_k is the building block for everything else:
 Throughout the package the base satisfies 0 < q < 1.  (a;q)_oo is the
 kernel product when that needs few factors, and otherwise the exp of
 log_qpoch_inf, which holds for every 0 < q < 1.
+
+Every infinite series and product is truncated by one rule, with fixed
+constants: a series ends after QUIET_TERMS consecutive terms below
+TAIL_EPSILON times its largest |term|, and raises ConvergenceError after
+MAX_TERMS terms; a truncated (a;q)_oo leaves out a tail below TAIL_EPSILON.
 """
 
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 INFINITY = "oo"
 
 # (a;q)_oo is the kernel product while that needs at most this many factors,
-# log(tail_epsilon (1-q)/|a|)/log q, and the log series beyond: where the two
+# log(TAIL_EPSILON (1-q)/|a|)/log q, and the log series beyond: where the two
 # timings cross (Python), or where a longer product would round past 64 eps (C)
 _SERIES_FROM = {"python": 80, "c": 1000}[kernels.BACKEND]
 # the log series starts once |a q^j| <= _PEEL; earlier factors are peeled off
@@ -38,40 +42,22 @@ _MAX_PEEL = 10**7
 _LOG_MIN = math.log(sys.float_info.min)
 _LOG_MAX = math.log(sys.float_info.max)
 
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Tail tolerance for truncated infinite products and series, and the
-    term budget of a series."""
-
-    tail_epsilon: float = 1e-16
-    max_terms: int = 100_000
-
-    def __post_init__(self):
-        if not 0 < self.tail_epsilon < math.inf:
-            raise DomainError("tail_epsilon must be positive and finite")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be >= 1")
-
-
-DEFAULT_POLICY = TruncationPolicy()
-
-# the tail rule: a series ends after this many consecutive terms each below
-# tail_epsilon times the largest |term| so far
+# the constants of the tail rule (module docstring)
+TAIL_EPSILON = 1e-16
+MAX_TERMS = 100_000
 QUIET_TERMS = 5
 
 
-def tail_sum(terms, pol, message, scale=0.0):
+def tail_sum(terms, message, scale=0.0, max_terms=MAX_TERMS):
     """Sum an iterator of terms under the tail rule.
 
     The sum stops once QUIET_TERMS consecutive terms are each below
-    pol.tail_epsilon times the running maximum |term| (floored at 1e-300);
+    TAIL_EPSILON times the running maximum |term| (floored at 1e-300);
     scale seeds that maximum.  An iterator that ends gives an exact sum.
     Returns (sum, sum of |term|, running maximum); ConvergenceError(message)
-    when pol.max_terms terms pass without the rule being met.
+    when max_terms terms pass without the rule being met.
     """
-    eps = pol.tail_epsilon
-    bound = eps * max(scale, 1e-300)
+    bound = TAIL_EPSILON * max(scale, 1e-300)
     total, mass, quiet = 0j, 0.0, 0
     for count, term in enumerate(terms, 1):
         total += term
@@ -79,14 +65,14 @@ def tail_sum(terms, pol, message, scale=0.0):
         mass += t
         if t > scale:
             scale = t
-            bound = eps * max(scale, 1e-300)
+            bound = TAIL_EPSILON * max(scale, 1e-300)
         if t < bound:
             quiet += 1
             if quiet == QUIET_TERMS:
                 break
         else:
             quiet = 0
-        if count == pol.max_terms:
+        if count == max_terms:
             raise ConvergenceError(message)
     return total, mass, scale
 
@@ -112,11 +98,11 @@ def _in_range(value):
     return sys.float_info.min <= abs(value) <= sys.float_info.max
 
 
-def _factor_count(a, q, pol):
+def _factor_count(a, q):
     """The number n of factors of the kernel product (a;q)_oo,
     qpoch_finite(a, q, n): the index of the first j with
-    |a| q^j < pol.tail_epsilon (1 - q), plus 2, so that the tail left out,
-    at most that bound over 1 - q, is below pol.tail_epsilon.  None when
+    |a| q^j < TAIL_EPSILON (1 - q), plus 2, so that the tail left out,
+    at most that bound over 1 - q, is below TAIL_EPSILON.  None when
     |a| q^_SERIES_FROM is above the bound, where the log series is the
     cheaper path.
 
@@ -125,7 +111,7 @@ def _factor_count(a, q, pol):
     with those two factors every value is, bit for bit, the one a product
     stopping at the third factor below the bound gives.
     """
-    eps = pol.tail_epsilon * (1.0 - q)
+    eps = TAIL_EPSILON * (1.0 - q)
     mag = abs(a)
     if mag * q**_SERIES_FROM > eps:
         return None
@@ -162,11 +148,11 @@ def _log_head(alist, lq, n):
     return out if grid else [complex(v) for v in out]
 
 
-def _log_tail(b, lq, eps):
+def _log_tail(b, lq):
     """log (b;q)_oo = -sum_{k>=1} b^k / (k (1 - q^k)) for |b| <= 1/2.
 
     The terms shrink at least by |b|, so the tail after a term t is below
-    |t| |b| / (1 - |b|); the sum stops when that is below eps.  An array b
+    |t| |b| / (1 - |b|); the sum stops when that is below TAIL_EPSILON.  An array b
     stops with its largest |b|, whose terms bound those of every entry.
     """
     size = abs
@@ -177,7 +163,7 @@ def _log_tail(b, lq, eps):
     r = size(b)
     if r == 0:
         return 0.0
-    stop = eps * (1.0 - r) / r
+    stop = TAIL_EPSILON * (1.0 - r) / r
     total, power, k = 0.0, b, 1
     while True:
         t = power / (k * -math.expm1(k * lq))
@@ -188,7 +174,7 @@ def _log_tail(b, lq, eps):
         k += 1
 
 
-def _log_qpochs(alist, q, eps):
+def _log_qpochs(alist, q):
     """log (a;q)_oo for each a of alist, a list or an array, with one peel
     length n for all.
 
@@ -205,17 +191,17 @@ def _log_qpochs(alist, q, eps):
         raise ConvergenceError(f"(a;q)_oo would peel {n} factors, more than {_MAX_PEEL}")
     qn = math.exp(lq * n)
     if grid:
-        return _log_head(alist, lq, n) + _log_tail(alist * qn, lq, eps)
+        return _log_head(alist, lq, n) + _log_tail(alist * qn, lq)
     heads = _log_head(alist, lq, n) if n else [0j] * len(alist)
-    return [h + _log_tail(a * qn, lq, eps) for h, a in zip(heads, alist)]
+    return [h + _log_tail(a * qn, lq) for h, a in zip(heads, alist)]
 
 
-def log_qpoch_inf(a, q, pol=DEFAULT_POLICY):
+def log_qpoch_inf(a, q):
     """log (a;q)_oo for every 0 < q < 1, by the peeled log series.
 
     Factors with |a q^j| > 1/2 are peeled off in log form; the rest is
     -sum_k b^k / (k (1 - q^k)), summed until its tail is below
-    pol.tail_epsilon.  The real part is log|(a;q)_oo| (-inf when a factor
+    TAIL_EPSILON.  The real part is log|(a;q)_oo| (-inf when a factor
     vanishes), the imaginary part a branch of its argument.  For a numpy
     array a, one peel and one log series give the logs of every entry.
     """
@@ -224,8 +210,8 @@ def log_qpoch_inf(a, q, pol=DEFAULT_POLICY):
         a = a.astype(complex)
         if not np.isfinite(a).all():
             raise DomainError("arguments must be finite")
-        return _log_qpochs(a.ravel(), q, pol.tail_epsilon).reshape(a.shape)
-    return _log_qpochs([_finite(a)], q, pol.tail_epsilon)[0]
+        return _log_qpochs(a.ravel(), q).reshape(a.shape)
+    return _log_qpochs([_finite(a)], q)[0]
 
 
 def _exp_log(log_value, real=False):
@@ -245,24 +231,24 @@ def _exp_log(log_value, real=False):
     return complex(value.real) if real else value
 
 
-def qpoch(a, q, k, pol=DEFAULT_POLICY):
+def qpoch(a, q, k):
     """q-shifted factorial (a;q)_k.
 
     k may be any integer or the sentinel INFINITY.  Negative k uses the
     closed reciprocal product.  INFINITY takes the kernel product over
-    _factor_count factors, whose left-out tail is below pol.tail_epsilon,
+    _factor_count factors, whose left-out tail is below TAIL_EPSILON,
     when that count is small, and exp(log_qpoch_inf) otherwise; a value
     outside the double range raises OutOfRangeError.
     """
     q = check_q(q)
     a = _finite(a)
     if k == INFINITY:
-        n = _factor_count(a, q, pol)
+        n = _factor_count(a, q)
         if n is not None:
             value = kernels.qpoch_finite(a, q, n)
             if _in_range(value):
                 return value
-        return _exp_log(_log_qpochs([a], q, pol.tail_epsilon)[0], a.imag == 0)
+        return _exp_log(_log_qpochs([a], q)[0], a.imag == 0)
     k = int(k)
     if k >= 0:
         return kernels.qpoch_finite(a, q, k)
@@ -272,15 +258,15 @@ def qpoch(a, q, k, pol=DEFAULT_POLICY):
     return value
 
 
-def qpoch_list(alist, q, k, pol=DEFAULT_POLICY):
+def qpoch_list(alist, q, k):
     """Product of (a;q)_k over a list of parameters; empty list gives 1."""
     out = 1.0 + 0.0j
     for a in alist:
-        out *= qpoch(a, q, k, pol)
+        out *= qpoch(a, q, k)
     return out
 
 
-def qpoch_inf_ratio(upper, lower, q, pol=DEFAULT_POLICY, log_factor=0.0):
+def qpoch_inf_ratio(upper, lower, q, log_factor=0.0):
     """exp(log_factor) prod_u (u;q)_oo / prod_l (l;q)_oo.
 
     Kernel products when every factor needs few factors and the parts are
@@ -293,7 +279,7 @@ def qpoch_inf_ratio(upper, lower, q, pol=DEFAULT_POLICY, log_factor=0.0):
     upper = [_finite(a) for a in upper]
     lower = [_finite(a) for a in lower]
     log_factor = complex(log_factor)
-    counts = [_factor_count(a, q, pol) for a in upper + lower]
+    counts = [_factor_count(a, q) for a in upper + lower]
     if None not in counts and _LOG_MIN <= log_factor.real <= _LOG_MAX:
         num = cmath.exp(log_factor)
         for a, n in zip(upper, counts):
@@ -303,7 +289,7 @@ def qpoch_inf_ratio(upper, lower, q, pol=DEFAULT_POLICY, log_factor=0.0):
             den *= kernels.qpoch_finite(a, q, n)
         if _in_range(num) and _in_range(den) and _in_range(num / den):
             return num / den
-    logs = _log_qpochs(upper + lower, q, pol.tail_epsilon)
+    logs = _log_qpochs(upper + lower, q)
     top, bottom = logs[: len(upper)], logs[len(upper) :]
     for a, la in zip(lower, bottom):
         if la.real == -math.inf:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_inf_ratio
+from qspecial.qcore import check_q, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi
 
 
@@ -66,42 +66,39 @@ def qhge_residual_dq(u, p, z):
     )
 
 
-def solution_u1(p, z, pol=DEFAULT_POLICY):
+def solution_u1(p, z):
     """u1(z) = 2phi1(q^a, q^b; q^c; q, z), |z| < 1."""
-    return eval_phi(SeriesSpec([p.qp(p.a), p.qp(p.b)], [p.qp(p.c)], p.q, z), pol)
+    return eval_phi(SeriesSpec([p.qp(p.a), p.qp(p.b)], [p.qp(p.c)], p.q, z))
 
 
-def solution_u2(p, z, pol=DEFAULT_POLICY):
+def solution_u2(p, z):
     """u2(z) = z^{1-c} 2phi1(q^{1+a-c}, q^{1+b-c}; q^{2-c}; q, z), |z| < 1."""
     body = eval_phi(
         SeriesSpec(
             [p.qp(1 + p.a - p.c), p.qp(1 + p.b - p.c)], [p.qp(2 - p.c)], p.q, z
-        ),
-        pol,
+        )
     )
     return complex(z) ** (1.0 - complex(p.c)) * body
 
 
-def solution_u3(p, z, pol=DEFAULT_POLICY):
+def solution_u3(p, z):
     """u3(z) = z^{-a} 2phi1(q^a, q^{a-c+1}; q^{a-b+1}; q, q^{-a-b+c+1}/z)."""
     arg = p.qp(-p.a - p.b + p.c + 1) / z
     body = eval_phi(
-        SeriesSpec([p.qp(p.a), p.qp(p.a - p.c + 1)], [p.qp(p.a - p.b + 1)], p.q, arg),
-        pol,
+        SeriesSpec([p.qp(p.a), p.qp(p.a - p.c + 1)], [p.qp(p.a - p.b + 1)], p.q, arg)
     )
     return complex(z) ** (-complex(p.a)) * body
 
 
-def solution_u4(p, z, pol=DEFAULT_POLICY):
+def solution_u4(p, z):
     """u4(z) = 3phi2(q^a, q^b, q^{a+b-c} z; q^{a+b-c+1}, 0; q, q)."""
     e = p.a + p.b - p.c
     return eval_phi(
-        SeriesSpec([p.qp(p.a), p.qp(p.b), p.qp(e) * z], [p.qp(e + 1), 0], p.q, p.q),
-        pol,
+        SeriesSpec([p.qp(p.a), p.qp(p.b), p.qp(e) * z], [p.qp(e + 1), 0], p.q, p.q)
     )
 
 
-def solution_u5(p, z, pol=DEFAULT_POLICY):
+def solution_u5(p, z):
     """u5(z) = z^{-b} 3phi2(q^b, q^{b-c+1}, q/z; q^{a+b-c+1}, 0; q, q)."""
     body = eval_phi(
         SeriesSpec(
@@ -109,8 +106,7 @@ def solution_u5(p, z, pol=DEFAULT_POLICY):
             [p.qp(p.a + p.b - p.c + 1), 0],
             p.q,
             p.q,
-        ),
-        pol,
+        )
     )
     return complex(z) ** (-complex(p.b)) * body
 
@@ -130,7 +126,7 @@ def _theta_ratio(alpha, beta, z, q):
     )
 
 
-def connection_coefficients(p, z, pol=DEFAULT_POLICY):
+def connection_coefficients(p, z):
     """Coefficients (C2, C3) of the three-term connection identity
     u1(z) + C2(z) u2(z) = C3(z) u3(z).  Each is one exp of a sum of logs
     of infinite products, so no partial product underflows."""
@@ -142,7 +138,6 @@ def connection_coefficients(p, z, pol=DEFAULT_POLICY):
         [qe(a), qe(1 - c), qe(c - b)] + up,
         [qe(c - 1), qe(a - c + 1), qe(1 - b)] + down,
         q,
-        pol,
         log_z,
     )
     up, down, log_z = _theta_ratio(a + b - c, b - c, z, q)
@@ -150,17 +145,16 @@ def connection_coefficients(p, z, pol=DEFAULT_POLICY):
         [qe(1 - c), qe(a - b + 1)] + up,
         [qe(1 - b), qe(a - c + 1)] + down,
         q,
-        pol,
         log_z,
     )
     return c2, c3
 
 
-def connection_residual(p, z0, pol=DEFAULT_POLICY):
+def connection_residual(p, z0):
     """Residual u1(z0) + C2(z0) u2(z0) - C3(z0) u3(z0); approximately zero."""
-    c2, c3 = connection_coefficients(p, z0, pol)
+    c2, c3 = connection_coefficients(p, z0)
     return (
-        solution_u1(p, z0, pol)
-        + c2 * solution_u2(p, z0, pol)
-        - c3 * solution_u3(p, z0, pol)
+        solution_u1(p, z0)
+        + c2 * solution_u2(p, z0)
+        - c3 * solution_u3(p, z0)
     )

@@ -9,18 +9,18 @@ import cmath
 import math
 
 from qspecial.errors import DomainError
-from qspecial.qcore import DEFAULT_POLICY, INFINITY, check_q, qpoch, qpoch_inf_ratio
+from qspecial.qcore import INFINITY, check_q, qpoch, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
 
-def e_q(z, q, pol=DEFAULT_POLICY):
+def e_q(z, q):
     """q-exponential e_q(z) = 1/(z;q)_oo = sum z^k/(q;q)_k for |z|<1."""
-    return qpoch_inf_ratio([], [z], q, pol)
+    return qpoch_inf_ratio([], [z], q)
 
 
-def E_q(z, q, pol=DEFAULT_POLICY):
+def E_q(z, q):
     """q-exponential E_q(z) = (-z;q)_oo = sum q^{k(k-1)/2} z^k/(q;q)_k (entire)."""
-    return qpoch(-complex(z), q, INFINITY, pol)
+    return qpoch(-complex(z), q, INFINITY)
 
 
 def _is_pole(z):
@@ -31,7 +31,7 @@ def _is_pole(z):
     return nearest <= 0 and abs(z.real - nearest) < 1e-9
 
 
-def gamma_q(z, q, pol=DEFAULT_POLICY):
+def gamma_q(z, q):
     """q-gamma function (q;q)_oo (1-q)^{1-z} / (q^z;q)_oo.
 
     Satisfies Gamma_q(z+1) = (1-q^z)/(1-q) Gamma_q(z), Gamma_q(1) = 1.
@@ -45,18 +45,18 @@ def gamma_q(z, q, pol=DEFAULT_POLICY):
     if _is_pole(z):
         raise DomainError(f"Gamma_q pole at z = {z}")
     qz = cmath.exp(z * math.log(q))
-    return qpoch_inf_ratio([q], [qz], q, pol, (1.0 - z) * math.log1p(-q))
+    return qpoch_inf_ratio([q], [qz], q, (1.0 - z) * math.log1p(-q))
 
 
-def gamma_q_reciprocal(z, q, pol=DEFAULT_POLICY):
+def gamma_q_reciprocal(z, q):
     """1/Gamma_q(z) with the pole convention: 0 at z = 0, -1, -2, ..."""
     z = complex(z)
     if _is_pole(z):
         return 0.0 + 0.0j
-    return 1.0 / gamma_q(z, q, pol)
+    return 1.0 / gamma_q(z, q)
 
 
-def beta_q(a, b, q, pol=DEFAULT_POLICY):
+def beta_q(a, b, q):
     """q-beta function (1-q)(q, q^{a+b};q)_oo / ((q^a, q^b;q)_oo).
 
     DomainError when a or b is a pole of Gamma_q.
@@ -70,57 +70,56 @@ def beta_q(a, b, q, pol=DEFAULT_POLICY):
         [q, cmath.exp((a + b) * lq)],
         [cmath.exp(a * lq), cmath.exp(b * lq)],
         q,
-        pol,
         math.log1p(-q),
     )
 
 
-def theta4(x, q, pol=DEFAULT_POLICY):
+def theta4(x, q):
     """theta_4(x;q) = (q^2, q e^{2 pi i x}, q e^{-2 pi i x}; q^2)_oo."""
     q = check_q(q)
     w = cmath.exp(2j * math.pi * x)
     q2 = q * q
-    return qpoch_inf_ratio([q2, q * w, q / w], [], q2, pol)
+    return qpoch_inf_ratio([q2, q * w, q / w], [], q2)
 
 
-def theta4_series(x, q, pol=DEFAULT_POLICY):
+def theta4_series(x, q):
     """The Jacobi triple-product series sum_k (-1)^k q^{k^2} e^{2 pi i k x}
     of theta4, as the bilateral 0psi1(-; 0; q^2, q e^{2 pi i x}); a test
     cross-check of the product."""
     q = check_q(q)
     w = cmath.exp(2j * math.pi * x)
-    return eval_psi(SeriesSpec([], [0], q * q, q * w), pol)
+    return eval_psi(SeriesSpec([], [0], q * q, q * w))
 
 
-def _bessel_prefactor(nu, q, pol):
-    return qpoch_inf_ratio([q ** (nu + 1.0)], [q], q, pol)
+def _bessel_prefactor(nu, q):
+    return qpoch_inf_ratio([q ** (nu + 1.0)], [q], q)
 
 
-def jackson_bessel_1(nu, z, q, pol=DEFAULT_POLICY):
+def jackson_bessel_1(nu, z, q):
     """First Jackson q-Bessel: prefactor (z/2)^nu 2phi1(0,0; q^{nu+1}; q, -z^2/4)."""
     q = check_q(q)
     z = complex(z)
     if abs(z) >= 2:
         raise DomainError("first Jackson q-Bessel requires |z| < 2")
-    body = eval_phi(SeriesSpec([0, 0], [q ** (nu + 1.0)], q, -z * z / 4.0), pol)
-    return _bessel_prefactor(nu, q, pol) * (z / 2.0) ** nu * body
+    body = eval_phi(SeriesSpec([0, 0], [q ** (nu + 1.0)], q, -z * z / 4.0))
+    return _bessel_prefactor(nu, q) * (z / 2.0) ** nu * body
 
 
-def jackson_bessel_2(nu, z, q, pol=DEFAULT_POLICY):
+def jackson_bessel_2(nu, z, q):
     """Second Jackson q-Bessel: prefactor (z/2)^nu 0phi1(-; q^{nu+1}; q, -q^{nu+1}z^2/4)."""
     q = check_q(q)
     z = complex(z)
     qnu = q ** (nu + 1.0)
-    body = eval_phi(SeriesSpec([], [qnu], q, -qnu * z * z / 4.0), pol)
-    return _bessel_prefactor(nu, q, pol) * (z / 2.0) ** nu * body
+    body = eval_phi(SeriesSpec([], [qnu], q, -qnu * z * z / 4.0))
+    return _bessel_prefactor(nu, q) * (z / 2.0) ** nu * body
 
 
-def hahn_exton_bessel(nu, z, q, pol=DEFAULT_POLICY):
+def hahn_exton_bessel(nu, z, q):
     """Hahn-Exton q-Bessel: prefactor z^nu 1phi1(0; q^{nu+1}; q, q z^2)."""
     q = check_q(q)
     z = complex(z)
-    body = eval_phi(SeriesSpec([0], [q ** (nu + 1.0)], q, q * z * z), pol)
-    return _bessel_prefactor(nu, q, pol) * z**nu * body
+    body = eval_phi(SeriesSpec([0], [q ** (nu + 1.0)], q, q * z * z))
+    return _bessel_prefactor(nu, q) * z**nu * body
 
 
 _partition_cache = [1]

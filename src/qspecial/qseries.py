@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from qspecial import kernels
 from qspecial.errors import ConvergenceError, DomainError
-from qspecial.qcore import DEFAULT_POLICY, check_q, qpoch_list
+from qspecial.qcore import MAX_TERMS, TAIL_EPSILON, check_q, qpoch_list
 
 _TERMINATION_RTOL = 1e-12
 _MAX_TERMINATION_N = 10_000
@@ -139,11 +139,11 @@ def classify(spec):
     return ConvergenceClass("ZERO")
 
 
-def _kernel_sum(what, upper, lower, q, z, sign_power, n_terms, pol):
+def _kernel_sum(what, upper, lower, q, z, sign_power, n_terms):
     """(value, sum |t_k|) of kernels.phi_sum, its status raised as the
     error of the series named by what."""
     value, status, mass = kernels.phi_sum(
-        upper, lower, q, z, sign_power, n_terms, pol.tail_epsilon, pol.max_terms
+        upper, lower, q, z, sign_power, n_terms, TAIL_EPSILON, MAX_TERMS
     )
     if status == 1:
         raise ConvergenceError(f"{what} tail not reached within max_terms")
@@ -152,11 +152,11 @@ def _kernel_sum(what, upper, lower, q, z, sign_power, n_terms, pol):
     return value, mass
 
 
-def phi_walk(spec, pol=DEFAULT_POLICY):
+def phi_walk(spec):
     """The r_phi_s series and the sum of |t_k| over the terms it summed.
 
     Terminating series are summed exactly through k = n; nonterminating
-    ones are truncated by the tail policy.  Returns (value, sum |t_k|),
+    ones are truncated by the tail rule.  Returns (value, sum |t_k|),
     t_0 = 1 included, so the amplification sum |t_k| / |value| comes with
     the value.  Domain as for eval_phi.
     """
@@ -172,20 +172,20 @@ def phi_walk(spec, pol=DEFAULT_POLICY):
             raise DomainError(f"series requires |z| < 1, got |z| = {abs(spec.z)}")
         n_terms = -1
     lower, power = (spec.q,) + spec.lower, 1 + spec.s - spec.r
-    value, mass = _kernel_sum("phi series", spec.upper, lower, spec.q, spec.z, power, n_terms, pol)
+    value, mass = _kernel_sum("phi series", spec.upper, lower, spec.q, spec.z, power, n_terms)
     return _walked(value, mass)
 
 
-def eval_phi(spec, pol=DEFAULT_POLICY):
-    """Evaluate the r_phi_s series: phi_walk(spec, pol) without its sum |t_k|.
+def eval_phi(spec):
+    """Evaluate the r_phi_s series: phi_walk(spec) without its sum |t_k|.
 
     UNIT class requires |z| < 1, ZERO class requires z = 0; a terminating
     series (an upper parameter q^{-n}) is summed through k = n for any z.
     """
-    return phi_walk(spec, pol)[0]
+    return phi_walk(spec)[0]
 
 
-def psi_walk(spec, pol=DEFAULT_POLICY):
+def psi_walk(spec):
     """The bilateral r_psi_s series over k in Z and the sum of |t_k|.
 
     Both halves are walks of kernels.phi_sum.  The upward one sums
@@ -215,14 +215,14 @@ def psi_walk(spec, pol=DEFAULT_POLICY):
     q, z, upper, lower = spec.q, spec.z, spec.upper, spec.lower
     nonzero = [b for b in lower if b != 0]
     e = spec.s - len(nonzero)
-    up, up_mass = _kernel_sum("bilateral series", upper, lower, q, z, spec.s - spec.r, -1, pol)
+    up, up_mass = _kernel_sum("bilateral series", upper, lower, q, z, spec.s - spec.r, -1)
     down_z = q**e * math.prod(nonzero, start=1 + 0j) / (z * math.prod(upper, start=1 + 0j))
     reflected = [q / b for b in nonzero], [q / a for a in upper], q, down_z, e
-    down, down_mass = _kernel_sum("bilateral series", *reflected, -1, pol)
+    down, down_mass = _kernel_sum("bilateral series", *reflected, -1)
     return _walked(up + down - 1.0, up_mass + down_mass - 1.0)
 
 
-def eval_psi(spec, pol=DEFAULT_POLICY):
+def eval_psi(spec):
     """Evaluate the bilateral r_psi_s series over k in Z.
 
     Convergence annulus: |b_1..b_s / (a_1..a_r)| < |z|, and |z| < 1 when
@@ -231,7 +231,7 @@ def eval_psi(spec, pol=DEFAULT_POLICY):
     instead).  Lower parameters may be 0.  An upper parameter q^m, m >= 1,
     is a pole of the k < 0 terms and raises DomainError.
     """
-    return psi_walk(spec, pol)[0]
+    return psi_walk(spec)[0]
 
 
 def reverse_terminating(spec):

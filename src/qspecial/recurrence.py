@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from qspecial.errors import ConvergenceError, OutOfRangeError
-from qspecial.qcore import QUIET_TERMS
+from qspecial.qcore import MAX_TERMS, QUIET_TERMS, TAIL_EPSILON
 
 
 class Recurrence(NamedTuple):
@@ -109,7 +109,7 @@ class _TailRule:
         return length
 
 
-def lattice_gram(values, lattice, pol):
+def lattice_gram(values, lattice):
     """sum_k (1-q) x_k w(x_k) V(x_k) V(x_k)^T over x_k = x0 step^k.
 
     lattice = (x0, step, w(x0), ratio(x) = w(step x)/w(x)) and q =
@@ -122,14 +122,14 @@ def lattice_gram(values, lattice, pol):
     x_next, step, w_next, ratio = lattice
     mass = 1.0 - min(step, 1.0 / step)
     # a quarter of the nodes a tail decaying like step^k needs
-    chunk = max(8, int(math.log(pol.tail_epsilon) / -abs(math.log(step))) // 4)
-    size = _first_chunk(step, ratio, pol.tail_epsilon) or chunk
+    chunk = max(8, int(math.log(TAIL_EPSILON) / -abs(math.log(step))) // 4)
+    size = _first_chunk(step, ratio) or chunk
     us, vs = [], []
-    rule = _TailRule(pol.tail_epsilon)
+    rule = _TailRule(TAIL_EPSILON)
     while True:
-        if rule.walked >= pol.max_terms:
+        if rule.walked >= MAX_TERMS:
             raise ConvergenceError("q-integral tail not reached within max_terms")
-        size = min(size, pol.max_terms - rule.walked)
+        size = min(size, MAX_TERMS - rule.walked)
         x = np.cumprod(np.r_[x_next, np.full(size - 1, step)])
         w = np.cumprod(np.r_[w_next, ratio(x[:-1])])
         x_next, w_next = x[-1] * step, w[-1] * ratio(x[-1:])[0]
@@ -149,14 +149,14 @@ def lattice_gram(values, lattice, pol):
         size = chunk
 
 
-def _first_chunk(step, ratio, eps):
+def _first_chunk(step, ratio):
     """The nodes a down-walk (step < 1) needs when its terms decay like r^k,
     r = step |w(step x)/w(x)| at x = 0: through the quiet run from the first
-    node below eps, k = floor(log eps / log r) + 1.  None for an up-walk,
-    or r not in (0, 1)."""
+    node below eps = TAIL_EPSILON, k = floor(log eps / log r) + 1.  None for
+    an up-walk, or r not in (0, 1)."""
     if step >= 1.0:
         return None
     r = step * abs(ratio(np.zeros(1))[0])
     if not 0.0 < r < 1.0:
         return None
-    return int(math.log(eps) / math.log(r)) + 1 + QUIET_TERMS
+    return int(math.log(TAIL_EPSILON) / math.log(r)) + 1 + QUIET_TERMS

@@ -23,15 +23,15 @@ from qspecial import (
     aw_norm,
     aw_poly,
     aw_poly_by_recurrence,
-    big_qjacobi_gram,
+    big_qjacobi_gram_matrix,
     big_qjacobi_monic,
     big_qjacobi_norm,
     family_eval,
-    family_orthogonality,
+    family_gram_matrix,
     INFINITY,
     list_paths,
     little_qjacobi,
-    little_qjacobi_gram,
+    little_qjacobi_gram_matrix,
     little_qjacobi_norm,
     partition_count,
     q_ultraspherical,
@@ -42,7 +42,7 @@ from qspecial import (
 from qspecial.askey_wilson import (
     aw_gram_quadrature,
     aw_qdifference_residual,
-    q_racah_orthogonality,
+    q_racah_gram_matrix,
 )
 from qspecial.cli import main
 from qspecial.qdiffeq import (
@@ -133,10 +133,7 @@ def _assert_gram(gram, closed_diag=None):
 def test_gram_big_qjacobi():
     p = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
     nmax = 6
-    gram = [
-        [big_qjacobi_gram(n, m, p) for m in range(nmax + 1)]
-        for n in range(nmax + 1)
-    ]
+    gram = big_qjacobi_gram_matrix(nmax, p)
     closed = [big_qjacobi_norm(n, p) for n in range(nmax + 1)]
     _assert_gram(gram, closed)
 
@@ -144,10 +141,7 @@ def test_gram_big_qjacobi():
 def test_gram_little_qjacobi():
     a, b, q = 0.5, 0.4, 0.7
     nmax = 6
-    gram = [
-        [little_qjacobi_gram(n, m, a, b, q) for m in range(nmax + 1)]
-        for n in range(nmax + 1)
-    ]
+    gram = little_qjacobi_gram_matrix(nmax, a, b, q)
     closed = [little_qjacobi_norm(n, a, b, q) for n in range(nmax + 1)]
     _assert_gram(gram, closed)
 
@@ -165,12 +159,7 @@ def test_gram_tableau_families():
         FamilyParams("moak", q, alpha=0.7),
     ]
     for fam in fams:
-        nmax = 4
-        gram = [
-            [family_orthogonality(fam, n, m) for m in range(nmax + 1)]
-            for n in range(nmax + 1)
-        ]
-        _assert_gram(gram)
+        _assert_gram(family_gram_matrix(fam, 4))
 
 
 def test_gram_askey_wilson_quadrature():
@@ -184,15 +173,7 @@ def test_gram_q_racah():
     q, N = 0.5, 6
     alpha, beta, delta = 0.4, 0.3, 0.6
     gamma = q ** float(-N - 1)
-    nmax = 4
-    gram = [
-        [
-            q_racah_orthogonality(n, m, alpha, beta, gamma, delta, q, N)
-            for m in range(nmax + 1)
-        ]
-        for n in range(nmax + 1)
-    ]
-    _assert_gram(gram)
+    _assert_gram(q_racah_gram_matrix(4, alpha, beta, gamma, delta, q, N))
 
 
 # 4. dual-path agreement

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from qspecial import DEFAULT_POLICY, LimitReport, list_paths, run_limit
+from qspecial import LimitReport, list_paths, run_limit
 from qspecial.errors import DomainError, UnknownPath
 from qspecial.limits import _rel, classical_bessel_j, classical_eval, classical_gamma
 
@@ -88,6 +88,6 @@ def test_product_limit_paths_under_default_policy():
                         0.00607, 0.00304, 0.00152, 0.000762, 0.000381, 0.000191],
     }
     for name, errors in pinned.items():
-        rep = run_limit(name, pol=DEFAULT_POLICY)
+        rep = run_limit(name)
         assert rep.passed
         assert [float("%.3g" % e) for e in rep.errors] == errors

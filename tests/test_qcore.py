@@ -3,9 +3,12 @@
 Oracle: direct product evaluation and mpmath.qp for the infinite case.
 """
 
+import ast
 import cmath
+import importlib
 import itertools
 import math
+import pkgutil
 import random
 
 import mpmath
@@ -14,11 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qspecial import INFINITY, TruncationPolicy, kernels, qbinomial, qpoch, qpoch_list
+import qspecial
+from qspecial import INFINITY, kernels, qbinomial, qpoch, qpoch_list
 from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.qcore import (
-    DEFAULT_POLICY,
+    MAX_TERMS,
     QUIET_TERMS,
+    TAIL_EPSILON,
     check_q,
     log_qpoch_inf,
     qpoch_base_inverted,
@@ -131,24 +136,28 @@ def test_check_q_rejects_bad_base():
             check_q(bad)
 
 
-def test_truncation_policy_defaults():
-    pol = TruncationPolicy()
-    assert pol.tail_epsilon == 1e-16
-    assert pol.max_terms == 100000
+def test_tail_rule_constants():
+    assert TAIL_EPSILON == 1e-16
+    assert MAX_TERMS == 100_000
+    assert QUIET_TERMS == 5
 
 
-def test_truncation_policy_rejects_bad_fields():
-    for kwargs in (
-        {"max_terms": 0},
-        {"tail_epsilon": math.inf},
-        {"tail_epsilon": math.nan},
-        {"tail_epsilon": 0.0},
-    ):
-        with pytest.raises(DomainError):
-            TruncationPolicy(**kwargs)
-    # products take a counted number of factors: there is no factor budget
-    with pytest.raises(TypeError):
-        TruncationPolicy(max_factors=1)
+def test_no_function_takes_a_truncation_policy():
+    # the tail rule has fixed constants: no def or lambda of the package
+    # takes a policy, and the package exports none
+    for info in pkgutil.walk_packages(qspecial.__path__, "qspecial."):
+        module = importlib.import_module(info.name)
+        if not module.__file__.endswith(".py"):
+            continue
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs
+                assert "pol" not in [p.arg for p in params], (info.name, node.lineno)
+    assert "TruncationPolicy" not in qspecial.__all__
+    assert "DEFAULT_POLICY" not in qspecial.__all__
 
 
 # ---------------------------------------------------------------------------
@@ -309,27 +318,26 @@ def test_log_qpoch_inf_array_rejects_non_finite_entry():
 
 
 def test_tail_sum_finite_iterator_is_exact():
-    total, mass, scale = tail_sum(iter([1.0, -2.5, 0.25, 1e-30]), DEFAULT_POLICY, "unused")
+    total, mass, scale = tail_sum(iter([1.0, -2.5, 0.25, 1e-30]), "unused")
     assert (total, mass, scale) == (-1.25, 3.75, 2.5)
-    assert tail_sum(iter([]), DEFAULT_POLICY, "unused") == (0, 0.0, 0.0)
+    assert tail_sum(iter([]), "unused") == (0, 0.0, 0.0)
 
 
 def test_tail_sum_stops_after_quiet_terms():
     # 2^-k drops below 1e-16 of the first term at k = 54; four more follow
     seen = []
     terms = (seen.append(k) or 0.5**k for k in itertools.count())
-    total, mass, scale = tail_sum(terms, DEFAULT_POLICY, "unused")
+    total, mass, scale = tail_sum(terms, "unused")
     assert len(seen) == 54 + QUIET_TERMS
     assert total == pytest.approx(2.0, rel=1e-15) and mass == total.real
     assert scale == 1.0
     # a seeded scale makes every term of a small series quiet at once
-    total, _, scale = tail_sum(itertools.repeat(1e-20), DEFAULT_POLICY, "unused", 1.0)
+    total, _, scale = tail_sum(itertools.repeat(1e-20), "unused", 1.0)
     assert total == pytest.approx(QUIET_TERMS * 1e-20) and scale == 1.0
 
 
 def test_tail_sum_max_terms_raises():
-    pol = TruncationPolicy(max_terms=10)
     with pytest.raises(ConvergenceError, match="no tail here"):
-        tail_sum(itertools.repeat(1.0), pol, "no tail here")
+        tail_sum(itertools.repeat(1.0), "no tail here", max_terms=10)
     # a finite iterator shorter than the budget is summed
-    assert tail_sum(iter([1.0] * 9), pol, "unused")[0] == 9.0
+    assert tail_sum(iter([1.0] * 9), "unused", max_terms=10)[0] == 9.0

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from qspecial import identities, qorthopoly
+from qspecial.qcore import TAIL_EPSILON
 from qspecial.qorthopoly import BigQJacobiParams, big_qjacobi_gram_matrix
 from qspecial.recurrence import _TailRule, gram, lattice_gram
 
 README_BQJ = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
 
 
-def _one_gram(values, lattice, pol, nodes):
+def _one_gram(values, lattice, nodes):
     """The first nodes of the lattice and their weights in one pass,
     summed by one gram call up to the stop of the tail rule."""
     x0, step, w0, ratio = lattice
@@ -26,7 +27,7 @@ def _one_gram(values, lattice, pol, nodes):
     u = (1.0 - min(step, 1.0 / step)) * x * w
     v = values(x)
     mags = np.abs(v[:, None, :] * v[None, :, :] * u).reshape(-1, nodes).T
-    length = _TailRule(pol.tail_epsilon).feed(mags)
+    length = _TailRule(TAIL_EPSILON).feed(mags)
     assert length is not None
     return gram(v[:, :length], u[:length])
 
@@ -36,7 +37,7 @@ def _recorded_walks(monkeypatch, module, run):
     its arguments, its result, and the passes and nodes it evaluated."""
     walks = []
 
-    def recording(values, lattice, pol):
+    def recording(values, lattice):
         walk = {"passes": 0, "nodes": 0}
 
         def counted(x):
@@ -45,8 +46,8 @@ def _recorded_walks(monkeypatch, module, run):
             return values(x)
 
         walks.append(walk)
-        walk.update(values=values, lattice=lattice, pol=pol)
-        walk["result"] = lattice_gram(counted, lattice, pol)
+        walk.update(values=values, lattice=lattice)
+        walk["result"] = lattice_gram(counted, lattice)
         return walk["result"]
 
     monkeypatch.setattr(module, "lattice_gram", recording)
@@ -58,7 +59,7 @@ def _check(walks, count):
     assert len(walks) == count
     for walk in walks:
         assert walk["passes"] <= 2
-        want = _one_gram(walk["values"], walk["lattice"], walk["pol"], walk["nodes"])
+        want = _one_gram(walk["values"], walk["lattice"], walk["nodes"])
         assert np.array_equal(walk["result"], want)
 
 

@@ -52,15 +52,12 @@ from qspecial.qorthopoly import (
     BigQJacobiParams,
     FamilyParams,
     big_qjacobi,
-    big_qjacobi_gram,
     big_qjacobi_gram_matrix,
     big_qjacobi_monic,
     big_qjacobi_norm,
     family_eval,
     family_gram_matrix,
-    family_orthogonality,
     little_qjacobi,
-    little_qjacobi_gram,
     little_qjacobi_gram_matrix,
     little_qjacobi_norm,
 )
@@ -98,15 +95,12 @@ __all__ = [
     "big_qjacobi",
     "big_qjacobi_monic",
     "big_qjacobi_norm",
-    "big_qjacobi_gram",
     "big_qjacobi_gram_matrix",
     "little_qjacobi",
-    "little_qjacobi_gram",
     "little_qjacobi_gram_matrix",
     "little_qjacobi_norm",
     "FamilyParams",
     "family_eval",
-    "family_orthogonality",
     "family_gram_matrix",
     "AWParams",
     "aw_poly",

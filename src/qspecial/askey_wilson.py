@@ -126,20 +126,9 @@ def _cqh_z(n, z, q):
     return total
 
 
-def _aw_poly_z(n, z, p):
-    """p_n at the point x = (z + 1/z)/2, in terms of z.
-
-    Series path: a^{-n}(ab,ac,ad;q)_n
-        4phi3(q^{-n}, q^{n-1}abcd, az, a/z; ab, ac, ad; q, q)
-    after permuting a nonzero parameter to the front (p_n is symmetric
-    in a,b,c,d).  All parameters zero reduces to continuous q-Hermite.
-    """
-    params = list(p.abcd)
-    params.sort(key=lambda e: -abs(e))
-    a, b, c, d = params
-    q = p.q
-    if a == 0:
-        return _cqh_z(n, z, q)
+def _aw_r(n, z, a, b, c, d, q):
+    """r_n = 4phi3(q^{-n}, q^{n-1}abcd, az, a/z; ab, ac, ad; q, q) at the
+    point x = (z + 1/z)/2, in terms of z."""
     abcd = a * b * c * d
     spec = SeriesSpec(
         [q ** float(-n), q ** float(n - 1) * abcd, a * z, a / z],
@@ -147,7 +136,24 @@ def _aw_poly_z(n, z, p):
         q,
         q,
     )
-    return a ** float(-n) * qpoch_list([a * b, a * c, a * d], q, n) * eval_phi(spec)
+    return eval_phi(spec)
+
+
+def _aw_poly_z(n, z, p):
+    """p_n at the point x = (z + 1/z)/2, in terms of z.
+
+    Series path: a^{-n}(ab,ac,ad;q)_n r_n after permuting a nonzero
+    parameter to the front (p_n is symmetric in a,b,c,d).  All
+    parameters zero reduces to continuous q-Hermite.
+    """
+    params = list(p.abcd)
+    params.sort(key=lambda e: -abs(e))
+    a, b, c, d = params
+    q = p.q
+    if a == 0:
+        return _cqh_z(n, z, q)
+    front = a ** float(-n) * qpoch_list([a * b, a * c, a * d], q, n)
+    return front * _aw_r(n, z, a, b, c, d, q)
 
 
 def aw_poly(n, x, p):
@@ -157,24 +163,11 @@ def aw_poly(n, x, p):
 
 
 def aw_poly_r(n, x, p):
-    """The normalized 4phi3 itself (value 1 at x = (a + 1/a)/2):
-
-    r_n = 4phi3(q^{-n}, q^{n-1}abcd, az, a/z; ab, ac, ad; q, q).
-
-    Not symmetric in the parameters; requires a != 0.
-    """
+    """The normalized 4phi3 r_n itself (value 1 at x = (a + 1/a)/2).
+    Not symmetric in the parameters; requires a != 0."""
     if p.a == 0:
         raise DomainError("r_n needs a != 0")
-    z = _z_of_x(x)
-    q = p.q
-    a, b, c, d = p.abcd
-    spec = SeriesSpec(
-        [q ** float(-n), q ** float(n - 1) * a * b * c * d, a * z, a / z],
-        [a * b, a * c, a * d],
-        q,
-        q,
-    )
-    return eval_phi(spec)
+    return _aw_r(n, _z_of_x(x), *p.abcd, p.q)
 
 
 def aw_leading_coefficient(n, p):
@@ -438,5 +431,7 @@ def aw_gram_quadrature(p, nmax, n_nodes=1024):
     """Matrix of quadrature inner products (1/2 pi) int_0^pi p_n p_m w
     d theta for n, m <= nmax, via the uniform grid on the full circle,
     with the values from the three term recurrence."""
+    if nmax < 0:
+        raise DomainError("degree must be nonnegative")
     x, w, scale = _midpoint_grid(p, n_nodes)
     return gram(eval_all(aw_recurrence_table(nmax, p), x), w) * scale

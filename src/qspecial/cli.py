@@ -1,6 +1,11 @@
 """Command-line front end: evaluation, identity verification, Gram
 reports, value tables, and limit diagnostics.
 
+The key=value parameters of an eval, table or ortho target are the
+parameter names of the function that _EVAL or _ORTHO holds for it, read
+in its order; n and N are integers, upper and lower comma lists, and
+every other key a number.
+
 Exit codes: 0 all checks pass, 1 a numeric check failed or the reader
 closed the output pipe early (without a traceback), 2 usage error.
 """
@@ -44,11 +49,6 @@ from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
 OFFDIAG_TOL = 1e-9
 DIAG_TOL = 1e-8
-
-EVAL_TARGETS = (
-    "phi, psi, eq, Eq, gammaq, betaq, theta4, besselq1, besselq2, "
-    "besselhe, family:<name>, aw"
-)
 
 
 class UsageError(Exception):
@@ -121,44 +121,57 @@ def _parse_kv(tokens):
     return params
 
 
-def _pop_float(params, key, default=None):
-    if key not in params:
-        if default is not None:
-            return default
-        raise UsageError(f"missing parameter {key!r}")
-    raw = params.pop(key)
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"parameter {key!r} is not a number: {raw!r}")
-
-
-def _pop_int(params, key):
-    if key not in params:
-        raise UsageError(f"missing parameter {key!r}")
-    raw = params.pop(key)
+def _integral(raw):
+    """int(raw), or an integral number such as 3.0 or 3e0 (a grid value)."""
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"parameter {key!r} is not an integer: {raw!r}")
+        value = float(raw)
+        if not value.is_integer():
+            raise
+        return int(value)
 
 
-def _pop_list(params, key):
+def _number_list(raw):
+    return [float(v) for v in raw.split(",")] if raw else []
+
+
+_NUMBER = (float, "a number")
+_INTEGER = (_integral, "an integer")
+_LIST = (_number_list, "a number list")
+_READ = {"n": _INTEGER, "N": _INTEGER, "upper": _LIST, "lower": _LIST}
+
+
+def _pop(params, key, read=None):
+    """Remove params[key] and parse it: n and N as integers, upper and
+    lower as comma lists, any other key as a number (read overrides)."""
     if key not in params:
         raise UsageError(f"missing parameter {key!r}")
     raw = params.pop(key)
-    if raw == "":
-        return []
+    parse, kind = read or _READ.get(key, _NUMBER)
     try:
-        return [float(v) for v in raw.split(",")]
+        return parse(raw)
     except ValueError:
-        raise UsageError(f"parameter {key!r} is not a number list: {raw!r}")
+        raise UsageError(f"parameter {key!r} is not {kind}: {raw!r}")
 
 
-def _reject_extras(params):
+def _call(fn, params, *lead):
+    """fn(*lead, ...) with its remaining parameters popped from params
+    by name, in declaration order; a leftover key is a usage error."""
+    code = fn.__code__
+    names = code.co_varnames[len(lead) : code.co_argcount]
+    values = [_pop(params, key) for key in names]
     if params:
-        key = sorted(params)[0]
-        raise UsageError(f"unknown parameter {key!r}")
+        raise UsageError(f"unknown parameter {sorted(params)[0]!r}")
+    return fn(*lead, *values)
+
+
+def _params(args):
+    """The key=value parameters, with --q as the default of q."""
+    params = _parse_kv(args.params)
+    if args.q is not None and "q" not in params:
+        params["q"] = repr(args.q)
+    return params
 
 
 def _tolerance_overrides(pairs):
@@ -179,8 +192,8 @@ def _tolerance_overrides(pairs):
 def _family_params(name, params):
     """FamilyParams of a tableau family from q and the family's own
     parameters, all read as numbers."""
-    q = _pop_float(params, "q")
-    return FamilyParams(name, q, **{k: _pop_float(params, k) for k in list(params)})
+    q = _pop(params, "q")
+    return FamilyParams(name, q, **{k: _pop(params, k, _NUMBER) for k in list(params)})
 
 
 def _check_nodes(n):
@@ -193,76 +206,37 @@ def _check_nodes(n):
 # eval
 
 
+_EVAL = {
+    "phi": lambda upper, lower, q, z: eval_phi(SeriesSpec(upper, lower, q, z)),
+    "psi": lambda upper, lower, q, z: eval_psi(SeriesSpec(upper, lower, q, z)),
+    "eq": e_q,
+    "Eq": E_q,
+    "gammaq": gamma_q,
+    "betaq": beta_q,
+    "theta4": theta4,
+    "besselq1": jackson_bessel_1,
+    "besselq2": jackson_bessel_2,
+    "besselhe": hahn_exton_bessel,
+    "aw": lambda n, x, a, b, c, d, q: aw_poly(n, x, AWParams(a, b, c, d, q)),
+}
+# family:<name> is listed before aw, the last key
+EVAL_TARGETS = ", ".join([*_EVAL][:-1] + ["family:<name>", "aw"])
+
+
 def _eval_target(target, params):
-    if target == "phi":
-        upper = _pop_list(params, "upper")
-        lower = _pop_list(params, "lower")
-        q = _pop_float(params, "q")
-        z = _pop_float(params, "z")
-        _reject_extras(params)
-        return eval_phi(SeriesSpec(upper, lower, q, z))
-    if target == "psi":
-        upper = _pop_list(params, "upper")
-        lower = _pop_list(params, "lower")
-        q = _pop_float(params, "q")
-        z = _pop_float(params, "z")
-        _reject_extras(params)
-        return eval_psi(SeriesSpec(upper, lower, q, z))
-    if target in ("eq", "Eq"):
-        z = _pop_float(params, "z")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        return e_q(z, q) if target == "eq" else E_q(z, q)
-    if target == "gammaq":
-        z = _pop_float(params, "z")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        return gamma_q(z, q)
-    if target == "betaq":
-        a = _pop_float(params, "a")
-        b = _pop_float(params, "b")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        return beta_q(a, b, q)
-    if target == "theta4":
-        x = _pop_float(params, "x")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        return theta4(x, q)
-    if target in ("besselq1", "besselq2", "besselhe"):
-        nu = _pop_float(params, "nu")
-        z = _pop_float(params, "z")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        fn = {
-            "besselq1": jackson_bessel_1,
-            "besselq2": jackson_bessel_2,
-            "besselhe": hahn_exton_bessel,
-        }[target]
-        return fn(nu, z, q)
     if target.startswith("family:"):
-        name = target.split(":", 1)[1]
-        n = _pop_int(params, "n")
-        x = _pop_float(params, "x")
+        n = _pop(params, "n")
+        x = _pop(params, "x")
         form = params.pop("form", "primary")
-        return family_eval(_family_params(name, params), n, x, form=form)
-    if target == "aw":
-        n = _pop_int(params, "n")
-        x = _pop_float(params, "x")
-        a = _pop_float(params, "a")
-        b = _pop_float(params, "b")
-        c = _pop_float(params, "c")
-        d = _pop_float(params, "d")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        return aw_poly(n, x, AWParams(a, b, c, d, q))
-    raise UsageError(f"unknown eval target {target!r}; targets: {EVAL_TARGETS}")
+        fam = _family_params(target.split(":", 1)[1], params)
+        return family_eval(fam, n, x, form=form)
+    if target not in _EVAL:
+        raise UsageError(f"unknown eval target {target!r}; targets: {EVAL_TARGETS}")
+    return _call(_EVAL[target], params)
 
 
 def cmd_eval(args, out):
-    params = _parse_kv(args.params)
-    if args.q is not None and "q" not in params:
-        params["q"] = repr(args.q)
+    params = _params(args)
     echo = dict(params)
     value = _eval_target(args.target, params)
     if args.format == "json":
@@ -341,29 +315,17 @@ def _gram_report(gram, closed_diag, out, fmt, notes=()):
     for n in range(nmax + 1):
         for m in range(n, nmax + 1):
             entry = gram[n][m]
-            if n == m:
-                closed = closed_diag[n] if closed_diag else None
-                if closed is not None:
-                    rel = abs(entry - closed) / max(abs(closed), 1e-300)
-                    ok = rel <= DIAG_TOL
-                else:
-                    rel = None
-                    ok = True
-            else:
-                closed = 0.0
-                rel = abs(entry) / scale
+            if n != m:
+                closed, rel = 0.0, abs(entry) / scale
                 ok = rel <= OFFDIAG_TOL
+            elif closed_diag and closed_diag[n] is not None:
+                closed = closed_diag[n]
+                rel = abs(entry - closed) / max(abs(closed), 1e-300)
+                ok = rel <= DIAG_TOL
+            else:
+                closed, rel, ok = "", "", True
             breach = breach or not ok
-            rows.append(
-                [
-                    n,
-                    m,
-                    entry,
-                    closed if closed is not None else "",
-                    rel if rel is not None else "",
-                    "ok" if ok else "BREACH",
-                ]
-            )
+            rows.append([n, m, entry, closed, rel, "ok" if ok else "BREACH"])
     _emit_rows(
         ["n", "m", "gram", "closed", "rel_error", "status"], rows, fmt, out
     )
@@ -372,56 +334,41 @@ def _gram_report(gram, closed_diag, out, fmt, notes=()):
     return 1 if breach else 0
 
 
+def _ortho_aw(args, a, b, c, d, q):
+    p = AWParams(a, b, c, d, q)
+    gram = aw_gram_quadrature(p, args.nmax, _check_nodes(args.nodes))
+    closed = [aw_norm(n, p) for n in range(args.nmax + 1)]
+    if any(abs(e) > 1.0 for e in p.abcd):
+        return gram, closed, ["continuous-part-only quadrature"]
+    return gram, closed, []
+
+
+def _ortho_big_qjacobi(args, a, b, c, d, q):
+    p = BigQJacobiParams(a, b, c, d, q)
+    closed = [big_qjacobi_norm(n, p) for n in range(args.nmax + 1)]
+    return big_qjacobi_gram_matrix(args.nmax, p), closed, []
+
+
+def _ortho_q_racah(args, alpha, beta, gamma, delta, q, N):
+    if args.nmax > N:
+        raise UsageError("--nmax exceeds N")
+    return q_racah_gram_matrix(args.nmax, alpha, beta, gamma, delta, q, N), None, []
+
+
+# the reports of the families outside the tableau: (gram, closed or None, notes)
+_ORTHO = {"aw": _ortho_aw, "big_qjacobi": _ortho_big_qjacobi, "q_racah": _ortho_q_racah}
+
+
 def cmd_ortho(args, out):
-    params = _parse_kv(args.params)
-    if args.q is not None and "q" not in params:
-        params["q"] = repr(args.q)
-    nmax = args.nmax
-    if nmax < 0:
+    params = _params(args)
+    if args.nmax < 0:
         raise UsageError("--nmax must be nonnegative")
-    family = args.family
-    notes = []
-    if family == "aw":
-        a = _pop_float(params, "a")
-        b = _pop_float(params, "b")
-        c = _pop_float(params, "c")
-        d = _pop_float(params, "d")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        p = AWParams(a, b, c, d, q)
-        nodes = _check_nodes(args.nodes)
-        gram = aw_gram_quadrature(p, nmax, nodes)
-        closed = [aw_norm(n, p) for n in range(nmax + 1)]
-        if any(abs(e) > 1.0 for e in p.abcd):
-            notes.append("continuous-part-only quadrature")
-        return _gram_report(gram, closed, out, args.format, notes)
-    if family == "big_qjacobi":
-        a = _pop_float(params, "a")
-        b = _pop_float(params, "b")
-        c = _pop_float(params, "c")
-        d = _pop_float(params, "d")
-        q = _pop_float(params, "q")
-        _reject_extras(params)
-        p = BigQJacobiParams(a, b, c, d, q)
-        gram = big_qjacobi_gram_matrix(nmax, p)
-        closed = [big_qjacobi_norm(n, p) for n in range(nmax + 1)]
-        return _gram_report(gram, closed, out, args.format, notes)
-    if family == "q_racah":
-        alpha = _pop_float(params, "alpha")
-        beta = _pop_float(params, "beta")
-        gamma = _pop_float(params, "gamma")
-        delta = _pop_float(params, "delta")
-        q = _pop_float(params, "q")
-        big_n = _pop_int(params, "N")
-        _reject_extras(params)
-        if nmax > big_n:
-            raise UsageError("--nmax exceeds N")
-        gram = q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n)
-        return _gram_report(gram, None, out, args.format, notes)
-    # tableau families with a printed measure
-    fam = _family_params(family, params)
-    gram = family_gram_matrix(fam, nmax)
-    closed = [family_norm(fam, n) for n in range(nmax + 1)]
+    if args.family in _ORTHO:
+        gram, closed, notes = _call(_ORTHO[args.family], params, args)
+    else:  # a tableau family with a printed measure
+        fam = _family_params(args.family, params)
+        gram = family_gram_matrix(fam, args.nmax)
+        closed, notes = [family_norm(fam, n) for n in range(args.nmax + 1)], []
     return _gram_report(gram, closed, out, args.format, notes)
 
 
@@ -449,9 +396,7 @@ def _parse_grid(spec):
 
 
 def cmd_table(args, out):
-    base = _parse_kv(args.params)
-    if args.q is not None and "q" not in base:
-        base["q"] = repr(args.q)
+    base = _params(args)
     if not args.grid:
         raise UsageError("table requires at least one --grid var=start:stop:step")
     grids = [_parse_grid(g) for g in args.grid]

@@ -327,10 +327,6 @@ def _laguerre(alpha, n, x):
     return hyp_terminating([-n], [alpha + 1.0], x)
 
 
-def _hermite(n, x):
-    return hermite(n, x)
-
-
 def _hermite_from_charlier(a, n, x):
     s = math.sqrt(2.0 * a)
     return (-s) ** n * classical_eval("charlier", n, s * x + a, a=a)
@@ -393,7 +389,7 @@ _path(
     * math.factorial(n)
     * alpha ** (-n / 2.0)
     * classical_eval("jacobi", n, x / math.sqrt(alpha), alpha=alpha, beta=alpha),
-    _hermite,
+    hermite,
 )
 _path(
     "hermite_from_laguerre",
@@ -406,14 +402,14 @@ _path(
     * classical_eval(
         "laguerre", n, math.sqrt(2.0 * alpha) * x + alpha, alpha=alpha
     ),
-    _hermite,
+    hermite,
 )
 _path(
     "hermite_from_charlier",
     [4.0**j for j in range(2, 12)],
     [(1, 0.6), (2, -0.4), (3, 0.6)],
     _hermite_from_charlier,
-    _hermite,
+    hermite,
 )
 _path(
     "jacobi_from_hahn",

@@ -279,6 +279,8 @@ def big_qjacobi_gram_matrix(nmax, p):
     w(qx)/w(x) = (1-qax/c)(1+qbx/d) / ((1-qx/c)(1+qx/d)).  Diagonal
     entries match big_qjacobi_norm, off-diagonals vanish.
     """
+    if nmax < 0:
+        raise DomainError("degree must be nonnegative")
     q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
     values = partial(eval_all, big_qjacobi_recurrence_table(nmax, p))
 
@@ -290,11 +292,6 @@ def big_qjacobi_gram_matrix(nmax, p):
     upper = lattice_gram(values, (c, q, big_qjacobi_weight(c, p), ratio))
     lower = lattice_gram(values, (-d, q, big_qjacobi_weight(-d, p), ratio))
     return upper - lower
-
-
-def big_qjacobi_gram(n, m, p):
-    """Gram entry int_{-d}^{c} P~_n P~_m w d_qx of the monic family."""
-    return complex(big_qjacobi_gram_matrix(_max_degree(n, m), p)[n, m])
 
 
 def big_qjacobi_recurrence(n, p):
@@ -420,6 +417,8 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     w(qt)/w(t) = q^alpha (1-qbt)/(1-qt).
     """
     q = check_q(q)
+    if nmax < 0:
+        raise DomainError("degree must be nonnegative")
     if not 0 < a < 1:
         raise DomainError("requires 0 < a < 1")
     alpha = math.log(a) / math.log(q)
@@ -432,12 +431,6 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     total = lattice_gram(values, (1.0, q, w0, ratio))
     norm = qpoch_inf_ratio([q, q * q * a * b], [q * a, q * b], q, math.log1p(-q))
     return total / norm
-
-
-def little_qjacobi_gram(n, m, a, b, q):
-    """Normalized q-integral Gram entry of the little q-Jacobi family."""
-    gram = little_qjacobi_gram_matrix(_max_degree(n, m), a, b, q)
-    return complex(gram[n, m])
 
 
 def little_qjacobi_norm(n, a, b, q):
@@ -563,17 +556,6 @@ def family_norm(fam, n):
     a family without one."""
     norm = fam.record.norm
     return None if norm is None else norm(n, *fam.params, fam.q)
-
-
-def family_orthogonality(fam, n, m):
-    """Gram entry <p_n, p_m> of the family under its printed measure."""
-    return complex(family_gram_matrix(fam, _max_degree(n, m))[n, m])
-
-
-def _max_degree(n, m):
-    if n < 0 or m < 0:
-        raise DomainError("degree must be nonnegative")
-    return max(n, m)
 
 
 def _finite_gram(series, weight):

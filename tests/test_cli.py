@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -97,6 +98,77 @@ def test_eval_psi_with_more_upper_than_lower_parameters_is_an_error(capsys):
 def test_eval_unknown_target(capsys):
     code, _, err = run_cli(["eval", "nope", "q=0.5"], capsys)
     assert code == 2
+
+
+# the first parameter of each eval target, as its function declares it
+FIRST_PARAMETER = {
+    "phi": "upper",
+    "psi": "upper",
+    "eq": "z",
+    "Eq": "z",
+    "gammaq": "z",
+    "betaq": "a",
+    "theta4": "x",
+    "besselq1": "nu",
+    "besselq2": "nu",
+    "besselhe": "nu",
+    "aw": "n",
+}
+
+
+def test_eval_table_lists_every_target():
+    assert sorted(cli._EVAL) == sorted(FIRST_PARAMETER)
+    assert cli.EVAL_TARGETS.split(", ") == [*FIRST_PARAMETER][:-1] + ["family:<name>", "aw"]
+
+
+@pytest.mark.parametrize("target", sorted(FIRST_PARAMETER))
+def test_eval_target_reads_its_function_parameters(target, capsys):
+    code, _, err = run_cli(["eval", target], capsys)
+    assert (code, err) == (2, f"error: missing parameter {FIRST_PARAMETER[target]!r}\n")
+    fn = cli._EVAL[target].__code__
+    params = [f"{k}=1" for k in fn.co_varnames[: fn.co_argcount]]
+    code, _, err = run_cli(["eval", target, *params, "bogus=1"], capsys)
+    assert (code, err) == (2, "error: unknown parameter 'bogus'\n")
+
+
+def test_integer_parameters_accept_integral_numbers(capsys):
+    aw = ["x=0.1", "a=0.6", "b=0.4", "c=-0.3", "d=0.2", "q=0.55"]
+    code, out, _ = run_cli(["eval", "aw", "n=3e0", *aw], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == run_cli(["eval", "aw", "n=3", *aw], capsys)[1].splitlines()[-1]
+    code, _, err = run_cli(["eval", "aw", "n=2.5", *aw], capsys)
+    assert (code, err) == (2, "error: parameter 'n' is not an integer: '2.5'\n")
+    racah = ["ortho", "q_racah", "alpha=512", "beta=0.4", "gamma=0.5", "delta=0.2", "q=0.5"]
+    code, out, _ = run_cli([*racah, "N=8.0", "--nmax", "3"], capsys)
+    assert code == 0
+    assert (code, out) == run_cli([*racah, "N=8", "--nmax", "3"], capsys)[:2]
+
+
+def test_table_over_the_degree_matches_eval(capsys):
+    aw = ["x=0.1", "a=0.6", "b=0.4", "c=-0.3", "d=0.2", "q=0.55"]
+    code, out, _ = run_cli(
+        ["table", "aw", *aw, "--grid", "n=0:3:1", "--format", "csv"], capsys
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 4
+    for k, (n, value) in enumerate(rows):
+        assert float(n) == k
+        code, out, _ = run_cli(["eval", "aw", f"n={k}", *aw], capsys)
+        assert (code, out.splitlines()[-1]) == (0, value)
+
+
+def test_readme_command_lines_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [
+        shlex.split(line)[1:]
+        for line in block.splitlines()
+        if line.split()[:2] in (["qspecial", "eval"], ["qspecial", "ortho"], ["qspecial", "table"])
+    ]
+    assert len(lines) >= 7
+    for argv in lines:
+        assert run_cli(argv, capsys)[0] == 0, argv
 
 
 def test_eval_json_round_trip(capsys):

@@ -14,15 +14,13 @@ from qspecial import (
     BigQJacobiParams,
     FamilyParams,
     big_qjacobi,
-    big_qjacobi_gram,
     big_qjacobi_monic,
     big_qjacobi_norm,
     family_eval,
-    family_orthogonality,
     little_qjacobi,
-    little_qjacobi_gram,
     little_qjacobi_norm,
 )
+from qspecial.askey_wilson import AWParams, aw_gram_quadrature
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qorthopoly import (
     _FAMILIES,
@@ -98,9 +96,10 @@ def test_big_qjacobi_gram_matrix():
     nmax = 4
     diag = [complex(big_qjacobi_norm(n, BQJ)).real for n in range(nmax + 1)]
     scale = max(abs(d) for d in diag)
+    gram = big_qjacobi_gram_matrix(nmax, BQJ)
     for n in range(nmax + 1):
         for m in range(n, nmax + 1):
-            g = complex(big_qjacobi_gram(n, m, BQJ)).real
+            g = complex(gram[n, m]).real
             if n == m:
                 assert abs(g - diag[n]) <= 1e-8 * max(abs(diag[n]), 1e-300)
             else:
@@ -120,17 +119,13 @@ def test_big_qjacobi_gram_matrix_degree_ten():
                 assert abs(gram[n, m]) <= 1e-9 * scale
 
 
-def test_big_qjacobi_gram_entry_is_matrix_entry():
-    p = BigQJacobiParams(0.4, 0.6, 1.2, 0.7, 0.5)
-    gram = big_qjacobi_gram_matrix(3, p)
-    scale = max(abs(gram[n, n]) for n in range(4))
-    for n, m in ((0, 0), (1, 3), (3, 2), (3, 3)):
-        entry = big_qjacobi_gram(n, m, p)
-        assert entry == big_qjacobi_gram_matrix(max(n, m), p)[n, m]
-        # a smaller matrix may walk fewer lattice nodes
-        assert abs(entry - gram[n, m]) <= 1e-14 * scale
+def test_gram_matrices_reject_a_negative_degree():
     with pytest.raises(DomainError):
-        big_qjacobi_gram(-1, 2, p)
+        big_qjacobi_gram_matrix(-1, BigQJacobiParams(0.4, 0.6, 1.2, 0.7, 0.5))
+    with pytest.raises(DomainError):
+        little_qjacobi_gram_matrix(-1, 0.4, 0.3, 0.5)
+    with pytest.raises(DomainError):
+        aw_gram_quadrature(AWParams(0.6, 0.4, -0.3, 0.2, 0.55), -1, 64)
 
 
 def test_big_qjacobi_gram_matrix_matches_scalar_qintegral():
@@ -295,9 +290,10 @@ def test_little_qjacobi_forms_agree():
 
 def test_little_qjacobi_gram_and_norm():
     a, b, q = 0.5, 0.4, 0.7
+    gram = little_qjacobi_gram_matrix(3, a, b, q)
     for n in range(4):
         for m in range(n, 4):
-            g = complex(little_qjacobi_gram(n, m, a, b, q)).real
+            g = complex(gram[n, m]).real
             if n == m:
                 want = little_qjacobi_norm(n, a, b, q)
                 assert g == pytest.approx(want, rel=1e-9)
@@ -385,12 +381,13 @@ def test_finite_family_orthogonality():
         FamilyParams("affine_qinv_krawtchouk", q, b=0.7, N=5),
     ]
     for fam in fams:
-        diag = [abs(complex(family_orthogonality(fam, n, n))) for n in range(4)]
+        gram = family_gram_matrix(fam, 3)
+        diag = [abs(complex(gram[n, n])) for n in range(4)]
         scale = max(diag)
         assert all(d > 0 for d in diag)
         for n in range(4):
             for m in range(n + 1, 4):
-                off = abs(complex(family_orthogonality(fam, n, m)))
+                off = abs(complex(gram[n, m]))
                 assert off <= 1e-9 * scale
 
 
@@ -403,12 +400,13 @@ def test_infinite_family_orthogonality():
         FamilyParams("al_salam_carlitz_u", q, a=-0.6),
     ]
     for fam in fams:
-        diag = [abs(complex(family_orthogonality(fam, n, n))) for n in range(4)]
+        gram = family_gram_matrix(fam, 3)
+        diag = [abs(complex(gram[n, n])) for n in range(4)]
         scale = max(diag)
         assert all(d > 0 for d in diag)
         for n in range(4):
             for m in range(n + 1, 4):
-                off = abs(complex(family_orthogonality(fam, n, m)))
+                off = abs(complex(gram[n, m]))
                 assert off <= 1e-9 * scale
 
 

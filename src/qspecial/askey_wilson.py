@@ -24,7 +24,7 @@ from qspecial.qcore import (
     _exp_log, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
 )
 from qspecial.qseries import SeriesSpec, eval_phi
-from qspecial.recurrence import Recurrence, eval_all, from_terms, gram, table
+from qspecial.recurrence import Recurrence, eval_all, from_terms, gram
 
 
 @dataclass(frozen=True)
@@ -374,17 +374,20 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
 
     4phi3(q^{-n}, q^{n+1} alpha beta, q^{-x}, q^{x+1} gamma delta;
           alpha q, beta delta q, gamma q; q, q),   n, x = 0..N.
+
+    x may be a numpy array of points; their values come from one walk.
     """
     q = check_q(q)
     _racah_check(alpha, beta, gamma, delta, big_n, q)
-    if not (0 <= n <= big_n and 0 <= x <= big_n):
+    low, high = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
+    if not (0 <= n <= big_n and 0 <= low and high <= big_n):
         raise DomainError("need 0 <= n, x <= N")
     spec = SeriesSpec(
         [
             q ** float(-n),
             q ** float(n + 1) * alpha * beta,
-            q ** float(-x),
-            q ** float(x + 1) * gamma * delta,
+            q ** -x,
+            q ** (x + 1.0) * gamma * delta,
         ],
         [alpha * q, beta * delta * q, gamma * q],
         q,
@@ -394,9 +397,10 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
 
 
 def _q_racah_table(alpha, beta, gamma, delta, q, big_n):
-    """R_n(mu(x)) for n, x = 0..N, each evaluated once."""
-    racah = lambda n, x: q_racah(n, x, alpha, beta, gamma, delta, q, big_n)
-    return table(racah, big_n, range(big_n + 1))
+    """R_n(mu(x)) for n, x = 0..N, one walk over x = 0..N per degree."""
+    x = np.arange(big_n + 1)
+    degrees = range(big_n + 1)
+    return np.array([q_racah(n, x, alpha, beta, gamma, delta, q, big_n) for n in degrees])
 
 
 def _q_racah_solve(table):

@@ -37,7 +37,7 @@ from qspecial.qcore import (
     qpoch_list,
 )
 from qspecial.qseries import SeriesSpec, eval_phi
-from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram, table
+from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram
 
 _MAX_FINITE_N = 60  # keeps q^{-x} in double range down to q = 0.1
 
@@ -414,7 +414,8 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     with a = q^alpha, b = q^beta and B the corresponding q-beta value
     (1-q)(q, q^2 ab;q)_oo / ((qa, qb;q)_oo).  b = 0 (Wall) is allowed.
     The weight takes its products once at t = 1 and steps by
-    w(qt)/w(t) = q^alpha (1-qbt)/(1-qt).
+    w(qt)/w(t) = q^alpha (1-qbt)/(1-qt); the series of each degree is
+    summed at all nodes of a chunk in one walk.
     """
     q = check_q(q)
     if nmax < 0:
@@ -427,7 +428,9 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     def ratio(t):
         return q**alpha * (1.0 - q * b * t) / (1.0 - q * t)
 
-    values = partial(table, lambda n, t: little_qjacobi(n, t, a, b, q), nmax)
+    def values(t):
+        return np.array([little_qjacobi(n, t, a, b, q) for n in range(nmax + 1)])
+
     total = lattice_gram(values, (1.0, q, w0, ratio))
     norm = qpoch_inf_ratio([q, q * q * a * b], [q * a, q * b], q, math.log1p(-q))
     return total / norm
@@ -560,13 +563,14 @@ def family_norm(fam, n):
 
 def _finite_gram(series, weight):
     """Gram builder of a family whose last parameter is N: the exact sum
-    over the points q^{-x}, x = 0..N, with weight(x, *params, q)."""
+    over the points q^{-x}, x = 0..N, with weight(x, *params, q).  The
+    series of each degree is summed at all points in one walk."""
 
     def build(nmax, *args):
         xs = range(args[-2] + 1)
         q = args[-1]
-        nodes = [q ** float(-x) for x in xs]
-        v = table(lambda n, t: series(n, t, *args), nmax, nodes)
+        nodes = np.array([q ** float(-x) for x in xs])
+        v = np.array([series(n, nodes, *args) for n in range(nmax + 1)])
         return gram(v, np.array([weight(x, *args) for x in xs], dtype=complex))
 
     return build

@@ -8,10 +8,13 @@ r_psi_s(a_1..a_r; b_1..b_s; q, z)
     = sum_{k in Z} (a_1..a_r;q)_k / (b_1..b_s;q)_k
       * ((-1)^k q^{k(k-1)/2})^{s-r} z^k
 
-Both are walks of the one kernel, kernels.phi_sum, which generates terms
-by the forward recurrence on a term ratio rational in q^k (per-term
-Pochhammers are never recomputed).  Its ratio has no (q;q)_k of its own:
-phi passes q as a lower parameter, and psi is two walks, one each way.
+Every walk generates terms by the forward recurrence on a term ratio
+rational in q^k (per-term Pochhammers are never recomputed).  The ratio
+has no (q;q)_k of its own: phi passes q as a lower parameter, and psi is
+two walks, one each way.  A series at a point is a walk of the one
+kernel, kernels.phi_sum.  A terminating phi series whose z or parameters
+are arrays over nodes is one numpy walk of the same recurrence at all
+nodes at once (_phi_nodes), as the Gram builders take their series tables.
 
 Every walk returns sum |t_k| with its value; inside a _conditioning_scope
 it also records the amplification sum |t_k| / |sum t_k|, the condition
@@ -23,6 +26,8 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+
+import numpy as np
 
 from qspecial import kernels
 from qspecial.errors import ConvergenceError, DomainError
@@ -56,16 +61,28 @@ def _conditioning_scope():
 
 
 def _walked(value, mass):
-    """(value, mass) of a walk, its amplification noted in the scope."""
+    """(value, mass) of a walk, its amplification noted in the scope; for
+    a walk over nodes, the worst amplification of its nodes."""
     scope = _SCOPE.get()
     if scope is not None:
-        scope.worst = max(scope.worst, mass / max(1e-300, abs(value)))
+        if isinstance(value, np.ndarray):
+            kappa = float((mass / np.maximum(1e-300, np.abs(value))).max())
+        else:
+            kappa = mass / max(1e-300, abs(value))
+        scope.worst = max(scope.worst, kappa)
     return value, mass
+
+
+def _entry(v):
+    """A series entry: a complex number, or a complex array over nodes."""
+    return np.asarray(v, dtype=complex) if isinstance(v, np.ndarray) else complex(v)
 
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """Descriptor of an (r,s) series: upper/lower parameter lists, base, argument."""
+    """Descriptor of an (r,s) series: upper/lower parameter lists, base,
+    argument.  z and the parameters may be numpy arrays over nodes (see
+    phi_walk), and then nodes is True; q is one number."""
 
     upper: tuple
     lower: tuple
@@ -73,18 +90,23 @@ class SeriesSpec:
     z: complex
 
     def __init__(self, upper, lower, q, z):
-        object.__setattr__(self, "upper", tuple(complex(a) for a in upper))
-        object.__setattr__(self, "lower", tuple(complex(b) for b in lower))
+        nodes = np.ndarray in map(type, upper) or np.ndarray in map(type, lower)
+        nodes = nodes or type(z) is np.ndarray
+        entry = _entry if nodes else complex
+        object.__setattr__(self, "upper", tuple(map(entry, upper)))
+        object.__setattr__(self, "lower", tuple(map(entry, lower)))
         object.__setattr__(self, "q", check_q(q))
-        object.__setattr__(self, "z", complex(z))
+        object.__setattr__(self, "z", entry(z))
+        object.__setattr__(self, "nodes", nodes)
         for v in self.upper + self.lower + (self.z,):
-            if not cmath.isfinite(v):
+            if not (np.isfinite(v).all() if nodes else cmath.isfinite(v)):
                 raise DomainError(f"series entries must be finite, got {v}")
         for b in self.lower:
-            if b == 0:
-                continue
-            n = _as_negative_power(b, self.q)
-            if n is not None and n <= 0:
+            if nodes and isinstance(b, np.ndarray):
+                forbidden = not _negative_powers(b, self.q).all()
+            else:
+                forbidden = b != 0 and _as_negative_power(b, self.q) == 0
+            if forbidden:
                 raise DomainError(
                     f"lower parameter {b} lies on the forbidden set 1, 1/q, 1/q^2, ..."
                 )
@@ -123,6 +145,17 @@ def _as_negative_power(a, q):
     return None
 
 
+def _negative_powers(a, q):
+    """_as_negative_power at every entry of the complex array a, with
+    _MAX_TERMINATION_N + 1 where the entry is no q^{-n}.  Its test
+    x > 1 + 1e-15 or |x - 1| <= 1e-12 is x >= 1 - 1e-12."""
+    x = np.where(a.imag == 0, a.real, 0.0)
+    n = np.rint(np.log(np.maximum(x, 1.0 - 1e-12)) / -math.log(q))
+    power = q**-n
+    hit = (n <= _MAX_TERMINATION_N) & (np.abs(x - power) <= _TERMINATION_RTOL * power)
+    return np.where(hit, n, _MAX_TERMINATION_N + 1).astype(int)
+
+
 def classify(spec):
     """Classify by termination first, then by the ratio test on (r,s)."""
     best = None
@@ -152,14 +185,63 @@ def _kernel_sum(what, upper, lower, q, z, sign_power, n_terms):
     return value, mass
 
 
+def _phi_nodes(spec):
+    """phi_walk of a spec with array entries: kernels.phi_sum's loop, its
+    terms, factor order and (-q^k)^(1+s-r), at every node at once.
+
+    Each node sums through k = n, n the least m of its upper parameters
+    q^{-m}, as classify finds it at a point; a node with none raises
+    DomainError.  Overflow gives inf or nan, as the kernel does, with no
+    numpy warning; a zero denominator at a node still summing raises
+    DomainError."""
+    q, upper = spec.q, spec.upper
+    entries = upper + spec.lower + (spec.z,)
+    shape = np.broadcast(*(v for v in entries if isinstance(v, np.ndarray))).shape
+    stop = np.full(shape, _MAX_TERMINATION_N + 1)
+    for a in upper:
+        n = _negative_powers(a, q) if isinstance(a, np.ndarray) else _as_negative_power(a, q)
+        if n is not None:
+            stop = np.minimum(stop, n)
+    if (stop > _MAX_TERMINATION_N).any():
+        raise DomainError("a series over nodes must terminate at every node")
+    lower, power = (q,) + spec.lower, 1 + spec.s - spec.r
+    first, last = int(stop.min()), int(stop.max())
+    total, term, mass, qk = np.ones(shape, complex), 1.0, np.ones(shape), 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(last):
+            # scalar factors stay Python numbers, in the kernel's order
+            num = spec.z
+            for a in upper:
+                num = num * (1.0 - a * qk)
+            den = 1.0
+            for b in lower:
+                den = den * (1.0 - b * qk)
+            if power:
+                num = num * (-qk) ** power
+            if k >= first:  # the nodes that stopped add terms of 0
+                live = k < stop
+                num, den = np.where(live, num, 0.0), np.where(live, den, 1.0)
+            if not (den.all() if isinstance(den, np.ndarray) else den):
+                raise DomainError("phi series hit a zero denominator factor")
+            term = term * num / den
+            total += term
+            mass += np.abs(term)
+            qk *= q
+        return _walked(total, mass)
+
+
 def phi_walk(spec):
     """The r_phi_s series and the sum of |t_k| over the terms it summed.
 
     Terminating series are summed exactly through k = n; nonterminating
     ones are truncated by the tail rule.  Returns (value, sum |t_k|),
     t_0 = 1 included, so the amplification sum |t_k| / |value| comes with
-    the value.  Domain as for eval_phi.
+    the value.  Domain as for eval_phi.  A spec with array entries must
+    terminate at every node; its value and sum |t_k| are arrays over the
+    nodes, summed in one numpy walk.
     """
+    if spec.nodes:
+        return _phi_nodes(spec)
     cls = classify(spec)
     if cls.radius == "TERMINATING":
         n_terms = cls.n
@@ -180,7 +262,8 @@ def eval_phi(spec):
     """Evaluate the r_phi_s series: phi_walk(spec) without its sum |t_k|.
 
     UNIT class requires |z| < 1, ZERO class requires z = 0; a terminating
-    series (an upper parameter q^{-n}) is summed through k = n for any z.
+    series (an upper parameter q^{-n}) is summed through k = n for any z,
+    and may have array entries (an array of values comes back).
     """
     return phi_walk(spec)[0]
 

@@ -5,8 +5,9 @@ A family's recurrence
     s x p_k = A_k p_{k+1} + B_k p_k + C_k p_{k-1},   p_{-1} = 0, p_0 = 1,
 
 is held as its coefficient arrays for k = 0..N-1, built once per call.
-eval_all runs it at every point in one numpy pass; table gives the same
-array from a scalar evaluator, a series for instance.
+eval_all runs it at every point in one numpy pass.  The families whose
+Grams take series values build the same (degrees x nodes) array with one
+series walk over the nodes per degree (qseries.phi_walk).
 
 A Gram matrix is G = V diag(w) V^T over a measure's nodes and weights:
 V holds the values of degrees 0..N (one row per degree), w the weights.
@@ -65,13 +66,6 @@ def eval_all(rec, x):
     return out
 
 
-def table(evaluate, nmax, x):
-    """eval_all's array from a scalar evaluate(n, t), n = 0..nmax, called
-    once per degree and point t of x, as a Python number."""
-    x = np.asarray(x).tolist()
-    return np.array([[evaluate(n, t) for t in x] for n in range(nmax + 1)], dtype=complex)
-
-
 def gram(v, w):
     """V diag(w) V^T for values v (degrees x nodes) and weights w."""
     # einsum, not @: a complex matmul loads BLAS kernels, about 0.4 MB of
@@ -104,8 +98,11 @@ class _TailRule:
         start, self.walked = self.walked, self.walked + len(mags)
         self.scale, self.quiet = scale[-1], quiet[-1]
         length = int(self.stop.max()) if self.stop.all() else None
-        if not np.isfinite(mags[: (length or self.walked) - start]).all():
-            raise OutOfRangeError("Gram entry overflows the double range")
+        bad = ~np.isfinite(mags[: (length or self.walked) - start]).all(axis=1)
+        if bad.any():
+            raise OutOfRangeError(
+                f"Gram entry overflows the double range at node {start + bad.argmax()}"
+            )
         return length
 
 
@@ -116,8 +113,11 @@ def lattice_gram(values, lattice):
     min(step, 1/step): step = q gives qintegral_0a to x0 of every p_n p_m w,
     x0 = step = 1/q the upper half of qintegral_0inf.  values(x) gives the
     (N+1, len(x)) values at an array of nodes, each evaluated once; the walk
-    sums as many nodes as the entry with the slowest tail needs.
-    OutOfRangeError once an entry overflows.
+    sums as many nodes as the entry with the slowest tail needs.  A weight
+    below the double range is carried as w 2^s, and 2^(-s/2) moves into
+    each value at its node (_scaled_weights), so the walk ends by its
+    terms, not by an underflow.  OutOfRangeError, naming the node, once a
+    summed entry overflows.
     """
     x_next, step, w_next, ratio = lattice
     mass = 1.0 - min(step, 1.0 / step)
@@ -126,13 +126,14 @@ def lattice_gram(values, lattice):
     size = _first_chunk(step, ratio) or chunk
     us, vs = [], []
     rule = _TailRule(TAIL_EPSILON)
+    shift = 0
     while True:
         if rule.walked >= MAX_TERMS:
             raise ConvergenceError("q-integral tail not reached within max_terms")
         size = min(size, MAX_TERMS - rule.walked)
         x = np.cumprod(np.r_[x_next, np.full(size - 1, step)])
-        w = np.cumprod(np.r_[w_next, ratio(x[:-1])])
-        x_next, w_next = x[-1] * step, w[-1] * ratio(x[-1:])[0]
+        w, shifts = _scaled_weights(np.r_[w_next, ratio(x[:-1])], shift)
+        x_next, w_next, shift = x[-1] * step, w[-1] * ratio(x[-1:])[0], shifts[-1]
         us.append(mass * x * w)
         # values and magnitudes at nodes past the stop may overflow to inf
         # or nan; feed raises OutOfRangeError for any such node it sums, so
@@ -140,6 +141,8 @@ def lattice_gram(values, lattice):
         # multiplies, so v^2 cannot overflow where v u is finite.
         with np.errstate(over="ignore", invalid="ignore"):
             v = values(x)
+            if shifts.any():
+                v = v * np.ldexp(1.0, -shifts // 2)
             mags = np.abs(v[:, None, :] * (v[None, :, :] * us[-1])).reshape(-1, size).T
         vs.append(v)
         length = rule.feed(mags)
@@ -147,6 +150,23 @@ def lattice_gram(values, lattice):
             v = np.concatenate(vs, axis=1)[:, :length]
             return gram(v, np.concatenate(us)[:length])
         size = chunk
+
+
+def _scaled_weights(factors, shift):
+    """The weights w_k = cumprod(factors) 2^-shift (shift even) as
+    (w_k 2^s_k, s_k).  s_k = shift while cumprod(factors) stays above
+    2^-900; further on, s_k is the even exponent that keeps w_k 2^s_k near
+    1, so that a weight below the double range keeps its digits.  Scaling
+    by a power of 2 is exact, so where the plain product stays in range
+    these are its own bits.  A zero factor zeroes every weight after it."""
+    w = np.cumprod(factors)
+    if (np.abs(w) >= 2.0**-900).all():
+        return w, np.full(len(w), shift)
+    with np.errstate(divide="ignore"):
+        logs = np.cumsum(np.log2(np.abs(factors)))
+    deep = np.isfinite(logs) & (logs < -900)
+    s = shift + 2 * np.where(deep, np.round(-logs / 2), 0).astype(int)
+    return np.cumprod(factors * np.ldexp(1.0, np.diff(s, prepend=shift))), s
 
 
 def _first_chunk(step, ratio):

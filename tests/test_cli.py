@@ -542,11 +542,20 @@ def test_ortho_moak_gram_with_finite_entries_passes(capsys):
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 13 * 14 // 2
     assert all(row.split()[-1] == "ok" for row in rows)
-    # here the walk goes on until the up-walk weight underflows to 0, which
-    # ends it too early (a breach, exit 1); the recurrence values overflow
-    # only past that stop, are never summed, and numpy does not warn of them
-    code, out, err = run_cli(["ortho", "moak", "alpha=0.7", "q=0.15", "--nmax", "16"], capsys)
-    assert (code, err) == (1, "")
+
+
+def test_ortho_moak_up_walk_past_weight_underflow_names_its_node(capsys):
+    # the up-walk weight falls below the double range at node 27 while the
+    # terms v_n v_m w (1-q) x still grow; the walk keeps the weight's digits
+    # and goes on until the degree-16 values overflow at node 38, which it
+    # names.  numpy does not warn of the overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            ["ortho", "moak", "alpha=0.7", "q=0.15", "--nmax", "16"], capsys
+        )
+    assert (code, out) == (2, "")
+    assert err == "error: Gram entry overflows the double range at node 38\n"
 
 
 def test_cached_parser_is_reentrant(capsys, monkeypatch):

@@ -20,7 +20,8 @@ from qspecial import (
     little_qjacobi,
     little_qjacobi_norm,
 )
-from qspecial.askey_wilson import AWParams, aw_gram_quadrature
+from qspecial import kernels
+from qspecial.askey_wilson import AWParams, aw_gram_quadrature, q_racah_gram_matrix
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qorthopoly import (
     _FAMILIES,
@@ -527,3 +528,43 @@ def test_quadratic_transform_v():
                 )
             )
             assert abs(r) <= 1e-9 * max(1.0, abs(rhs))
+
+
+SERIES_GRAMS = (
+    (FamilyParams("little_q_jacobi", 0.5, a=0.4, b=0.3), 5),
+    (FamilyParams("wall", 0.6, a=0.4), 5),
+    (FamilyParams("q_hahn", 0.5, a=0.4, b=0.6, N=8), 6),
+    (FamilyParams("q_krawtchouk", 0.5, b=0.7, N=8), 6),
+    (FamilyParams("affine_q_krawtchouk", 0.5, a=0.4, N=8), 6),
+    (FamilyParams("affine_qinv_krawtchouk", 0.5, b=0.7, N=8), 6),
+)
+
+
+def test_series_grams_make_no_point_kernel_calls(monkeypatch):
+    # each Gram sums a degree's series at all its nodes in one numpy walk;
+    # a series at a point is still one phi_sum walk
+    calls = []
+    phi_sum = kernels.phi_sum
+    monkeypatch.setattr(kernels, "phi_sum", lambda *args: calls.append(args) or phi_sum(*args))
+    for fam, nmax in SERIES_GRAMS:
+        family_gram_matrix(fam, nmax)
+    q_racah_gram_matrix(5, 0.4, 0.6, 0.5**-9.0, 0.3, 0.5, 8)
+    assert calls == []
+    for fam, nmax in SERIES_GRAMS:
+        family_eval(fam, nmax, 0.5)
+    assert len(calls) == len(SERIES_GRAMS)
+
+
+@pytest.mark.parametrize("fam, nmax", SERIES_GRAMS[2:4])
+def test_finite_gram_in_a_scope_reports_the_worst_kappa_of_its_series(fam, nmax):
+    # the walks over nodes record the worst sum |t_k| / |sum t_k| of their
+    # nodes, so the Gram's scope sees what the point series at its nodes see
+    nodes = [fam.q ** float(-x) for x in range(fam["N"] + 1)]
+    with _conditioning_scope() as gram:
+        family_gram_matrix(fam, nmax)
+    with _conditioning_scope() as points:
+        for n in range(nmax + 1):
+            for x in nodes:
+                family_eval(fam, n, x)
+    assert points.worst > 1.0
+    assert gram.worst == pytest.approx(points.worst, rel=1e-12)

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -338,3 +339,79 @@ def test_non_finite_series_input_rejected_at_once():
             SeriesSpec(upper, lower, 0.5, z)
     with pytest.raises(DomainError, match="finite"):
         eval_phi(SeriesSpec([0.2, complex(0.1, nan)], [0.5], 0.5, 0.3))
+
+
+# The walk over nodes against phi_walk at each node.  The two paths round
+# differently (numpy's complex division is not CPython's), so both the
+# value and sum |t_k| are held to 1e-14 of the point walk's sum |t_k|.
+
+
+def _little_qjacobi_specs(rng):
+    """2phi1(q^{-n}, q^{n+1}ab; qa; q, qx) on the lattice x = q^k, n <= 20."""
+    q, a, b = rng.uniform(0.1, 0.95), rng.uniform(0.05, 0.95), rng.uniform(-0.9, 0.9)
+    n = rng.randrange(21)
+    upper = [q ** float(-n), q ** float(n + 1) * a * b]
+    return lambda x: SeriesSpec(upper, [q * a], q, q * x), q ** np.arange(40.0)
+
+
+def _q_hahn_specs(rng):
+    """q-Hahn at the points q^{-x}, x = 0..N, n <= N: nodes x < n stop at x."""
+    q, a, b = rng.uniform(0.1, 0.9), rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+    N = rng.randrange(1, 31)
+    n = rng.randrange(N + 1)
+    upper = lambda x: [q ** float(-n), a * b * q ** float(n + 1), x]
+    return lambda x: SeriesSpec(upper(x), [a * q, q ** float(-N)], q, q), q ** -np.arange(N + 1.0)
+
+
+def _q_krawtchouk_specs(rng):
+    """q-Krawtchouk at the points q^{-x}, x = 0..N, n <= N."""
+    q, b, N = rng.uniform(0.1, 0.9), rng.uniform(0.2, 2.0), rng.randrange(1, 31)
+    n = rng.randrange(N + 1)
+    upper = lambda x: [q ** float(-n), -q ** float(n) / b, x]
+    return lambda x: SeriesSpec(upper(x), [0, q ** float(-N)], q, q), q ** -np.arange(N + 1.0)
+
+
+def _q_racah_specs(rng):
+    """q-Racah 4phi3 with gamma q = q^{-N}: two upper parameters vary with x."""
+    q, alpha, beta, delta = rng.uniform(0.1, 0.9), *(rng.uniform(0.05, 0.95) for _ in range(3))
+    N = rng.randrange(1, 16)
+    n, gamma = rng.randrange(N + 1), q ** float(-N - 1)
+    x = np.arange(N + 1.0)
+
+    def spec(t):
+        upper = [q ** float(-n), q ** float(n + 1) * alpha * beta, q**-t,
+                 q ** (t + 1.0) * gamma * delta]
+        return SeriesSpec(upper, [alpha * q, beta * delta * q, gamma * q], q, q)
+
+    return spec, x
+
+
+@pytest.mark.parametrize(
+    "draw", [_little_qjacobi_specs, _q_hahn_specs, _q_krawtchouk_specs, _q_racah_specs]
+)
+def test_walk_over_nodes_matches_the_point_walk_at_each_node(draw):
+    rng = random.Random(draw.__name__)
+    for _ in range(40):
+        spec, nodes = draw(rng)
+        value, mass = phi_walk(spec(nodes))
+        for i, t in enumerate(nodes.tolist()):
+            want, want_mass = phi_walk(spec(t))
+            assert abs(value[i] - want) <= 1e-14 * want_mass
+            assert abs(mass[i] - want_mass) <= 1e-14 * want_mass
+
+
+def test_walk_over_nodes_raises_on_a_zero_denominator_it_reaches():
+    # lower q^{-2} vanishes at k = 2: the nodes q^{-x}, x <= 2, stop first
+    q = 0.5
+    spec = lambda x: SeriesSpec([q**-4.0, x], [q**-2.0], q, 0.3)
+    nodes = q ** -np.arange(3.0)
+    value, _ = phi_walk(spec(nodes))
+    assert np.allclose(value, [eval_phi(spec(t)) for t in nodes.tolist()], rtol=1e-14)
+    for t in (q**-3.0, q**-4.0):
+        with pytest.raises(DomainError, match="zero denominator"):
+            eval_phi(spec(t))
+    with pytest.raises(DomainError, match="zero denominator"):
+        phi_walk(spec(q ** -np.arange(5.0)))
+    with pytest.raises(DomainError, match="terminate"):
+        phi_walk(SeriesSpec([0.3], [0.5], q, np.array([0.1, 0.2])))
+

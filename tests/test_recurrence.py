@@ -94,3 +94,19 @@ def test_catalog_q_integral_sides_walk_in_two_passes(monkeypatch, identity_id, s
         _check(walks, count)
         draws += 1
 
+
+
+
+def test_walk_keeps_the_digits_of_a_weight_below_the_double_range():
+    # x_k = 2^-k, w_k = 2^(-320 k), v = (1, 2^(160 min(k, 6))): the (1, 1)
+    # terms 2^(-k-1) halve up to node 6 while w underflows from node 4, so
+    # a walk of plain double weights stops at 0.9375; all else is exact
+    lattice = (1.0, 0.5, 1.0, lambda x: np.full(len(x), 2.0**-320))
+
+    def values(x):
+        k = np.rint(-np.log2(x)).astype(int)
+        return np.vstack([np.ones(len(x)), np.ldexp(1.0, 160 * np.minimum(k, 6))])
+
+    g = lattice_gram(values, lattice)
+    assert g[1, 1] == 0.5 * (2.0 - 2.0**-6)
+    assert g[0, 0] == 0.5 and g[0, 1] == 0.5

@@ -29,6 +29,8 @@ import numpy as np
 from qspecial.errors import DomainError, QSpecialError
 from qspecial.qcore import (
     INFINITY,
+    QUIET_TERMS,
+    TAIL_EPSILON,
     qbinomial,
     qpoch,
     qpoch_inf_ratio,
@@ -47,7 +49,7 @@ from qspecial.qseries import (
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
 from qspecial.limits import classical_eval
-from qspecial.recurrence import eval_all, lattice_gram
+from qspecial.recurrence import Recurrence, eval_all, lattice_gram
 
 TOLERANCES = {
     "EXACT_TERMINATING": 1e-11,
@@ -167,38 +169,24 @@ def _sum(terms):
 # integer power series in q (lists of ints, index = exponent)
 
 
-def _times_binomial(prod, j, sign):
-    """prod *= 1 + sign q^j in place, truncated at the length of prod."""
+def _times_binomial(prod, j):
+    """prod *= 1 + q^j in place, truncated at the length of prod."""
     for i in range(len(prod) - 1, j - 1, -1):
-        prod[i] += sign * prod[i - j]
+        prod[i] += prod[i - j]
 
 
-def _ipoly_inv(a, order):
-    # requires a[0] == 1; inverse has integer coefficients
-    out = [0] * (order + 1)
-    out[0] = 1
-    for n in range(1, order + 1):
-        acc = 0
-        for k in range(1, min(n, len(a) - 1) + 1):
-            acc += a[k] * out[n - k]
-        out[n] = -acc
-    return out
+def _divide_binomial(series, j):
+    """series /= 1 - q^j in place, truncated at the length of series."""
+    for i in range(j, len(series)):
+        series[i] += series[i - j]
 
 
 def _euler_inv_series(m, order):
     """Coefficients of 1/(q^m;q)_oo up to the given order."""
-    prod = [1] + [0] * order
+    out = [1] + [0] * order
     for j in range(m, order + 1):
-        _times_binomial(prod, j, -1)
-    return _ipoly_inv(prod, order)
-
-
-def _qq_pochhammer_poly(k, order):
-    """(q;q)_k as an integer polynomial in q."""
-    prod = [1] + [0] * order
-    for j in range(1, k + 1):
-        _times_binomial(prod, j, -1)
-    return prod
+        _divide_binomial(out, j)
+    return out
 
 
 # float/complex power series helpers (truncated, index = power of t)
@@ -1103,15 +1091,18 @@ _PARTITION_ORDER = 40
 def _partition_sum_coeffs(m, half_square, order):
     """Coefficients of sum_k q^{k(k-1)/2 * [half_square]} q^{mk}/(q;q)_k."""
     out = [0] * (order + 1)
+    inv = [1] + [0] * order  # 1/(q;q)_k, carried to k + 1 by one division
     k = 0
     while True:
         shift = m * k + (k * (k - 1) // 2 if half_square else 0)
         if shift > order:
             break
-        inv = _ipoly_inv(_qq_pochhammer_poly(k, order - shift), order - shift)
+        # the shift only grows, so no later k reads past order - shift
+        del inv[order + 1 - shift :]
         for i, c in enumerate(inv):
             out[shift + i] += c
         k += 1
+        _divide_binomial(inv, k)
     return out
 
 
@@ -1139,7 +1130,7 @@ def _euler_plus_int_series(m, order):
     # coefficients of (-q^m;q)_oo
     prod = [1] + [0] * order
     for j in range(m, order + 1):
-        _times_binomial(prod, j, 1)
+        _times_binomial(prod, j)
     return prod
 
 
@@ -1317,6 +1308,19 @@ def _aw_kernel_lhs(p):
 _KERNEL_TERMS = 400
 
 
+def _kernel_values(rec, x, size):
+    """p_0(x), p_1(x), ... of the recurrence table rec: eval_all on its
+    leading size rows, then on twice as many rows each time the sum reads
+    on.  The recurrence is sequential, so a row of the leading rows has the
+    bits of the same row of the whole table."""
+    done = 0
+    while done < len(rec.b):
+        size = min(size, len(rec.b))
+        head = Recurrence(rec.s, rec.a[:size], rec.b[:size], rec.c[:size])
+        yield from eval_all(head, x)[done:size, 0]
+        done, size = size, 2 * size
+
+
 def _aw_kernel_rhs(p):
     q, a, b, c, d, theta, n = (
         p["q"], p["a"], p["b"], p["c"], p["d"], p["theta"], p["n"],
@@ -1324,13 +1328,19 @@ def _aw_kernel_rhs(p):
     # p_m(x; c, d) by one running recurrence: the 4phi3 for each m loses
     # all its digits by m = 10
     rec = al_salam_chihara_recurrence_table(_KERNEL_TERMS, c, d, q)
-    asc = eval_all(rec, math.cos(theta))[:, 0]
-    terms = (
-        little_qjacobi(n, q**m, a * b / q, c * d / q, q) * a**m * asc[m] / qpoch(q, q, m)
-        for m in range(_KERNEL_TERMS)
-    )
+    # the terms decay like a^m: the first one below TAIL_EPSILON, the quiet
+    # run after it, and 6 more, which held the tail at 35 of seeds 0-39
+    size = int(math.log(TAIL_EPSILON) / math.log(abs(a))) + 1 + QUIET_TERMS + 6
+
+    def terms():
+        qq, f = 1.0 + 0.0j, complex(q)  # (q;q)_m, in the kernel's factor order
+        for m, asc in enumerate(_kernel_values(rec, math.cos(theta), size)):
+            yield little_qjacobi(n, q**m, a * b / q, c * d / q, q) * a**m * asc / qq
+            qq *= 1.0 - f
+            f *= q
+
     message = f"kernel series tail not reached within {_KERNEL_TERMS} terms"
-    return tail_sum(terms, message, max_terms=_KERNEL_TERMS)[0]
+    return tail_sum(terms(), message, max_terms=_KERNEL_TERMS)[0]
 
 
 _add(

@@ -156,8 +156,16 @@ def _negative_powers(a, q):
     return np.where(hit, n, _MAX_TERMINATION_N + 1).astype(int)
 
 
+def _one_point(spec):
+    """DomainError for a spec with array entries: classify, and so
+    reverse_terminating, and psi_walk take one point."""
+    if spec.nodes:
+        raise DomainError("array entries are for phi_walk only")
+
+
 def classify(spec):
     """Classify by termination first, then by the ratio test on (r,s)."""
+    _one_point(spec)
     best = None
     for a in spec.upper:
         n = _as_negative_power(a, spec.q)
@@ -284,6 +292,7 @@ def psi_walk(spec):
     (value, sum |t_k|), t_0 counted once, so the amplification
     sum |t_k| / |value| comes with the value.  Domain as for eval_psi.
     """
+    _one_point(spec)
     if any(a == 0 for a in spec.upper):
         raise DomainError("bilateral series requires nonzero upper parameters")
     if spec.r > spec.s:

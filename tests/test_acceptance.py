@@ -359,7 +359,7 @@ def test_partition_oracle():
 
 
 def test_partition_series_identities_integer_exact():
-    from qspecial import verify
+    from qspecial import identities, verify
 
     for identity_id in (
         "partition_series_all",
@@ -369,6 +369,15 @@ def test_partition_series_identities_integer_exact():
         rep = verify(identity_id, samples=5, seed=0)
         assert rep.passed
         assert rep.max_rel_error == 0.0
+    # the streams, sum and product, beyond the catalog's order 40
+    order = 120
+    for m in range(1, 5):
+        inv = identities._euler_inv_series(m, order)
+        assert identities._partition_sum_coeffs(m, False, order) == inv
+        distinct = identities._euler_plus_int_series(m, order)
+        assert identities._partition_sum_coeffs(m, True, order) == distinct
+        if m == 1:
+            assert inv == [partition_count(n) for n in range(order + 1)]
 
 
 # 9. expected failure: quadrature-only Gram with |parameter| > 1

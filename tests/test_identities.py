@@ -8,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from qspecial import INFINITY, identities, list_identities, qseries, verify, verify_all
+from qspecial import INFINITY, identities, kernels, list_identities, qseries, verify, verify_all
+from qspecial.askey_wilson import al_salam_chihara_recurrence_table
 from qspecial.errors import DomainError, QSpecialError
 from qspecial.identities import TOLERANCES, VerificationReport, get_identity
 from qspecial.qcalculus import qintegral_0a
-from qspecial.qcore import qpoch, qpoch_list
+from qspecial.qcore import qpoch, qpoch_list, tail_sum
 from qspecial.qfunctions import E_q, gamma_q
+from qspecial.qorthopoly import little_qjacobi
+from qspecial.recurrence import eval_all
 
 
 def test_catalog_size_and_classes():
@@ -96,6 +99,41 @@ def test_aw_kernel_transform_is_checked():
     assert math.isfinite(rep.max_rel_error)
     assert rep.max_rel_error <= 1e-8
     assert rep.passed
+
+
+def _aw_kernel_rhs_by_whole_table(p):
+    """The kernel series from all 400 rows of the recurrence at once, with
+    (q;q)_m from qpoch for each term."""
+    q, a, b, c, d, theta, n = (p[k] for k in ("q", "a", "b", "c", "d", "theta", "n"))
+    asc = eval_all(al_salam_chihara_recurrence_table(400, c, d, q), math.cos(theta))[:, 0]
+    terms = (
+        little_qjacobi(n, q**m, a * b / q, c * d / q, q) * a**m * asc[m] / qpoch(q, q, m)
+        for m in range(400)
+    )
+    return tail_sum(terms, "kernel series", max_terms=400)[0]
+
+
+def test_aw_kernel_side_sums_the_rows_of_the_whole_table(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(
+        identities, "eval_all", lambda rec, x: blocks.append(rec) or eval_all(rec, x)
+    )
+    rec = get_identity("aw_kernel_transform")
+    read_on = []
+    for s in range(40):
+        p = rec.sampler(random.Random(f"aw_kernel_transform|{s}"))
+        blocks.clear()
+        got, want = identities._aw_kernel_rhs(p), _aw_kernel_rhs_by_whole_table(p)
+        if kernels.BACKEND == "python":
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-14 * abs(want)
+        rows = [len(r.b) for r in blocks]
+        if len(rows) > 1:
+            assert rows == [rows[0], 2 * rows[0]]
+            read_on.append(s)
+    # the draws whose tail runs past the first block, 6 terms over the a^m count
+    assert read_on == [2, 23, 24, 27, 36]
 
 
 def test_1psi1_sampler_rejects_slow_tail_before_the_walk(monkeypatch):

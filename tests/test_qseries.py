@@ -415,3 +415,12 @@ def test_walk_over_nodes_raises_on_a_zero_denominator_it_reaches():
     with pytest.raises(DomainError, match="terminate"):
         phi_walk(SeriesSpec([0.3], [0.5], q, np.array([0.1, 0.2])))
 
+    # the bilateral walk, classify and the reversal take one point
+    nodes = np.array([0.6, 0.7])
+    for spec in (
+        SeriesSpec([0.5], [0.3], q, nodes),
+        SeriesSpec([q**-3.0, nodes], [0.3], q, 0.5),
+    ):
+        for at_a_point in (eval_psi, psi_walk, classify, reverse_terminating):
+            with pytest.raises(DomainError, match="phi_walk only"):
+                at_a_point(spec)

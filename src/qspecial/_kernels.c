@@ -77,18 +77,43 @@ static PyObject *qpoch_negative(PyObject *self, PyObject *const *args, Py_ssize_
     return den == 0 ? result(0.0, 2, NULL) : result(1.0 / den, 0, NULL);
 }
 
-/* The loop of _kernels_py.phi_sum over the parameters in buf: nu upper,
- * then nl lower; the ratio has no (1 - q^{k+1}) of its own. */
+/* _kernels_py._geometric_cut over the nu + nl parameters in buf: the q^k
+ * at and below which every factor 1 - p q^k rounds to exactly 1, or NaN,
+ * which no q^k is at or below, unless every parameter is real, q >= 0
+ * and max |p| <= 2^900. */
+static double geometric_cut(const double complex *buf, Py_ssize_t n, double q)
+{
+    double big = 0.0;
+    Py_ssize_t i;
+    if (!(q >= 0))
+        return NAN;
+    for (i = 0; i < n; i++) {
+        if (cimag(buf[i]) != 0)
+            return NAN;
+        if (fabs(creal(buf[i])) > big)
+            big = fabs(creal(buf[i]));
+    }
+    if (big > 0x1p900)
+        return NAN;
+    return big ? 0x1p-54 / big * (1 - 0x1p-50) : HUGE_VAL;
+}
+
+/* The loops of _kernels_py.phi_sum over the parameters in buf: nu upper,
+ * then nl lower; the ratio has no (1 - q^{k+1}) of its own.  A tail walk
+ * with sign_power 0 and real parameters leaves the full ratio once q^k
+ * is at most geometric_cut and goes on with term * z: the same bits, as
+ * multiplying and dividing by 1 + 0j is exact for finite terms. */
 static PyObject *sum_series(const double complex *buf, Py_ssize_t nu, Py_ssize_t nl, double q,
                             double complex z, long sign_power, long n_terms, double eps,
                             long max_terms)
 {
     double complex total = 1.0, term = 1.0, num, den;
     double mass = 1.0, scale = 1.0, qk = 1.0, t;
+    double cut = n_terms < 0 && !sign_power ? geometric_cut(buf, nu + nl, q) : NAN;
     Py_ssize_t i;
     long k;
     int quiet = 0;
-    for (k = 0;; k++) {
+    for (k = 0; !(qk <= cut); k++) {
         if (n_terms >= 0 ? k >= n_terms : k >= max_terms)
             return result(total, n_terms >= 0 ? 0 : 1, &mass);
         num = z;
@@ -114,6 +139,18 @@ static PyObject *sum_series(const double complex *buf, Py_ssize_t nu, Py_ssize_t
         }
         qk *= q;
     }
+    for (; k < max_terms; k++) {
+        term *= z;
+        total += term;
+        t = cabs(term);
+        mass += t;
+        if (t > scale)
+            scale = t;
+        quiet = t < eps * scale ? quiet + 1 : 0;
+        if (quiet >= 5)
+            return result(total, 0, &mass);
+    }
+    return result(total, 1, &mass);
 }
 
 static PyObject *phi_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)

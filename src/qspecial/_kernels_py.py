@@ -6,7 +6,12 @@ the extension is unavailable.  Status codes: 0 ok, 1 convergence budget
 exhausted, 2 zero denominator factor.  The products take a counted number
 of factors and have no stopping rule of their own: the truncated
 (a;q)_oo is qpoch_finite with a count qcore sets before the walk.
+phi_sum walks the full term ratio until, in a tail walk with real
+parameters and no (-q^k) power, every factor 1 - p q^k rounds to 1; from
+there the ratio is z, and it multiplies by z alone.
 """
+
+import math
 
 BACKEND = "python"
 
@@ -33,6 +38,25 @@ def qpoch_negative(a, q, k):
     return 1.0 / den, 0
 
 
+def _geometric_cut(upper, lower, q):
+    """The q^k at and below which every factor 1 - p q^k of a walk rounds
+    to exactly 1; NaN, which no q^k is at or below, unless every parameter
+    is real and q >= 0.
+
+    With big the largest |p|, q^k <= 2^-54 / big (1 - 2^-50) gives
+    fl(|p| q^k) <= 2^-54, and 1 -/+ 2^-54 rounds to 1.  The margin
+    (1 - 2^-50) covers the two roundings of the cut itself while it is a
+    normal double, so a big above 2^900 never switches.
+    """
+    params = (*upper, *lower)
+    if not q >= 0 or any(p.imag for p in params):
+        return math.nan
+    big = max(map(abs, params), default=0.0)
+    if big > 2.0**900:
+        return math.nan
+    return 2.0**-54 / big * (1 - 2.0**-50) if big else math.inf
+
+
 def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
     """Sum a series from t_0 = 1 by forward term-ratio recurrence.
 
@@ -45,6 +69,12 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
     runs until 5 consecutive terms are below tail_epsilon relative to the
     running magnitude.  Returns (value, status, sum |t_k|), the last over
     the terms summed, t_0 = 1 included.
+
+    A tail walk with sign_power 0 and real parameters has two phases.
+    Once q^k is at most _geometric_cut, every factor 1 - p q^k is exactly
+    1, so the ratio is z and the walk goes on with term * z alone: the
+    same bits as the full ratio for finite terms, since multiplying and
+    dividing by 1 + 0j is exact.  Every other walk stays on the full ratio.
     """
     z = complex(z)
     total = 1.0 + 0.0j
@@ -54,7 +84,10 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
     qk = 1.0
     quiet = 0
     tail = n_terms < 0
-    for _ in range(max_terms if tail else n_terms):
+    cut = _geometric_cut(upper, lower, q) if tail and not sign_power else math.nan
+    for k in range(max_terms if tail else n_terms):
+        if qk <= cut:
+            break
         num = z
         for a in upper:
             num *= 1.0 - a * qk
@@ -79,4 +112,19 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
             else:
                 quiet = 0
         qk *= q
-    return total, 1 if tail else 0, mass
+    else:
+        return total, 1 if tail else 0, mass
+    for _ in range(k, max_terms):
+        term = term * z
+        total += term
+        t = abs(term)
+        mass += t
+        if t > scale:
+            scale = t
+        if t < tail_epsilon * scale:
+            quiet += 1
+            if quiet >= 5:
+                return total, 0, mass
+        else:
+            quiet = 0
+    return total, 1, mass

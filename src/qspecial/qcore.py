@@ -253,9 +253,23 @@ def qpoch(a, q, k):
     if k >= 0:
         return kernels.qpoch_finite(a, q, k)
     value, status = kernels.qpoch_negative(a, q, -k)
-    if status:
-        raise DomainError(f"(a;q)_{k} undefined: zero denominator factor, a={a}")
+    if status or not _in_range(value):
+        if status or _negative_pole(a, q, -k):
+            raise DomainError(f"(a;q)_{k} undefined: zero denominator factor, a={a}")
+        raise OutOfRangeError(f"(a;q)_{k} outside the double range, a={a}")
     return value
+
+
+def _negative_pole(a, q, k):
+    """True when a factor 1 - a q^{-j}, j = 1..k, formed as the kernel
+    qpoch_negative forms it, is 0: a product that then overflows gives
+    nan, not the zero the kernel's status reports."""
+    f = a
+    for _ in range(k):
+        f /= q
+        if f == 1:
+            return True
+    return False
 
 
 def qpoch_list(alist, q, k):
@@ -300,20 +314,35 @@ def qpoch_inf_ratio(upper, lower, q, log_factor=0.0):
 
 
 def qbinomial(n, k, q):
-    """q-binomial coefficient [n k]_q; 0 outside 0 <= k <= n."""
+    """q-binomial coefficient [n k]_q; 0 outside 0 <= k <= n.
+
+    One running product of the min(k, n - k) ratios
+    (1 - q^{n-m+j}) / (1 - q^j), m = min(k, n - k), each 1 - q^i formed as
+    -expm1(i log q), so no (q;q)_n underflows.  The ratios are at least 1,
+    so a product that overflows is a value above the double range:
+    OutOfRangeError.
+    """
     q = check_q(q)
     if n < 0:
         raise DomainError("n must be nonnegative")
     if k < 0 or k > n:
         return 0.0
-    num = kernels.qpoch_finite(q, q, n)
-    den = kernels.qpoch_finite(q, q, k) * kernels.qpoch_finite(q, q, n - k)
-    return (num / den).real
+    m = min(k, n - k)
+    lq = math.log(q)
+    out = 1.0
+    for j in range(1, m + 1):
+        out *= math.expm1((n - m + j) * lq) / math.expm1(j * lq)
+    if out == math.inf:
+        raise OutOfRangeError(f"[{n} {k}]_q outside the double range, q={q}")
+    return out
 
 
 def qpoch_base_inverted(a, q, k):
     """(a;q^{-1})_k = prod_{j=0}^{k-1} (1 - a q^{-j}), via the closed rewrite
-    (-1)^k a^k q^{-k(k-1)/2} (a^{-1};q)_k."""
+    (-1)^k a^k q^{-k(k-1)/2} (a^{-1};q)_k.
+
+    0 when a factor vanishes, as for (a;q)_oo; OutOfRangeError when the
+    prefactor or the value leaves the double range."""
     q = check_q(q)
     k = int(k)
     if k < 0:
@@ -324,7 +353,16 @@ def qpoch_base_inverted(a, q, k):
     if a == 0:
         raise DomainError("a must be nonzero for k > 0")
     sign = -1.0 if k % 2 else 1.0
-    return sign * a**k * q ** (-k * (k - 1) / 2) * kernels.qpoch_finite(1.0 / a, q, k)
+    rest = kernels.qpoch_finite(1.0 / a, q, k)
+    if rest == 0:
+        return 0j
+    try:
+        value = sign * a**k * q ** (-k * (k - 1) / 2) * rest
+    except OverflowError:
+        value = math.inf
+    if not _in_range(value):
+        raise OutOfRangeError(f"(a;q^-1)_{k} outside the double range, a={a}")
+    return value
 
 
 def shifted_factorial(a, k):

@@ -11,10 +11,14 @@ r_psi_s(a_1..a_r; b_1..b_s; q, z)
 Every walk generates terms by the forward recurrence on a term ratio
 rational in q^k (per-term Pochhammers are never recomputed).  The ratio
 has no (q;q)_k of its own: phi passes q as a lower parameter, and psi is
-two walks, one each way.  A series at a point is a walk of the one
-kernel, kernels.phi_sum.  A terminating phi series whose z or parameters
-are arrays over nodes is one numpy walk of the same recurrence at all
-nodes at once (_phi_nodes), as the Gram builders take their series tables.
+two walks, one each way.  The ratio tends to z as q^k -> 0; a
+nonterminating walk with real parameters and no (-q^k) power goes on
+with term * z alone once every factor 1 - p q^k rounds to exactly 1,
+which gives the same bits as the full ratio.  A series at a point is a
+walk of the one kernel, kernels.phi_sum.  A terminating phi series whose
+z or parameters are arrays over nodes is one numpy walk of the same
+recurrence at all nodes at once (_phi_nodes), as the Gram builders take
+their series tables.
 
 Every walk returns sum |t_k| with its value; inside a _conditioning_scope
 it also records the amplification sum |t_k| / |sum t_k|, the condition

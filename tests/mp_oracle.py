@@ -89,3 +89,25 @@ def psi_oracle(upper, lower, q, z, max_terms=20000):
             else:
                 raise RuntimeError("psi oracle: a half did not end within max_terms")
         return complex(total), float(mass)
+
+
+def log_qfactorials(q, n):
+    """[log (q;q)_i for i = 0..n] at 50 digits, from the exact image of
+    the double q, for qbinomial_oracle."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        logs, power = [mpmath.mpf(0)], mpmath.mpf(1)
+        for _ in range(n):
+            power *= q
+            logs.append(logs[-1] + mpmath.log(1 - power))
+        return logs
+
+
+def qbinomial_oracle(logs, n, k):
+    """(log [n k]_q, [n k]_q) as floats, 0 <= k <= n, from
+    logs = log_qfactorials(q, N), N >= n; the value is inf above the
+    double range."""
+    with mpmath.workdps(50):
+        log_value = logs[n] - logs[k] - logs[n - k]
+        value = mpmath.exp(log_value) if log_value < 710 else mpmath.inf
+        return float(log_value), float(value)

@@ -6,6 +6,7 @@ with importlib; the tests skip only when no C compiler is found.
 """
 
 import importlib.util
+import math
 import os
 import random
 import shlex
@@ -159,6 +160,156 @@ def test_phi_sum_takes_any_parameter_count(compiled):
     value, status, _ = _phi_pair(compiled, upper, lower, 0.6, 0.7 - 0.2j, 1, -1, 1e-16, 100000)
     assert status == 0
     assert value != 1
+
+
+def _full_ratio_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
+    """phi_sum as it was before its geometric phase: every term forms every
+    factor 1 - p q^k.  Returns phi_sum's (value, status, sum |t_k|) and
+    the number of terms walked."""
+    z = complex(z)
+    total = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    mass = 1.0
+    scale = 1.0
+    qk = 1.0
+    quiet = 0
+    tail = n_terms < 0
+    for k in range(max_terms if tail else n_terms):
+        num = z
+        for a in upper:
+            num *= 1.0 - a * qk
+        den = 1.0
+        for b in lower:
+            den *= 1.0 - b * qk
+        if den == 0:
+            return (total, 2, mass), k
+        if sign_power:
+            num *= (-qk) ** sign_power
+        term = term * num / den
+        total += term
+        t = abs(term)
+        mass += t
+        if t > scale:
+            scale = t
+        if tail:
+            if t < tail_epsilon * scale:
+                quiet += 1
+                if quiet >= 5:
+                    return (total, 0, mass), k + 1
+            else:
+                quiet = 0
+        qk *= q
+    return (total, 1 if tail else 0, mass), max_terms if tail else n_terms
+
+
+def _switch_index(upper, lower, q):
+    """The first k whose q^k, formed as the kernel forms it, is at or below
+    the geometric cut; None for a walk that never switches."""
+    cut = py._geometric_cut(upper, lower, q)
+    qk, k = 1.0, 0
+    while not qk <= cut:
+        if qk == 0 or cut != cut:
+            return None
+        qk *= q
+        k += 1
+    return k
+
+
+def _bit_exact(compiled, *args, switches):
+    """Both backends' phi_sum on args equal the full-ratio walk with ==;
+    switches says whether the walk reaches its geometric phase."""
+    ref, terms = _full_ratio_sum(*args)
+    for backend in (py, compiled):
+        assert backend.phi_sum(*args) == ref
+    k = _switch_index(*args[:3]) if args[4] == 0 and args[5] < 0 else None
+    assert (k is not None and k < terms) == switches
+    return ref
+
+
+def test_phi_sum_geometric_phase_is_bit_exact(compiled):
+    rng = random.Random(7)
+    for _ in range(40):
+        q = rng.uniform(0.1, 0.8)
+        upper = [rng.uniform(-3, 3) for _ in range(rng.randrange(0, 4))]
+        lower = [q] + [rng.choice([float, complex])(rng.uniform(-3, 3))
+                       for _ in range(rng.randrange(0, 3))]
+        z = rng.uniform(0.9, 0.999) * rng.choice([1, -1, 1j])
+        assert _bit_exact(compiled, upper, lower, q, z, 0, -1, 1e-16, 100000, switches=True)[1] == 0
+
+
+def test_phi_sum_geometric_phase_on_psi_halves(compiled):
+    # 1psi1 and 2psi2 with real parameters, so both halves have power 0;
+    # the last lower parameter puts |z'| = |b1..bs / (a1..ar z)| near 1 too
+    rng = random.Random(8)
+    for _ in range(20):
+        q = rng.uniform(0.2, 0.8)
+        r = rng.randrange(1, 3)
+        upper = [rng.uniform(-2, -0.3) for _ in range(r)]
+        z = rng.uniform(0.9, 0.999)
+        lower = [rng.choice([1, -1]) * rng.uniform(0.3, 0.9) for _ in range(r - 1)]
+        lower.append(rng.uniform(0.9, 0.99) * z * math.prod(upper) / math.prod(lower))
+        up = (upper, lower, q, z, 0)
+        down_z = math.prod(lower) / (z * math.prod(upper))
+        down = ([q / b for b in lower], [q / a for a in upper], q, down_z, 0)
+        for args in (up, down):
+            _bit_exact(compiled, *args, -1, 1e-16, 100000, switches=True)
+
+
+def test_phi_sum_geometric_cut_straddle(compiled):
+    # big q^k a few ulps either side of 2^-54: at k = 53 the factor
+    # 1 - (1 + d) 2^-54 is 1 - 2^-53 for d > 0, so that term keeps the
+    # full ratio, and from k = 54 on every factor is 1
+    for d in (-(2.0**-48), 0.0, 2.0**-52, 2.0**-40):
+        for sign in (1, -1):
+            upper = [sign * 0.5 * (1 + d)]
+            args = (upper, [0.25], 0.5, 0.99, 0, -1, 1e-16, 100000)
+            _bit_exact(compiled, *args, switches=True)
+            assert _switch_index(*args[:3]) == (53 if d < 0 else 54)
+    # and at random q: big q^k within 4 ulps of 2^-54, q^k formed as the
+    # kernel forms it, so the walk leaves the full ratio at k or k + 1
+    rng = random.Random(9)
+    for _ in range(20):
+        q, qk = rng.uniform(0.3, 0.9), 1.0
+        k = math.ceil(math.log(2.0**-54 / rng.uniform(0.5, 20)) / math.log(q))
+        for _ in range(k):
+            qk *= q
+        big = 2.0**-54 / qk * (1 + rng.randrange(-4, 5) * 2.0**-52)
+        upper = [rng.choice([1, -1]) * big, rng.uniform(-big, big)]
+        _bit_exact(compiled, upper, [q], q, 0.995, 0, -1, 1e-16, 100000, switches=True)
+        assert _switch_index(upper, [q], q) in (k, k + 1)
+
+
+def test_phi_sum_never_switches_on_complex_parameters_or_a_power(compiled):
+    rng = random.Random(10)
+    for _ in range(20):
+        q = rng.uniform(0.2, 0.8)
+        upper = [complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5)), rng.uniform(-2, 2)]
+        assert math.isnan(py._geometric_cut(upper, [q], q))
+        _bit_exact(compiled, upper, [q], q, 0.95, 0, -1, 1e-16, 100000, switches=False)
+    # small q and a small complex parameter: its factor's imaginary part,
+    # below 2^-54 past the cut, still shows in about half these walks
+    for _ in range(40):
+        q = rng.uniform(0.02, 0.1)
+        upper = [complex(rng.uniform(-0.05, 0.05), rng.uniform(-0.05, 0.05))]
+        _bit_exact(compiled, upper, [q], q, 0.95, 0, -1, 1e-16, 100000, switches=False)
+    for sign_power in (1, 2):  # 1phi1 and 0phi1: the power (-q^k)^e
+        for _ in range(10):
+            q = rng.uniform(0.2, 0.95)
+            lower = [q] + [rng.uniform(-0.9, 0.9) for _ in range(sign_power)]
+            upper = [rng.uniform(-2, 2) for _ in range(2 - sign_power)]
+            args = (upper, lower, q, rng.uniform(-20, 20), sign_power, -1, 1e-16, 100000)
+            _bit_exact(compiled, *args, switches=False)
+    # a terminating walk runs its n_terms on the full ratio
+    q = 0.5
+    args = ([q**-30.0, 0.5], [q, 0.25], q, 0.999, 0, 30, 1e-16, 100000)
+    _bit_exact(compiled, *args, switches=False)
+
+
+def test_phi_sum_budget_runs_out_in_the_geometric_phase(compiled):
+    # the cut is reached near k = 35; the tail of z = 0.999 needs 36 000 terms
+    args = ([0.7, -1.5], [0.3, 0.4], 0.3, 0.999, 0, -1, 1e-16, 500)
+    assert _switch_index(*args[:3]) < 500
+    assert _bit_exact(compiled, *args, switches=True)[1] == 1
 
 
 def test_wrong_arity_raises_type_error(compiled):

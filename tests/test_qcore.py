@@ -10,6 +10,7 @@ import itertools
 import math
 import pkgutil
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -33,7 +34,7 @@ from qspecial.qcore import (
 )
 from qspecial.qfunctions import gamma_q
 
-from mp_oracle import EPS, log_distance, log_qpoch_oracle
+from mp_oracle import EPS, log_distance, log_qfactorials, log_qpoch_oracle, qbinomial_oracle
 
 
 def product_oracle(a, q, k):
@@ -122,6 +123,45 @@ def test_qpoch_base_inverted_identity():
     for j in range(k):
         direct *= 1.0 - a * q ** float(-j)
     assert qpoch_base_inverted(a, q, k) == pytest.approx(direct, rel=1e-13)
+
+
+def test_qbinomial_matches_oracle_near_q_1():
+    # (q;q)_n underflows from n of about 700 at q = 0.999, so [n k]_q is no
+    # quotient of three products there; each ratio of the one running
+    # product errs by a few ulps
+    for q in (0.99, 0.995, 0.998, 0.999):
+        logs = log_qfactorials(q, 3000)
+        cases = {(2825, 1), (350, 175)}
+        for n in range(0, 3000, 23):
+            cases |= {(n, k) for k in (0, 1, 2, n // 7, n // 3, n // 2, n) if k <= n}
+        for n, k in sorted(cases):
+            log_value, value = qbinomial_oracle(logs, n, k)
+            if log_value > math.log(sys.float_info.max):
+                with pytest.raises(OutOfRangeError):
+                    qbinomial(n, k, q)
+            else:
+                got = qbinomial(n, k, q)
+                assert abs(got - value) <= 4 * (min(k, n - k) + 1) * EPS * value, (n, k, q)
+    assert qbinomial(2825, 1, 0.999) == pytest.approx(940.7751133231495, rel=1e-13)
+
+
+def test_qpoch_negative_index_outside_the_double_range():
+    # every factor 1 - 3 q^-j is above 1: 1 / their product underflows
+    with pytest.raises(OutOfRangeError):
+        qpoch(3.0, 0.5, -2000)
+    # 1 - a q^-1 = 0 is a pole however many factors follow it
+    for k in (-3, -2000):
+        with pytest.raises(DomainError):
+            qpoch(0.5, 0.5, k)
+
+
+def test_qpoch_base_inverted_outside_the_double_range():
+    # (0.3; 2)_200 grows as 2^(200^2 / 2); its prefactor alone overflows
+    with pytest.raises(OutOfRangeError):
+        qpoch_base_inverted(0.3, 0.5, 200)
+    # (0.5; 2)_k has the factor 1 - 0.5 * 2 = 0 for every k >= 2
+    assert qpoch_base_inverted(0.5, 0.5, 200) == 0
+    assert qpoch_base_inverted(0.5, 0.5, 5) == 0
 
 
 def test_shifted_factorial_classical():

@@ -64,7 +64,7 @@ static PyObject *qpoch_finite(PyObject *self, PyObject *const *args, Py_ssize_t 
 
 static PyObject *qpoch_negative(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double complex den = 1.0, f;
+    double complex den = 1.0, f, g;
     double q;
     long k, j;
     if (!arity("qpoch_negative", nargs, 3) || !as_complex(args[0], &f)
@@ -72,9 +72,12 @@ static PyObject *qpoch_negative(PyObject *self, PyObject *const *args, Py_ssize_
         return NULL;
     for (j = 0; j < k; j++) {
         f /= q;
-        den *= 1.0 - f;
+        g = 1.0 - f;
+        if (g == 0)
+            return result(0.0, 2, NULL);
+        den *= g;
     }
-    return den == 0 ? result(0.0, 2, NULL) : result(1.0 / den, 0, NULL);
+    return result(den == 0 ? CMPLX(INFINITY, NAN) : 1.0 / den, 0, NULL);
 }
 
 /* _kernels_py._geometric_cut over the nu + nl parameters in buf: the q^k
@@ -98,10 +101,10 @@ static double geometric_cut(const double complex *buf, Py_ssize_t n, double q)
     return big ? 0x1p-54 / big * (1 - 0x1p-50) : HUGE_VAL;
 }
 
-/* The loops of _kernels_py.phi_sum over the parameters in buf: nu upper,
- * then nl lower; the ratio has no (1 - q^{k+1}) of its own.  A tail walk
- * with sign_power 0 and real parameters leaves the full ratio once q^k
- * is at most geometric_cut and goes on with term * z: the same bits, as
+/* The loop of _kernels_py.phi_sum over the parameters in buf: nu upper,
+ * then nl lower; the ratio has no (1 - q^{k+1}) of its own.  In a tail
+ * walk with sign_power 0 and real parameters, once q^k is at most
+ * geometric_cut the term is multiplied by z alone: the same bits, as
  * multiplying and dividing by 1 + 0j is exact for finite terms. */
 static PyObject *sum_series(const double complex *buf, Py_ssize_t nu, Py_ssize_t nl, double q,
                             double complex z, long sign_power, long n_terms, double eps,
@@ -110,23 +113,27 @@ static PyObject *sum_series(const double complex *buf, Py_ssize_t nu, Py_ssize_t
     double complex total = 1.0, term = 1.0, num, den;
     double mass = 1.0, scale = 1.0, qk = 1.0, t;
     double cut = n_terms < 0 && !sign_power ? geometric_cut(buf, nu + nl, q) : NAN;
+    long limit = n_terms >= 0 ? n_terms : max_terms;
     Py_ssize_t i;
     long k;
     int quiet = 0;
-    for (k = 0; !(qk <= cut); k++) {
-        if (n_terms >= 0 ? k >= n_terms : k >= max_terms)
-            return result(total, n_terms >= 0 ? 0 : 1, &mass);
-        num = z;
-        for (i = 0; i < nu; i++)
-            num *= 1.0 - buf[i] * qk;
-        den = 1.0;
-        for (i = nu; i < nu + nl; i++)
-            den *= 1.0 - buf[i] * qk;
-        if (den == 0)
-            return result(total, 2, &mass);
-        if (sign_power)
-            num *= pow(-qk, (double)sign_power);
-        term = term * num / den;
+    for (k = 0; k < limit; k++) {
+        if (qk <= cut) {
+            term *= z;
+        } else {
+            num = z;
+            for (i = 0; i < nu; i++)
+                num *= 1.0 - buf[i] * qk;
+            den = 1.0;
+            for (i = nu; i < nu + nl; i++)
+                den *= 1.0 - buf[i] * qk;
+            if (den == 0)
+                return result(total, 2, &mass);
+            if (sign_power)
+                num *= pow(-qk, (double)sign_power);
+            term = term * num / den;
+            qk *= q;
+        }
         total += term;
         t = cabs(term);
         mass += t;
@@ -137,20 +144,8 @@ static PyObject *sum_series(const double complex *buf, Py_ssize_t nu, Py_ssize_t
             if (quiet >= 5)
                 return result(total, 0, &mass);
         }
-        qk *= q;
     }
-    for (; k < max_terms; k++) {
-        term *= z;
-        total += term;
-        t = cabs(term);
-        mass += t;
-        if (t > scale)
-            scale = t;
-        quiet = t < eps * scale ? quiet + 1 : 0;
-        if (quiet >= 5)
-            return result(total, 0, &mass);
-    }
-    return result(total, 1, &mass);
+    return result(total, n_terms >= 0 ? 0 : 1, &mass);
 }
 
 static PyObject *phi_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)

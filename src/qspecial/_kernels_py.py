@@ -6,7 +6,7 @@ the extension is unavailable.  Status codes: 0 ok, 1 convergence budget
 exhausted, 2 zero denominator factor.  The products take a counted number
 of factors and have no stopping rule of their own: the truncated
 (a;q)_oo is qpoch_finite with a count qcore sets before the walk.
-phi_sum walks the full term ratio until, in a tail walk with real
+phi_sum forms the full term ratio until, in a tail walk with real
 parameters and no (-q^k) power, every factor 1 - p q^k rounds to 1; from
 there the ratio is z, and it multiplies by z alone.
 """
@@ -27,15 +27,20 @@ def qpoch_finite(a, q, k):
 
 
 def qpoch_negative(a, q, k):
-    """1 / prod_{j=1}^{k} (1 - a q^{-j}) for k >= 1; status 2 on zero factor."""
+    """1 / prod_{j=1}^{k} (1 - a q^{-j}) for k >= 1; status 2 on a zero
+    factor, however many factors follow it.  With no zero factor, a
+    denominator outside the double range gives status 0 and a value that
+    is no normal double: 0 or NaN when it overflows, inf + nan j when
+    it underflows."""
     den = 1.0 + 0.0j
     f = complex(a)
     for _ in range(k):
         f /= q
-        den *= 1.0 - f
-    if den == 0:
-        return 0j, 2
-    return 1.0 / den, 0
+        g = 1.0 - f
+        if g == 0:
+            return 0j, 2
+        den *= g
+    return (1.0 / den if den else complex(math.inf, math.nan)), 0
 
 
 def _geometric_cut(upper, lower, q):
@@ -70,11 +75,11 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
     running magnitude.  Returns (value, status, sum |t_k|), the last over
     the terms summed, t_0 = 1 included.
 
-    A tail walk with sign_power 0 and real parameters has two phases.
-    Once q^k is at most _geometric_cut, every factor 1 - p q^k is exactly
-    1, so the ratio is z and the walk goes on with term * z alone: the
-    same bits as the full ratio for finite terms, since multiplying and
-    dividing by 1 + 0j is exact.  Every other walk stays on the full ratio.
+    In a tail walk with sign_power 0 and real parameters, once q^k is at
+    most _geometric_cut every factor 1 - p q^k is exactly 1, so the ratio
+    is z and the term is multiplied by z alone: the same bits as the full
+    ratio for finite terms, since multiplying and dividing by 1 + 0j is
+    exact.  Every other walk forms the full ratio at every term.
     """
     z = complex(z)
     total = 1.0 + 0.0j
@@ -85,20 +90,22 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
     quiet = 0
     tail = n_terms < 0
     cut = _geometric_cut(upper, lower, q) if tail and not sign_power else math.nan
-    for k in range(max_terms if tail else n_terms):
+    for _ in range(max_terms if tail else n_terms):
         if qk <= cut:
-            break
-        num = z
-        for a in upper:
-            num *= 1.0 - a * qk
-        den = 1.0
-        for b in lower:
-            den *= 1.0 - b * qk
-        if den == 0:
-            return total, 2, mass
-        if sign_power:
-            num *= (-qk) ** sign_power
-        term = term * num / den
+            term = term * z
+        else:
+            num = z
+            for a in upper:
+                num *= 1.0 - a * qk
+            den = 1.0
+            for b in lower:
+                den *= 1.0 - b * qk
+            if den == 0:
+                return total, 2, mass
+            if sign_power:
+                num *= (-qk) ** sign_power
+            term = term * num / den
+            qk *= q
         total += term
         t = abs(term)
         mass += t
@@ -111,20 +118,4 @@ def phi_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_terms):
                     return total, 0, mass
             else:
                 quiet = 0
-        qk *= q
-    else:
-        return total, 1 if tail else 0, mass
-    for _ in range(k, max_terms):
-        term = term * z
-        total += term
-        t = abs(term)
-        mass += t
-        if t > scale:
-            scale = t
-        if t < tail_epsilon * scale:
-            quiet += 1
-            if quiet >= 5:
-                return total, 0, mass
-        else:
-            quiet = 0
-    return total, 1, mass
+    return total, 1 if tail else 0, mass

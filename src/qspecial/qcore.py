@@ -253,23 +253,11 @@ def qpoch(a, q, k):
     if k >= 0:
         return kernels.qpoch_finite(a, q, k)
     value, status = kernels.qpoch_negative(a, q, -k)
-    if status or not _in_range(value):
-        if status or _negative_pole(a, q, -k):
-            raise DomainError(f"(a;q)_{k} undefined: zero denominator factor, a={a}")
+    if status:
+        raise DomainError(f"(a;q)_{k} undefined: zero denominator factor, a={a}")
+    if not _in_range(value):
         raise OutOfRangeError(f"(a;q)_{k} outside the double range, a={a}")
     return value
-
-
-def _negative_pole(a, q, k):
-    """True when a factor 1 - a q^{-j}, j = 1..k, formed as the kernel
-    qpoch_negative forms it, is 0: a product that then overflows gives
-    nan, not the zero the kernel's status reports."""
-    f = a
-    for _ in range(k):
-        f /= q
-        if f == 1:
-            return True
-    return False
 
 
 def qpoch_list(alist, q, k):
@@ -341,8 +329,10 @@ def qpoch_base_inverted(a, q, k):
     """(a;q^{-1})_k = prod_{j=0}^{k-1} (1 - a q^{-j}), via the closed rewrite
     (-1)^k a^k q^{-k(k-1)/2} (a^{-1};q)_k.
 
-    0 when a factor vanishes, as for (a;q)_oo; OutOfRangeError when the
-    prefactor or the value leaves the double range."""
+    When (a^{-1};q)_k or the rewrite is not a normal double, the direct
+    product (1 - a) / qpoch_negative(a, q, k - 1) decides, on that path
+    only: 0 when a factor 1 - a q^{-j} is exactly 0, as for (a;q)_oo, and
+    OutOfRangeError when the value lies outside the double range."""
     q = check_q(q)
     k = int(k)
     if k < 0:
@@ -354,15 +344,19 @@ def qpoch_base_inverted(a, q, k):
         raise DomainError("a must be nonzero for k > 0")
     sign = -1.0 if k % 2 else 1.0
     rest = kernels.qpoch_finite(1.0 / a, q, k)
-    if rest == 0:
+    if _in_range(rest):
+        try:
+            value = sign * a**k * q ** (-k * (k - 1) / 2) * rest
+        except OverflowError:
+            value = math.inf
+        if _in_range(value):
+            return value
+    inverse, status = kernels.qpoch_negative(a, q, k - 1)
+    if status or a == 1:
         return 0j
-    try:
-        value = sign * a**k * q ** (-k * (k - 1) / 2) * rest
-    except OverflowError:
-        value = math.inf
-    if not _in_range(value):
+    if not (_in_range(inverse) and _in_range((1.0 - a) / inverse)):
         raise OutOfRangeError(f"(a;q^-1)_{k} outside the double range, a={a}")
-    return value
+    return (1.0 - a) / inverse
 
 
 def shifted_factorial(a, k):

@@ -74,8 +74,11 @@ def test_qpoch_negative_parity(compiled):
         vp, sp = py.qpoch_negative(a, q, k)
         assert sc == sp == 0
         assert vc == pytest.approx(vp, rel=1e-13)
-    # a = q^2: the second factor 1 - a q^-2 vanishes
-    assert compiled.qpoch_negative(0.25, 0.5, 3) == py.qpoch_negative(0.25, 0.5, 3) == (0j, 2)
+    # a = q^2: the second factor 1 - a q^-2 vanishes; a = q: the first
+    # vanishes, and the 1999 after it overflow, where 0 * inf = nan would
+    # hide the zero
+    for args in ((0.25, 0.5, 3), (0.5, 0.5, 2000)):
+        assert compiled.qpoch_negative(*args) == py.qpoch_negative(*args) == (0j, 2)
 
 
 def _phi_pair(compiled, *args):
@@ -299,6 +302,10 @@ def test_phi_sum_never_switches_on_complex_parameters_or_a_power(compiled):
             upper = [rng.uniform(-2, 2) for _ in range(2 - sign_power)]
             args = (upper, lower, q, rng.uniform(-20, 20), sign_power, -1, 1e-16, 100000)
             _bit_exact(compiled, *args, switches=False)
+    # a 1phi1 whose terms peak where q^k reaches the cut 2^-52: its ratio
+    # there is about -q^k z, not z
+    args = ([0.2], [0.25, 0.1], 0.25, 2.0**54, 1, -1, 1e-16, 100000)
+    assert math.isfinite(_bit_exact(compiled, *args, switches=False)[0].real)
     # a terminating walk runs its n_terms on the full ratio
     q = 0.5
     args = ([q**-30.0, 0.5], [q, 0.25], q, 0.999, 0, 30, 1e-16, 100000)

@@ -149,6 +149,10 @@ def test_qpoch_negative_index_outside_the_double_range():
     # every factor 1 - 3 q^-j is above 1: 1 / their product underflows
     with pytest.raises(OutOfRangeError):
         qpoch(3.0, 0.5, -2000)
+    # thousands of factors within 1e-6 of 0, none of them 0: the product
+    # underflows and its reciprocal overflows
+    with pytest.raises(OutOfRangeError):
+        qpoch(1 - 1e-6, 1 - 1e-10, -20000)
     # 1 - a q^-1 = 0 is a pole however many factors follow it
     for k in (-3, -2000):
         with pytest.raises(DomainError):
@@ -159,6 +163,15 @@ def test_qpoch_base_inverted_outside_the_double_range():
     # (0.3; 2)_200 grows as 2^(200^2 / 2); its prefactor alone overflows
     with pytest.raises(OutOfRangeError):
         qpoch_base_inverted(0.3, 0.5, 200)
+    # (1/a; 0.999)_10000 underflows with no zero factor (to a subnormal at
+    # a = 1.5, to exactly 0 at a = 1.01), while log|(a; 1/0.999)_10000| is
+    # tens of thousands
+    for a in (1.5, 1.01):
+        with pytest.raises(OutOfRangeError):
+            qpoch_base_inverted(a, 0.999, 10000)
+    # (1e300; 0.99)_100 overflows, but every factor 1 - 1e-300 0.99^-j is
+    # 1 to the last bit: the direct product gives the value
+    assert qpoch_base_inverted(1e-300, 0.99, 100) == 1
     # (0.5; 2)_k has the factor 1 - 0.5 * 2 = 0 for every k >= 2
     assert qpoch_base_inverted(0.5, 0.5, 200) == 0
     assert qpoch_base_inverted(0.5, 0.5, 5) == 0

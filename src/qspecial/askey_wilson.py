@@ -375,20 +375,23 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
     4phi3(q^{-n}, q^{n+1} alpha beta, q^{-x}, q^{x+1} gamma delta;
           alpha q, beta delta q, gamma q; q, q),   n, x = 0..N.
 
-    x may be a numpy array of points; their values come from one walk.
+    x may be a numpy array of points; their values come from one walk, and
+    are the values at each point bit for bit.
     """
     q = check_q(q)
     _racah_check(alpha, beta, gamma, delta, big_n, q)
     low, high = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
     if not (0 <= n <= big_n and 0 <= low and high <= big_n):
         raise DomainError("need 0 <= n, x <= N")
+    if isinstance(x, np.ndarray):
+        # Python's pow at each point, as a call at one point forms them:
+        # numpy's power on an array can round apart from it in the last bit
+        down = np.array([q**-v for v in x.tolist()])
+        up = np.array([q ** (v + 1.0) for v in x.tolist()])
+    else:
+        down, up = q**-x, q ** (x + 1.0)
     spec = SeriesSpec(
-        [
-            q ** float(-n),
-            q ** float(n + 1) * alpha * beta,
-            q ** -x,
-            q ** (x + 1.0) * gamma * delta,
-        ],
+        [q ** float(-n), q ** float(n + 1) * alpha * beta, down, up * gamma * delta],
         [alpha * q, beta * delta * q, gamma * q],
         q,
         q,

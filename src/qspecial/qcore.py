@@ -237,8 +237,9 @@ def qpoch(a, q, k):
     k may be any integer or the sentinel INFINITY.  Negative k uses the
     closed reciprocal product.  INFINITY takes the kernel product over
     _factor_count factors, whose left-out tail is below TAIL_EPSILON,
-    when that count is small, and exp(log_qpoch_inf) otherwise; a value
-    outside the double range raises OutOfRangeError.
+    when that count is small, and exp(log_qpoch_inf) otherwise.  A value
+    outside the double range raises OutOfRangeError; a vanishing factor
+    gives 0.
     """
     q = check_q(q)
     a = _finite(a)
@@ -251,7 +252,10 @@ def qpoch(a, q, k):
         return _exp_log(_log_qpochs([a], q)[0], a.imag == 0)
     k = int(k)
     if k >= 0:
-        return kernels.qpoch_finite(a, q, k)
+        value = kernels.qpoch_finite(a, q, k)
+        if not cmath.isfinite(value):
+            raise OutOfRangeError(f"(a;q)_{k} outside the double range, a={a}")
+        return value
     value, status = kernels.qpoch_negative(a, q, -k)
     if status:
         raise DomainError(f"(a;q)_{k} undefined: zero denominator factor, a={a}")
@@ -360,10 +364,13 @@ def qpoch_base_inverted(a, q, k):
 
 
 def shifted_factorial(a, k):
-    """Classical Pochhammer symbol (a)_k = a(a+1)...(a+k-1)."""
+    """Classical Pochhammer symbol (a)_k = a(a+1)...(a+k-1);
+    OutOfRangeError when the product leaves the double range."""
     if k < 0:
         raise DomainError("k must be nonnegative")
     out = 1.0 + 0.0j if isinstance(a, complex) else 1.0
     for j in range(int(k)):
         out *= a + j
+    if not cmath.isfinite(out):
+        raise OutOfRangeError(f"({a})_{k} outside the double range")
     return out

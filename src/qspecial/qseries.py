@@ -11,14 +11,20 @@ r_psi_s(a_1..a_r; b_1..b_s; q, z)
 Every walk generates terms by the forward recurrence on a term ratio
 rational in q^k (per-term Pochhammers are never recomputed).  The ratio
 has no (q;q)_k of its own: phi passes q as a lower parameter, and psi is
-two walks, one each way.  The ratio tends to z as q^k -> 0; a
-nonterminating walk with real parameters and no (-q^k) power goes on
-with term * z alone once every factor 1 - p q^k rounds to exactly 1,
-which gives the same bits as the full ratio.  A series at a point is a
-walk of the one kernel, kernels.phi_sum.  A terminating phi series whose
-z or parameters are arrays over nodes is one numpy walk of the same
-recurrence at all nodes at once (_phi_nodes), as the Gram builders take
-their series tables.
+two walks, one each way.  A series at a point is a walk of the one
+kernel, kernels.phi_sum, which runs on floats when z and every parameter
+are real.  The ratio tends to z as q^k -> 0; such a real nonterminating
+walk with no (-q^k) power goes on with term * z alone once every factor
+1 - p q^k rounds to exactly 1, which gives the same bits as the full
+ratio.  A terminating phi series whose z or parameters are arrays over
+nodes is one numpy walk of the same recurrence at all nodes at once
+(_phi_nodes), as the Gram builders take their series tables.  In a spec
+over nodes a real array stays float64 and a real number a float, so a
+walk over nodes with no complex entry runs in float64: IEEE products and
+quotients of doubles are correctly rounded in Python, numpy and C alike,
+so each node's value is its point walk's, bit for bit.  (numpy's complex
+division is not CPython's, so a complex walk over nodes rounds apart from
+the point walk.)
 
 Every walk returns sum |t_k| with its value; inside a _conditioning_scope
 it also records the amplification sum |t_k| / |sum t_k|, the condition
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qspecial import kernels
-from qspecial.errors import ConvergenceError, DomainError
+from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.qcore import MAX_TERMS, TAIL_EPSILON, check_q, qpoch_list
 
 _TERMINATION_RTOL = 1e-12
@@ -78,8 +84,13 @@ def _walked(value, mass):
 
 
 def _entry(v):
-    """A series entry: a complex number, or a complex array over nodes."""
-    return np.asarray(v, dtype=complex) if isinstance(v, np.ndarray) else complex(v)
+    """An entry of a spec over nodes: an array, float64 when its dtype is
+    real and complex otherwise, or a number, float when it is real.  A
+    walk over nodes then runs in float64 unless an entry is complex."""
+    if isinstance(v, np.ndarray):
+        return np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
+    v = complex(v)
+    return v if v.imag else v.real
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,7 @@ def _as_negative_power(a, q):
 
 
 def _negative_powers(a, q):
-    """_as_negative_power at every entry of the complex array a, with
+    """_as_negative_power at every entry of the array a, with
     _MAX_TERMINATION_N + 1 where the entry is no q^{-n}.  Its test
     x > 1 + 1e-15 or |x - 1| <= 1e-12 is x >= 1 - 1e-12."""
     x = np.where(a.imag == 0, a.real, 0.0)
@@ -186,7 +197,8 @@ def classify(spec):
 
 def _kernel_sum(what, upper, lower, q, z, sign_power, n_terms):
     """(value, sum |t_k|) of kernels.phi_sum, its status raised as the
-    error of the series named by what."""
+    error of the series named by what: ConvergenceError, DomainError (a
+    zero denominator) or OutOfRangeError (a term that overflowed)."""
     value, status, mass = kernels.phi_sum(
         upper, lower, q, z, sign_power, n_terms, TAIL_EPSILON, MAX_TERMS
     )
@@ -194,6 +206,8 @@ def _kernel_sum(what, upper, lower, q, z, sign_power, n_terms):
         raise ConvergenceError(f"{what} tail not reached within max_terms")
     if status == 2:
         raise DomainError(f"{what} hit a zero denominator factor")
+    if status == 3:
+        raise OutOfRangeError(f"{what} has a term outside the double range")
     return value, mass
 
 
@@ -203,9 +217,11 @@ def _phi_nodes(spec):
 
     Each node sums through k = n, n the least m of its upper parameters
     q^{-m}, as classify finds it at a point; a node with none raises
-    DomainError.  Overflow gives inf or nan, as the kernel does, with no
-    numpy warning; a zero denominator at a node still summing raises
-    DomainError."""
+    DomainError.  When no entry is complex the walk runs in float64, as
+    the kernel runs a real walk on floats, so each node's value and
+    sum |t_k| are its point walk's bits.  Overflow gives inf or nan, with
+    no numpy warning, so that the lattice walk can name the node; a zero
+    denominator at a node still summing raises DomainError."""
     q, upper = spec.q, spec.upper
     entries = upper + spec.lower + (spec.z,)
     shape = np.broadcast(*(v for v in entries if isinstance(v, np.ndarray))).shape
@@ -218,7 +234,7 @@ def _phi_nodes(spec):
         raise DomainError("a series over nodes must terminate at every node")
     lower, power = (q,) + spec.lower, 1 + spec.s - spec.r
     first, last = int(stop.min()), int(stop.max())
-    total, term, mass, qk = np.ones(shape, complex), 1.0, np.ones(shape), 1.0
+    total, term, mass, qk = np.ones(shape), 1.0, np.ones(shape), 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(last):
             # scalar factors stay Python numbers, in the kernel's order
@@ -236,7 +252,7 @@ def _phi_nodes(spec):
             if not (den.all() if isinstance(den, np.ndarray) else den):
                 raise DomainError("phi series hit a zero denominator factor")
             term = term * num / den
-            total += term
+            total = total + term  # complex from the first term of a complex walk
             mass += np.abs(term)
             qk *= q
         return _walked(total, mass)

@@ -11,6 +11,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
 from qspecial import (
@@ -268,6 +269,18 @@ def test_q_racah_gram_matrix_matches_entries():
         for m in range(N + 1):
             entry = sum(values[n][x] * values[m][x] * w[x] for x in range(N + 1))
             assert abs(gram[n, m] - entry) <= 1e-13 * scale
+
+
+def test_q_racah_at_all_points_is_the_point_values():
+    # a real walk over the points runs in float64, with the point's q^-x
+    rng = random.Random(12)
+    for _ in range(20):
+        q, alpha, beta, delta = rng.uniform(0.1, 0.9), *(rng.uniform(0.05, 0.95) for _ in range(3))
+        N = rng.randrange(1, 16)
+        n, gamma = rng.randrange(N + 1), q ** float(-N - 1)
+        values = q_racah(n, np.arange(N + 1), alpha, beta, gamma, delta, q, N)
+        for x in range(N + 1):
+            assert values[x] == q_racah(n, x, alpha, beta, gamma, delta, q, N)
 
 
 def test_weight_grid_truncation_raises():

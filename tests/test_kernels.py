@@ -5,6 +5,7 @@ C compiler that sysconfig names, into a temporary directory, and loaded
 with importlib; the tests skip only when no C compiler is found.
 """
 
+import cmath
 import importlib.util
 import math
 import os
@@ -17,6 +18,8 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspecial import _kernels_py as py
 
@@ -205,9 +208,12 @@ def _full_ratio_sum(upper, lower, q, z, sign_power, n_terms, tail_epsilon, max_t
     return (total, 1 if tail else 0, mass), max_terms if tail else n_terms
 
 
-def _switch_index(upper, lower, q):
+def _switch_index(upper, lower, q, z):
     """The first k whose q^k, formed as the kernel forms it, is at or below
-    the geometric cut; None for a walk that never switches."""
+    the geometric cut; None for a walk that never switches.  A complex z or
+    parameter sends the walk to the complex loop, which has no cut."""
+    if any(complex(p).imag for p in (*upper, *lower, z)):
+        return None
     cut = py._geometric_cut(upper, lower, q)
     qk, k = 1.0, 0
     while not qk <= cut:
@@ -224,7 +230,7 @@ def _bit_exact(compiled, *args, switches):
     ref, terms = _full_ratio_sum(*args)
     for backend in (py, compiled):
         assert backend.phi_sum(*args) == ref
-    k = _switch_index(*args[:3]) if args[4] == 0 and args[5] < 0 else None
+    k = _switch_index(*args[:4]) if args[4] == 0 and args[5] < 0 else None
     assert (k is not None and k < terms) == switches
     return ref
 
@@ -236,7 +242,7 @@ def test_phi_sum_geometric_phase_is_bit_exact(compiled):
         upper = [rng.uniform(-3, 3) for _ in range(rng.randrange(0, 4))]
         lower = [q] + [rng.choice([float, complex])(rng.uniform(-3, 3))
                        for _ in range(rng.randrange(0, 3))]
-        z = rng.uniform(0.9, 0.999) * rng.choice([1, -1, 1j])
+        z = rng.uniform(0.9, 0.999) * rng.choice([1, -1])
         assert _bit_exact(compiled, upper, lower, q, z, 0, -1, 1e-16, 100000, switches=True)[1] == 0
 
 
@@ -267,7 +273,7 @@ def test_phi_sum_geometric_cut_straddle(compiled):
             upper = [sign * 0.5 * (1 + d)]
             args = (upper, [0.25], 0.5, 0.99, 0, -1, 1e-16, 100000)
             _bit_exact(compiled, *args, switches=True)
-            assert _switch_index(*args[:3]) == (53 if d < 0 else 54)
+            assert _switch_index(*args[:4]) == (53 if d < 0 else 54)
     # and at random q: big q^k within 4 ulps of 2^-54, q^k formed as the
     # kernel forms it, so the walk leaves the full ratio at k or k + 1
     rng = random.Random(9)
@@ -279,7 +285,7 @@ def test_phi_sum_geometric_cut_straddle(compiled):
         big = 2.0**-54 / qk * (1 + rng.randrange(-4, 5) * 2.0**-52)
         upper = [rng.choice([1, -1]) * big, rng.uniform(-big, big)]
         _bit_exact(compiled, upper, [q], q, 0.995, 0, -1, 1e-16, 100000, switches=True)
-        assert _switch_index(upper, [q], q) in (k, k + 1)
+        assert _switch_index(upper, [q], q, 0.995) in (k, k + 1)
 
 
 def test_phi_sum_never_switches_on_complex_parameters_or_a_power(compiled):
@@ -287,8 +293,13 @@ def test_phi_sum_never_switches_on_complex_parameters_or_a_power(compiled):
     for _ in range(20):
         q = rng.uniform(0.2, 0.8)
         upper = [complex(rng.uniform(-2, 2), rng.uniform(-0.5, 0.5)), rng.uniform(-2, 2)]
-        assert math.isnan(py._geometric_cut(upper, [q], q))
         _bit_exact(compiled, upper, [q], q, 0.95, 0, -1, 1e-16, 100000, switches=False)
+    # real parameters and a complex z: the complex loop, full ratio throughout
+    for _ in range(10):
+        q = rng.uniform(0.1, 0.8)
+        upper = [rng.uniform(-3, 3) for _ in range(rng.randrange(0, 3))]
+        z = rng.uniform(0.9, 0.999) * rng.choice([1j, -1j, (1 + 1j) / 2**0.5])
+        _bit_exact(compiled, upper, [q], q, z, 0, -1, 1e-16, 100000, switches=False)
     # small q and a small complex parameter: its factor's imaginary part,
     # below 2^-54 past the cut, still shows in about half these walks
     for _ in range(40):
@@ -315,8 +326,62 @@ def test_phi_sum_never_switches_on_complex_parameters_or_a_power(compiled):
 def test_phi_sum_budget_runs_out_in_the_geometric_phase(compiled):
     # the cut is reached near k = 35; the tail of z = 0.999 needs 36 000 terms
     args = ([0.7, -1.5], [0.3, 0.4], 0.3, 0.999, 0, -1, 1e-16, 500)
-    assert _switch_index(*args[:3]) < 500
+    assert _switch_index(*args[:4]) < 500
     assert _bit_exact(compiled, *args, switches=True)[1] == 1
+
+
+@given(
+    q=st.floats(0.05, 0.95),
+    upper=st.lists(st.floats(-4, 4), max_size=3),
+    lower=st.lists(st.floats(-4, 4), max_size=2),
+    z=st.one_of(st.floats(0.9, 0.999), st.floats(-0.999, 0.999), st.floats(-1e12, 1e12)),
+    sign_power=st.sampled_from((0, 0, 1, 2)),
+    n_terms=st.one_of(st.just(-1), st.integers(0, 40)),
+)
+@settings(max_examples=150, deadline=None)
+def test_real_walk_gives_the_complex_loops_bits(compiled, q, upper, lower, z, sign_power, n_terms):
+    # every entry real, so both kernels run their float loop; the complex
+    # full-ratio loop is the reference.  About half the draws are tail
+    # walks (n_terms = -1) with power 0 that run past the geometric cut,
+    # a third have a power, a third terminate; a term that overflows is
+    # status 3 where the reference goes on to inf or NaN
+    args = (upper, [q] + lower, q, z, sign_power, n_terms, 1e-16, 2000)
+    ref, _ = _full_ratio_sum(*args)
+    for backend in (py, compiled):
+        got = backend.phi_sum(*args)
+        if got[1] == 3:
+            assert not cmath.isfinite(ref[0])
+        else:
+            assert got == ref
+
+
+def test_real_product_gives_the_complex_loops_bits(compiled):
+    rng = random.Random(11)
+    for _ in range(200):
+        a, q, k = rng.uniform(-5, 5), rng.uniform(0.05, 0.99), rng.randrange(0, 300)
+        out, f = 1.0 + 0.0j, complex(a)
+        for _ in range(k):
+            out *= 1.0 - f
+            f *= q
+        assert py.qpoch_finite(a, q, k) == compiled.qpoch_finite(a, q, k) == out
+
+
+def test_phi_sum_overflow_status(compiled):
+    # terms that overflow stop the walk at once with status 3, unsummed, so
+    # value and sum |t_k| stay finite: a tail walk (which ran out its
+    # budget before), a terminating one, and one whose terms are NaN, as
+    # the factors of both numerator and denominator overflow
+    walks = (
+        ([1e200, 1e200], [0.5, 0.5], 0.5, 0.9, 0, -1),
+        ([0.5**-30, 1e200], [0.5, 0.5], 0.5, 1e150, 0, 30),
+        ([1e200, 1e200], [0.5, 1e200, 1e200], 0.5, 0.9, 1, 5),
+        ([complex(1e200, 1e200)], [0.5], 0.5, 0.9, 0, -1),
+    )
+    for walk in walks:
+        for backend in (py, compiled):
+            value, status, mass = backend.phi_sum(*walk, 1e-16, 100000)
+            assert status == 3
+            assert cmath.isfinite(value) and math.isfinite(mass)
 
 
 def test_wrong_arity_raises_type_error(compiled):
@@ -363,4 +428,12 @@ def test_qpoch_infinite_matches_oracle_on_the_compiled_kernels(compiled, tmp_pat
     _run_compiled_build(compiled, tmp_path, """
 import test_qcore
 test_qcore.test_qpoch_infinite_matches_oracle_or_raises_range()
+""")
+
+
+def test_out_of_range_raises_on_the_compiled_kernels(compiled, tmp_path):
+    _run_compiled_build(compiled, tmp_path, """
+import test_qcore, test_qseries
+test_qcore.test_qpoch_finite_index_outside_the_double_range()
+test_qseries.test_phi_term_overflow_raises_out_of_range()
 """)

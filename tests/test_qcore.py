@@ -159,6 +159,16 @@ def test_qpoch_negative_index_outside_the_double_range():
             qpoch(0.5, 0.5, k)
 
 
+def test_qpoch_finite_index_outside_the_double_range():
+    # a real a takes the float product, which overflows to -inf or inf; a
+    # complex one gets NaN parts: both raise, whichever loop ran
+    for a, q, k in ((1e300, 0.9, 10), (1e200, 0.99, 3), (complex(1e200, 1e200), 0.5, 3)):
+        with pytest.raises(OutOfRangeError):
+            qpoch(a, q, k)
+    # a vanishing factor 1 - 4 q^2 stays a value, whatever follows it
+    assert qpoch(4.0, 0.5, 5) == qpoch(4.0, 0.5, 2000) == 0
+
+
 def test_qpoch_base_inverted_outside_the_double_range():
     # (0.3; 2)_200 grows as 2^(200^2 / 2); its prefactor alone overflows
     with pytest.raises(OutOfRangeError):
@@ -181,6 +191,9 @@ def test_shifted_factorial_classical():
     # (a)_k = a(a+1)...(a+k-1)
     assert shifted_factorial(3.0, 4) == pytest.approx(3 * 4 * 5 * 6, rel=1e-14)
     assert shifted_factorial(0.5, 0) == 1.0
+    # (1.22)_281 = Gamma(282.22) / Gamma(1.22), about 1e572
+    with pytest.raises(OutOfRangeError):
+        shifted_factorial(1.22, 281)
 
 
 def test_check_q_rejects_bad_base():

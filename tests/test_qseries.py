@@ -22,7 +22,7 @@ from qspecial import (
     eval_psi,
     qpoch,
 )
-from qspecial.errors import ConvergenceError, DomainError
+from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.limits import LimitReport as ConvergenceReport, confluence_limit_check
 from qspecial import qseries
 from qspecial.qseries import phi_walk, psi_walk, reverse_terminating
@@ -341,9 +341,7 @@ def test_non_finite_series_input_rejected_at_once():
         eval_phi(SeriesSpec([0.2, complex(0.1, nan)], [0.5], 0.5, 0.3))
 
 
-# The walk over nodes against phi_walk at each node.  The two paths round
-# differently (numpy's complex division is not CPython's), so both the
-# value and sum |t_k| are held to 1e-14 of the point walk's sum |t_k|.
+# The walk over nodes against phi_walk at each node.
 
 
 def _little_qjacobi_specs(rng):
@@ -376,28 +374,43 @@ def _q_racah_specs(rng):
     q, alpha, beta, delta = rng.uniform(0.1, 0.9), *(rng.uniform(0.05, 0.95) for _ in range(3))
     N = rng.randrange(1, 16)
     n, gamma = rng.randrange(N + 1), q ** float(-N - 1)
-    x = np.arange(N + 1.0)
 
-    def spec(t):
-        upper = [q ** float(-n), q ** float(n + 1) * alpha * beta, q**-t,
-                 q ** (t + 1.0) * gamma * delta]
+    def spec(t):  # t = q^{-x}, so q^{x+1} gamma delta = q gamma delta / t
+        upper = [q ** float(-n), q ** float(n + 1) * alpha * beta, t, q * gamma * delta / t]
         return SeriesSpec(upper, [alpha * q, beta * delta * q, gamma * q], q, q)
 
-    return spec, x
+    return spec, q ** -np.arange(N + 1.0)
 
 
 @pytest.mark.parametrize(
     "draw", [_little_qjacobi_specs, _q_hahn_specs, _q_krawtchouk_specs, _q_racah_specs]
 )
 def test_walk_over_nodes_matches_the_point_walk_at_each_node(draw):
+    # every entry is real, so both walks run in float64: the same bits
     rng = random.Random(draw.__name__)
     for _ in range(40):
         spec, nodes = draw(rng)
         value, mass = phi_walk(spec(nodes))
+        assert value.dtype == float
         for i, t in enumerate(nodes.tolist()):
             want, want_mass = phi_walk(spec(t))
-            assert abs(value[i] - want) <= 1e-14 * want_mass
-            assert abs(mass[i] - want_mass) <= 1e-14 * want_mass
+            assert value[i] == want
+            assert mass[i] == want_mass
+
+
+def test_phi_term_overflow_raises_out_of_range():
+    # a tail walk whose terms overflow at once, rather than after its
+    # whole budget of terms, and a terminating one that returned inf
+    for spec in (
+        SeriesSpec([1e200, 1e200], [0.5], 0.5, 0.9),
+        SeriesSpec([0.5**-30, 1e200], [0.5], 0.5, 1e150),
+        SeriesSpec([complex(1e200, 1e200)], [], 0.5, 0.9),
+    ):
+        with pytest.raises(OutOfRangeError, match="outside the double range"):
+            eval_phi(spec)
+    # the walk over nodes keeps its inf, which names the node that overflowed
+    value = eval_phi(SeriesSpec([0.5**-30, 1e200], [0.5], 0.5, np.array([1e150, 1e-250])))
+    assert np.isinf(value[0]) and np.isfinite(value[1])
 
 
 def test_walk_over_nodes_raises_on_a_zero_denominator_it_reaches():

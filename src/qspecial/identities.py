@@ -258,8 +258,7 @@ def _add(id, lhs, rhs, sampler, tolerance_class, reference, guarded=False):
 _add(
     "q_binomial_theorem",
     lambda p: eval_phi(SeriesSpec([p["a"]], [], p["q"], p["z"])),
-    lambda p: qpoch(p["a"] * p["z"], p["q"], INFINITY)
-    / qpoch(p["z"], p["q"], INFINITY),
+    lambda p: qpoch_inf_ratio([p["a"] * p["z"]], [p["z"]], p["q"]),
     lambda rng: {"q": _q(rng), "a": _s(rng), "z": _s(rng)},
     "PRODUCT_SERIES",
     "q-binomial theorem; Gasper & Rahman (1990), Eq. (1.3.2)",
@@ -383,8 +382,7 @@ def _sample_heine(rng):
 _add(
     "heine_transform",
     lambda p: eval_phi(SeriesSpec([p["a"], p["b"]], [p["c"]], p["q"], p["z"])),
-    lambda p: qpoch_list([p["a"] * p["z"], p["b"]], p["q"], INFINITY)
-    / qpoch_list([p["z"], p["c"]], p["q"], INFINITY)
+    lambda p: qpoch_inf_ratio([p["a"] * p["z"], p["b"]], [p["z"], p["c"]], p["q"])
     * eval_phi(
         SeriesSpec([p["c"] / p["b"], p["z"]], [p["a"] * p["z"]], p["q"], p["b"])
     ),
@@ -411,8 +409,9 @@ _add(
             [p["a"], p["b"]], [p["c"]], p["q"], p["c"] / (p["a"] * p["b"])
         )
     ),
-    lambda p: qpoch_list([p["c"] / p["a"], p["c"] / p["b"]], p["q"], INFINITY)
-    / qpoch_list([p["c"], p["c"] / (p["a"] * p["b"])], p["q"], INFINITY),
+    lambda p: qpoch_inf_ratio(
+        [p["c"] / p["a"], p["c"] / p["b"]], [p["c"], p["c"] / (p["a"] * p["b"])], p["q"]
+    ),
     _sample_gauss,
     "PRODUCT_SERIES",
     "q-Gauss summation; Gasper & Rahman (1990), Eq. (1.5.1)",
@@ -446,8 +445,7 @@ _add(
 _add(
     "heine_2phi2_transform",
     lambda p: eval_phi(SeriesSpec([p["a"], p["b"]], [p["c"]], p["q"], p["z"])),
-    lambda p: qpoch(p["a"] * p["z"], p["q"], INFINITY)
-    / qpoch(p["z"], p["q"], INFINITY)
+    lambda p: qpoch_inf_ratio([p["a"] * p["z"]], [p["z"]], p["q"])
     * eval_phi(
         SeriesSpec(
             [p["a"], p["c"] / p["b"]],
@@ -471,8 +469,7 @@ def _sample_q_euler(rng):
 _add(
     "q_euler_transform",
     lambda p: eval_phi(SeriesSpec([p["a"], p["b"]], [p["c"]], p["q"], p["z"])),
-    lambda p: qpoch(p["a"] * p["b"] * p["z"] / p["c"], p["q"], INFINITY)
-    / qpoch(p["z"], p["q"], INFINITY)
+    lambda p: qpoch_inf_ratio([p["a"] * p["b"] * p["z"] / p["c"]], [p["z"]], p["q"])
     * eval_phi(
         SeriesSpec(
             [p["c"] / p["a"], p["c"] / p["b"]],
@@ -623,7 +620,7 @@ def _three_term_lhs(p):
     q, a, b, c, z = p["q"], p["a"], p["b"], p["c"], p["z"]
     num = [a, q / c, c / b, b * z / q, q * q / (b * z)]
     den = [c / q, a * q / c, q / b, b * z / c, c * q / (b * z)]
-    coeff = qpoch_list(num, q, INFINITY) / qpoch_list(den, q, INFINITY)
+    coeff = qpoch_inf_ratio(num, den, q)
     return _sum(
         [
             eval_phi(SeriesSpec([a, b], [c], q, z)),
@@ -635,9 +632,11 @@ def _three_term_lhs(p):
 def _three_term_rhs(p):
     q, a, b, c, z = p["q"], p["a"], p["b"], p["c"], p["z"]
     arg = c * q / (a * b * z)
-    coeff = qpoch_list(
-        [a * b * z / c, q / c, a * q / b, arg], q, INFINITY
-    ) / qpoch_list([b * z / c, q / b, a * q / c, c * q / (b * z)], q, INFINITY)
+    coeff = qpoch_inf_ratio(
+        [a * b * z / c, q / c, a * q / b, arg],
+        [b * z / c, q / b, a * q / c, c * q / (b * z)],
+        q,
+    )
     return coeff * eval_phi(SeriesSpec([a, a * q / c], [a * q / b], q, arg))
 
 
@@ -669,16 +668,14 @@ def _sample_symmetric_connection(rng):
 
 def _symmetric_connection_lhs(p):
     q, a, b, c, z = p["q"], p["a"], p["b"], p["c"], p["z"]
-    return qpoch_list([z, q / z], q, INFINITY) * eval_phi(SeriesSpec([a, b], [c], q, z))
+    return qpoch_inf_ratio([z, q / z], [], q) * eval_phi(SeriesSpec([a, b], [c], q, z))
 
 
 def _symmetric_connection_term(p, aa, bb):
     q, a, b, c, z = p["q"], p["a"], p["b"], p["c"], p["z"]
     arg = q * c / (a * b * z)
     return (
-        qpoch_list([aa * z, q / (aa * z)], q, INFINITY)
-        * qpoch_list([c / aa, bb], q, INFINITY)
-        / qpoch_list([c, bb / aa], q, INFINITY)
+        qpoch_inf_ratio([aa * z, q / (aa * z), c / aa, bb], [c, bb / aa], q)
         * eval_phi(SeriesSpec([aa, q * aa / c], [q * aa / bb], q, arg))
     )
 
@@ -713,9 +710,7 @@ def _sample_nonterm_gauss(rng):
 
 def _nonterm_gauss_lhs(p):
     q, a, b, c = p["q"], p["a"], p["b"], p["c"]
-    coeff = qpoch_list([a, b, q / c], q, INFINITY) / qpoch_list(
-        [a * q / c, b * q / c, c / q], q, INFINITY
-    )
+    coeff = qpoch_inf_ratio([a, b, q / c], [a * q / c, b * q / c, c / q], q)
     return _sum(
         [
             eval_phi(SeriesSpec([a, b], [c], q, q)),
@@ -727,10 +722,10 @@ def _nonterm_gauss_lhs(p):
 _add(
     "nonterminating_q_gauss",
     _nonterm_gauss_lhs,
-    lambda p: qpoch_list(
-        [p["a"] * p["b"] * p["q"] / p["c"], p["q"] / p["c"]], p["q"], INFINITY
-    ) / qpoch_list(
-        [p["a"] * p["q"] / p["c"], p["b"] * p["q"] / p["c"]], p["q"], INFINITY
+    lambda p: qpoch_inf_ratio(
+        [p["a"] * p["b"] * p["q"] / p["c"], p["q"] / p["c"]],
+        [p["a"] * p["q"] / p["c"], p["b"] * p["q"] / p["c"]],
+        p["q"],
     ),
     _sample_nonterm_gauss,
     "PRODUCT_SERIES",
@@ -758,13 +753,10 @@ _add(
     "q_gauss_integral_form",
     _gauss_integral_lhs,
     lambda p: (1.0 - p["q"])
-    * qpoch_list(
+    * qpoch_inf_ratio(
         [p["a"] * p["b"] * p["q"] / p["c"], p["q"] / p["c"], p["c"], p["q"]],
-        p["q"], INFINITY
-    )
-    / qpoch_list(
         [p["a"] * p["q"] / p["c"], p["b"] * p["q"] / p["c"], p["a"], p["b"]],
-        p["q"], INFINITY
+        p["q"],
     ),
     _sample_gauss_integral,
     "PRODUCT_SERIES",
@@ -786,12 +778,10 @@ def _sample_1psi1(rng):
 _add(
     "ramanujan_1psi1",
     lambda p: eval_psi(SeriesSpec([p["b"]], [p["c"]], p["q"], p["z"])),
-    lambda p: qpoch_list(
+    lambda p: qpoch_inf_ratio(
         [p["q"], p["c"] / p["b"], p["b"] * p["z"], p["q"] / (p["b"] * p["z"])],
-        p["q"], INFINITY
-    )
-    / qpoch_list(
-        [p["c"], p["q"] / p["b"], p["z"], p["c"] / (p["b"] * p["z"])], p["q"], INFINITY
+        [p["c"], p["q"] / p["b"], p["z"], p["c"] / (p["b"] * p["z"])],
+        p["q"],
     ),
     _sample_1psi1,
     "PRODUCT_SERIES",
@@ -813,8 +803,9 @@ def _sample_0psi1(rng):
 _add(
     "bilateral_0psi1",
     lambda p: eval_psi(SeriesSpec([], [p["c"]], p["q"], p["z"])),
-    lambda p: qpoch_list([p["q"], p["z"], p["q"] / p["z"]], p["q"], INFINITY)
-    / qpoch_list([p["c"], p["c"] / p["z"]], p["q"], INFINITY),
+    lambda p: qpoch_inf_ratio(
+        [p["q"], p["z"], p["q"] / p["z"]], [p["c"], p["c"] / p["z"]], p["q"]
+    ),
     _sample_0psi1,
     "PRODUCT_SERIES",
     "bilateral 0psi1 summation",
@@ -824,7 +815,7 @@ _add(
 _add(
     "jacobi_triple_product",
     lambda p: eval_psi(SeriesSpec([], [0], p["q"], p["z"])),
-    lambda p: qpoch_list([p["q"], p["z"], p["q"] / p["z"]], p["q"], INFINITY),
+    lambda p: qpoch_inf_ratio([p["q"], p["z"], p["q"] / p["z"]], [], p["q"]),
     lambda rng: {"q": _q(rng), "z": _s(rng, 0.2, 2.0)},
     "PRODUCT_SERIES",
     "Jacobi triple product identity",
@@ -964,9 +955,7 @@ _add(
 _add(
     "rogers_ramanujan_1",
     lambda p: eval_phi(SeriesSpec([], [0], p["q"], p["q"])),
-    lambda p: qpoch_list(
-        [p["q"] ** 2, p["q"] ** 3, p["q"] ** 5], p["q"] ** 5, INFINITY
-    )
+    lambda p: qpoch_inf_ratio([p["q"] ** 2, p["q"] ** 3, p["q"] ** 5], [], p["q"] ** 5)
     / qpoch(p["q"], p["q"], INFINITY),
     lambda rng: {"q": _q(rng)},
     "PRODUCT_SERIES",
@@ -976,7 +965,7 @@ _add(
 _add(
     "rogers_ramanujan_2",
     lambda p: eval_phi(SeriesSpec([], [0], p["q"], p["q"] ** 2)),
-    lambda p: qpoch_list([p["q"], p["q"] ** 4, p["q"] ** 5], p["q"] ** 5, INFINITY)
+    lambda p: qpoch_inf_ratio([p["q"], p["q"] ** 4, p["q"] ** 5], [], p["q"] ** 5)
     / qpoch(p["q"], p["q"], INFINITY),
     lambda rng: {"q": _q(rng)},
     "PRODUCT_SERIES",
@@ -1013,7 +1002,7 @@ def _base_doubling_rhs(p):
     return (
         qpoch(a, q * q, n) * qpoch(a * q, q * q, n),
         qpoch(a, q, n) * qpoch(-a, q, n),
-        qpoch_list([s, -s, sq, -sq], q, INFINITY),
+        qpoch_inf_ratio([s, -s, sq, -sq], [], q),
     )
 
 
@@ -1300,8 +1289,7 @@ def _aw_kernel_lhs(p):
     z1 = cmath.exp(1j * theta)
     aw = AWParams(a, b, c, d, q)
     pref = a**n / qpoch_list([a * b, a * c, a * d], q, n)
-    kernel = qpoch_list([a * c, a * d], q, INFINITY)
-    kernel /= qpoch_list([a * z1, a / z1], q, INFINITY)
+    kernel = qpoch_inf_ratio([a * c, a * d], [a * z1, a / z1], q)
     return pref * aw_poly(n, math.cos(theta), aw) * kernel
 
 

@@ -6,9 +6,9 @@ The q-shifted factorial (a;q)_k is the building block for everything else:
     (a;q)_k = 1 / prod_{j=1}^{|k|} (1 - a q^{-j})      k < 0
     (a;q)_oo = prod_{j>=0} (1 - a q^j)                 product or log series
 
-Throughout the package the base satisfies 0 < q < 1.  (a;q)_oo is the
-kernel product when that needs few factors, and otherwise the exp of
-log_qpoch_inf, which holds for every 0 < q < 1.
+Throughout the package the base satisfies 0 < q < 1.  Every product or
+quotient of (a;q)_oo in one base is qpoch_inf_ratio: kernel products when
+each needs few factors, else one exp of a sum of log_qpoch_inf series.
 
 Every infinite series and product is truncated by one rule, with fixed
 constants: a series ends after QUIET_TERMS consecutive terms below
@@ -38,9 +38,9 @@ _PEEL = 0.5
 # (q within about 1e-7 of 1) raises ConvergenceError
 _BLOCK = 4096
 _MAX_PEEL = 10**7
-# log of the smallest normal and of the largest double
-_LOG_MIN = math.log(sys.float_info.min)
-_LOG_MAX = math.log(sys.float_info.max)
+# the smallest normal and the largest double, and their logs
+_MIN_NORMAL, _MAX_DOUBLE = sys.float_info.min, sys.float_info.max
+_LOG_MIN, _LOG_MAX = math.log(_MIN_NORMAL), math.log(_MAX_DOUBLE)
 
 # the constants of the tail rule (module docstring)
 TAIL_EPSILON = 1e-16
@@ -95,7 +95,7 @@ def _finite(a):
 
 def _in_range(value):
     """True when |value| is a normal double (so not 0, inf or NaN)."""
-    return sys.float_info.min <= abs(value) <= sys.float_info.max
+    return _MIN_NORMAL <= abs(value) <= _MAX_DOUBLE
 
 
 def _factor_count(a, q):
@@ -235,21 +235,14 @@ def qpoch(a, q, k):
     """q-shifted factorial (a;q)_k.
 
     k may be any integer or the sentinel INFINITY.  Negative k uses the
-    closed reciprocal product.  INFINITY takes the kernel product over
-    _factor_count factors, whose left-out tail is below TAIL_EPSILON,
-    when that count is small, and exp(log_qpoch_inf) otherwise.  A value
-    outside the double range raises OutOfRangeError; a vanishing factor
-    gives 0.
+    closed reciprocal product; INFINITY is qpoch_inf_ratio([a], [], q),
+    which also forms every quotient of such products.  A value outside the
+    double range raises OutOfRangeError; a vanishing factor gives 0.
     """
     q = check_q(q)
     a = _finite(a)
     if k == INFINITY:
-        n = _factor_count(a, q)
-        if n is not None:
-            value = kernels.qpoch_finite(a, q, n)
-            if _in_range(value):
-                return value
-        return _exp_log(_log_qpochs([a], q)[0], a.imag == 0)
+        return _inf_ratio([a], [], q, 0j)
     k = int(k)
     if k >= 0:
         value = kernels.qpoch_finite(a, q, k)
@@ -265,7 +258,9 @@ def qpoch(a, q, k):
 
 
 def qpoch_list(alist, q, k):
-    """Product of (a;q)_k over a list of parameters; empty list gives 1."""
+    """Product of (a;q)_k over a list of parameters; empty list gives 1.
+    Each factor is rounded on its own: a product or quotient of (a;q)_oo
+    factors is one qpoch_inf_ratio."""
     out = 1.0 + 0.0j
     for a in alist:
         out *= qpoch(a, q, k)
@@ -284,25 +279,39 @@ def qpoch_inf_ratio(upper, lower, q, log_factor=0.0):
     q = check_q(q)
     upper = [_finite(a) for a in upper]
     lower = [_finite(a) for a in lower]
-    log_factor = complex(log_factor)
-    counts = [_factor_count(a, q) for a in upper + lower]
-    if None not in counts and _LOG_MIN <= log_factor.real <= _LOG_MAX:
-        num = cmath.exp(log_factor)
-        for a, n in zip(upper, counts):
-            num *= kernels.qpoch_finite(a, q, n)
-        den = 1.0 + 0.0j
-        for a, n in zip(lower, counts[len(upper) :]):
-            den *= kernels.qpoch_finite(a, q, n)
-        if _in_range(num) and _in_range(den) and _in_range(num / den):
+    return _inf_ratio(upper, lower, q, complex(log_factor))
+
+
+def _inf_ratio(upper, lower, q, log_factor):
+    """qpoch_inf_ratio on validated arguments: lists of finite complex
+    numbers, q a float in (0, 1) and a complex log_factor."""
+    if _LOG_MIN <= log_factor.real <= _LOG_MAX:
+        num = _kernel_product(upper, q, cmath.exp(log_factor))
+        den = None if num is None else _kernel_product(lower, q, 1.0 + 0.0j)
+        if den is not None and _in_range(num) and _in_range(den) and _in_range(num / den):
             return num / den
-    logs = _log_qpochs(upper + lower, q)
-    top, bottom = logs[: len(upper)], logs[len(upper) :]
-    for a, la in zip(lower, bottom):
-        if la.real == -math.inf:
-            raise DomainError(f"pole: ({a};q)_oo = 0 in a denominator")
-    total = sum(top, log_factor) - sum(bottom, 0j)
-    real = log_factor.imag == 0 and all(a.imag == 0 for a in upper + lower)
+    params = upper + lower
+    logs = _log_qpochs(params, q)
+    total = sum(logs[: len(upper)], log_factor)
+    if lower:
+        bottom = logs[len(upper) :]
+        for a, la in zip(lower, bottom):
+            if la.real == -math.inf:
+                raise DomainError(f"pole: ({a};q)_oo = 0 in a denominator")
+        total -= sum(bottom, 0j)
+    real = log_factor.imag == 0 and not any([a.imag for a in params])
     return _exp_log(total, real)
+
+
+def _kernel_product(alist, q, value):
+    """value times the kernel product (a;q)_oo of each a of alist, over its
+    _factor_count factors; None when some a needs the log series."""
+    for a in alist:
+        n = _factor_count(a, q)
+        if n is None:
+            return None
+        value *= kernels.qpoch_finite(a, q, n)
+    return value
 
 
 def qbinomial(n, k, q):

@@ -8,7 +8,7 @@ one, and an exact integer partition-count oracle.
 import cmath
 import math
 
-from qspecial.errors import DomainError
+from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcore import INFINITY, check_q, qpoch, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
@@ -31,6 +31,15 @@ def _is_pole(z):
     return nearest <= 0 and abs(z.real - nearest) < 1e-9
 
 
+def _q_power(x, q, name):
+    """q^x = exp(x log q); OutOfRangeError naming the function when q^x
+    lies above the double range."""
+    try:
+        return cmath.exp(x * math.log(q))
+    except OverflowError:
+        raise OutOfRangeError(f"{name}: q^{x} outside the double range, q={q}") from None
+
+
 def gamma_q(z, q):
     """q-gamma function (q;q)_oo (1-q)^{1-z} / (q^z;q)_oo.
 
@@ -38,13 +47,14 @@ def gamma_q(z, q):
     The two products share one peel and are combined as logs: each alone
     underflows as q -> 1 while their ratio stays of moderate size.
     DomainError at the poles z = 0, -1, -2, ..., where q^z is not an exact
-    power of q in double and the vanishing factor would be missed.
+    power of q in double and the vanishing factor would be missed;
+    OutOfRangeError when q^z lies above the double range.
     """
     q = check_q(q)
     z = complex(z)
     if _is_pole(z):
         raise DomainError(f"Gamma_q pole at z = {z}")
-    qz = cmath.exp(z * math.log(q))
+    qz = _q_power(z, q, "Gamma_q")
     return qpoch_inf_ratio([q], [qz], q, (1.0 - z) * math.log1p(-q))
 
 
@@ -59,16 +69,17 @@ def gamma_q_reciprocal(z, q):
 def beta_q(a, b, q):
     """q-beta function (1-q)(q, q^{a+b};q)_oo / ((q^a, q^b;q)_oo).
 
-    DomainError when a or b is a pole of Gamma_q.
+    DomainError when a or b is a pole of Gamma_q; OutOfRangeError when
+    q^a, q^b or q^{a+b} lies above the double range, even where B_q itself
+    is a double.
     """
     q = check_q(q)
     a, b = complex(a), complex(b)
     if _is_pole(a) or _is_pole(b):
         raise DomainError(f"B_q pole at a = {a}, b = {b}")
-    lq = math.log(q)
     return qpoch_inf_ratio(
-        [q, cmath.exp((a + b) * lq)],
-        [cmath.exp(a * lq), cmath.exp(b * lq)],
+        [q, _q_power(a + b, q, "B_q")],
+        [_q_power(a, q, "B_q"), _q_power(b, q, "B_q")],
         q,
         math.log1p(-q),
     )

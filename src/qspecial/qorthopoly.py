@@ -29,13 +29,7 @@ import numpy as np
 
 from qspecial.errors import DomainError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import (
-    INFINITY,
-    check_q,
-    qpoch,
-    qpoch_inf_ratio,
-    qpoch_list,
-)
+from qspecial.qcore import check_q, qpoch, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram
 
@@ -680,7 +674,7 @@ def _moak_gram(nmax, alpha, q):
     # are sampled at (1-q)x so that the lattice matches that factor
     rec = _moak_recurrence_table(nmax, alpha, q)
     values = lambda x: eval_all(rec, (1.0 - q) * x)
-    w0 = 1.0 / qpoch(-(1.0 - q), q, INFINITY)
+    w0 = qpoch_inf_ratio([], [-(1.0 - q)], q)
 
     def down(x):
         return q**alpha * (1.0 + (1.0 - q) * x)

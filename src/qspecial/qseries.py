@@ -116,15 +116,12 @@ class SeriesSpec:
         for v in self.upper + self.lower + (self.z,):
             if not (np.isfinite(v).all() if nodes else cmath.isfinite(v)):
                 raise DomainError(f"series entries must be finite, got {v}")
+        # b = 1 makes the first factor 1 - b of (b;q)_k vanish; a lower
+        # parameter at 1/q, 1/q^2, ... raises when the walk reaches its zero
         for b in self.lower:
-            if nodes and isinstance(b, np.ndarray):
-                forbidden = not _negative_powers(b, self.q).all()
-            else:
-                forbidden = b != 0 and _as_negative_power(b, self.q) == 0
-            if forbidden:
-                raise DomainError(
-                    f"lower parameter {b} lies on the forbidden set 1, 1/q, 1/q^2, ..."
-                )
+            one = (b.imag == 0) & (abs(b.real - 1.0) <= _TERMINATION_RTOL)
+            if one.any() if isinstance(b, np.ndarray) else one:
+                raise DomainError(f"lower parameter {b} is 1 within {_TERMINATION_RTOL:g}")
 
     @property
     def r(self):

@@ -32,6 +32,13 @@ def test_eval_gammaq(capsys):
     assert out.strip().splitlines()[-1] == "1.5"
 
 
+def test_eval_gammaq_outside_the_double_range_is_an_error(capsys):
+    code, out, err = run_cli(["eval", "gammaq", "z=-3016.9359001245466", "q=0.3885"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Gamma_q: ")
+
+
 def test_eval_phi_empty(capsys):
     code, out, _ = run_cli(
         ["eval", "phi", "upper=0", "lower=", "q=0.5", "z=0"], capsys

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from qspecial import INFINITY, identities, kernels, list_identities, qseries, verify, verify_all
@@ -17,6 +18,8 @@ from qspecial.qcore import qpoch, qpoch_list, tail_sum
 from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.recurrence import eval_all
+
+from mp_oracle import log_qpoch_oracle
 
 
 def test_catalog_size_and_classes():
@@ -399,3 +402,28 @@ def test_integral_side_takes_its_products_at_the_lattice_ends_only(identity_id, 
         calls.clear()
         stepped(params)
         assert len(calls) == ends
+
+
+def test_q_binomial_product_side_holds_where_each_product_underflows():
+    # (z;q)_oo alone is e^-15842 here, far below the double range; the
+    # quotient is 6.6e19
+    p = {"q": 0.9999, "a": 0.999, "z": 0.99}
+    got = get_identity("q_binomial_theorem").rhs(p)
+    top, _ = log_qpoch_oracle(p["a"] * p["z"], p["q"])
+    bottom, _ = log_qpoch_oracle(p["z"], p["q"])
+    with mpmath.workdps(50):
+        want = mpmath.exp(top - bottom)
+        assert float(abs(got - want) / abs(want)) <= 1e-10
+
+
+def test_product_sides_form_no_infinite_product_by_the_list(monkeypatch):
+    # a product or quotient of (a;q)_oo factors is one qpoch_inf_ratio call,
+    # so no side of any record hands INFINITY to qpoch_list
+    def finite_only(alist, q, k):
+        if k == INFINITY:
+            raise AssertionError("a side formed (a;q)_oo factor by factor")
+        return qpoch_list(alist, q, k)
+
+    monkeypatch.setattr(identities, "qpoch_list", finite_only)
+    for identity_id in list_identities():
+        assert verify(identity_id, samples=1, seed=0).passed, identity_id

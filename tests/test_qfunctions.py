@@ -23,7 +23,7 @@ from qspecial import (
     qpoch,
     theta4,
 )
-from qspecial.errors import DomainError
+from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qfunctions import gamma_q_reciprocal, theta4_series
 
 from mp_oracle import log_qpoch_oracle
@@ -249,6 +249,15 @@ def test_gamma_beta_poles_raise(q):
         with pytest.raises(DomainError, match="pole"):
             beta_q(0.7, z, q)
         assert gamma_q_reciprocal(z, q) == 0
+
+
+def test_q_power_above_the_double_range_raises_out_of_range():
+    # q^z = exp(z log q) overflows; mpmath gives Gamma_q = -1.37e-1869924
+    # and B_q = 6.68e+39069, both outside the double range
+    with pytest.raises(OutOfRangeError, match="Gamma_q"):
+        gamma_q(-3016.9359001245466, 0.3885)
+    with pytest.raises(OutOfRangeError, match="B_q"):
+        beta_q(-198.174, -272.987, 0.1896)
 
 
 def test_true_poles_keep_domain_error():

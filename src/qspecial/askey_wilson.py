@@ -54,9 +54,10 @@ class AWParams:
 
     @property
     def conjugate_closed(self):
-        vals = sorted(self.abcd, key=lambda w: (w.real, w.imag))
-        conj = sorted((w.conjugate() for w in self.abcd), key=lambda w: (w.real, w.imag))
-        return all(abs(u - v) <= 1e-12 * max(1.0, abs(u)) for u, v in zip(vals, conj))
+        """True when {a, b, c, d} equals its conjugate set exactly, as for
+        real parameters or conjugate pairs."""
+        key = lambda w: (w.real, w.imag)
+        return sorted(self.abcd, key=key) == sorted((w.conjugate() for w in self.abcd), key=key)
 
 
 def _h0(p, log_factor=0.0):
@@ -83,22 +84,35 @@ def aw_integral_closed(p):
 
 def _midpoint_grid(p, n_nodes):
     """(cos theta, w / top, top / (2 n_nodes)) on z = e^{i theta},
-    theta = 2 pi (j+1/2) / n_nodes, with top the largest |w|.  The ten
-    products of all nodes take one log_qpoch_inf; the scale alone leaves
-    log form (OutOfRangeError outside the double range), so no weight
-    need be a double.  The midpoint offset keeps the rule spectrally
-    accurate while avoiding the removable 0/0 points at z = +-1 that occur
-    for boundary parameters with |e| = 1.  Needs n_nodes >= 16."""
+    theta = 2 pi (j+1/2) / n_nodes, with top the largest |w|.
+
+    w is even in theta, so node n_nodes-1-j mirrors node j: the products
+    are formed on the upper half circle only, and an odd n_nodes keeps its
+    theta = pi node once.  When the parameter set equals its conjugate set,
+    (z^{-2};q)_oo and (e/z;q)_oo are the conjugates of (z^2;q)_oo and some
+    (e'z;q)_oo, so log w = 2 Re(log(z^2;q)_oo - sum_e log(ez;q)_oo) takes
+    five products; otherwise it takes all ten.  The products of all nodes
+    take one log_qpoch_inf; the scale alone leaves log form
+    (OutOfRangeError outside the double range), so no weight need be a
+    double.  The midpoint offset keeps the rule spectrally accurate while
+    avoiding the removable 0/0 points at z = +-1 that occur for boundary
+    parameters with |e| = 1.  Needs n_nodes >= 16."""
     if n_nodes < 16:
         raise DomainError("need n_nodes >= 16")
-    theta = 2.0 * math.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+    theta = 2.0 * math.pi * (np.arange((n_nodes + 1) // 2) + 0.5) / n_nodes
     z = np.exp(1j * theta)
-    args = np.array([z * z, 1.0 / (z * z)] + [f for e in p.abcd for f in (e * z, e / z)])
-    logs = log_qpoch_inf(args, p.q)
-    log_w = logs[0] + logs[1] - logs[2:].sum(axis=0)
+    if p.conjugate_closed:
+        logs = log_qpoch_inf(np.array([z * z] + [e * z for e in p.abcd]), p.q)
+        log_w = 2.0 * (logs[0] - logs[1:].sum(axis=0)).real
+    else:
+        args = np.array([z * z, 1.0 / (z * z)] + [f for e in p.abcd for f in (e * z, e / z)])
+        logs = log_qpoch_inf(args, p.q)
+        log_w = logs[0] + logs[1] - logs[2:].sum(axis=0)
     top = log_w.real.max()
     scale = _exp_log(top - math.log(2.0 * n_nodes))
-    return np.cos(theta), np.exp(log_w - top), scale
+    x, w = np.cos(theta), np.exp(log_w - top)
+    mirror = slice(n_nodes // 2 - 1, None, -1)  # nodes n_nodes//2 - 1, ..., 0
+    return np.concatenate([x, x[mirror]]), np.concatenate([w, w[mirror]]), scale
 
 
 def aw_integral_numeric(p, n_nodes=512):
@@ -197,6 +211,13 @@ def aw_norm(n, p):
 
     and the closed-form ratio h_n/h_0."""
     return _h0(p) * aw_norm_ratio(n, p)
+
+
+def aw_norms(nmax, p):
+    """The norms h_0..h_nmax, each equal to aw_norm(n, p), with the
+    infinite products of h_0 formed once."""
+    h0 = _h0(p)
+    return [h0 * aw_norm_ratio(n, p) for n in range(nmax + 1)]
 
 
 def aw_recurrence(n, p):

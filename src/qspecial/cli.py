@@ -12,6 +12,7 @@ closed the output pipe early (without a traceback), 2 usage error.
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import sys
 from qspecial.askey_wilson import (
     AWParams,
     aw_gram_quadrature,
-    aw_norm,
+    aw_norms,
     aw_poly,
     q_racah_gram_matrix,
 )
@@ -40,7 +41,7 @@ from qspecial.qorthopoly import (
     BigQJacobiParams,
     FamilyParams,
     big_qjacobi_gram_matrix,
-    big_qjacobi_norm,
+    big_qjacobi_norms,
     family_eval,
     family_gram_matrix,
     family_norm,
@@ -70,17 +71,20 @@ def _fmt(x):
     return str(x)
 
 
+def _write_json(items, out):
+    """Write a JSON array with one element per line.  json.dumps without
+    indent runs CPython's C encoder; with indent it runs the pure-Python one."""
+    lines = ",\n".join(json.dumps(item) for item in items)
+    out.write(f"[\n{lines}\n]\n" if items else "[]\n")
+
+
 def _emit_rows(header, rows, fmt, out):
     """Write a uniform table in the selected format.
 
     rows are sequences matching header; numbers are rendered with _fmt.
     """
     if fmt == "json":
-        payload = [
-            {k: _jsonable(v) for k, v in zip(header, row)} for row in rows
-        ]
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+        _write_json([{k: _jsonable(v) for k, v in zip(header, row)} for row in rows], out)
     elif fmt == "csv":
         out.write(",".join(header) + "\n")
         for row in rows:
@@ -157,8 +161,9 @@ def _pop(params, key, read=None):
 
 def _call(fn, params, *lead):
     """fn(*lead, ...) with its remaining parameters popped from params
-    by name, in declaration order; a leftover key is a usage error."""
-    code = fn.__code__
+    by name, in declaration order; a leftover key is a usage error.  The
+    names are those of the function a functools.wraps wrapper wraps."""
+    code = inspect.unwrap(fn).__code__
     names = code.co_varnames[len(lead) : code.co_argcount]
     values = [_pop(params, key) for key in names]
     if params:
@@ -278,8 +283,7 @@ def cmd_verify(args, out):
         for i in ids
     ]
     if args.format == "json":
-        payload = [r.to_dict() for r in reports]
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json([r.to_dict() for r in reports], out)
     else:
         header = ["id", "status", "max_rel_error", "tolerance", "samples", "seed"]
         rows = [
@@ -337,7 +341,7 @@ def _gram_report(gram, closed_diag, out, fmt, notes=()):
 def _ortho_aw(args, a, b, c, d, q):
     p = AWParams(a, b, c, d, q)
     gram = aw_gram_quadrature(p, args.nmax, _check_nodes(args.nodes))
-    closed = [aw_norm(n, p) for n in range(args.nmax + 1)]
+    closed = aw_norms(args.nmax, p)
     if any(abs(e) > 1.0 for e in p.abcd):
         return gram, closed, ["continuous-part-only quadrature"]
     return gram, closed, []
@@ -345,7 +349,7 @@ def _ortho_aw(args, a, b, c, d, q):
 
 def _ortho_big_qjacobi(args, a, b, c, d, q):
     p = BigQJacobiParams(a, b, c, d, q)
-    closed = [big_qjacobi_norm(n, p) for n in range(args.nmax + 1)]
+    closed = big_qjacobi_norms(args.nmax, p)
     return big_qjacobi_gram_matrix(args.nmax, p), closed, []
 
 
@@ -455,7 +459,7 @@ def cmd_limits(args, out):
             )
             _emit_rows(["parameter", "error"], rows, args.format, out)
     if args.format == "json":
-        out.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(payload, out)
     return code
 
 

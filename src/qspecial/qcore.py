@@ -186,7 +186,12 @@ def _log_qpochs(alist, q):
     grid = isinstance(alist, np.ndarray)
     lq = math.log(q)
     top = np.abs(alist).max(initial=0.0) if grid else max(abs(a) for a in alist)
-    n = math.ceil(math.log(top / _PEEL) / -lq) if top > _PEEL else 0
+    if top > _PEEL:
+        # log(top / _PEEL), also where the quotient itself would overflow
+        span = math.log(top / _PEEL) if top <= _MAX_DOUBLE * _PEEL else math.log(top) - math.log(_PEEL)
+        n = math.ceil(span / -lq)
+    else:
+        n = 0
     if n > _MAX_PEEL:
         raise ConvergenceError(f"(a;q)_oo would peel {n} factors, more than {_MAX_PEEL}")
     qn = math.exp(lq * n)

@@ -7,6 +7,7 @@ one, and an exact integer partition-count oracle.
 
 import cmath
 import math
+from fractions import Fraction
 
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcore import INFINITY, check_q, qpoch, qpoch_inf_ratio
@@ -48,7 +49,8 @@ def gamma_q(z, q):
     underflows as q -> 1 while their ratio stays of moderate size.
     DomainError at the poles z = 0, -1, -2, ..., where q^z is not an exact
     power of q in double and the vanishing factor would be missed;
-    OutOfRangeError when q^z lies above the double range.
+    OutOfRangeError when q^z lies above the double range, where
+    |Gamma_q(z)| lies far below it.
     """
     q = check_q(q)
     z = complex(z)
@@ -66,23 +68,67 @@ def gamma_q_reciprocal(z, q):
     return 1.0 / gamma_q(z, q)
 
 
+def _power_qpoch(q, *terms):
+    """(q^x;q)_oo, for x the sum of the complex terms, as (sign, exponent,
+    upper, lower): sign q^exponent times the product of (u;q)_oo over
+    upper over that of (l;q)_oo over lower.
+
+    Where q^x is a double that is (1, (0, 0), [q^x], []).  Where q^x
+    overflows, its first m = ceil(-Re x) factors are turned over,
+
+        (q^x;q)_oo = (-1)^m q^{mx + m(m-1)/2} (q^{1-x-m}, q^{x+m};q)_oo
+                     / (q^{1-x};q)_oo,
+
+    with every power of q at most 1.  The exponent is the pair of its real
+    and imaginary parts as exact Fractions, formed from the exact sum of
+    the terms: the large exponents of several such products then cancel
+    without rounding, and the rounding of x is not multiplied by m.
+    """
+    x = sum(terms[1:], terms[0])
+    lq = math.log(q)
+    try:
+        return 1, (0, 0), [cmath.exp(x * lq)], []
+    except OverflowError:
+        pass
+    m = math.ceil(-x.real)
+    exponent = (
+        m * sum(Fraction(t.real) for t in terms) + Fraction(m * (m - 1), 2),
+        m * sum(Fraction(t.imag) for t in terms),
+    )
+    frac = x + m  # exact (Sterbenz), as m/2 <= -Re x <= m; 0 <= Re frac < 1
+    upper = [cmath.exp((1.0 - frac) * lq), cmath.exp(frac * lq)]
+    return (-1) ** m, exponent, upper, [cmath.exp((1.0 - x) * lq)]
+
+
 def beta_q(a, b, q):
     """q-beta function (1-q)(q, q^{a+b};q)_oo / ((q^a, q^b;q)_oo).
 
-    DomainError when a or b is a pole of Gamma_q; OutOfRangeError when
-    q^a, q^b or q^{a+b} lies above the double range, even where B_q itself
-    is a double.
+    One qpoch_inf_ratio.  Where q^a, q^b or q^{a+b} overflows, each
+    (q^x;q)_oo enters it as the quotient of _power_qpoch, so B_q is
+    returned wherever it is a double.  DomainError when a or b is a pole
+    of Gamma_q; OutOfRangeError when B_q lies outside the double range.
     """
     q = check_q(q)
     a, b = complex(a), complex(b)
     if _is_pole(a) or _is_pole(b):
         raise DomainError(f"B_q pole at a = {a}, b = {b}")
-    return qpoch_inf_ratio(
-        [q, _q_power(a + b, q, "B_q")],
-        [_q_power(a, q, "B_q"), _q_power(b, q, "B_q")],
-        q,
-        math.log1p(-q),
-    )
+    lq = math.log(q)
+    try:
+        upper, lower = [q, cmath.exp((a + b) * lq)], [cmath.exp(a * lq), cmath.exp(b * lq)]
+        sign, log_factor = 1, math.log1p(-q)
+    except OverflowError:
+        (s0, e0, up0, low0), (s1, e1, up1, low1), (s2, e2, up2, low2) = (
+            _power_qpoch(q, a, b), _power_qpoch(q, a), _power_qpoch(q, b)
+        )
+        upper, lower = [q, *up0, *low1, *low2], [*low0, *up1, *up2]
+        sign = s0 * s1 * s2
+        exponent = complex(e0[0] - e1[0] - e2[0], e0[1] - e1[1] - e2[1])
+        log_factor = math.log1p(-q) + exponent * lq
+    try:
+        value = qpoch_inf_ratio(upper, lower, q, log_factor)
+    except OutOfRangeError as exc:
+        raise OutOfRangeError(f"B_q({a}, {b}) with q={q}: {exc}") from None
+    return -value if sign < 0 else value
 
 
 def theta4(x, q):

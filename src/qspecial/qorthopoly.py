@@ -241,15 +241,13 @@ def big_qjacobi_weight_integral(p):
     )
 
 
-def big_qjacobi_norm(n, p):
-    """Quadratic norm of the monic polynomial: the closed-form ratio
+def _big_qjacobi_norm_ratio(n, p):
+    """The norm of the monic polynomial over the weight integral:
 
     q^{n(n-1)/2} (cd)^n (q, qa, qb, -qbc/d, -qad/c;q)_n
-        / ((q^2 ab;q)_{2n} (q^{n+1}ab;q)_n)
-
-    times the weight integral."""
+        / ((q^2 ab;q)_{2n} (q^{n+1}ab;q)_n)."""
     q = p.q
-    ratio = (
+    return (
         q ** (n * (n - 1) / 2)
         * (p.c * p.d) ** n
         * qpoch_list(
@@ -260,7 +258,19 @@ def big_qjacobi_norm(n, p):
             * qpoch(q ** float(n + 1) * p.a * p.b, q, n)
         )
     )
-    return ratio * big_qjacobi_weight_integral(p)
+
+
+def big_qjacobi_norm(n, p):
+    """Quadratic norm of the monic polynomial: the closed-form ratio of
+    _big_qjacobi_norm_ratio times the weight integral."""
+    return _big_qjacobi_norm_ratio(n, p) * big_qjacobi_weight_integral(p)
+
+
+def big_qjacobi_norms(nmax, p):
+    """The norms of degrees 0..nmax, each equal to big_qjacobi_norm(n, p),
+    with the weight integral formed once."""
+    mass = big_qjacobi_weight_integral(p)
+    return [_big_qjacobi_norm_ratio(n, p) * mass for n in range(nmax + 1)]
 
 
 def big_qjacobi_gram_matrix(nmax, p):

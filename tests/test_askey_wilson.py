@@ -302,13 +302,21 @@ def test_grid_weights_match_pointwise_weights():
     # node by node: the one log series of the grid against qpoch_inf_ratio
     # of the ten products at that node, and against the 50-digit oracle
     rng = random.Random(11)
-    n_nodes = 16
+    grids = []
     for _ in range(12):
         q = rng.uniform(0.2, 0.95)
         re, im = rng.uniform(-0.6, 0.6), rng.uniform(0.05, 0.6)
         p = AWParams(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9), complex(re, im),
                      complex(re, -im), q)
+        grids.append((p, 16))
+    # four real parameters on an odd grid, whose theta = pi node is its own
+    # mirror, and a set not closed under conjugation
+    grids += [(AWParams(0.6, 0.4, -0.3, 0.2, 0.55), 17),
+              (AWParams(0.5, -0.7, complex(0.3, 0.4), complex(-0.2, 0.4), 0.8), 16)]
+    for p, n_nodes in grids:
+        q = p.q
         _, w, scale = _midpoint_grid(p, n_nodes)
+        assert len(w) == n_nodes
         for j, wj in enumerate(w.tolist()):
             z = cmath.exp(2j * math.pi * (j + 0.5) / n_nodes)
             top = [z * z, 1.0 / (z * z)]
@@ -316,15 +324,21 @@ def test_grid_weights_match_pointwise_weights():
             got = wj * scale * 2 * n_nodes
             point = qpoch_inf_ratio(top, bottom, q)
             assert abs(got - point) <= 1e-13 * abs(point)
-            # the parameters are closed under conjugation and |z| = 1, so
-            # z^{-2} and the e/z are the conjugates of z^2 and the ez
             with mpmath.workdps(50):
-                log_w = 2 * mpmath.re(
-                    log_qpoch_oracle(z * z, q)[0]
-                    - sum(log_qpoch_oracle(e * z, q)[0] for e in p.abcd)
-                )
+                if p.conjugate_closed:
+                    # |z| = 1, so z^{-2} and the e/z are the conjugates of
+                    # z^2 and of the e'z, e' = conj(e) another parameter
+                    log_w = 2 * mpmath.re(
+                        log_qpoch_oracle(z * z, q)[0]
+                        - sum(log_qpoch_oracle(e * z, q)[0] for e in p.abcd)
+                    )
+                else:
+                    log_w = sum(log_qpoch_oracle(f, q)[0] for f in top) - sum(
+                        log_qpoch_oracle(f, q)[0] for f in bottom
+                    )
                 want = mpmath.exp(log_w)
-                assert float(abs(got - want) / want) <= 1e-13
+                assert float(abs(got - want) / abs(want)) <= 1e-13
+    assert [p.conjugate_closed for p, _ in grids[-2:]] == [True, False]
 
 
 def test_h0_near_one_is_one_exp_of_logs():

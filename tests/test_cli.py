@@ -4,7 +4,9 @@ The contract under test: exit code 0 when all checks pass, 1 when a
 numeric check fails, 2 on usage errors; json/csv/text formats; --out.
 """
 
+import ast
 import csv
+import functools
 import io
 import json
 import os
@@ -18,6 +20,7 @@ import pytest
 
 from qspecial import cli, identities
 from qspecial.cli import main
+from qspecial.qfunctions import gamma_q
 
 
 def run_cli(argv, capsys):
@@ -471,6 +474,67 @@ def test_limits_json(capsys):
     data = json.loads(out)
     assert data[0]["passed"] is True
     assert data[0]["final_error"] <= 1e-3
+
+
+def _indented_json(items, out):
+    # the JSON writer this layout replaced
+    out.write(json.dumps(items, indent=2) + "\n")
+
+
+def test_json_arrays_have_one_element_per_line(capsys, monkeypatch):
+    # the parsed payload is the one the indent=2 writer gave; only the
+    # whitespace moves
+    racah = cli.q_racah_gram_matrix
+
+    def racah_with_a_complex_entry(*args):
+        gram = racah(*args)
+        gram[0, 1] += 0.25j
+        return gram
+
+    monkeypatch.setattr(cli, "q_racah_gram_matrix", racah_with_a_complex_entry)
+    commands = [
+        ["ortho", "aw", "a=0.6", "b=0.4", "c=-0.3", "d=0.2", "q=0.55", "--nmax", "3"],
+        ["ortho", "q_racah", "alpha=512", "beta=0.4", "gamma=0.5", "delta=0.2", "q=0.5",
+         "N=8", "--nmax", "2"],
+        ["verify", "q_saalschutz", "--samples", "2"],
+        ["limits", "all"],
+        ["table", "theta4", "q=0.5", "--grid", "x=0:1:0.25"],
+    ]
+    for argv in commands:
+        argv = [*argv, "--format", "json"]
+        code, out, _ = run_cli(argv, capsys)
+        data = json.loads(out)
+        if argv[1] == "q_racah":
+            assert data[1]["gram"][1] == 0.25  # entry (0, 1) as [re, im]
+        lines = out.splitlines()
+        assert (lines[0], lines[-1], len(lines)) == ("[", "]", len(data) + 2), argv
+        assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == data
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_write_json", _indented_json)
+            indented_code, indented, _ = run_cli(argv, capsys)
+        assert (indented_code, json.loads(indented)) == (code, data), argv
+
+
+def test_src_has_no_indented_json_dumps():
+    # json.dumps with indent runs the pure-Python encoder
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "dumps":
+                assert not any(k.arg == "indent" for k in node.keywords), path
+
+
+def test_eval_target_behind_a_wraps_wrapper(capsys, monkeypatch):
+    # a functools.wraps wrapper, as a tracer installs, keeps the target's keys
+    calls = []
+
+    @functools.wraps(gamma_q)
+    def traced(*args, **kwargs):
+        calls.append(args)
+        return gamma_q(*args, **kwargs)
+
+    monkeypatch.setitem(cli._EVAL, "gammaq", traced)
+    code, out, _ = run_cli(["eval", "gammaq", "z=3", "q=0.5"], capsys)
+    assert (code, out.splitlines()[-1], calls) == (0, "1.5", [(3.0, 0.5)])
 
 
 def test_out_writes_file(tmp_path, capsys):

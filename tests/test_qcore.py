@@ -260,6 +260,8 @@ def test_log_qpoch_inf_matches_oracle(a, q):
 @settings(max_examples=40, deadline=None)
 # about 3300 factors: a product that long rounds beyond the bound
 @example(a=-1.192092896e-07, q=0.9921875)
+# above half the largest double, where a / 1/2 itself overflows
+@example(a=1.2e308, q=0.5)
 def test_qpoch_infinite_matches_oracle_or_raises_range(a, q):
     ref, size = log_qpoch_oracle(a, q)
     if ref.real == -math.inf:

@@ -260,6 +260,19 @@ def test_q_power_above_the_double_range_raises_out_of_range():
         beta_q(-198.174, -272.987, 0.1896)
 
 
+@pytest.mark.parametrize("b", [-0.5, 0.5])
+def test_beta_q_where_q_power_overflows(b):
+    # q^a and q^(a+b) lie above the double range, B_q does not: mpmath
+    # gives -3.5646e154 at b = -0.5 and -4.3400e-155 at b = 0.5
+    a, q = -751.3, 0.3885
+    with mpmath.workdps(50):
+        x, y, qm = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(q)
+        want = mpmath.qgamma(x, qm) * mpmath.qgamma(y, qm) / mpmath.qgamma(x + y, qm)
+    value = beta_q(a, b, q)
+    assert value.imag == 0
+    assert _rel(value, want) <= 1e-12
+
+
 def test_true_poles_keep_domain_error():
     with pytest.raises(DomainError):
         beta_q(0, 1.5, 0.9)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qspecial.errors import DomainError
+from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcore import (
-    _exp_log, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
+    _exp_log, _finite, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
 )
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, from_terms, gram
@@ -314,11 +314,23 @@ def al_salam_chihara_recurrence_table(n, a, b, q):
     )
 
 
+def _double(value, name):
+    """value; OutOfRangeError naming the function when a term or the value
+    left the double range (it is inf or NaN, or a power overflowed)."""
+    if not cmath.isfinite(value):
+        raise OutOfRangeError(f"{name}: value outside the double range")
+    return value
+
+
 def continuous_q_hermite(n, x, q):
     """Continuous q-Hermite polynomial p_n(x; 0,0,0,0 | q), evaluated by
-    its explicit Fourier sum."""
+    its explicit Fourier sum; OutOfRangeError outside the double range."""
     check_q(q)
-    return _cqh_z(n, _z_of_x(x), q)
+    try:
+        value = _cqh_z(n, _z_of_x(_finite(x)), q)
+    except OverflowError:
+        value = math.inf
+    return _double(value, "continuous_q_hermite")
 
 
 def q_ultraspherical(n, theta, beta, q, form="fourier"):
@@ -335,8 +347,13 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
                     b = beta^{1/2}, times 2^n (beta;q)_n
                     / ((q;q)_n k_n^{AW}) obtained by matching leading
                     coefficients.
+
+    OutOfRangeError when a term or the value lies outside the double
+    range.
     """
     q = check_q(q)
+    _finite(theta)
+    _finite(beta)
     if form == "fourier":
         # the printed sum ((q^{-n},beta;q)_k/(q^{1-n}/beta,q;q)_k)(q/beta)^k
         # rewritten with k <-> n-k symmetric coefficients
@@ -348,7 +365,7 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
                 / (qpoch(q, q, k) * qpoch(q, q, n - k))
                 * cmath.exp(1j * (n - 2 * k) * theta)
             )
-        return total
+        return _double(total, "q_ultraspherical")
     if form == "phi":
         if beta == 0:
             raise DomainError("phi form needs beta != 0")
@@ -363,7 +380,8 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
                 q,
             )
         )
-        return qpoch(beta * beta, q, n) / (rb ** float(n) * qpoch(q, q, n)) * body
+        value = qpoch(beta * beta, q, n) / (rb ** float(n) * qpoch(q, q, n)) * body
+        return _double(value, "q_ultraspherical")
     if form == "aw":
         rb = cmath.sqrt(beta)
         sq = math.sqrt(q)
@@ -373,7 +391,7 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
             * qpoch(beta, q, n)
             / (qpoch(q, q, n) * aw_leading_coefficient(n, p))
         )
-        return const * aw_poly(n, math.cos(theta), p)
+        return _double(const * aw_poly(n, math.cos(theta), p), "q_ultraspherical")
     raise DomainError(f"unknown form {form!r}")
 
 

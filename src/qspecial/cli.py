@@ -44,7 +44,7 @@ from qspecial.qorthopoly import (
     big_qjacobi_norms,
     family_eval,
     family_gram_matrix,
-    family_norm,
+    family_norms,
 )
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
@@ -372,7 +372,7 @@ def cmd_ortho(args, out):
     else:  # a tableau family with a printed measure
         fam = _family_params(args.family, params)
         gram = family_gram_matrix(fam, args.nmax)
-        closed, notes = [family_norm(fam, n) for n in range(args.nmax + 1)], []
+        closed, notes = family_norms(fam, args.nmax), []
     return _gram_report(gram, closed, out, args.format, notes)
 
 

@@ -147,14 +147,29 @@ def _q(rng):
 
 def _lower_ok(vals, q, margin=0.05):
     """Reject lower parameters near the forbidden set {1, q^-1, q^-2, ...}
-    with a margin wide enough to keep the series well conditioned."""
+    with a margin wide enough to keep the series well conditioned.
+
+    The set's points are t_j = 1 divided by q j times (0 < q < 1), for
+    j < 80 and t_j <= 1e12.  |v - t_j| < margin t_j puts |v| between
+    (1 - margin) t_j and (1 + margin) t_j, so one log of |v| names the j
+    to test; each t_j tested is formed by the same j divisions."""
+    step = -math.log(q)  # log t_{j+1} - log t_j, up to rounding
+    wide, narrow = math.log1p(margin), math.log1p(-margin)
     for v in vals:
+        r = abs(v)
+        if not 0.0 < r < math.inf:  # 0, inf and nan are never near a t_j
+            continue
+        log_r = math.log(r)
+        first = math.floor((log_r - wide) / step)
+        last = min(math.ceil((log_r - narrow) / step), 79)
+        if first > last:
+            continue
         target = 1.0
-        for _ in range(80):
-            if abs(v - target) < margin * abs(target):
+        for j in range(last + 1):
+            if j >= first and abs(v - target) < margin * target:
                 return False
             target /= q
-            if abs(target) > 1e12:
+            if target > 1e12:
                 break
     return True
 
@@ -1296,16 +1311,20 @@ def _aw_kernel_lhs(p):
 _KERNEL_TERMS = 400
 
 
-def _kernel_values(rec, x, size):
-    """p_0(x), p_1(x), ... of the recurrence table rec: eval_all on its
-    leading size rows, then on twice as many rows each time the sum reads
-    on.  The recurrence is sequential, so a row of the leading rows has the
+def _kernel_values(rec, x, size, n, a, b, q):
+    """(p_n(q^m; a, b; q), P_m(x)) for m = 0, 1, ...: the little q-Jacobi
+    polynomial and the recurrence table rec.  Each block of rows takes one
+    node walk of little_qjacobi over its q^m and one eval_all on the
+    table's leading size rows, and size doubles each time the sum reads
+    on.  A real node walk gives each node the bits of its point walk, and
+    the recurrence is sequential, so a row of the leading rows has the
     bits of the same row of the whole table."""
     done = 0
     while done < len(rec.b):
         size = min(size, len(rec.b))
         head = Recurrence(rec.s, rec.a[:size], rec.b[:size], rec.c[:size])
-        yield from eval_all(head, x)[done:size, 0]
+        nodes = np.array([q**m for m in range(done, size)])
+        yield from zip(little_qjacobi(n, nodes, a, b, q), eval_all(head, x)[done:size, 0])
         done, size = size, 2 * size
 
 
@@ -1322,8 +1341,9 @@ def _aw_kernel_rhs(p):
 
     def terms():
         qq, f = 1.0 + 0.0j, complex(q)  # (q;q)_m, in the kernel's factor order
-        for m, asc in enumerate(_kernel_values(rec, math.cos(theta), size)):
-            yield little_qjacobi(n, q**m, a * b / q, c * d / q, q) * a**m * asc / qq
+        values = _kernel_values(rec, math.cos(theta), size, n, a * b / q, c * d / q, q)
+        for m, (lqj, asc) in enumerate(values):
+            yield lqj * a**m * asc / qq
             qq *= 1.0 - f
             f *= q
 

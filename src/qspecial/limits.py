@@ -4,10 +4,13 @@ Independent evaluators for the classical (q = 1) hypergeometric
 orthogonal polynomial families, the gamma function and Bessel J, plus a
 catalog of named limit paths.  Each path is one record: the steps of a
 degeneration parameter toward its limit, a few probe points, the
-approximant and the limit value.  One driver, run_limit, records at each
-step the worst relative error over the probes.  A path passes when the
-final error is below tolerance and the last three steps are
-monotonically decreasing.
+approximant and the limit value.  One driver, run_limit, forms each
+probe's limit value once and records at each step the worst relative
+error over the probes.  A path passes when the final error is below
+tolerance and the last three steps are monotonically decreasing.
+
+The terminating q = 1 sums (hyp_terminating) stop at their first term
+that is exactly 0, since every later term is 0 times finite factors.
 """
 
 import cmath
@@ -45,7 +48,9 @@ def hyp_terminating(uppers, lowers, z):
 
     One upper parameter must be a nonpositive integer -n; the sum stops
     at k = n, so a lower parameter -N with N >= n never produces a zero
-    denominator (the usual convention for doubly terminating series).
+    denominator (the usual convention for doubly terminating series).  It
+    stops earlier at a term that is exactly 0 (a zero factor, or terms
+    that underflowed), with the bits of the full sum.
     """
     kmax = None
     for u in uppers:
@@ -54,6 +59,10 @@ def hyp_terminating(uppers, lowers, z):
             kmax = -r if kmax is None else min(kmax, -r)
     if kmax is None:
         raise DomainError("series does not terminate")
+    # once a term is exactly 0, every later term is 0 times finite factors
+    # and adds nothing, unless a lower parameter l + k vanishes on the way,
+    # where 0/0 raises: then the loop runs on to raise as before
+    stop_at_zero = not any(_lower_pole(l, kmax) for l in lowers)
     term = 1.0 + 0.0j
     total = 1.0 + 0.0j
     for k in range(kmax):
@@ -63,7 +72,15 @@ def hyp_terminating(uppers, lowers, z):
             term /= l + k
         term *= z / (k + 1)
         total += term
+        if term == 0 and stop_at_zero:
+            break
     return total
+
+
+def _lower_pole(l, kmax):
+    """True when l + k is exactly 0 for an integer 0 <= k < kmax."""
+    l = complex(l)
+    return l.imag == 0 and l.real.is_integer() and 0 <= -l.real < kmax
 
 
 def hermite(n, x):
@@ -548,11 +565,13 @@ def run_limit(name, tolerance=1e-3):
     if name not in _PATHS:
         raise UnknownPath(f"unknown limit path {name!r}")
     path = _PATHS[name]
+    # the limit value does not depend on the step: once per probe
+    targets = [path.target(*p) for p in path.probes]
 
     def worst(step):
         return max(
-            _rel(path.approximant(step, *p), path.target(*p))
-            for p in path.probes
+            _rel(path.approximant(step, *p), t)
+            for p, t in zip(path.probes, targets)
         )
 
     return _march(name, tolerance, path.steps, worst)

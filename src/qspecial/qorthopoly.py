@@ -13,7 +13,7 @@ extractor.
 The tableau families form a registry with one FamilyRecord each: the
 parameter names, the printed series, a second printed series where one
 exists, the Gram builder and the closed-form norm.  family_eval,
-family_gram_matrix and family_norm read only the registry.  Special
+family_gram_matrix and family_norms read only the registry.  Special
 cases reuse the general code: Al-Salam-Carlitz U takes its recurrence,
 Gram and norm from big q-Jacobi with (0, 0, 1, -a), Wall takes little
 q-Jacobi's with b = 0, and affine q-Krawtchouk weighs by the q-Hahn
@@ -469,22 +469,22 @@ class FamilyRecord:
     order of keys, then q: the printed series and the optional second one
     (n, x, *params, q), the optional Gram builder
     (nmax, *params, q) and the optional closed-form diagonal of that
-    Gram (n, *params, q)."""
+    Gram, degrees 0..nmax (nmax, *params, q)."""
 
     keys: tuple
     series: object
     alt: object
     gram: object
-    norm: object
+    norms: object
 
 
 _FAMILIES = {}
 
 
-def _family(name, keys, series, alt=None, gram=None, norm=None):
+def _family(name, keys, series, alt=None, gram=None, norms=None):
     if name in _FAMILIES:
         raise DomainError(f"duplicate family {name!r}")
-    _FAMILIES[name] = FamilyRecord(keys, series, alt, gram, norm)
+    _FAMILIES[name] = FamilyRecord(keys, series, alt, gram, norms)
 
 
 @dataclass(frozen=True)
@@ -558,11 +558,12 @@ def family_gram_matrix(fam, nmax):
     return fam.record.gram(nmax, *fam.params, fam.q)
 
 
-def family_norm(fam, n):
-    """Closed-form diagonal <p_n, p_n> of family_gram_matrix, or None for
-    a family without one."""
-    norm = fam.record.norm
-    return None if norm is None else norm(n, *fam.params, fam.q)
+def family_norms(fam, nmax):
+    """Closed-form diagonal [<p_n, p_n> for n <= nmax] of
+    family_gram_matrix, or None for a family without one."""
+    _check_degree(fam, nmax)
+    norms = fam.record.norms
+    return None if norms is None else norms(nmax, *fam.params, fam.q)
 
 
 def _finite_gram(series, weight):
@@ -772,7 +773,7 @@ _family(
     lambda n, x, a, q: little_qjacobi(n, x, a, 0.0, q),
     _wall_alt,
     lambda nmax, a, q: little_qjacobi_gram_matrix(nmax, a, 0.0, q),
-    lambda n, a, q: little_qjacobi_norm(n, a, 0.0, q),
+    lambda nmax, a, q: [little_qjacobi_norm(n, a, 0.0, q) for n in range(nmax + 1)],
 )
 _family("moak", ("alpha",), _moak, _moak_alt, _moak_gram)
 _family(
@@ -781,7 +782,7 @@ _family(
     al_salam_carlitz_u,
     lambda n, x, a, q: big_qjacobi_monic(n, x, _u_as_big_qjacobi(a, q)),
     lambda nmax, a, q: big_qjacobi_gram_matrix(nmax, _u_as_big_qjacobi(a, q)),
-    lambda n, a, q: big_qjacobi_norm(n, _u_as_big_qjacobi(a, q)),
+    lambda nmax, a, q: big_qjacobi_norms(nmax, _u_as_big_qjacobi(a, q)),
 )
 _family("al_salam_carlitz_v", ("a",), _al_salam_carlitz_v)
 _family("stieltjes_wigert", (), _stieltjes_wigert)
@@ -791,7 +792,7 @@ _family(
     little_qjacobi,
     lambda n, x, a, b, q: little_qjacobi(n, x, a, b, q, form="3phi2"),
     little_qjacobi_gram_matrix,
-    little_qjacobi_norm,
+    lambda nmax, a, b, q: [little_qjacobi_norm(n, a, b, q) for n in range(nmax + 1)],
 )
 _family("case_3a", ("b",), _case_3a)
 

@@ -31,12 +31,18 @@ def log_qpoch_oracle(a, q):
             head *= f
             size += abs(math.log(float(abs(f)))) + float(abs(a / f))
             a *= q
+        # q^k and |b^k| as running products, so no term takes a power or a
+        # complex abs; the series ends once |b^k| <= 1e-55
         total, power, k = mpmath.mpf(0), a, 1
-        while abs(power) > mpmath.mpf(10) ** -55:
-            t = power / (k * (1 - q**k))
-            total -= t
-            size += float(abs(t))
+        qk, modulus, step = q, abs(a), abs(a)
+        bound = mpmath.mpf(10) ** -55
+        while modulus > bound:
+            d = k * (1 - qk)
+            total -= power / d
+            size += float(modulus / abs(d))
             power *= a
+            modulus *= step
+            qk *= q
             k += 1
         return mpmath.log(head) + total, size
 

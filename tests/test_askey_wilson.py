@@ -223,6 +223,21 @@ def test_q_ultraspherical_three_forms():
         assert abs(v1 - v3) <= 1e-9 * s
 
 
+def test_values_above_the_double_range_raise_naming_the_function():
+    # by a 50-digit sum |H_53| = 8.5e311 and |C_59| = 3.3e353 here; the
+    # first raised a bare OverflowError, the second returned nan+nanj
+    with pytest.raises(OutOfRangeError, match="continuous_q_hermite"):
+        continuous_q_hermite(53, 384113.5376906186, 0.9999982417843735)
+    with pytest.raises(OutOfRangeError, match="continuous_q_hermite"):
+        continuous_q_hermite(53, -384113.5376906186, 0.9999982417843735)
+    with pytest.raises(OutOfRangeError, match="q_ultraspherical"):
+        q_ultraspherical(59, 944.6109528019897, -497.7322272614577, 0.9999762513462691)
+    with pytest.raises(DomainError):
+        continuous_q_hermite(3, math.nan, 0.5)
+    with pytest.raises(DomainError):
+        q_ultraspherical(3, math.inf, 0.4, 0.5)
+
+
 def test_q_racah_value_at_first_node():
     # R_n(mu(0)) = 1
     alpha, beta, gamma, delta, q, N = 0.4, 0.3, None, 0.6, 0.5, 5

@@ -427,3 +427,46 @@ def test_product_sides_form_no_infinite_product_by_the_list(monkeypatch):
     monkeypatch.setattr(identities, "qpoch_list", finite_only)
     for identity_id in list_identities():
         assert verify(identity_id, samples=1, seed=0).passed, identity_id
+
+
+def _lower_ok_reference(vals, q, margin=0.05):
+    """_lower_ok as a walk over every point t_j = 1 / q^j, each formed by
+    one more division, for j < 80 while t_j <= 1e12."""
+    for v in vals:
+        target = 1.0
+        for _ in range(80):
+            if abs(v - target) < margin * abs(target):
+                return False
+            target /= q
+            if abs(target) > 1e12:
+                break
+    return True
+
+
+def test_lower_ok_gives_the_walks_answer_at_every_window_edge():
+    qs = [0.1 + 0.85 * i / 20 for i in range(21)] + [0.93, 0.7071, 0.1 + 1e-12]
+    for q in qs:
+        # every tested t_j and the first one past a cut (80 points or 1e12)
+        targets, t = [], 1.0
+        while len(targets) < 81:
+            targets.append(t)
+            if t > 1e12:
+                break
+            t /= q
+        vals = [0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]
+        for t in targets:
+            for edge in (t - 0.05 * t, t + 0.05 * t):
+                v = edge
+                for _ in range(3):
+                    v = math.nextafter(v, 0.0)
+                near = [v]
+                for _ in range(6):
+                    v = math.nextafter(v, math.inf)
+                    near.append(v)
+                vals += near + [-v for v in near] + [complex(v, 1e-9 * v) for v in near[2:5]]
+            vals += [t, -t, 1j * t, complex(t, 0.04 * t), complex(t, 0.06 * t)]
+        for v in vals:
+            assert identities._lower_ok([v], q) == _lower_ok_reference([v], q), (q, v)
+    # a list is rejected as soon as one value is
+    assert identities._lower_ok([0.3, 2.0, 1.0], 0.5) is False
+    assert identities._lower_ok([0.3, 2.0 * 1.06], 0.5) is True

@@ -1,12 +1,20 @@
 """Tests for the classical-limit harness."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 
-from qspecial import LimitReport, list_paths, run_limit
+from qspecial import LimitReport, limits, list_paths, run_limit
 from qspecial.errors import DomainError, UnknownPath
-from qspecial.limits import _rel, classical_bessel_j, classical_eval, classical_gamma
+from qspecial.limits import (
+    _rel,
+    classical_bessel_j,
+    classical_eval,
+    classical_gamma,
+    hyp_terminating,
+)
 
 
 def test_at_least_fourteen_paths():
@@ -91,3 +99,75 @@ def test_product_limit_paths_under_default_policy():
         rep = run_limit(name)
         assert rep.passed
         assert [float("%.3g" % e) for e in rep.errors] == errors
+
+
+def _full_sum(uppers, lowers, z, n):
+    """The terminating sum through k = n, every term summed: the reference
+    for hyp_terminating, whose loop stops at its first zero term."""
+    term = total = 1.0 + 0.0j
+    zero_at = None
+    for k in range(n):
+        for u in uppers:
+            term *= u + k
+        for l in lowers:
+            term /= l + k
+        term *= z / (k + 1)
+        total += term
+        if term == 0 and zero_at is None:
+            zero_at = k
+    return total, zero_at
+
+
+def test_terminating_sum_keeps_the_full_sums_bits_on_the_bessel_path():
+    # the Jacobi 2F1 at t = x^2 / (4 m^2), m up to 4096: its terms underflow
+    # to exactly 0 from k of about 90 on
+    path = limits._PATHS["bessel_from_jacobi"]
+    stopped = 0
+    for m in path.steps:
+        for (x,) in path.probes:
+            want, zero_at = _full_sum([-m, m + 0.7 + 0.2 + 1.0], [0.7 + 1.0], x * x / (4.0 * m * m), m)
+            assert repr(path.approximant(m, x)) == repr(want), (m, x)
+            stopped += zero_at is not None
+    assert stopped >= 8
+
+
+def test_terminating_sum_keeps_the_full_sums_bits_on_random_draws():
+    rng = random.Random(25)
+    for i in range(400):
+        n = rng.choice([rng.randrange(0, 12), rng.randrange(50, 700)])
+        uppers = [-n] + [complex(rng.uniform(-3, 3), rng.choice([0.0, rng.uniform(-2, 2)]))
+                         for _ in range(rng.randrange(0, 3))]
+        lowers = [rng.uniform(0.2, 4.0) for _ in range(rng.randrange(0, 3))]
+        # tiny z and long sums underflow; z = 0 makes every term past t_0 zero
+        z = rng.choice([0.0, rng.uniform(-2, 2), rng.uniform(-1, 1) * 10.0 ** -rng.randrange(20, 200),
+                        complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-30])
+        want, _ = _full_sum(uppers, lowers, z, n)
+        assert repr(hyp_terminating(uppers, lowers, z)) == repr(want), (i, uppers, lowers, z)
+
+
+def test_terminating_sum_past_a_lower_pole_still_raises():
+    # every term past t_0 is 0 at z = 0, but the lower -2 divides by 0 at
+    # k = 2 < n: the full loop raises there, and so does the short one
+    with pytest.raises(ZeroDivisionError):
+        _full_sum([-5], [-2.0], 0.0, 5)
+    with pytest.raises(ZeroDivisionError):
+        hyp_terminating([-5], [-2.0], 0.0)
+    # a lower pole at or past n is never reached
+    assert hyp_terminating([-3], [-3.0], 0.0) == _full_sum([-3], [-3.0], 0.0, 3)[0]
+
+
+def test_run_limit_forms_each_target_once_per_probe(monkeypatch):
+    for name in list_paths():
+        path = limits._PATHS[name]
+        calls = []
+
+        def target(*probe, _target=path.target):
+            calls.append(probe)
+            return _target(*probe)
+
+        monkeypatch.setitem(limits._PATHS, name, dataclasses.replace(path, target=target))
+        rep = run_limit(name)
+        assert sorted(calls) == sorted(path.probes), name
+        assert len(rep.errors) == len(path.steps)
+        monkeypatch.setitem(limits._PATHS, name, path)
+        assert repr(run_limit(name)) == repr(rep)

@@ -40,7 +40,7 @@ from qspecial.qorthopoly import (
     big_qjacobi_weight_integral,
     big_qjacobi_weight,
     family_gram_matrix,
-    family_norm,
+    family_norms,
     little_qjacobi_gram_matrix,
     qtaylor_coefficients,
     quadratic_transform_u,
@@ -448,13 +448,35 @@ def test_every_registered_family():
             continue
         g = family_gram_matrix(fam, nmax)
         scale = max(abs(g[n, n]) for n in range(nmax + 1))
+        norms = family_norms(fam, nmax)
         for n in range(nmax + 1):
             assert abs(g[n, n]) > 0, (name, n)
-            norm = family_norm(fam, n)
-            if norm is not None:
-                assert abs(g[n, n] - norm) <= 1e-8 * abs(norm), (name, n)
+            if norms is not None:
+                assert abs(g[n, n] - norms[n]) <= 1e-8 * abs(norms[n]), (name, n)
             for m in range(n + 1, nmax + 1):
                 assert abs(g[n, m]) <= 1e-9 * scale, (name, n, m)
+
+
+def test_family_norms_keep_each_degrees_bits():
+    # one call per report; each diagonal is the per-degree closed form
+    rng = random.Random(25)
+    for _ in range(30):
+        q = rng.uniform(0.1, 0.95)
+        a, b, u = rng.uniform(0.05, 0.95), rng.uniform(-0.9, 0.9), -rng.uniform(0.1, 3.0)
+        nmax = rng.randrange(0, 12)
+        degrees = range(nmax + 1)
+        assert family_norms(FamilyParams("al_salam_carlitz_u", q, a=u), nmax) == [
+            big_qjacobi_norm(n, BigQJacobiParams(0, 0, 1.0, -u, q)) for n in degrees
+        ]
+        assert family_norms(FamilyParams("wall", q, a=a), nmax) == [
+            little_qjacobi_norm(n, a, 0.0, q) for n in degrees
+        ]
+        assert family_norms(FamilyParams("little_q_jacobi", q, a=a, b=b), nmax) == [
+            little_qjacobi_norm(n, a, b, q) for n in degrees
+        ]
+    assert family_norms(FamilyParams("moak", 0.5, alpha=0.7), 3) is None
+    with pytest.raises(DomainError):
+        family_norms(FamilyParams("wall", 0.5, a=0.4), -1)
 
 
 def test_al_salam_carlitz_u_series_matches_big_qjacobi_recurrence():

@@ -21,7 +21,7 @@ import numpy as np
 
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcore import (
-    _exp_log, _finite, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
+    _exp_log, _finite, _qpow, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
 )
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, from_terms, gram
@@ -123,20 +123,37 @@ def aw_integral_numeric(p, n_nodes=512):
     return complex(np.sum(w)) * scale
 
 
+def _double(value, name):
+    """value; OutOfRangeError naming the function when a term or the value
+    left the double range (it is inf or NaN, or a power overflowed)."""
+    if not cmath.isfinite(value):
+        raise OutOfRangeError(f"{name}: value outside the double range")
+    return value
+
+
 def _z_of_x(x):
+    """A root z of x = (z + 1/z)/2 (both give the same polynomial values):
+    x + sqrt(x^2 - 1), or the other root where that one cancels to 0, as
+    it does for real x below about -7e7."""
     x = complex(x)
-    return x + cmath.sqrt(x * x - 1.0)
+    root = cmath.sqrt(x * x - 1.0)
+    return x + root or x - root
 
 
 def _cqh_z(n, z, q):
     """Continuous q-Hermite polynomial in the variable z = e^{i theta}:
 
-    H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) z^{n-2k}.
+    H_n = sum_k (q;q)_n / ((q;q)_k (q;q)_{n-k}) z^{n-2k};
+
+    inf once a power z^{n-2k} leaves the double range.
     """
     total = 0.0 + 0.0j
     cn = qpoch(q, q, n)
-    for k in range(n + 1):
-        total += cn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * z ** (n - 2 * k)
+    try:
+        for k in range(n + 1):
+            total += cn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * z ** (n - 2 * k)
+    except OverflowError:
+        return complex(math.inf)
     return total
 
 
@@ -172,8 +189,9 @@ def _aw_poly_z(n, z, p):
 
 def aw_poly(n, x, p):
     """Askey-Wilson polynomial p_n(x; a,b,c,d | q), symmetric in the
-    parameters, with leading coefficient k_n = 2^n (q^{n-1}abcd;q)_n."""
-    return _aw_poly_z(n, _z_of_x(x), p)
+    parameters, with leading coefficient k_n = 2^n (q^{n-1}abcd;q)_n.
+    OutOfRangeError outside the double range."""
+    return _double(_aw_poly_z(n, _z_of_x(x), p), "aw_poly")
 
 
 def aw_poly_r(n, x, p):
@@ -260,8 +278,12 @@ def aw_recurrence_table(n, p):
 
 
 def aw_poly_by_recurrence(n, x, p):
-    """p_n through the three term recurrence; dual path to the series."""
-    return complex(eval_all(aw_recurrence_table(n, p), x)[n, 0])
+    """p_n through the three term recurrence; dual path to the series.
+    OutOfRangeError once a value of the recurrence leaves the double range
+    (p_n is then inf or NaN)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = eval_all(aw_recurrence_table(n, p), x)
+    return _double(complex(values[n, 0]), "aw_poly_by_recurrence")
 
 
 def aw_qdifference_residual(n, z, p):
@@ -314,23 +336,11 @@ def al_salam_chihara_recurrence_table(n, a, b, q):
     )
 
 
-def _double(value, name):
-    """value; OutOfRangeError naming the function when a term or the value
-    left the double range (it is inf or NaN, or a power overflowed)."""
-    if not cmath.isfinite(value):
-        raise OutOfRangeError(f"{name}: value outside the double range")
-    return value
-
-
 def continuous_q_hermite(n, x, q):
     """Continuous q-Hermite polynomial p_n(x; 0,0,0,0 | q), evaluated by
     its explicit Fourier sum; OutOfRangeError outside the double range."""
     check_q(q)
-    try:
-        value = _cqh_z(n, _z_of_x(_finite(x)), q)
-    except OverflowError:
-        value = math.inf
-    return _double(value, "continuous_q_hermite")
+    return _double(_cqh_z(n, _z_of_x(_finite(x)), q), "continuous_q_hermite")
 
 
 def q_ultraspherical(n, theta, beta, q, form="fourier"):
@@ -391,7 +401,8 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
             * qpoch(beta, q, n)
             / (qpoch(q, q, n) * aw_leading_coefficient(n, p))
         )
-        return _double(const * aw_poly(n, math.cos(theta), p), "q_ultraspherical")
+        value = const * _aw_poly_z(n, _z_of_x(math.cos(theta)), p)
+        return _double(value, "q_ultraspherical")
     raise DomainError(f"unknown form {form!r}")
 
 
@@ -414,23 +425,23 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
     4phi3(q^{-n}, q^{n+1} alpha beta, q^{-x}, q^{x+1} gamma delta;
           alpha q, beta delta q, gamma q; q, q),   n, x = 0..N.
 
-    x may be a numpy array of points; their values come from one walk, and
-    are the values at each point bit for bit.
+    n and x may be numpy arrays that broadcast, such as a column of degrees
+    and a row of points; their values come from one walk, and with real
+    parameters are the values at each (n, x) bit for bit.
     """
     q = check_q(q)
     _racah_check(alpha, beta, gamma, delta, big_n, q)
-    low, high = (x.min(), x.max()) if isinstance(x, np.ndarray) else (x, x)
-    if not (0 <= n <= big_n and 0 <= low and high <= big_n):
-        raise DomainError("need 0 <= n, x <= N")
-    if isinstance(x, np.ndarray):
-        # Python's pow at each point, as a call at one point forms them:
-        # numpy's power on an array can round apart from it in the last bit
-        down = np.array([q**-v for v in x.tolist()])
-        up = np.array([q ** (v + 1.0) for v in x.tolist()])
-    else:
-        down, up = q**-x, q ** (x + 1.0)
+    for v in (n, x):
+        low, high = (v.min(), v.max()) if isinstance(v, np.ndarray) else (v, v)
+        if not (0 <= low and high <= big_n):
+            raise DomainError("need 0 <= n, x <= N")
     spec = SeriesSpec(
-        [q ** float(-n), q ** float(n + 1) * alpha * beta, down, up * gamma * delta],
+        [
+            _qpow(q, -n),
+            _qpow(q, n + 1) * alpha * beta,
+            _qpow(q, -x),
+            _qpow(q, x + 1) * gamma * delta,
+        ],
         [alpha * q, beta * delta * q, gamma * q],
         q,
         q,
@@ -439,10 +450,10 @@ def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
 
 
 def _q_racah_table(alpha, beta, gamma, delta, q, big_n):
-    """R_n(mu(x)) for n, x = 0..N, one walk over x = 0..N per degree."""
+    """R_n(mu(x)) for n, x = 0..N in one walk, a column of degrees against
+    the row of points x = 0..N."""
     x = np.arange(big_n + 1)
-    degrees = range(big_n + 1)
-    return np.array([q_racah(n, x, alpha, beta, gamma, delta, q, big_n) for n in degrees])
+    return q_racah(x[:, None], x, alpha, beta, gamma, delta, q, big_n)
 
 
 def _q_racah_solve(table):

@@ -93,6 +93,16 @@ def _finite(a):
     return a
 
 
+def _qpow(q, e):
+    """q ** float(e); for an array e, an array with Python's pow taken at
+    each entry, since numpy's power on an array can round apart from it in
+    the last bit.  A table over a column of degrees and a row of nodes so
+    holds each entry's point bits."""
+    if isinstance(e, np.ndarray):
+        return np.array([q ** float(v) for v in e.ravel().tolist()]).reshape(e.shape)
+    return q ** float(e)
+
+
 def _in_range(value):
     """True when |value| is a normal double (so not 0, inf or NaN)."""
     return _MIN_NORMAL <= abs(value) <= _MAX_DOUBLE

@@ -29,7 +29,7 @@ import numpy as np
 
 from qspecial.errors import DomainError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import check_q, qpoch, qpoch_inf_ratio, qpoch_list
+from qspecial.qcore import _qpow, check_q, qpoch, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram
 
@@ -389,7 +389,7 @@ def little_qjacobi(n, x, a, b, q, form="2phi1"):
     q = check_q(q)
     if form == "2phi1":
         return eval_phi(
-            SeriesSpec([q ** float(-n), q ** float(n + 1) * a * b], [q * a], q, q * x)
+            SeriesSpec([_qpow(q, -n), _qpow(q, n + 1) * a * b], [q * a], q, q * x)
         )
     if form == "3phi2":
         if b == 0:
@@ -418,8 +418,9 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     with a = q^alpha, b = q^beta and B the corresponding q-beta value
     (1-q)(q, q^2 ab;q)_oo / ((qa, qb;q)_oo).  b = 0 (Wall) is allowed.
     The weight takes its products once at t = 1 and steps by
-    w(qt)/w(t) = q^alpha (1-qbt)/(1-qt); the series of each degree is
-    summed at all nodes of a chunk in one walk.
+    w(qt)/w(t) = q^alpha (1-qbt)/(1-qt); the series of every degree is
+    summed at all nodes of a chunk in one walk, a column of degrees
+    against the row of nodes.
     """
     q = check_q(q)
     if nmax < 0:
@@ -432,8 +433,8 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     def ratio(t):
         return q**alpha * (1.0 - q * b * t) / (1.0 - q * t)
 
-    def values(t):
-        return np.array([little_qjacobi(n, t, a, b, q) for n in range(nmax + 1)])
+    degrees = np.arange(nmax + 1)[:, None]
+    values = lambda t: little_qjacobi(degrees, t, a, b, q)
 
     total = lattice_gram(values, (1.0, q, w0, ratio))
     norm = qpoch_inf_ratio([q, q * q * a * b], [q * a, q * b], q, math.log1p(-q))
@@ -569,13 +570,14 @@ def family_norms(fam, nmax):
 def _finite_gram(series, weight):
     """Gram builder of a family whose last parameter is N: the exact sum
     over the points q^{-x}, x = 0..N, with weight(x, *params, q).  The
-    series of each degree is summed at all points in one walk."""
+    series of every degree is summed at all points in one walk, a column
+    of degrees against the row of points."""
 
     def build(nmax, *args):
         xs = range(args[-2] + 1)
         q = args[-1]
-        nodes = np.array([q ** float(-x) for x in xs])
-        v = np.array([series(n, nodes, *args) for n in range(nmax + 1)])
+        nodes = _qpow(q, -np.arange(args[-2] + 1))
+        v = series(np.arange(nmax + 1)[:, None], nodes, *args)
         return gram(v, np.array([weight(x, *args) for x in xs], dtype=complex))
 
     return build
@@ -584,10 +586,7 @@ def _finite_gram(series, weight):
 def _q_hahn(n, x, a, b, big_n, q):
     return eval_phi(
         SeriesSpec(
-            [q ** float(-n), a * b * q ** float(n + 1), x],
-            [a * q, q ** float(-big_n)],
-            q,
-            q,
+            [_qpow(q, -n), a * b * _qpow(q, n + 1), x], [a * q, q ** float(-big_n)], q, q
         )
     )
 
@@ -603,21 +602,17 @@ def _q_hahn_weight(x, a, b, big_n, q):
 
 def _q_krawtchouk(n, x, b, big_n, q):
     return eval_phi(
-        SeriesSpec(
-            [q ** float(-n), -q ** float(n) / b, x], [0, q ** float(-big_n)], q, q
-        )
+        SeriesSpec([_qpow(q, -n), -_qpow(q, n) / b, x], [0, q ** float(-big_n)], q, q)
     )
 
 
 def _affine_q_krawtchouk(n, x, a, big_n, q):
-    return eval_phi(
-        SeriesSpec([q ** float(-n), 0, x], [a * q, q ** float(-big_n)], q, q)
-    )
+    return eval_phi(SeriesSpec([_qpow(q, -n), 0, x], [a * q, q ** float(-big_n)], q, q))
 
 
 def _affine_qinv_krawtchouk(n, x, b, big_n, q):
     return eval_phi(
-        SeriesSpec([q ** float(-n), x], [q ** float(-big_n)], q, b * q ** float(n + 1))
+        SeriesSpec([_qpow(q, -n), x], [q ** float(-big_n)], q, b * _qpow(q, n + 1))
     )
 
 

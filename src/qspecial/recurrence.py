@@ -7,7 +7,8 @@ A family's recurrence
 is held as its coefficient arrays for k = 0..N-1, built once per call.
 eval_all runs it at every point in one numpy pass.  The families whose
 Grams take series values build the same (degrees x nodes) array with one
-series walk over the nodes per degree (qseries.phi_walk).
+series walk (qseries.phi_walk), a column of degrees against the row of
+nodes.
 
 A Gram matrix is G = V diag(w) V^T over a measure's nodes and weights:
 V holds the values of degrees 0..N (one row per degree), w the weights.
@@ -17,15 +18,16 @@ rational ratio w(step x)/w(x), each node carries its Jackson mass (1-q) x,
 and the walk, which the catalog's q-integrals also take, ends by the tail
 rule of qcore.tail_sum applied to every entry.
 
-The walk evaluates its nodes in chunks, one numpy pass each.  A walk
-toward 0 (step < 1) sizes its first chunk from the lattice's own decay
-rate r = step |ratio(0)|: a tail decaying like r^k has its first term
-below eps at node k = floor(log eps / log r) + 1, and the chunk ends with
-the quiet run of QUIET_TERMS nodes from there, so most walks end in one
-pass.  Later chunks, and all chunks of a walk away from 0 or with r
-outside (0, 1), hold a quarter of the nodes a tail decaying like step^k
-needs.  Chunking never changes which nodes are summed or the order of the
-products.
+The walk evaluates its nodes in chunks, one numpy pass each; a chunk
+holds a quarter of the nodes a tail decaying like step^k needs.  A walk
+toward 0 (step < 1) adds to its first chunk the nodes its own decay rate
+r = step |ratio(0)| asks for: a tail decaying like r^k has its first term
+below eps at node k = floor(log eps / log r) + 1, and the quiet run of
+QUIET_TERMS nodes follows.  The chunk past those covers the few nodes
+more that a walk's entries need beyond the rate at 0, so such a walk
+mostly ends in one pass.  A walk away from 0, or with r outside (0, 1),
+takes plain chunks.  Chunking never changes which nodes are summed or the
+order of the products.
 """
 
 import math
@@ -123,7 +125,8 @@ def lattice_gram(values, lattice):
     mass = 1.0 - min(step, 1.0 / step)
     # a quarter of the nodes a tail decaying like step^k needs
     chunk = max(8, int(math.log(TAIL_EPSILON) / -abs(math.log(step))) // 4)
-    size = _first_chunk(step, ratio) or chunk
+    # a down-walk's first pass runs one chunk past the nodes its decay asks for
+    size = (_first_chunk(step, ratio) or 0) + chunk
     us, vs = [], []
     rule = _TailRule(TAIL_EPSILON)
     shift = 0
@@ -131,9 +134,12 @@ def lattice_gram(values, lattice):
         if rule.walked >= MAX_TERMS:
             raise ConvergenceError("q-integral tail not reached within max_terms")
         size = min(size, MAX_TERMS - rule.walked)
-        x = np.cumprod(np.r_[x_next, np.full(size - 1, step)])
-        w, shifts = _scaled_weights(np.r_[w_next, ratio(x[:-1])], shift)
-        x_next, w_next, shift = x[-1] * step, w[-1] * ratio(x[-1:])[0], shifts[-1]
+        x = np.full(size, step)
+        x[0] = x_next
+        np.cumprod(x, out=x)
+        r = ratio(x)  # r[k] = w(x[k+1]) / w(x[k]); the last steps past the pass
+        w, shifts = _scaled_weights(np.concatenate(([w_next], r[:-1])), shift)
+        x_next, w_next, shift = x[-1] * step, w[-1] * r[-1], shifts[-1]
         us.append(mass * x * w)
         # values and magnitudes at nodes past the stop may overflow to inf
         # or nan; feed raises OutOfRangeError for any such node it sums, so

@@ -238,6 +238,31 @@ def test_values_above_the_double_range_raise_naming_the_function():
         q_ultraspherical(3, math.inf, 0.4, 0.5)
 
 
+def test_askey_wilson_values_above_the_double_range_raise_naming_the_function():
+    # by sums at 400 digits: |H_58| = 2.6e479, |p_53| = 8.5e311 (all four
+    # parameters 0, so p_53 = H_53), p_50 = 5.5e321 and 8.0e319.  They
+    # raised a bare ZeroDivisionError and OverflowError, returned inf+0j,
+    # and warned of a numpy overflow before returning NaN
+    with pytest.raises(OutOfRangeError, match="continuous_q_hermite"):
+        continuous_q_hermite(58, -92193922.45920677, 0.7167999994671996)
+    with pytest.raises(OutOfRangeError, match="aw_poly"):
+        aw_poly(53, 384113.5376906186, AWParams(0, 0, 0, 0, 0.9999982417843735))
+    p = AWParams(0.5129505999112756, 0.3529907616933021, 0.417716227885905,
+                 -0.047188789412003995, 0.7512897519033285)
+    with pytest.raises(OutOfRangeError, match="aw_poly"):
+        aw_poly(50, 1360651.0082836784, p)
+    p = AWParams(0.13644445080464673, -0.43779809119683, -0.10431533098815082,
+                 0.5119009183919174, 0.48213506823421975)
+    with pytest.raises(OutOfRangeError, match="aw_poly_by_recurrence"):
+        aw_poly_by_recurrence(50, 1250318.521736057, p)
+
+
+def test_z_of_a_far_negative_x_is_the_root_that_does_not_cancel():
+    # x + sqrt(x^2 - 1) rounds to 0 at x = -1e8; H_1 = 2x all the same
+    assert continuous_q_hermite(1, -1e8, 0.5) == -2e8
+    assert aw_poly(1, -1e8, AWParams(0, 0, 0, 0, 0.5)) == -2e8
+
+
 def test_q_racah_value_at_first_node():
     # R_n(mu(0)) = 1
     alpha, beta, gamma, delta, q, N = 0.4, 0.3, None, 0.6, 0.5, 5

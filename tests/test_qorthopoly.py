@@ -20,8 +20,8 @@ from qspecial import (
     little_qjacobi,
     little_qjacobi_norm,
 )
-from qspecial import kernels
-from qspecial.askey_wilson import AWParams, aw_gram_quadrature, q_racah_gram_matrix
+from qspecial import askey_wilson, kernels, qorthopoly, qseries
+from qspecial.askey_wilson import AWParams, aw_gram_quadrature, q_racah, q_racah_gram_matrix
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qorthopoly import (
     _FAMILIES,
@@ -50,7 +50,7 @@ from qspecial.qorthopoly import (
 from qspecial.qcalculus import qintegral_0a
 from qspecial.qcore import QUIET_TERMS
 from qspecial.qseries import _conditioning_scope
-from qspecial.recurrence import _TailRule, eval_all
+from qspecial.recurrence import _TailRule, eval_all, lattice_gram
 
 BQJ = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
 
@@ -575,6 +575,63 @@ def test_series_grams_make_no_point_kernel_calls(monkeypatch):
     for fam, nmax in SERIES_GRAMS:
         family_eval(fam, nmax, 0.5)
     assert len(calls) == len(SERIES_GRAMS)
+
+
+def _per_degree_table(series, nmax, nodes):
+    """The values as the Gram builders once formed them: one walk over the
+    nodes per degree."""
+    return np.array([series(n, nodes) for n in range(nmax + 1)])
+
+
+def test_series_grams_make_one_walk_per_pass_or_grid(monkeypatch):
+    # every degree's series is summed at a lattice pass's nodes, or at the
+    # finite grid, in one walk (a column of degrees against the row of
+    # nodes), and the table keeps the bits of the walks per degree
+    walks, tables = [], []
+    phi_nodes = qseries._phi_nodes
+    monkeypatch.setattr(qseries, "_phi_nodes", lambda spec: walks.append(1) or phi_nodes(spec))
+
+    def counted(values):
+        def one_pass(x):
+            start = len(walks)
+            tables.append((x, values(x), len(walks) - start))
+            return tables[-1][1]
+
+        return one_pass
+
+    def walk(values, lattice):
+        return lattice_gram(counted(values), lattice)
+
+    monkeypatch.setattr(qorthopoly, "lattice_gram", walk)
+    for module in (qorthopoly, askey_wilson):
+        gram = module.gram  # a finite grid's table, after its walks
+        record = lambda v, w, gram=gram: tables.append((None, v, len(walks))) or gram(v, w)
+        monkeypatch.setattr(module, "gram", record)
+
+    for fam, nmax in SERIES_GRAMS:
+        walks.clear()
+        tables.clear()
+        family_gram_matrix(fam, nmax)
+        series = lambda n, x: family_eval(fam, n, x)
+        if "N" in fam.record.keys:
+            ((_, v, count),) = tables
+            grid = np.array([fam.q ** float(-x) for x in range(fam["N"] + 1)])
+            assert count == 1
+            assert np.array_equal(v, _per_degree_table(series, nmax, grid))
+        else:
+            assert tables and len(walks) == len(tables)
+            for x, v, count in tables:
+                assert count == 1
+                assert np.array_equal(v, _per_degree_table(series, nmax, x))
+
+    walks.clear()
+    tables.clear()
+    args = (0.4, 0.6, 0.5**-9.0, 0.3, 0.5, 8)
+    q_racah_gram_matrix(5, *args)
+    ((_, v, count),) = tables
+    series = lambda n, x: q_racah(n, x, *args)
+    assert count == 1
+    assert np.array_equal(v, _per_degree_table(series, 5, np.arange(9)))
 
 
 @pytest.mark.parametrize("fam, nmax", SERIES_GRAMS[2:4])

@@ -11,6 +11,9 @@ weights.
 The quadrature weights on a node grid come from one array call of
 qcore.log_qpoch_inf (one peel and one log series for every node), scaled
 by the largest weight, so the module holds no product loop of its own.
+The recurrence table is closed forms in q^k over all degrees at once, so
+the recurrence path makes no q-Pochhammer product per degree; at
+(a, b, 0, 0) it is the Al-Salam-Chihara recurrence.
 """
 
 import cmath
@@ -24,7 +27,7 @@ from qspecial.qcore import (
     _exp_log, _finite, _qpow, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
 )
 from qspecial.qseries import SeriesSpec, eval_phi
-from qspecial.recurrence import Recurrence, eval_all, from_terms, gram
+from qspecial.recurrence import Recurrence, eval_all, gram
 
 
 @dataclass(frozen=True)
@@ -133,11 +136,13 @@ def _double(value, name):
 
 def _z_of_x(x):
     """A root z of x = (z + 1/z)/2 (both give the same polynomial values):
-    x + sqrt(x^2 - 1), or the other root where that one cancels to 0, as
-    it does for real x below about -7e7."""
+    x - sqrt(x^2 - 1) where the real parts of x and the root have opposite
+    signs, so that x + sqrt(x^2 - 1) would cancel (real x < -1), and
+    x + sqrt(x^2 - 1) otherwise.  A real x in [-1, 1] has an imaginary
+    root and takes the sum."""
     x = complex(x)
     root = cmath.sqrt(x * x - 1.0)
-    return x + root or x - root
+    return x - root if x.real * root.real < 0 else x + root
 
 
 def _cqh_z(n, z, q):
@@ -240,41 +245,47 @@ def aw_norms(nmax, p):
 
 def aw_recurrence(n, p):
     """Coefficients (A_n, B_n, C_n) of 2x p_n = A_n p_{n+1} + B_n p_n
-    + C_n p_{n-1}.
-
-    A_n = 2 k_n/k_{n+1}; C_n = (2 k_{n-1}/k_n)(h_n/h_{n-1}); B_n follows
-    by substituting x = (a + 1/a)/2 where p_n = a^{-n}(ab,ac,ad;q)_n
-    (a permuted nonzero parameter; B_n = 0 when all four vanish).
-    """
-    an = 2.0 * aw_leading_coefficient(n, p) / aw_leading_coefficient(n + 1, p)
-    if n == 0:
-        cn = 0.0
-    else:
-        cn = (
-            2.0
-            * aw_leading_coefficient(n - 1, p)
-            / aw_leading_coefficient(n, p)
-            * aw_norm_ratio(n, p)
-            / aw_norm_ratio(n - 1, p)
-        )
-    params = sorted(p.abcd, key=lambda e: -abs(e))
-    a, b, c, d = params
-    if a == 0:
-        return an, 0.0, cn
-
-    def v(k):
-        return a ** float(-k) * qpoch_list([a * b, a * c, a * d], p.q, k)
-
-    x0 = (a + 1.0 / a) / 2.0
-    vn = v(n)
-    bn = 2.0 * x0 - an * v(n + 1) / vn - (cn * v(n - 1) / vn if n > 0 else 0.0)
-    return an, bn, cn
+    + C_n p_{n-1}: row n of aw_recurrence_table."""
+    rec = aw_recurrence_table(n + 1, p)
+    return complex(rec.a[n]), complex(rec.b[n]), complex(rec.c[n])
 
 
 def aw_recurrence_table(n, p):
-    """The recurrence of p_0..p_n: aw_recurrence(k, p) for k < n, with
-    x scaled by 2."""
-    return from_terms((aw_recurrence(k, p) for k in range(n)), s=2.0)
+    """The recurrence of p_0..p_n, 2x p_k = A_k p_{k+1} + B_k p_k
+    + C_k p_{k-1} for k < n, as arrays over Q = q^k in one pass.
+
+    KLS section 14.1 rescaled to the leading coefficient l_k = 2^k
+    (q^{k-1}abcd;q)_k: A_k = 2 l_k/l_{k+1}, C_k = (2 l_{k-1}/l_k)(h_k/h_{k-1}),
+    and B_k = a + 1/a minus KLS's A~_k + C~_k, which over a common
+    denominator is symmetric and divides by no parameter.  With s = abcd,
+    e1 = a+b+c+d, e3 = abc+abd+acd+bcd and r = Q/q:
+
+    A_k = (1 - s r) / ((1 - s r Q)(1 - s Q^2)),
+    B_k = Q (c0 + Q (c1 + Q c2)) / ((1 - s r^2)(1 - s Q^2)),
+    C_k = (1 - Q) prod_{pairs ef} (1 - ef r) / ((1 - s r^2)(1 - s r Q)),
+
+    with c0 = e1 + e3/q, c1 = -(1 + q)(e3 + s e1/q)/q and
+    c2 = s (q e1 + e3)/q^2.  Row 0 is A_0 = 1/(1 - s),
+    B_0 = (e1 - e3)/(1 - s), C_0 = 0, with the factors its formulas share
+    at Q = 1 divided out.  At (a, b, 0, 0) every term in s and e3 is an
+    exact zero, which leaves the Al-Salam-Chihara recurrence: A_k = 1,
+    B_k = (a + b) Q, C_k = (1 - Q)(1 - ab r).
+    """
+    a, b, c, d = p.abcd
+    q = p.q
+    s, e1, e3 = a * b * c * d, a + b + c + d, a * b * (c + d) + c * d * (a + b)
+    c0, c1, c2 = e1 + e3 / q, -(1.0 + q) * (e3 + s * e1 / q) / q, s * (q * e1 + e3) / (q * q)
+    pairs = np.array([[a * b], [a * c], [a * d], [b * c], [b * d], [c * d]])
+    A, B, C = np.zeros((3, n), dtype=complex)
+    A[:1], B[:1] = 1.0 / (1.0 - s), (e1 - e3) / (1.0 - s)
+    Q = q ** np.arange(1, n, dtype=float)
+    r = Q / q
+    sr = s * r
+    low, mid, high = 1.0 - sr * r, 1.0 - sr * Q, 1.0 - s * Q * Q
+    A[1:] = (1.0 - sr) / (mid * high)
+    B[1:] = Q * (c0 + Q * (c1 + Q * c2)) / (low * high)
+    C[1:] = (1.0 - Q) * np.prod(1.0 - pairs * r, axis=0) / (low * mid)
+    return Recurrence(2.0, A, B, C)
 
 
 def aw_poly_by_recurrence(n, x, p):
@@ -319,21 +330,6 @@ def aw_qdifference_residual(n, z, p):
 def al_salam_chihara(n, x, a, b, q):
     """Al-Salam-Chihara polynomial p_n(x; a, b, 0, 0 | q)."""
     return aw_poly(n, x, AWParams(a, b, 0, 0, q))
-
-
-def al_salam_chihara_recurrence_table(n, a, b, q):
-    """The recurrence of the Al-Salam-Chihara p_0..p_n in closed form:
-
-    2x p_k = p_{k+1} + (a+b) q^k p_k + (1-q^k)(1-ab q^{k-1}) p_{k-1}.
-    """
-    q = check_q(q)
-    qk = q ** np.arange(n, dtype=float)
-    return Recurrence(
-        2.0,
-        np.ones(n, dtype=complex),
-        (a + b) * qk + 0j,
-        (1.0 - qk) * (1.0 - a * b * qk / q) + 0j,
-    )
 
 
 def continuous_q_hermite(n, x, q):

@@ -47,7 +47,7 @@ from qspecial.qseries import (
     reverse_terminating,
 )
 from qspecial.qorthopoly import little_qjacobi
-from qspecial.askey_wilson import AWParams, al_salam_chihara_recurrence_table, aw_poly
+from qspecial.askey_wilson import AWParams, aw_poly, aw_recurrence_table
 from qspecial.limits import classical_eval
 from qspecial.recurrence import Recurrence, eval_all, lattice_gram
 
@@ -1275,9 +1275,13 @@ def _asc_genfn_lhs(p):
 def _asc_genfn_rhs(p):
     q, c, d, theta = p["q"], p["c"], p["d"], p["theta"]
     # recurrence evaluation: the series form loses digits past degree 7
-    rec = al_salam_chihara_recurrence_table(_GF_ORDER, c, d, q)
-    asc = eval_all(rec, math.cos(theta))
-    return tuple(asc[m, 0] / qpoch(q, q, m) for m in range(_GF_ORDER + 1))
+    rec = aw_recurrence_table(_GF_ORDER, AWParams(c, d, 0, 0, q))
+    out, qq, f = [], 1.0 + 0.0j, complex(q)  # (q;q)_m, in the kernel's factor order
+    for value in eval_all(rec, math.cos(theta))[:, 0]:
+        out.append(value / qq)
+        qq *= 1.0 - f
+        f *= q
+    return tuple(out)
 
 
 _add(
@@ -1334,7 +1338,7 @@ def _aw_kernel_rhs(p):
     )
     # p_m(x; c, d) by one running recurrence: the 4phi3 for each m loses
     # all its digits by m = 10
-    rec = al_salam_chihara_recurrence_table(_KERNEL_TERMS, c, d, q)
+    rec = aw_recurrence_table(_KERNEL_TERMS, AWParams(c, d, 0, 0, q))
     # the terms decay like a^m: the first one below TAIL_EPSILON, the quiet
     # run after it, and 6 more, which held the tail at 35 of seeds 0-39
     size = int(math.log(TAIL_EPSILON) / math.log(abs(a))) + 1 + QUIET_TERMS + 6

@@ -24,12 +24,13 @@ from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import (
     BigQJacobiParams,
     FamilyParams,
-    big_qjacobi_monic,
+    big_qjacobi_recurrence_table,
     family_eval,
     little_qjacobi,
 )
 from qspecial.askey_wilson import AWParams, aw_poly_r
 from qspecial.qseries import SeriesSpec, eval_phi
+from qspecial.recurrence import eval_all
 
 
 def _is_nonpositive_int(a):
@@ -360,7 +361,9 @@ def _aw_to_big_qjacobi(lam, n, x):
 def _big_qjacobi_normalized(n, x):
     q, a, b, c, d = 0.45, 0.6, 0.4, 1.3, 0.8
     p = BigQJacobiParams(a, b, c, d, q)
-    return big_qjacobi_monic(n, x, p) / big_qjacobi_monic(n, c / (q * a), p)
+    # the monic values at x and at c/(qa), from one table
+    top, norm = eval_all(big_qjacobi_recurrence_table(n, p), [x, c / (q * a)])[n]
+    return complex(top) / complex(norm)
 
 
 def _aw_to_little_qjacobi(lam, n, x):

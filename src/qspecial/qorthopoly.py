@@ -18,6 +18,10 @@ cases reuse the general code: Al-Salam-Carlitz U takes its recurrence,
 Gram and norm from big q-Jacobi with (0, 0, 1, -a), Wall takes little
 q-Jacobi's with b = 0, and affine q-Krawtchouk weighs by the q-Hahn
 weight at b = 0.
+
+The big q-Jacobi and Moak recurrence tables are closed forms in q^k over
+all degrees at once; the a = 0 and a = b = 0 degenerations of big
+q-Jacobi take the same forms.
 """
 
 import math
@@ -31,7 +35,7 @@ from qspecial.errors import DomainError
 from qspecial.qcalculus import qderiv_backward
 from qspecial.qcore import _qpow, check_q, qpoch, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import SeriesSpec, eval_phi
-from qspecial.recurrence import eval_all, from_terms, gram, lattice_gram
+from qspecial.recurrence import Recurrence, eval_all, gram, lattice_gram
 
 _MAX_FINITE_N = 60  # keeps q^{-x} in double range down to q = 0.1
 
@@ -107,6 +111,9 @@ def big_qjacobi_norm_point_value(n, p):
     """Value of the monic polynomial at the normalization point c/(qa):
 
     (c/(qa))^n (qa;q)_n (-qad/c;q)_n / (q^{n+1}ab;q)_n.
+
+    It scales the normalized series to the monic polynomial, the series
+    path that the tests hold the recurrence against.
     """
     if p.a == 0:
         raise DomainError("normalization point undefined for a = 0")
@@ -170,8 +177,8 @@ def big_qjacobi_monic(n, x, p):
     from the closed forms (stable on the support; the terminating-series
     path suffers cancellation for larger n).  The independent series
     path is big_qjacobi_norm_point_value(n, p) * big_qjacobi(n, x, p).
-    The degenerations a = 0 and a = b = 0 are covered by the recurrence
-    coefficients directly (Al-Salam-Carlitz: U_n^{(a)} = P~_n(x;0,0,1,-a;q)).
+    The same closed forms hold at a = 0 and a = b = 0
+    (Al-Salam-Carlitz: U_n^{(a)} = P~_n(x;0,0,1,-a;q)).
     """
     return complex(eval_all(big_qjacobi_recurrence_table(n, p), x)[n, 0])
 
@@ -299,56 +306,48 @@ def big_qjacobi_gram_matrix(nmax, p):
 
 
 def big_qjacobi_recurrence(n, p):
-    """Coefficients (B_n, C_n) of x P~_n = P~_{n+1} + B_n P~_n + C_n P~_{n-1}.
-
-    C_n has the closed form
-
-    q^{n-1}(1-q^n)(1-q^n a)(1-q^n b)(1-q^n ab)(d+q^n bc)(c+q^n ad)
-      / ((1-q^{2n-1}ab)(1-q^{2n}ab)^2 (1-q^{2n+1}ab));
-
-    B_n follows by evaluating the recurrence at the normalization point.
-    C_0 is returned as 0 (unused).
-    """
-    q = p.q
-    a, b, c, d = p.a, p.b, p.c, p.d
-    if a == 0 and b == 0:
-        bn = (c - d) * q**n
-        cn = 0.0 if n == 0 else c * d * q ** (n - 1) * (1.0 - q**n)
-        return bn, cn
-    if a == 0:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            flipped = BigQJacobiParams(b, a, d, c, q)
-        bn, cn = big_qjacobi_recurrence(n, flipped)
-        return -bn, cn
-    qn = q ** float(n)
-    if n == 0:
-        cn = 0.0
-    else:
-        cn = (
-            q ** (n - 1)
-            * (1.0 - qn)
-            * (1.0 - qn * a)
-            * (1.0 - qn * b)
-            * (1.0 - qn * a * b)
-            * (d + qn * b * c)
-            * (c + qn * a * d)
-            / (
-                (1.0 - q ** float(2 * n - 1) * a * b)
-                * (1.0 - q ** float(2 * n) * a * b) ** 2
-                * (1.0 - q ** float(2 * n + 1) * a * b)
-            )
-        )
-    x0 = c / (q * a)
-    v = [big_qjacobi_norm_point_value(k, p) for k in (n - 1, n, n + 1)]
-    bn = x0 - v[2] / v[1] - (cn * v[0] / v[1] if n > 0 else 0.0)
-    return bn, cn
+    """Coefficients (B_n, C_n) of x P~_n = P~_{n+1} + B_n P~_n + C_n P~_{n-1}:
+    row n of big_qjacobi_recurrence_table."""
+    rec = big_qjacobi_recurrence_table(n + 1, p)
+    return complex(rec.b[n]), complex(rec.c[n])
 
 
 def big_qjacobi_recurrence_table(n, p):
-    """The recurrence of P~_0..P~_n: big_qjacobi_recurrence(k, p) for
-    k < n, with A_k = 1."""
-    return from_terms((1.0, *big_qjacobi_recurrence(k, p)) for k in range(n))
+    """The recurrence of P~_0..P~_n, x P~_k = P~_{k+1} + B_k P~_k
+    + C_k P~_{k-1} for k < n, as arrays over Q = q^k in one pass.
+
+    C_k = q^{k-1}(1-Q)(1-aQ)(1-bQ)(1-abQ)(d+bcQ)(c+adQ)
+          / ((1-abQ^2/q)(1-abQ^2)^2(1-abqQ^2)),  C_0 = 0,
+
+    and B_k = x0 (1 - A~_k - C~_k) from the recurrence of the polynomials
+    normalized to 1 at x0 = c/(qa) (Koornwinder's tutorial, section 2; KLS
+    section 14.5), which over a common denominator divides by no parameter.
+    With u = ad - bc and w = d - c:
+
+    B_k = -Q (u + w - (1+q)Q (ab w + u) + abqQ^2 (u + w))
+          / ((1-abQ^2)(1-abq^2Q^2)).
+
+    Row 0 is B_0 = (q u - w)/(1 - q^2 ab), with the factor 1 - ab that its
+    formula shares at Q = 1 divided out, so that a = b = 1 (big
+    q-Legendre) needs no limit.  At a = 0 and at a = b = 0
+    (Al-Salam-Carlitz U) the same forms hold.
+    """
+    q = p.q
+    a, b, c, d = p.a, p.b, p.c, p.d
+    ab, u, w = a * b, a * d - b * c, d - c
+    g0, g1, g2 = u + w, -(1.0 + q) * (ab * w + u), ab * q * (u + w)
+    B, C = np.zeros((2, n), dtype=complex)
+    B[:1] = (q * u - w) / (1.0 - q * q * ab)
+    Q = q ** np.arange(1, n, dtype=float)
+    abq2 = ab * Q * Q
+    mid = 1.0 - abq2
+    B[1:] = -Q * (g0 + Q * (g1 + Q * g2)) / (mid * (1.0 - abq2 * q * q))
+    factors = np.prod(1.0 - np.array([[1.0], [a], [b], [ab]]) * Q, axis=0)
+    C[1:] = (
+        Q / q * factors * (d + b * c * Q) * (c + a * d * Q)
+        / ((1.0 - abq2 / q) * mid * mid * (1.0 - abq2 * q))
+    )
+    return Recurrence(1.0, np.ones(n, dtype=complex), B, C)
 
 
 def qtaylor_coefficients(f, n, a, c, q):
@@ -660,19 +659,19 @@ def _moak_alt(n, x, alpha, q):
 
 def _moak_recurrence_table(nmax, alpha, q):
     """The recurrence of L_0..L_nmax (Koekoek, Lesky and Swarttouw 2010,
-    14.21.3) divided by q^{2n+alpha+1}:
+    14.21.3) divided by q^{2n+alpha+1}, as arrays over n < nmax:
 
     -x L_n = A_n L_{n+1} - (A_n + C_n) L_n + C_n L_{n-1},
     A_n = (1-q^{n+1}) / q^{2n+alpha+1}, C_n = q(1-q^{n+alpha}) / q^{2n+alpha+1}.
     """
-
-    def terms(n):
+    n = np.arange(nmax)
+    # a scale beyond the double range is inf; the lattice walk that runs
+    # the table raises OutOfRangeError at the first node it spoils
+    with np.errstate(over="ignore"):
         scale = q ** -(2 * n + alpha + 1.0)
-        a_n = (1.0 - q ** (n + 1.0)) * scale
-        c_n = q * (1.0 - q ** (n + alpha)) * scale
-        return a_n, -(a_n + c_n), c_n
-
-    return from_terms((terms(n) for n in range(nmax)), s=-1.0)
+    a_n = (1.0 - q ** (n + 1.0)) * scale + 0j
+    c_n = q * (1.0 - q ** (n + alpha)) * scale + 0j
+    return Recurrence(-1.0, a_n, -(a_n + c_n), c_n)
 
 
 def _moak_gram(nmax, alpha, q):

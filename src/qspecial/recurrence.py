@@ -4,8 +4,11 @@ A family's recurrence
 
     s x p_k = A_k p_{k+1} + B_k p_k + C_k p_{k-1},   p_{-1} = 0, p_0 = 1,
 
-is held as its coefficient arrays for k = 0..N-1, built once per call.
-eval_all runs it at every point in one numpy pass.  The families whose
+is held as its coefficient arrays for k = 0..N-1.  Each family forms them
+from closed forms in Q = q^k, all degrees in one numpy pass with no
+q-Pochhammer per degree (askey_wilson.aw_recurrence_table,
+qorthopoly.big_qjacobi_recurrence_table and the Moak table), and eval_all
+runs the recurrence at every point in one numpy pass.  The families whose
 Grams take series values build the same (degrees x nodes) array with one
 series walk (qseries.phi_walk), a column of degrees against the row of
 nodes.
@@ -47,12 +50,6 @@ class Recurrence(NamedTuple):
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-
-
-def from_terms(terms, s=1.0):
-    """Recurrence from the triples (A_k, B_k, C_k), k = 0..N-1."""
-    coeffs = np.array(list(terms), dtype=complex).reshape(-1, 3)
-    return Recurrence(s, coeffs[:, 0], coeffs[:, 1], coeffs[:, 2])
 
 
 def eval_all(rec, x):

@@ -1,5 +1,6 @@
-"""50-digit mpmath oracles for log (a;q)_oo and the bilateral psi
-series, shared by the tests.
+"""50-digit mpmath oracles for log (a;q)_oo, the bilateral psi series
+and the Askey-Wilson and big q-Jacobi recurrence coefficients, shared by
+the tests.
 
 Nothing here comes from qspecial: the factors are multiplied and the
 series summed in mpmath, from the exact images of the double inputs.
@@ -117,3 +118,85 @@ def qbinomial_oracle(logs, n, k):
         log_value = logs[n] - logs[k] - logs[n - k]
         value = mpmath.exp(log_value) if log_value < 710 else mpmath.inf
         return float(log_value), float(value)
+
+
+def _mp_qpoch(a, q, n):
+    """(a;q)_n in mpmath, for mpmath a and q."""
+    value = mpmath.mpf(1)
+    for j in range(n):
+        value *= 1 - a * q**j
+    return value
+
+
+def aw_recurrence_oracle(params, q, nmax):
+    """[(A_n, B_n, C_n) for n < nmax] of the Askey-Wilson recurrence
+    2x p_n = A_n p_{n+1} + B_n p_n + C_n p_{n-1} at 50 digits, each from
+    its per-degree definition: A_n = 2 k_n/k_{n+1} and
+    C_n = (2 k_{n-1}/k_n)(h_n/h_{n-1}), with k_n = 2^n (q^{n-1}abcd;q)_n
+    and h_n/h_0 = (1-q^{n-1}abcd)(q,ab,ac,ad,bc,bd,cd;q)_n
+    / ((1-q^{2n-1}abcd)(abcd;q)_n), and B_n from the value
+    v(n) = a^{-n}(ab,ac,ad;q)_n at x0 = (a+1/a)/2,
+    B_n = 2 x0 - A_n v(n+1)/v(n) - C_n v(n-1)/v(n).  p_n is symmetric in
+    its parameters, so a is the one of largest modulus; one must be
+    nonzero."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        a, b, c, d = sorted((mpmath.mpmathify(e) for e in params), key=lambda e: -abs(e))
+        s = a * b * c * d
+        pairs = (q, a * b, a * c, a * d, b * c, b * d, c * d)
+
+        def lead(n):
+            return 2**n * _mp_qpoch(s * q ** (n - 1), q, n)
+
+        def norm(n):
+            num = (1 - s * q ** (n - 1)) * mpmath.fprod(_mp_qpoch(e, q, n) for e in pairs)
+            return num / ((1 - s * q ** (2 * n - 1)) * _mp_qpoch(s, q, n))
+
+        def value(n):
+            return a**-n * mpmath.fprod(_mp_qpoch(e, q, n) for e in pairs[1:4])
+
+        k, h, v = ([f(n) for n in range(nmax + 1)] for f in (lead, norm, value))
+        rows = []
+        for n in range(nmax):
+            an = 2 * k[n] / k[n + 1]
+            cn = 2 * k[n - 1] / k[n] * h[n] / h[n - 1] if n else mpmath.mpf(0)
+            low = cn * v[n - 1] / v[n] if n else 0
+            bn = a + 1 / a - an * v[n + 1] / v[n] - low
+            rows.append(tuple(complex(e) for e in (an, bn, cn)))
+        return rows
+
+
+def big_qjacobi_recurrence_oracle(a, b, c, d, q, nmax):
+    """[(B_n, C_n) for n < nmax] of the monic big q-Jacobi recurrence
+    x P_n = P_{n+1} + B_n P_n + C_n P_{n-1}, each from its per-degree
+    definition: C_n = h_n/h_{n-1} with the monic norm
+    h_n ~ q^{n(n-1)/2} (cd)^n (q,qa,qb,-qbc/d,-qad/c;q)_n
+    / ((q^2 ab;q)_{2n} (q^{n+1}ab;q)_n), and B_n from the monic value
+    v(n) = x0^n (qa;q)_n (-qad/c;q)_n / (q^{n+1}ab;q)_n at x0 = c/(qa),
+    B_n = x0 - v(n+1)/v(n) - C_n v(n-1)/v(n).  50 digits; B_n is
+    continuous in a, so a = 0 is taken as a = 1e-40 at 130 digits, where
+    the cancellation at x0 ~ 1e40 costs about 40 of them and the
+    definition differs from the limit by about 1e-40 relative."""
+    with mpmath.workdps(50 if a != 0 else 130):
+        q, c, d = mpmath.mpf(q), mpmath.mpf(c), mpmath.mpf(d)
+        a = mpmath.mpmathify(a) if a != 0 else mpmath.mpf(10) ** -40
+        b = mpmath.mpmathify(b)
+        x0 = c / (q * a)
+
+        def norm(n):
+            factors = (q, q * a, q * b, -q * b * c / d, -q * a * d / c)
+            num = q ** (n * (n - 1) / 2) * (c * d) ** n
+            num *= mpmath.fprod(_mp_qpoch(e, q, n) for e in factors)
+            return num / (_mp_qpoch(q * q * a * b, q, 2 * n) * _mp_qpoch(q ** (n + 1) * a * b, q, n))
+
+        def value(n):
+            num = x0**n * _mp_qpoch(q * a, q, n) * _mp_qpoch(-q * a * d / c, q, n)
+            return num / _mp_qpoch(q ** (n + 1) * a * b, q, n)
+
+        h, v = ([f(n) for n in range(nmax + 1)] for f in (norm, value))
+        rows = []
+        for n in range(nmax):
+            cn = h[n] / h[n - 1] if n else mpmath.mpf(0)
+            low = cn * v[n - 1] / v[n] if n else 0
+            rows.append((complex(x0 - v[n + 1] / v[n] - low), complex(cn)))
+        return rows

@@ -31,7 +31,6 @@ from qspecial import (
 from qspecial.askey_wilson import (
     _midpoint_grid,
     al_salam_chihara,
-    al_salam_chihara_recurrence_table,
     aw_gram_quadrature,
     aw_leading_coefficient,
     aw_qdifference_residual,
@@ -116,14 +115,18 @@ def test_eval_all_rows_match_scalar_recurrence():
             prev, cur = cur, ((2.0 * x - bn) * cur - cn * prev) / an
 
 
-def test_al_salam_chihara_table_matches_aw_recurrence():
+def test_aw_table_at_two_zero_parameters_is_the_al_salam_chihara_recurrence():
+    # KLS section 14.8, for the leading coefficient 2^n:
+    # 2x Q_n = Q_{n+1} + (a+b) q^n Q_n + (1-q^n)(1-ab q^{n-1}) Q_{n-1}
     c, d, q = 0.6, -0.35, 0.45
-    closed = al_salam_chihara_recurrence_table(12, c, d, q)
-    general = aw_recurrence_table(12, AWParams(0, 0, c, d, q))
-    for got, want in zip(closed[1:], general[1:]):
-        assert max(abs(got - want)) <= 1e-13
+    rec = aw_recurrence_table(12, AWParams(c, d, 0, 0, q))
+    qn = np.array([q**n for n in range(12)])
+    assert rec.s == 2.0
+    assert max(abs(rec.a - 1.0)) == 0.0
+    assert max(abs(rec.b - (c + d) * qn)) <= 1e-15
+    assert max(abs(rec.c - (1.0 - qn) * (1.0 - c * d * qn / q))) <= 1e-15
     xs = [-0.5, 0.25]
-    rows = eval_all(closed, xs)
+    rows = eval_all(rec, xs)
     # low degrees only: the 4phi3 series loses digits as n grows
     for n in (2, 4):
         for j, x in enumerate(xs):
@@ -261,6 +264,16 @@ def test_z_of_a_far_negative_x_is_the_root_that_does_not_cancel():
     # x + sqrt(x^2 - 1) rounds to 0 at x = -1e8; H_1 = 2x all the same
     assert continuous_q_hermite(1, -1e8, 0.5) == -2e8
     assert aw_poly(1, -1e8, AWParams(0, 0, 0, 0, 0.5)) == -2e8
+
+
+def test_z_of_a_negative_x_below_minus_one_keeps_its_digits():
+    # x + sqrt(x^2 - 1) cancels for real x < -1, and more so as |x| grows
+    q = 0.5
+    want = 4.0 * 1e12 - (1.0 - q)  # H_2 = 4x^2 - (1 - q) at x = -1e6
+    assert abs(continuous_q_hermite(2, -1e6, q) - want) <= 1e-15 * want
+    p = AWParams(0.3, 0.2, -0.1, 0.4, 0.6)
+    series, rec = aw_poly(3, -5e3, p), aw_poly_by_recurrence(3, -5e3, p)
+    assert abs(series - rec) <= 1e-14 * abs(rec)
 
 
 def test_q_racah_value_at_first_node():

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from qspecial import INFINITY, identities, kernels, list_identities, qseries, verify, verify_all
-from qspecial.askey_wilson import al_salam_chihara_recurrence_table
+from qspecial.askey_wilson import AWParams, aw_recurrence_table
 from qspecial.errors import DomainError, QSpecialError
 from qspecial.identities import TOLERANCES, VerificationReport, get_identity
 from qspecial.qcalculus import qintegral_0a
@@ -108,7 +108,7 @@ def _aw_kernel_rhs_by_whole_table(p):
     """The kernel series from all 400 rows of the recurrence at once, with
     (q;q)_m from qpoch for each term."""
     q, a, b, c, d, theta, n = (p[k] for k in ("q", "a", "b", "c", "d", "theta", "n"))
-    asc = eval_all(al_salam_chihara_recurrence_table(400, c, d, q), math.cos(theta))[:, 0]
+    asc = eval_all(aw_recurrence_table(400, AWParams(c, d, 0, 0, q)), math.cos(theta))[:, 0]
     terms = (
         little_qjacobi(n, q**m, a * b / q, c * d / q, q) * a**m * asc[m] / qpoch(q, q, m)
         for m in range(400)
@@ -284,7 +284,7 @@ _EVALUATORS = (
     "eval_phi", "eval_psi", "qpoch", "qpoch_list", "qbinomial", "tail_sum",
     "lattice_gram", "qpoch_inf_ratio", "E_q", "e_q", "gamma_q", "gamma_q_reciprocal",
     "partition_count", "little_qjacobi", "aw_poly",
-    "al_salam_chihara_recurrence_table", "classical_eval", "eval_all",
+    "aw_recurrence_table", "classical_eval", "eval_all",
 )
 
 

@@ -346,6 +346,12 @@ def test_moak_recurrence_matches_both_series():
                     assert abs(rows[n, j] - want) <= 1e-13 * mass, (alpha, q, x, n)
 
 
+def test_moak_table_beyond_the_double_range_raises_in_the_walk():
+    # q^-(2n+alpha+1) overflows at n = 80, q = 0.01; the walk names the node
+    with pytest.raises(OutOfRangeError, match="node 0"):
+        family_gram_matrix(FamilyParams("moak", 0.01, alpha=0.7), 80)
+
+
 def test_big_q_laguerre_dual_forms():
     fam = FamilyParams("big_q_laguerre", 0.9, a=0.4, c=1.0, d=1.3)
     rng = random.Random(5)

@@ -24,7 +24,8 @@ import numpy as np
 
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcore import (
-    _exp_log, _finite, _qpow, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio, qpoch_list
+    _exp_log, _finite, _qpoch_prefix, _qpow, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio,
+    qpoch_list,
 )
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram
@@ -237,10 +238,21 @@ def aw_norm(n, p):
 
 
 def aw_norms(nmax, p):
-    """The norms h_0..h_nmax, each equal to aw_norm(n, p), with the
-    infinite products of h_0 formed once."""
+    """The norms h_0..h_nmax, each equal to aw_norm(n, p): the infinite
+    products of h_0 formed once, and each (e;q)_n of aw_norm_ratio read
+    from one running product per parameter e."""
     h0 = _h0(p)
-    return [h0 * aw_norm_ratio(n, p) for n in range(nmax + 1)]
+    a, b, c, d = p.abcd
+    q = p.q
+    abcd = a * b * c * d
+    pairs = [_qpoch_prefix(e, q, nmax) for e in (q, a * b, a * c, a * d, b * c, b * d, c * d)]
+    den = _qpoch_prefix(abcd, q, nmax)
+    norms = []
+    for n in range(nmax + 1):
+        num = math.prod([run[n] for run in pairs], start=1.0 + 0.0j)  # qpoch_list's order
+        ratio = (1.0 - q ** float(n - 1) * abcd) * num / ((1.0 - q ** float(2 * n - 1) * abcd) * den[n])
+        norms.append(h0 * ratio)
+    return norms
 
 
 def aw_recurrence(n, p):

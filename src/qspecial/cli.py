@@ -90,21 +90,10 @@ def _emit_rows(header, rows, fmt, out):
         for row in rows:
             out.write(",".join(_fmt(v) for v in row) + "\n")
     else:
-        widths = [
-            max(len(h), *(len(_fmt(r[i])) for r in rows)) if rows else len(h)
-            for i, h in enumerate(header)
-        ]
-        out.write(
-            "  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()
-            + "\n"
-        )
-        for row in rows:
-            out.write(
-                "  ".join(
-                    _fmt(v).ljust(w) for v, w in zip(row, widths)
-                ).rstrip()
-                + "\n"
-            )
+        cells = [[_fmt(v) for v in row] for row in rows]
+        widths = [max([len(h), *(len(r[i]) for r in cells)]) for i, h in enumerate(header)]
+        for row in [header, *cells]:
+            out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +300,7 @@ def _gram_report(gram, closed_diag, out, fmt, notes=()):
     Off-diagonals are compared against the diagonal scale, diagonals
     against the closed forms where available.
     """
+    gram = gram.tolist()  # Python numbers for the row loop and the output
     nmax = len(gram) - 1
     scale = max(abs(gram[n][n]) for n in range(nmax + 1))
     scale = max(scale, 1e-300)
@@ -471,12 +461,13 @@ def cmd_limits(args, out):
 def _build_parser():
     """The parser, built on the first main call and shared by every later
     call in the process; parse_args keeps each call's state in a fresh
-    namespace."""
+    namespace.  Its command_parsers maps each command to its subparser."""
     parser = argparse.ArgumentParser(
         prog="qspecial",
         description="q-special functions: evaluation and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.command_parsers = sub.choices
 
     def common(p, q=True):
         if q:
@@ -544,16 +535,31 @@ _COMMANDS = {
 
 def main(argv=None):
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command in parser.command_parsers:
+            # the subparser alone: parse_args would pass it the same
+            # arguments, and report what it leaves over through the top parser
+            args, extras = parser.command_parsers[command].parse_known_args(argv[1:])
+            if extras:
+                parser.error("unrecognized arguments: " + " ".join(extras))
+        else:  # no command: help, or the top parser's usage error
+            args = parser.parse_args(argv)
+            command = args.command
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    return _run(command, args)
+
+
+def _run(command, args):
+    """Run a parsed command; its exit code."""
     try:
         if args.out:
             with open(args.out, "w", newline="\n") as handle:
-                code = _COMMANDS[args.command](args, handle)
+                code = _COMMANDS[command](args, handle)
         else:
-            code = _COMMANDS[args.command](args, sys.stdout)
+            code = _COMMANDS[command](args, sys.stdout)
             sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone: point stdout at devnull so that the flush at

@@ -33,13 +33,20 @@ from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import eval_all
 
 
+# A parameter meant as the integer -n is exact, or the sum of a few doubles
+# (beta + delta + 1 in the Racah check), each addition rounding by half an
+# ulp of its size.  A wider window cuts short sums that do not terminate:
+# hyp_terminating([-5, -2.0000000005], [1.5], 30.0) would stop at k = 2.
+_INTEGER_ULPS = 4
+
+
 def _is_nonpositive_int(a):
-    if isinstance(a, complex):
-        if abs(a.imag) > 1e-9:
-            return None
-        a = a.real
-    r = round(a)
-    if r <= 0 and abs(a - r) < 1e-9:
+    """The integer r <= 0 within _INTEGER_ULPS ulps of max(|r|, 1) of a,
+    in its real and its imaginary part, or None."""
+    a = complex(a)
+    r = round(a.real)
+    width = _INTEGER_ULPS * math.ulp(max(-r, 1))
+    if r <= 0 and abs(a.real - r) <= width and abs(a.imag) <= width:
         return int(r)
     return None
 

@@ -272,6 +272,27 @@ def qpoch(a, q, k):
     return value
 
 
+def _qpoch_prefix(a, q, n):
+    """[(a;q)_k for k = 0..n] from one running product, each value equal
+    to qpoch(a, q, k): the kernel's factors in the kernel's order, on
+    floats when a is real.  OutOfRangeError names the first k outside the
+    double range, as qpoch(a, q, k) would; a product that has left the
+    range never returns to it, so the last value tells."""
+    q = check_q(q)
+    a = _finite(a)
+    f = a if a.imag else a.real
+    out = 1.0
+    values = [1.0 + 0.0j]
+    for _ in range(n):
+        out *= 1.0 - f
+        f *= q
+        values.append(complex(out))
+    if not cmath.isfinite(values[-1]):
+        k = next(k for k, v in enumerate(values) if not cmath.isfinite(v))
+        raise OutOfRangeError(f"(a;q)_{k} outside the double range, a={a}")
+    return values
+
+
 def qpoch_list(alist, q, k):
     """Product of (a;q)_k over a list of parameters; empty list gives 1.
     Each factor is rounded on its own: a product or quotient of (a;q)_oo

@@ -33,7 +33,7 @@ import numpy as np
 
 from qspecial.errors import DomainError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import _qpow, check_q, qpoch, qpoch_inf_ratio, qpoch_list
+from qspecial.qcore import _qpoch_prefix, _qpow, check_q, qpoch, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram, lattice_gram
 
@@ -274,10 +274,25 @@ def big_qjacobi_norm(n, p):
 
 
 def big_qjacobi_norms(nmax, p):
-    """The norms of degrees 0..nmax, each equal to big_qjacobi_norm(n, p),
-    with the weight integral formed once."""
+    """The norms of degrees 0..nmax, each equal to big_qjacobi_norm(n, p):
+    the weight integral formed once, and the (e;q)_n and (q^2 ab;q)_{2n}
+    of _big_qjacobi_norm_ratio read from one running product per
+    parameter."""
     mass = big_qjacobi_weight_integral(p)
-    return [_big_qjacobi_norm_ratio(n, p) * mass for n in range(nmax + 1)]
+    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
+    runs = [_qpoch_prefix(e, q, nmax) for e in (q, q * a, q * b, -q * b * c / d, -q * a * d / c)]
+    doubled = _qpoch_prefix(q * q * a * b, q, 2 * nmax)
+    norms = []
+    for n in range(nmax + 1):
+        num = math.prod([run[n] for run in runs], start=1.0 + 0.0j)  # qpoch_list's order
+        ratio = (
+            q ** (n * (n - 1) / 2)
+            * (c * d) ** n
+            * num
+            / (doubled[2 * n] * qpoch(q ** float(n + 1) * a * b, q, n))
+        )
+        norms.append(ratio * mass)
+    return norms
 
 
 def big_qjacobi_gram_matrix(nmax, p):
@@ -440,6 +455,21 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     return total / norm
 
 
+def _little_qjacobi_norms(nmax, a, b, q):
+    """[little_qjacobi_norm(n, a, b, q) for n <= nmax], each (e;q)_n read
+    from one running product per parameter."""
+    q = check_q(q)
+    qb, qq, qa, qab = (_qpoch_prefix(e, q, nmax) for e in (q * b, q, q * a, q * a * b))
+    return [
+        (q * a) ** n
+        * (1.0 - q * a * b)
+        * qb[n]
+        * qq[n]
+        / ((1.0 - q ** float(2 * n + 1) * a * b) * qa[n] * qab[n])
+        for n in range(nmax + 1)
+    ]
+
+
 def little_qjacobi_norm(n, a, b, q):
     """Closed-form diagonal of the normalized Gram:
 
@@ -566,18 +596,17 @@ def family_norms(fam, nmax):
     return None if norms is None else norms(nmax, *fam.params, fam.q)
 
 
-def _finite_gram(series, weight):
+def _finite_gram(series, weights):
     """Gram builder of a family whose last parameter is N: the exact sum
-    over the points q^{-x}, x = 0..N, with weight(x, *params, q).  The
-    series of every degree is summed at all points in one walk, a column
-    of degrees against the row of points."""
+    over the points q^{-x}, x = 0..N, with the N + 1 weights of
+    weights(*params, q).  The series of every degree is summed at all
+    points in one walk, a column of degrees against the row of points."""
 
     def build(nmax, *args):
-        xs = range(args[-2] + 1)
         q = args[-1]
         nodes = _qpow(q, -np.arange(args[-2] + 1))
         v = series(np.arange(nmax + 1)[:, None], nodes, *args)
-        return gram(v, np.array([weight(x, *args) for x in xs], dtype=complex))
+        return gram(v, np.array(weights(*args), dtype=complex))
 
     return build
 
@@ -590,13 +619,14 @@ def _q_hahn(n, x, a, b, big_n, q):
     )
 
 
-def _q_hahn_weight(x, a, b, big_n, q):
-    return (
-        qpoch(a * q, q, x)
-        * qpoch(b * q, q, big_n - x)
-        * (a * q) ** float(-x)
-        / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
-    )
+def _q_hahn_weights(a, b, big_n, q):
+    """The q-Hahn weights (aq;q)_x (bq;q)_{N-x} (aq)^{-x} / ((q;q)_x (q;q)_{N-x}),
+    x = 0..N, from one running product per parameter."""
+    qa, qb, qq = (_qpoch_prefix(e, q, big_n) for e in (a * q, b * q, q))
+    return [
+        qa[x] * qb[big_n - x] * (a * q) ** float(-x) / (qq[x] * qq[big_n - x])
+        for x in range(big_n + 1)
+    ]
 
 
 def _q_krawtchouk(n, x, b, big_n, q):
@@ -615,13 +645,20 @@ def _affine_qinv_krawtchouk(n, x, b, big_n, q):
     )
 
 
-def _affine_qinv_krawtchouk_weight(x, b, big_n, q):
-    return (
-        qpoch(b * q, q, big_n - x)
-        * (-1.0) ** (big_n - x)
-        * q ** (x * (x - 1) / 2)
-        / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
-    )
+def _q_krawtchouk_weights(b, big_n, q):
+    """The q-Krawtchouk weights (q^{-N};q)_x (-b)^x / (q;q)_x, x = 0..N."""
+    qn, qq = (_qpoch_prefix(e, q, big_n) for e in (q ** float(-big_n), q))
+    return [qn[x] * (-b) ** x / qq[x] for x in range(big_n + 1)]
+
+
+def _affine_qinv_krawtchouk_weights(b, big_n, q):
+    """The affine q^{-1}-Krawtchouk weights
+    (bq;q)_{N-x} (-1)^{N-x} q^{x(x-1)/2} / ((q;q)_x (q;q)_{N-x}), x = 0..N."""
+    qb, qq = (_qpoch_prefix(e, q, big_n) for e in (b * q, q))
+    return [
+        qb[big_n - x] * (-1.0) ** (big_n - x) * q ** (x * (x - 1) / 2) / (qq[x] * qq[big_n - x])
+        for x in range(big_n + 1)
+    ]
 
 
 def _q_meixner(n, x, a, c, q):
@@ -721,18 +758,13 @@ _family(
     "q_hahn",
     ("a", "b", "N"),
     _q_hahn,
-    gram=_finite_gram(_q_hahn, _q_hahn_weight),
+    gram=_finite_gram(_q_hahn, _q_hahn_weights),
 )
 _family(
     "q_krawtchouk",
     ("b", "N"),
     _q_krawtchouk,
-    gram=_finite_gram(
-        _q_krawtchouk,
-        lambda x, b, big_n, q: qpoch(q ** float(-big_n), q, x)
-        * (-b) ** x
-        / qpoch(q, q, x),
-    ),
+    gram=_finite_gram(_q_krawtchouk, _q_krawtchouk_weights),
 )
 _family(
     "affine_q_krawtchouk",
@@ -740,17 +772,14 @@ _family(
     _affine_q_krawtchouk,
     # the q-Hahn polynomial Q_n(x; a, 0, N; q)
     lambda n, x, a, big_n, q: _q_hahn(n, x, a, 0, big_n, q),
-    _finite_gram(
-        _affine_q_krawtchouk,
-        lambda x, a, big_n, q: _q_hahn_weight(x, a, 0, big_n, q),
-    ),
+    _finite_gram(_affine_q_krawtchouk, lambda a, big_n, q: _q_hahn_weights(a, 0, big_n, q)),
 )
 _family(
     "affine_qinv_krawtchouk",
     ("b", "N"),
     _affine_qinv_krawtchouk,
     lambda n, x, b, big_n, q: _q_meixner(n, x, q ** float(-big_n - 1), -1.0 / b, q),
-    _finite_gram(_affine_qinv_krawtchouk, _affine_qinv_krawtchouk_weight),
+    _finite_gram(_affine_qinv_krawtchouk, _affine_qinv_krawtchouk_weights),
 )
 _family("q_meixner", ("a", "c"), _q_meixner)
 _family(
@@ -767,7 +796,7 @@ _family(
     lambda n, x, a, q: little_qjacobi(n, x, a, 0.0, q),
     _wall_alt,
     lambda nmax, a, q: little_qjacobi_gram_matrix(nmax, a, 0.0, q),
-    lambda nmax, a, q: [little_qjacobi_norm(n, a, 0.0, q) for n in range(nmax + 1)],
+    lambda nmax, a, q: _little_qjacobi_norms(nmax, a, 0.0, q),
 )
 _family("moak", ("alpha",), _moak, _moak_alt, _moak_gram)
 _family(
@@ -786,7 +815,7 @@ _family(
     little_qjacobi,
     lambda n, x, a, b, q: little_qjacobi(n, x, a, b, q, form="3phi2"),
     little_qjacobi_gram_matrix,
-    lambda nmax, a, b, q: [little_qjacobi_norm(n, a, b, q) for n in range(nmax + 1)],
+    _little_qjacobi_norms,
 )
 _family("case_3a", ("b",), _case_3a)
 

@@ -649,3 +649,52 @@ def test_cached_parser_is_reentrant(capsys, monkeypatch):
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(calls) - 1)
     assert cli._build_parser().parse_args(calls[2]).tolerance is None
+
+
+def _two_level(argv):
+    """The reference parse: the top parser's parse_args, which hands a
+    command's arguments to its subparser and reports what is left over."""
+    try:
+        args = cli._build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return 2 if exc.code not in (0, None) else 0
+    return cli._run(args.command, args)
+
+
+PARSE_CASES = [
+    ["eval", "gammaq", "z=3", "q=0.5"],
+    ["verify", "q_gauss", "--samples", "2", "--seed", "3"],
+    ["ortho", "moak", "alpha=0.7", "q=0.5", "--nmax", "2"],
+    ["table", "theta4", "q=0.5", "--grid", "x=0:0.2:0.1"],
+    ["limits", "exp_from_Eq"],
+    ["ortho", "wall", "a=0.4", "--q", "0.5", "--nmax", "2"],
+    ["ortho", "wall", "a=0.4", "q=0.5", "--nmax", "2", "--out", "{out}"],
+    ["ortho", "wall", "a=0.4", "q=0.5", "--nmax", "2", "--format", "csv"],
+    ["ortho", "aw", "a=0.6", "b=0.4", "c=-0.3", "d=0.2", "q=0.55", "--format", "json"],
+    [],
+    ["--help"],
+    ["ortho", "--help"],
+    ["nosuch", "x=1"],
+    ["ortho", "wall", "a=0.4", "q=0.5", "--bogus"],
+    ["ortho", "wall", "a=0.4", "q=0.5", "--nmax", "two"],
+    ["verify", "all", "extra"],
+    ["ortho", "aw", "a=0.6", "--nmax", "2", "b=0.4", "c=-0.3", "d=0.2", "q=0.55"],
+    ["--q", "0.5", "ortho", "wall", "a=0.4"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "no-arguments")
+def test_command_parser_matches_the_two_level_parse(argv, tmp_path, capsys):
+    # main parses a command's arguments with its subparser alone; exit
+    # code, stdout, stderr and the --out file are those of the full parse
+    target = tmp_path / "report.txt"
+    argv = [a.format(out=target) for a in argv]
+    seen = []
+    for run in (main, _two_level):
+        code = run(list(argv))
+        out, err = capsys.readouterr()
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        seen.append((code, out, err, written))
+    assert seen[0] == seen[1]
+    assert seen[0][0] in (0, 2)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import pytest
 
 from qspecial import LimitReport, limits, list_paths, run_limit
@@ -143,6 +144,42 @@ def test_terminating_sum_keeps_the_full_sums_bits_on_random_draws():
                         complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 1e-30])
         want, _ = _full_sum(uppers, lowers, z, n)
         assert repr(hyp_terminating(uppers, lowers, z)) == repr(want), (i, uppers, lowers, z)
+
+
+def test_terminating_sum_snaps_an_integer_only_within_rounding():
+    # -2.0000000005 is 5e-10 from -2: no integer, so the sum runs to k = 5
+    with mpmath.workdps(50):
+        want = complex(mpmath.hyper([-5, mpmath.mpf(-2.0000000005)], [1.5], 30))
+    got = hyp_terminating([-5, -2.0000000005], [1.5], 30.0)
+    assert abs(got - want) <= 1e-12 * abs(want)
+    # the width's edges: limits._INTEGER_ULPS ulps of |r| (of 1 at r = 0)
+    for r in (0, -1, -8, -40):
+        width = limits._INTEGER_ULPS * math.ulp(max(-r, 1))
+        for sign in (1.0, -1.0):
+            assert limits._is_nonpositive_int(r + sign * width) == r
+            assert limits._is_nonpositive_int(complex(r, sign * width)) == r
+            beyond = r + sign * (width + math.ulp(r + sign * width))
+            assert limits._is_nonpositive_int(beyond) is None, (r, sign)
+            assert limits._is_nonpositive_int(complex(r, sign * 2 * width)) is None
+    assert limits._is_nonpositive_int(1) is None
+
+
+def test_racah_accepts_each_lower_parameter_formed_as_a_sum():
+    # alpha + 1, beta + delta + 1 or gamma + 1 equal to -N, the last two as
+    # float sums that round off -N by a few ulps
+    rng = random.Random(28)
+    for _ in range(300):
+        big_n = rng.randrange(0, 30)
+        b, c, d = rng.uniform(0.01, 5.0), rng.uniform(0.01, 5.0), rng.uniform(0.01, 5.0)
+        for par in (
+            dict(alpha=-big_n - 1.0, beta=b, gamma=c, delta=d),
+            dict(alpha=c, beta=b, gamma=d, delta=-big_n - 1.0 - b),
+            dict(alpha=c, beta=b, gamma=-big_n - 1.0, delta=d),
+        ):
+            n, x = rng.randrange(0, big_n + 1), rng.randrange(0, big_n + 1)
+            assert math.isfinite(abs(classical_eval("racah", n, x, **par))), par
+    with pytest.raises(DomainError):
+        classical_eval("racah", 1, 1, alpha=-2.0000000005, beta=0.3, gamma=0.2, delta=0.4)
 
 
 def test_terminating_sum_past_a_lower_pole_still_raises():

@@ -25,6 +25,7 @@ from qspecial.qcore import (
     MAX_TERMS,
     QUIET_TERMS,
     TAIL_EPSILON,
+    _qpoch_prefix,
     check_q,
     log_qpoch_inf,
     qpoch_base_inverted,
@@ -409,3 +410,38 @@ def test_tail_sum_max_terms_raises():
         tail_sum(itertools.repeat(1.0), "no tail here", max_terms=10)
     # a finite iterator shorter than the budget is summed
     assert tail_sum(iter([1.0] * 9), "unused", max_terms=10)[0] == 9.0
+
+
+def test_qpoch_prefix_is_each_qpoch():
+    # one running product in the kernel's factor order gives every
+    # (a;q)_k of qpoch bit for bit, real a on floats and complex a in complex
+    rng = random.Random(28)
+    for i in range(400):
+        q = rng.uniform(0.05, 0.99)
+        a = rng.uniform(-4.0, 4.0) * 10.0 ** rng.choice([-3, 0, 0, 1])
+        if i % 2:
+            a = complex(a, rng.uniform(-4.0, 4.0))
+        n = rng.randrange(0, 80)
+        got = _qpoch_prefix(a, q, n)
+        assert len(got) == n + 1
+        for k, v in enumerate(got):
+            assert type(v) is complex and v == qpoch(a, q, k), (a, q, k)
+    assert _qpoch_prefix(0.3, 0.5, 0) == [1.0]
+    assert _qpoch_prefix(2.0, 0.5, 3)[2:] == [0.0, 0.0]  # the factor 1 - 2q^1
+
+
+@pytest.mark.parametrize("a", [1e300, complex(1e300, 1e300), -3e200])
+def test_qpoch_prefix_raises_where_qpoch_first_does(a):
+    q = 0.5
+    first = next(k for k in range(10) if not cmath.isfinite(kernels.qpoch_finite(a, q, k)))
+    with pytest.raises(OutOfRangeError) as want:
+        qpoch(a, q, first)
+    assert _qpoch_prefix(a, q, first - 1) == [qpoch(a, q, k) for k in range(first)]
+    for n in (first, first + 5):
+        with pytest.raises(OutOfRangeError) as got:
+            _qpoch_prefix(a, q, n)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(DomainError):
+        _qpoch_prefix(0.3, 1.0, 3)
+    with pytest.raises(DomainError):
+        _qpoch_prefix(math.nan, 0.5, 3)

@@ -19,17 +19,24 @@ from qspecial import (
     family_eval,
     little_qjacobi,
     little_qjacobi_norm,
+    qpoch,
 )
 from qspecial import askey_wilson, kernels, qorthopoly, qseries
-from qspecial.askey_wilson import AWParams, aw_gram_quadrature, q_racah, q_racah_gram_matrix
+from qspecial.askey_wilson import (
+    AWParams, aw_gram_quadrature, aw_norm, aw_norms, q_racah, q_racah_gram_matrix
+)
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qorthopoly import (
     _FAMILIES,
+    _affine_qinv_krawtchouk_weights,
     _moak,
     _moak_alt,
     _moak_recurrence_table,
+    _q_hahn_weights,
+    _q_krawtchouk_weights,
     al_salam_carlitz_u,
     big_qjacobi_gram_matrix,
+    big_qjacobi_norms,
     big_qjacobi_recurrence,
     big_qjacobi_recurrence_table,
     big_qjacobi_eigenvalue,
@@ -483,6 +490,69 @@ def test_family_norms_keep_each_degrees_bits():
     assert family_norms(FamilyParams("moak", 0.5, alpha=0.7), 3) is None
     with pytest.raises(DomainError):
         family_norms(FamilyParams("wall", 0.5, a=0.4), -1)
+
+
+# the weights of the finite families, one qpoch per factor and node: the
+# second path of the running products in qorthopoly
+
+
+def _q_hahn_weight(x, a, b, big_n, q):
+    return (
+        qpoch(a * q, q, x)
+        * qpoch(b * q, q, big_n - x)
+        * (a * q) ** float(-x)
+        / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
+    )
+
+
+def _q_krawtchouk_weight(x, b, big_n, q):
+    return qpoch(q ** float(-big_n), q, x) * (-b) ** x / qpoch(q, q, x)
+
+
+def _affine_qinv_krawtchouk_weight(x, b, big_n, q):
+    return (
+        qpoch(b * q, q, big_n - x)
+        * (-1.0) ** (big_n - x)
+        * q ** (x * (x - 1) / 2)
+        / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
+    )
+
+
+def test_norms_and_weights_keep_each_degrees_bits():
+    # the report norms and the finite weights read every (e;q)_n from one
+    # running product; each equals its per-degree (per-node) form
+    rng = random.Random(28)
+    s = lambda lo, hi: rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
+    for _ in range(20):
+        q = rng.uniform(0.05, 0.95)
+        nmax = rng.randrange(0, 16)
+        degrees = range(nmax + 1)
+        a, b = s(0.05, 0.95), s(0.05, 0.95)
+        if rng.random() < 0.5:  # a conjugate pair
+            p = AWParams(complex(a, b), complex(a, -b), s(0.05, 0.95), s(0.05, 0.95), q)
+        else:
+            p = AWParams(a, b, s(0.05, 0.95), s(0.05, 0.95), q)
+        assert aw_norms(nmax, p) == [aw_norm(n, p) for n in degrees]
+        # a, b above -c/(dq) and -d/(cq): the positive-weight regime
+        a, b = rng.uniform(-0.15, 0.95), rng.uniform(-0.15, 0.95)
+        p = BigQJacobiParams(a, b, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), q)
+        assert big_qjacobi_norms(nmax, p) == [big_qjacobi_norm(n, p) for n in degrees]
+        a, b = rng.uniform(0.05, 0.95), s(0.05, 0.95)
+        for name, kw, form in [
+            ("little_q_jacobi", dict(a=a, b=b), lambda n: little_qjacobi_norm(n, a, b, q)),
+            ("wall", dict(a=a), lambda n: little_qjacobi_norm(n, a, 0.0, q)),
+        ]:
+            assert family_norms(FamilyParams(name, q, **kw), nmax) == [form(n) for n in degrees]
+        big_n = rng.randrange(0, 25)
+        points = range(big_n + 1)
+        assert _q_hahn_weights(a, b, big_n, q) == [_q_hahn_weight(x, a, b, big_n, q) for x in points]
+        assert _q_hahn_weights(a, 0, big_n, q) == [_q_hahn_weight(x, a, 0, big_n, q) for x in points]
+        assert _q_krawtchouk_weights(b, big_n, q) == [
+            _q_krawtchouk_weight(x, b, big_n, q) for x in points
+        ]
+        assert _affine_qinv_krawtchouk_weights(b, big_n, q) == [
+            _affine_qinv_krawtchouk_weight(x, b, big_n, q) for x in points
+        ]
 
 
 def test_al_salam_carlitz_u_series_matches_big_qjacobi_recurrence():

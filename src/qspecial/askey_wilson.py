@@ -13,7 +13,10 @@ qcore.log_qpoch_inf (one peel and one log series for every node), scaled
 by the largest weight, so the module holds no product loop of its own.
 The recurrence table is closed forms in q^k over all degrees at once, so
 the recurrence path makes no q-Pochhammer product per degree; at
-(a, b, 0, 0) it is the Al-Salam-Chihara recurrence.
+(a, b, 0, 0) it is the Al-Salam-Chihara recurrence.  The norms are one
+closed form over all degrees, aw_norms, of which aw_norm is entry n, and
+each run (e;q)_k, k = 0..n, of the norms and of the Fourier sums of
+continuous q-Hermite and q-ultraspherical is one running product.
 """
 
 import cmath
@@ -154,10 +157,10 @@ def _cqh_z(n, z, q):
     inf once a power z^{n-2k} leaves the double range.
     """
     total = 0.0 + 0.0j
-    cn = qpoch(q, q, n)
+    qq = _qpoch_prefix(q, q, n)
     try:
         for k in range(n + 1):
-            total += cn / (qpoch(q, q, k) * qpoch(q, q, n - k)) * z ** (n - 2 * k)
+            total += qq[n] / (qq[k] * qq[n - k]) * z ** (n - 2 * k)
     except OverflowError:
         return complex(math.inf)
     return total
@@ -214,33 +217,21 @@ def aw_leading_coefficient(n, p):
     return 2.0**n * qpoch(p.q ** float(n - 1) * a * b * c * d, p.q, n)
 
 
-def aw_norm_ratio(n, p):
-    """h_n / h_0 = (1-q^{n-1}abcd)(q,ab,ac,ad,bc,bd,cd;q)_n
-                     / ((1-q^{2n-1}abcd)(abcd;q)_n)."""
-    a, b, c, d = p.abcd
-    q = p.q
-    abcd = a * b * c * d
-    pairs = [q, a * b, a * c, a * d, b * c, b * d, c * d]
-    return (
-        (1.0 - q ** float(n - 1) * abcd)
-        * qpoch_list(pairs, q, n)
-        / ((1.0 - q ** float(2 * n - 1) * abcd) * qpoch(abcd, q, n))
-    )
-
-
 def aw_norm(n, p):
-    """Quadratic norm h_n = (1/2 pi) int_0^pi p_n^2 w d theta, via
-
-    h_0 = (abcd;q)_oo / (q, ab, ac, ad, bc, bd, cd;q)_oo
-
-    and the closed-form ratio h_n/h_0."""
-    return _h0(p) * aw_norm_ratio(n, p)
+    """Quadratic norm h_n = (1/2 pi) int_0^pi p_n^2 w d theta: entry n of
+    aw_norms."""
+    return aw_norms(n, p)[n]
 
 
 def aw_norms(nmax, p):
-    """The norms h_0..h_nmax, each equal to aw_norm(n, p): the infinite
-    products of h_0 formed once, and each (e;q)_n of aw_norm_ratio read
-    from one running product per parameter e."""
+    """The quadratic norms h_0..h_nmax in closed form,
+
+    h_0 = (abcd;q)_oo / (q, ab, ac, ad, bc, bd, cd;q)_oo,
+    h_n = h_0 (1-q^{n-1}abcd)(q,ab,ac,ad,bc,bd,cd;q)_n
+              / ((1-q^{2n-1}abcd)(abcd;q)_n),
+
+    with the infinite products formed once and each (e;q)_n read from one
+    running product per parameter e."""
     h0 = _h0(p)
     a, b, c, d = p.abcd
     q = p.q
@@ -375,14 +366,10 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
     if form == "fourier":
         # the printed sum ((q^{-n},beta;q)_k/(q^{1-n}/beta,q;q)_k)(q/beta)^k
         # rewritten with k <-> n-k symmetric coefficients
+        bb, qq = _qpoch_prefix(beta, q, n), _qpoch_prefix(q, q, n)
         total = 0.0 + 0.0j
         for k in range(n + 1):
-            total += (
-                qpoch(beta, q, k)
-                * qpoch(beta, q, n - k)
-                / (qpoch(q, q, k) * qpoch(q, q, n - k))
-                * cmath.exp(1j * (n - 2 * k) * theta)
-            )
+            total += bb[k] * bb[n - k] / (qq[k] * qq[n - k]) * cmath.exp(1j * (n - 2 * k) * theta)
         return _double(total, "q_ultraspherical")
     if form == "phi":
         if beta == 0:

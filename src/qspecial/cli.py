@@ -14,6 +14,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -370,6 +371,11 @@ def cmd_ortho(args, out):
 # table
 
 
+# each grid row is one evaluation and one output line, held in memory
+# until the table prints: a grid longer than this is a mistyped step
+_MAX_GRID_ROWS = 100_000
+
+
 def _parse_grid(spec):
     try:
         var, _, rng = spec.partition("=")
@@ -381,12 +387,16 @@ def _parse_grid(spec):
         )
     if not var:
         raise UsageError(f"malformed grid {spec!r} (empty variable)")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"grid start, stop and step must be finite in {spec!r}")
     if step <= 0:
         raise UsageError(f"grid step must be positive in {spec!r}")
     if stop < start:
         raise UsageError(f"grid stop below start in {spec!r}")
-    count = int((stop - start) / step + 1e-9) + 1
-    return var, [start + k * step for k in range(count)]
+    span = (stop - start) / step + 1e-9
+    if span >= _MAX_GRID_ROWS:  # int(span) + 1 rows
+        raise UsageError(f"grid {spec!r} has more than {_MAX_GRID_ROWS} rows")
+    return var, [start + k * step for k in range(int(span) + 1)]
 
 
 def cmd_table(args, out):

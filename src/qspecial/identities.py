@@ -31,6 +31,7 @@ from qspecial.qcore import (
     INFINITY,
     QUIET_TERMS,
     TAIL_EPSILON,
+    _qpoch_prefix,
     qbinomial,
     qpoch,
     qpoch_inf_ratio,
@@ -243,15 +244,14 @@ def _spow(a, e, order):
 
 def _euler_plus_series(x, q, order):
     """z-series of (xz;q)_oo: coefficients (-x)^k q^{k(k-1)/2}/(q;q)_k."""
-    out = []
-    for k in range(order + 1):
-        out.append((-x) ** k * q ** (k * (k - 1) / 2.0) / qpoch(q, q, k))
-    return out
+    qq = _qpoch_prefix(q, q, order)
+    return [(-x) ** k * q ** (k * (k - 1) / 2.0) / qq[k] for k in range(order + 1)]
 
 
 def _euler_minus_series(x, q, order):
     """z-series of 1/(xz;q)_oo: coefficients x^k/(q;q)_k."""
-    return [x**k / qpoch(q, q, k) for k in range(order + 1)]
+    qq = _qpoch_prefix(q, q, order)
+    return [x**k / qq[k] for k in range(order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -1066,10 +1066,8 @@ _add(
 
 def _qpoch_convolution_rhs(p):
     q, a, b, n = p["q"], p["a"], p["b"], p["n"]
-    return _sum(
-        qbinomial(n, k, q) * b**k * qpoch(a, q, k) * qpoch(b, q, n - k)
-        for k in range(n + 1)
-    )
+    qa, qb = _qpoch_prefix(a, q, n), _qpoch_prefix(b, q, n)
+    return _sum(qbinomial(n, k, q) * b**k * qa[k] * qb[n - k] for k in range(n + 1))
 
 
 _add(
@@ -1276,12 +1274,8 @@ def _asc_genfn_rhs(p):
     q, c, d, theta = p["q"], p["c"], p["d"], p["theta"]
     # recurrence evaluation: the series form loses digits past degree 7
     rec = aw_recurrence_table(_GF_ORDER, AWParams(c, d, 0, 0, q))
-    out, qq, f = [], 1.0 + 0.0j, complex(q)  # (q;q)_m, in the kernel's factor order
-    for value in eval_all(rec, math.cos(theta))[:, 0]:
-        out.append(value / qq)
-        qq *= 1.0 - f
-        f *= q
-    return tuple(out)
+    values = eval_all(rec, math.cos(theta))[:, 0]
+    return tuple(value / qq for value, qq in zip(values, _qpoch_prefix(q, q, _GF_ORDER)))
 
 
 _add(

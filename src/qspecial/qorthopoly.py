@@ -21,9 +21,13 @@ weight at b = 0.
 
 The big q-Jacobi and Moak recurrence tables are closed forms in q^k over
 all degrees at once; the a = 0 and a = b = 0 degenerations of big
-q-Jacobi take the same forms.
+q-Jacobi take the same forms.  So are the big and little q-Jacobi norms:
+big_qjacobi_norm and little_qjacobi_norm return entry n of the lists.
+Each run (e;q)_k, k = 0..n, of a norm, a finite weight or the q-Taylor
+coefficients is one running product.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,9 +35,9 @@ from functools import partial
 
 import numpy as np
 
-from qspecial.errors import DomainError
+from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import _qpoch_prefix, _qpow, check_q, qpoch, qpoch_inf_ratio, qpoch_list
+from qspecial.qcore import _qpoch_prefix, _qpow, check_q, qpoch, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram, lattice_gram
 
@@ -248,36 +252,20 @@ def big_qjacobi_weight_integral(p):
     )
 
 
-def _big_qjacobi_norm_ratio(n, p):
-    """The norm of the monic polynomial over the weight integral:
-
-    q^{n(n-1)/2} (cd)^n (q, qa, qb, -qbc/d, -qad/c;q)_n
-        / ((q^2 ab;q)_{2n} (q^{n+1}ab;q)_n)."""
-    q = p.q
-    return (
-        q ** (n * (n - 1) / 2)
-        * (p.c * p.d) ** n
-        * qpoch_list(
-            [q, q * p.a, q * p.b, -q * p.b * p.c / p.d, -q * p.a * p.d / p.c], q, n
-        )
-        / (
-            qpoch(q * q * p.a * p.b, q, 2 * n)
-            * qpoch(q ** float(n + 1) * p.a * p.b, q, n)
-        )
-    )
-
-
 def big_qjacobi_norm(n, p):
-    """Quadratic norm of the monic polynomial: the closed-form ratio of
-    _big_qjacobi_norm_ratio times the weight integral."""
-    return _big_qjacobi_norm_ratio(n, p) * big_qjacobi_weight_integral(p)
+    """Quadratic norm of the monic polynomial: entry n of big_qjacobi_norms."""
+    return big_qjacobi_norms(n, p)[n]
 
 
 def big_qjacobi_norms(nmax, p):
-    """The norms of degrees 0..nmax, each equal to big_qjacobi_norm(n, p):
-    the weight integral formed once, and the (e;q)_n and (q^2 ab;q)_{2n}
-    of _big_qjacobi_norm_ratio read from one running product per
-    parameter."""
+    """The quadratic norms of the monic polynomials of degrees 0..nmax in
+    closed form: the weight integral times
+
+    q^{n(n-1)/2} (cd)^n (q, qa, qb, -qbc/d, -qad/c;q)_n
+        / ((q^2 ab;q)_{2n} (q^{n+1}ab;q)_n),
+
+    with the weight integral formed once and each (e;q)_n and
+    (q^2 ab;q)_{2n} read from one running product per parameter."""
     mass = big_qjacobi_weight_integral(p)
     q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
     runs = [_qpoch_prefix(e, q, nmax) for e in (q, q * a, q * b, -q * b * c / d, -q * a * d / c)]
@@ -376,17 +364,12 @@ def qtaylor_coefficients(f, n, a, c, q):
         = c_k (-1)^k (qa/c)^k q^{k(k-1)/2} (q;q)_k / (1-q)^k.
     """
     q = check_q(q)
+    qq = _qpoch_prefix(q, q, n)
     coeffs = []
     g = f
     for k in range(n + 1):
         point = c / (q ** (k + 1) * a)
-        denom = (
-            (-1.0) ** k
-            * (q * a / c) ** k
-            * q ** (k * (k - 1) / 2)
-            * qpoch(q, q, k)
-            / (1.0 - q) ** k
-        )
+        denom = (-1.0) ** k * (q * a / c) ** k * q ** (k * (k - 1) / 2) * qq[k] / (1.0 - q) ** k
         coeffs.append(g(point) / denom)
         g = (lambda h: lambda x: qderiv_backward(h, x, q))(g)
     return coeffs
@@ -456,8 +439,11 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
 
 
 def _little_qjacobi_norms(nmax, a, b, q):
-    """[little_qjacobi_norm(n, a, b, q) for n <= nmax], each (e;q)_n read
-    from one running product per parameter."""
+    """The closed-form diagonal of the normalized Gram, degrees 0..nmax,
+
+    (qa)^n (1-qab)(qb;q)_n (q;q)_n / ((1-q^{2n+1}ab)(qa;q)_n (qab;q)_n),
+
+    with each (e;q)_n read from one running product per parameter."""
     q = check_q(q)
     qb, qq, qa, qab = (_qpoch_prefix(e, q, nmax) for e in (q * b, q, q * a, q * a * b))
     return [
@@ -471,22 +457,9 @@ def _little_qjacobi_norms(nmax, a, b, q):
 
 
 def little_qjacobi_norm(n, a, b, q):
-    """Closed-form diagonal of the normalized Gram:
-
-    (qa)^n (1-qab)(qb;q)_n (q;q)_n / ((1-q^{2n+1}ab)(qa;q)_n (qab;q)_n).
-    """
-    q = check_q(q)
-    return (
-        (q * a) ** n
-        * (1.0 - q * a * b)
-        * qpoch(q * b, q, n)
-        * qpoch(q, q, n)
-        / (
-            (1.0 - q ** float(2 * n + 1) * a * b)
-            * qpoch(q * a, q, n)
-            * qpoch(q * a * b, q, n)
-        )
-    )
+    """Closed-form diagonal of the normalized Gram: entry n of
+    _little_qjacobi_norms."""
+    return _little_qjacobi_norms(n, a, b, q)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +592,26 @@ def _q_hahn(n, x, a, b, big_n, q):
     )
 
 
+def _weight_power(base, x):
+    """base ** x in a finite weight: DomainError where base = 0 and x < 0,
+    OutOfRangeError where the power leaves the double range."""
+    if base == 0 and x < 0:
+        raise DomainError(f"weight power 0^{x} undefined")
+    try:
+        value = base**x
+    except (OverflowError, ZeroDivisionError):  # a tiny complex base: 1 / base^{-x} underflowed
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise OutOfRangeError(f"weight power ({base})^{x} outside the double range")
+    return value
+
+
 def _q_hahn_weights(a, b, big_n, q):
     """The q-Hahn weights (aq;q)_x (bq;q)_{N-x} (aq)^{-x} / ((q;q)_x (q;q)_{N-x}),
     x = 0..N, from one running product per parameter."""
     qa, qb, qq = (_qpoch_prefix(e, q, big_n) for e in (a * q, b * q, q))
     return [
-        qa[x] * qb[big_n - x] * (a * q) ** float(-x) / (qq[x] * qq[big_n - x])
+        qa[x] * qb[big_n - x] * _weight_power(a * q, float(-x)) / (qq[x] * qq[big_n - x])
         for x in range(big_n + 1)
     ]
 
@@ -648,7 +635,7 @@ def _affine_qinv_krawtchouk(n, x, b, big_n, q):
 def _q_krawtchouk_weights(b, big_n, q):
     """The q-Krawtchouk weights (q^{-N};q)_x (-b)^x / (q;q)_x, x = 0..N."""
     qn, qq = (_qpoch_prefix(e, q, big_n) for e in (q ** float(-big_n), q))
-    return [qn[x] * (-b) ** x / qq[x] for x in range(big_n + 1)]
+    return [qn[x] * _weight_power(-b, x) / qq[x] for x in range(big_n + 1)]
 
 
 def _affine_qinv_krawtchouk_weights(b, big_n, q):

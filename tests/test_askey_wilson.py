@@ -30,6 +30,7 @@ from qspecial import (
 )
 from qspecial.askey_wilson import (
     _midpoint_grid,
+    _z_of_x,
     al_salam_chihara,
     aw_gram_quadrature,
     aw_leading_coefficient,
@@ -224,6 +225,33 @@ def test_q_ultraspherical_three_forms():
         s = max(1.0, abs(v1))
         assert abs(v1 - v2) <= 1e-9 * s
         assert abs(v1 - v3) <= 1e-9 * s
+
+
+def test_fourier_sums_keep_the_bits_of_their_per_k_forms():
+    # continuous q-Hermite and the fourier form of q-ultraspherical read
+    # each (e;q)_k from one running product; each equals its sum with one
+    # qpoch per factor and k
+    rng = random.Random(29)
+    s = lambda lo, hi: rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
+    for i in range(300):
+        q, n = rng.uniform(0.05, 0.95), rng.randrange(0, 25)
+        x = s(0.0, 1.5) if i % 2 else complex(s(0.0, 2.0), s(0.0, 1.0))
+        z = _z_of_x(x)
+        want = 0.0 + 0.0j
+        for k in range(n + 1):
+            want += qpoch(q, q, n) / (qpoch(q, q, k) * qpoch(q, q, n - k)) * z ** (n - 2 * k)
+        assert continuous_q_hermite(n, x, q) == want
+        theta = rng.uniform(0.0, math.pi)
+        beta = s(0.0, 1.5) if i % 2 else complex(s(0.0, 1.0), s(0.0, 1.0))
+        want = 0.0 + 0.0j
+        for k in range(n + 1):
+            want += (
+                qpoch(beta, q, k)
+                * qpoch(beta, q, n - k)
+                / (qpoch(q, q, k) * qpoch(q, q, n - k))
+                * cmath.exp(1j * (n - 2 * k) * theta)
+            )
+        assert q_ultraspherical(n, theta, beta, q) == want
 
 
 def test_values_above_the_double_range_raise_naming_the_function():

@@ -449,6 +449,30 @@ def test_table_malformed_grid(capsys):
         ["table", "theta4", "q=0.5", "--grid", "x=0:1"], capsys
     )
     assert code == 2
+    # a non-finite end or step, and grids past the row cap: the last would
+    # list 10^12 values if its rows were not counted first
+    for grid, message in [
+        ("z=0:0.5:nan", "must be finite"),
+        ("z=inf:inf:1", "must be finite"),
+        ("z=0:1:1e-12", "more than"),
+        ("z=-1e308:1e308:1", "more than"),
+    ]:
+        code, out, err = run_cli(["table", "eq", "q=0.5", "--grid", grid], capsys)
+        assert (code, out) == (2, ""), grid
+        assert err.startswith("error: grid") and message in err, grid
+
+
+def test_finite_weights_outside_their_domain_are_errors(capsys):
+    # a power of a weight past the double range, and (aq)^{-x} at a = 0
+    for argv, error in [
+        ("ortho q_krawtchouk b=1e200 N=10 q=0.5 --nmax 3", "outside the double range"),
+        ("ortho q_hahn a=1e-300 b=0.4 N=10 q=0.5 --nmax 3", "outside the double range"),
+        ("ortho affine_q_krawtchouk a=0 N=3 q=0.5 --nmax 2", "undefined"),
+    ]:
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: weight power") and error in err, argv
+        assert "Traceback" not in err
 
 
 def test_limits_single_path(capsys):

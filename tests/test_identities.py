@@ -10,11 +10,12 @@ import mpmath
 import pytest
 
 from qspecial import INFINITY, identities, kernels, list_identities, qseries, verify, verify_all
+from qspecial import askey_wilson, continuous_q_hermite, q_ultraspherical
 from qspecial.askey_wilson import AWParams, aw_recurrence_table
 from qspecial.errors import DomainError, QSpecialError
 from qspecial.identities import TOLERANCES, VerificationReport, get_identity
 from qspecial.qcalculus import qintegral_0a
-from qspecial.qcore import qpoch, qpoch_list, tail_sum
+from qspecial.qcore import qbinomial, qpoch, qpoch_list, tail_sum
 from qspecial.qfunctions import E_q, gamma_q
 from qspecial.qorthopoly import little_qjacobi
 from qspecial.recurrence import eval_all
@@ -427,6 +428,51 @@ def test_product_sides_form_no_infinite_product_by_the_list(monkeypatch):
     monkeypatch.setattr(identities, "qpoch_list", finite_only)
     for identity_id in list_identities():
         assert verify(identity_id, samples=1, seed=0).passed, identity_id
+
+
+def test_coefficient_sides_keep_the_bits_of_their_per_k_forms():
+    # the Euler series, the q-Pochhammer convolution and the Al-Salam-Chihara
+    # coefficient stream read each (e;q)_k from one running product; each
+    # equals its form with one qpoch per factor and k
+    rng = random.Random(29)
+    s = lambda lo, hi: rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
+    for i in range(300):
+        q = rng.uniform(0.05, 0.95)
+        x = s(0.0, 1.5) if i % 2 else complex(s(0.0, 1.5), s(0.0, 1.5))
+        assert identities._euler_plus_series(x, q, 12) == [
+            (-x) ** k * q ** (k * (k - 1) / 2.0) / qpoch(q, q, k) for k in range(13)
+        ]
+        assert identities._euler_minus_series(x, q, 12) == [
+            x**k / qpoch(q, q, k) for k in range(13)
+        ]
+        a, n = x, rng.randrange(0, 11)
+        b = s(0.2, 1.5) if i % 3 else complex(s(0.2, 1.0), s(0.2, 1.0))
+        want = identities._sum(
+            qbinomial(n, k, q) * b**k * qpoch(a, q, k) * qpoch(b, q, n - k) for k in range(n + 1)
+        )
+        assert identities._qpoch_convolution_rhs(dict(q=q, a=a, b=b, n=n)) == want
+        p = dict(q=min(q, 0.78), c=s(0.2, 0.8), d=s(0.2, 0.8), theta=rng.uniform(0.2, 3.0))
+        rec = aw_recurrence_table(12, AWParams(p["c"], p["d"], 0, 0, p["q"]))
+        values = eval_all(rec, math.cos(p["theta"]))[:, 0]
+        want = tuple(value / qpoch(p["q"], p["q"], m) for m, value in enumerate(values))
+        assert identities._asc_genfn_rhs(p) == want
+
+
+def test_prefix_sides_make_no_q_pochhammer_calls(monkeypatch):
+    # a run of (e;q)_k over k = 0..n is one running product, not one qpoch
+    # per k
+    calls = []
+    for module in (askey_wilson, identities):
+        qpoch_at_site = module.qpoch
+        monkeypatch.setattr(
+            module, "qpoch", lambda *args, f=qpoch_at_site: calls.append(args) or f(*args)
+        )
+    continuous_q_hermite(20, 0.3, 0.7)
+    q_ultraspherical(20, 1.1, 0.4, 0.7)
+    record = get_identity("alsalam_chihara_genfn")
+    p = {"q": 0.6, "c": 0.5, "d": -0.3, "theta": 1.2}
+    record.lhs(p), record.rhs(p)
+    assert calls == []
 
 
 def _lower_ok_reference(vals, q, margin=0.05):

@@ -55,7 +55,7 @@ from qspecial.qorthopoly import (
     quadratic_transform_check,
 )
 from qspecial.qcalculus import qintegral_0a
-from qspecial.qcore import QUIET_TERMS
+from qspecial.qcore import QUIET_TERMS, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import _conditioning_scope
 from qspecial.recurrence import _TailRule, eval_all, lattice_gram
 
@@ -479,21 +479,53 @@ def test_family_norms_keep_each_degrees_bits():
         nmax = rng.randrange(0, 12)
         degrees = range(nmax + 1)
         assert family_norms(FamilyParams("al_salam_carlitz_u", q, a=u), nmax) == [
-            big_qjacobi_norm(n, BigQJacobiParams(0, 0, 1.0, -u, q)) for n in degrees
+            _big_qjacobi_norm(n, BigQJacobiParams(0, 0, 1.0, -u, q)) for n in degrees
         ]
         assert family_norms(FamilyParams("wall", q, a=a), nmax) == [
-            little_qjacobi_norm(n, a, 0.0, q) for n in degrees
+            _little_qjacobi_norm(n, a, 0.0, q) for n in degrees
         ]
         assert family_norms(FamilyParams("little_q_jacobi", q, a=a, b=b), nmax) == [
-            little_qjacobi_norm(n, a, b, q) for n in degrees
+            _little_qjacobi_norm(n, a, b, q) for n in degrees
         ]
     assert family_norms(FamilyParams("moak", 0.5, alpha=0.7), 3) is None
     with pytest.raises(DomainError):
         family_norms(FamilyParams("wall", 0.5, a=0.4), -1)
 
 
-# the weights of the finite families, one qpoch per factor and node: the
-# second path of the running products in qorthopoly
+# the per-degree closed-form norms and the weights of the finite families,
+# one qpoch per factor, degree and node: the second path of the running
+# products in askey_wilson and qorthopoly
+
+
+def _aw_norm(n, p):
+    a, b, c, d = p.abcd
+    q, abcd = p.q, a * b * c * d
+    pairs = [q, a * b, a * c, a * d, b * c, b * d, c * d]
+    return qpoch_inf_ratio([abcd], pairs, q) * (
+        (1.0 - q ** float(n - 1) * abcd)
+        * qpoch_list(pairs, q, n)
+        / ((1.0 - q ** float(2 * n - 1) * abcd) * qpoch(abcd, q, n))
+    )
+
+
+def _big_qjacobi_norm(n, p):
+    q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
+    return (
+        q ** (n * (n - 1) / 2)
+        * (c * d) ** n
+        * qpoch_list([q, q * a, q * b, -q * b * c / d, -q * a * d / c], q, n)
+        / (qpoch(q * q * a * b, q, 2 * n) * qpoch(q ** float(n + 1) * a * b, q, n))
+    ) * big_qjacobi_weight_integral(p)
+
+
+def _little_qjacobi_norm(n, a, b, q):
+    return (
+        (q * a) ** n
+        * (1.0 - q * a * b)
+        * qpoch(q * b, q, n)
+        * qpoch(q, q, n)
+        / ((1.0 - q ** float(2 * n + 1) * a * b) * qpoch(q * a, q, n) * qpoch(q * a * b, q, n))
+    )
 
 
 def _q_hahn_weight(x, a, b, big_n, q):
@@ -519,8 +551,9 @@ def _affine_qinv_krawtchouk_weight(x, b, big_n, q):
 
 
 def test_norms_and_weights_keep_each_degrees_bits():
-    # the report norms and the finite weights read every (e;q)_n from one
-    # running product; each equals its per-degree (per-node) form
+    # the norm lists and the finite weights read every (e;q)_n from one
+    # running product; each entry equals its per-degree (per-node) form, and
+    # each public per-degree norm is that entry
     rng = random.Random(28)
     s = lambda lo, hi: rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
     for _ in range(20):
@@ -532,17 +565,20 @@ def test_norms_and_weights_keep_each_degrees_bits():
             p = AWParams(complex(a, b), complex(a, -b), s(0.05, 0.95), s(0.05, 0.95), q)
         else:
             p = AWParams(a, b, s(0.05, 0.95), s(0.05, 0.95), q)
-        assert aw_norms(nmax, p) == [aw_norm(n, p) for n in degrees]
+        want = [_aw_norm(n, p) for n in degrees]
+        assert aw_norms(nmax, p) == want
+        assert [aw_norm(n, p) for n in degrees] == want
         # a, b above -c/(dq) and -d/(cq): the positive-weight regime
         a, b = rng.uniform(-0.15, 0.95), rng.uniform(-0.15, 0.95)
         p = BigQJacobiParams(a, b, rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), q)
-        assert big_qjacobi_norms(nmax, p) == [big_qjacobi_norm(n, p) for n in degrees]
+        want = [_big_qjacobi_norm(n, p) for n in degrees]
+        assert big_qjacobi_norms(nmax, p) == want
+        assert [big_qjacobi_norm(n, p) for n in degrees] == want
         a, b = rng.uniform(0.05, 0.95), s(0.05, 0.95)
-        for name, kw, form in [
-            ("little_q_jacobi", dict(a=a, b=b), lambda n: little_qjacobi_norm(n, a, b, q)),
-            ("wall", dict(a=a), lambda n: little_qjacobi_norm(n, a, 0.0, q)),
-        ]:
-            assert family_norms(FamilyParams(name, q, **kw), nmax) == [form(n) for n in degrees]
+        for name, kw, b_form in [("little_q_jacobi", dict(a=a, b=b), b), ("wall", dict(a=a), 0.0)]:
+            want = [_little_qjacobi_norm(n, a, b_form, q) for n in degrees]
+            assert family_norms(FamilyParams(name, q, **kw), nmax) == want
+            assert [little_qjacobi_norm(n, a, b_form, q) for n in degrees] == want
         big_n = rng.randrange(0, 25)
         points = range(big_n + 1)
         assert _q_hahn_weights(a, b, big_n, q) == [_q_hahn_weight(x, a, b, big_n, q) for x in points]

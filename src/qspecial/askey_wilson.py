@@ -4,9 +4,8 @@ The Askey-Wilson weight on the unit circle, its integral in closed form
 and by spectrally accurate periodic quadrature, the four-parameter
 polynomials (series and recurrence paths), quadratic norms, the second
 order q-difference operator, and the special and limit families:
-q-ultraspherical (three printed forms), Al-Salam-Chihara, continuous
-q-Hermite, and the finite q-Racah family with numerically derived
-weights.
+q-ultraspherical (three printed forms), continuous q-Hermite, and the
+finite q-Racah family with numerically derived weights.
 
 The quadrature weights on a node grid come from one array call of
 qcore.log_qpoch_inf (one peel and one log series for every node), scaled
@@ -328,11 +327,6 @@ def aw_qdifference_residual(n, z, p):
     pm = _aw_poly_z(n, z / q, p)
     eig = (1.0 - q ** float(-n)) * (1.0 - q ** float(n - 1) * a * b * c * d)
     return az * pq - (az + azi) * p0 + azi * pm + eig * p0
-
-
-def al_salam_chihara(n, x, a, b, q):
-    """Al-Salam-Chihara polynomial p_n(x; a, b, 0, 0 | q)."""
-    return aw_poly(n, x, AWParams(a, b, 0, 0, q))
 
 
 def continuous_q_hermite(n, x, q):

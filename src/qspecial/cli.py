@@ -13,6 +13,7 @@ closed the output pipe early (without a traceback), 2 usage error.
 import argparse
 import functools
 import inspect
+import itertools
 import json
 import math
 import os
@@ -362,8 +363,8 @@ def cmd_ortho(args, out):
         gram, closed, notes = _call(_ORTHO[args.family], params, args)
     else:  # a tableau family with a printed measure
         fam = _family_params(args.family, params)
+        closed, notes = family_norms(fam, args.nmax), []  # names a degree no norm has
         gram = family_gram_matrix(fam, args.nmax)
-        closed, notes = family_norms(fam, args.nmax), []
     return _gram_report(gram, closed, out, args.format, notes)
 
 
@@ -403,23 +404,11 @@ def cmd_table(args, out):
     base = _params(args)
     if not args.grid:
         raise UsageError("table requires at least one --grid var=start:stop:step")
-    grids = [_parse_grid(g) for g in args.grid]
-    names = [g[0] for g in grids]
+    names, grids = zip(*map(_parse_grid, args.grid))
     rows = []
-
-    def walk(idx, assignment):
-        if idx == len(grids):
-            params = dict(base)
-            for name, value in assignment:
-                params[name] = repr(value)
-            value = _eval_target(args.target, params)
-            rows.append([*(v for _, v in assignment), value])
-            return
-        var, values = grids[idx]
-        for v in values:
-            walk(idx + 1, [*assignment, (var, v)])
-
-    walk(0, [])
+    for point in itertools.product(*grids):  # row-major: the last grid varies fastest
+        params = {**base, **{name: repr(v) for name, v in zip(names, point)}}
+        rows.append([*point, _eval_target(args.target, params)])
     _emit_rows([*names, "value"], rows, args.format, out)
     return 0
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import _qpoch_prefix, _qpow, check_q, qpoch, qpoch_inf_ratio
+from qspecial.qcore import _in_range, _qpoch_prefix, _qpow, check_q, qpoch, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram, lattice_gram
 
@@ -265,7 +265,11 @@ def big_qjacobi_norms(nmax, p):
         / ((q^2 ab;q)_{2n} (q^{n+1}ab;q)_n),
 
     with the weight integral formed once and each (e;q)_n and
-    (q^2 ab;q)_{2n} read from one running product per parameter."""
+    (q^2 ab;q)_{2n} read from one running product per parameter.  Where
+    q^{n(n-1)/2} or (cd)^n alone leaves the double range, their product
+    multiplies the other factors as (q^{(n-1)/2} cd)^n, so that a norm
+    inside the range is returned; OutOfRangeError names the first degree
+    whose norm is not."""
     mass = big_qjacobi_weight_integral(p)
     q, a, b, c, d = p.q, p.a, p.b, p.c, p.d
     runs = [_qpoch_prefix(e, q, nmax) for e in (q, q * a, q * b, -q * b * c / d, -q * a * d / c)]
@@ -273,13 +277,21 @@ def big_qjacobi_norms(nmax, p):
     norms = []
     for n in range(nmax + 1):
         num = math.prod([run[n] for run in runs], start=1.0 + 0.0j)  # qpoch_list's order
-        ratio = (
-            q ** (n * (n - 1) / 2)
-            * (c * d) ** n
-            * num
-            / (doubled[2 * n] * qpoch(q ** float(n + 1) * a * b, q, n))
-        )
-        norms.append(ratio * mass)
+        den = doubled[2 * n] * qpoch(q ** float(n + 1) * a * b, q, n)
+        scale = q ** (n * (n - 1) / 2)
+        try:
+            norm = scale * (c * d) ** n * num / den * mass
+        except OverflowError:
+            norm = None
+        if norm is None or not _in_range(scale):
+            # (q^{(n-1)/2} cd)^n one factor at a time: |norm| moves one way,
+            # so it leaves the double range only where its end does
+            norm = num / den * mass
+            for _ in range(n):
+                norm *= q ** ((n - 1) / 2) * c * d
+        if not cmath.isfinite(norm):
+            raise OutOfRangeError(f"big q-Jacobi norm h_{n} outside the double range")
+        norms.append(norm)
     return norms
 
 
@@ -446,14 +458,13 @@ def _little_qjacobi_norms(nmax, a, b, q):
     with each (e;q)_n read from one running product per parameter."""
     q = check_q(q)
     qb, qq, qa, qab = (_qpoch_prefix(e, q, nmax) for e in (q * b, q, q * a, q * a * b))
-    return [
-        (q * a) ** n
-        * (1.0 - q * a * b)
-        * qb[n]
-        * qq[n]
-        / ((1.0 - q ** float(2 * n + 1) * a * b) * qa[n] * qab[n])
-        for n in range(nmax + 1)
-    ]
+    norms = []
+    for n in range(nmax + 1):
+        den = (1.0 - q ** float(2 * n + 1) * a * b) * qa[n] * qab[n]
+        if den == 0:
+            raise DomainError(f"little q-Jacobi norm at n = {n} divides by 0")
+        norms.append((q * a) ** n * (1.0 - q * a * b) * qb[n] * qq[n] / den)
+    return norms
 
 
 def little_qjacobi_norm(n, a, b, q):

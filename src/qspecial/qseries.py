@@ -26,6 +26,12 @@ so each node's value is its point walk's, bit for bit.  (numpy's complex
 division is not CPython's, so a complex walk over nodes rounds apart from
 the point walk.)
 
+A series terminates only at an upper parameter q^{-n}, to within 8 (n + 1)
+ulps of q ** float(-n), the rounding of forming it (_termination_degree, at
+a point, at each entry over nodes and for the lower parameter 1 = q^0
+alike); the least such n is found once, when the SeriesSpec is built.  Any
+other series is classified by its radius.
+
 Every walk returns sum |t_k| with its value; inside a _conditioning_scope
 it also records the amplification sum |t_k| / |sum t_k|, the condition
 number of the sum, for whoever opened the scope.
@@ -43,8 +49,14 @@ from qspecial import kernels
 from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.qcore import MAX_TERMS, TAIL_EPSILON, check_q, qpoch_list
 
-_TERMINATION_RTOL = 1e-12
+# q^{-n} formed as a pow, a product or quotient of powers, or numpy's power
+# over nodes lies a few ulps from q ** float(-n): 8 (n + 1) ulps hold every
+# catalog and Gram spec, while a relative 1e-12 cut off 32 (1 + 1e-13) at
+# q = 1/2, a series that does not terminate, after 6 terms.
+_SNAP_ULPS = 8
 _MAX_TERMINATION_N = 10_000
+_NO_DEGREE = _MAX_TERMINATION_N + 1  # the degree of a series that does not terminate
+_BELOW_ONE = 1.0 - _SNAP_ULPS * math.ulp(1.0)  # below it no parameter is q^{-n}, n >= 0
 
 _SCOPE = ContextVar("qspecial_conditioning_scope", default=None)
 
@@ -97,7 +109,8 @@ def _entry(v):
 class SeriesSpec:
     """Descriptor of an (r,s) series: upper/lower parameter lists, base,
     argument.  z and the parameters may be numpy arrays over nodes (see
-    phi_walk), and then nodes is True; q is one number."""
+    phi_walk), and then nodes is True; q is one number.  degree is the least
+    n of an upper parameter q^{-n}, else _NO_DEGREE; an int array over nodes."""
 
     upper: tuple
     lower: tuple
@@ -113,15 +126,28 @@ class SeriesSpec:
         object.__setattr__(self, "q", check_q(q))
         object.__setattr__(self, "z", entry(z))
         object.__setattr__(self, "nodes", nodes)
-        for v in self.upper + self.lower + (self.z,):
+        entries = self.upper + self.lower + (self.z,)
+        for v in entries:
             if not (np.isfinite(v).all() if nodes else cmath.isfinite(v)):
                 raise DomainError(f"series entries must be finite, got {v}")
+        q = self.q
+        if nodes:
+            shape = np.broadcast(*(v for v in entries if isinstance(v, np.ndarray))).shape
+            degree = np.full(shape, _NO_DEGREE)
+            for a in self.upper:
+                degree = np.minimum(degree, _entry_degrees(a, q))
+        else:  # a loop, not min(): this is the top self-time of point evaluations
+            degree = _NO_DEGREE
+            for a in self.upper:
+                n = _termination_degree(a, q)
+                if n < degree:
+                    degree = n
+        object.__setattr__(self, "degree", degree)
         # b = 1 makes the first factor 1 - b of (b;q)_k vanish; a lower
         # parameter at 1/q, 1/q^2, ... raises when the walk reaches its zero
         for b in self.lower:
-            one = (b.imag == 0) & (abs(b.real - 1.0) <= _TERMINATION_RTOL)
-            if one.any() if isinstance(b, np.ndarray) else one:
-                raise DomainError(f"lower parameter {b} is 1 within {_TERMINATION_RTOL:g}")
+            if np.any(_entry_degrees(b, q) == 0) if nodes else _termination_degree(b, q) == 0:
+                raise DomainError(f"lower parameter {b} is 1 within rounding")
 
     @property
     def r(self):
@@ -145,27 +171,24 @@ class ConvergenceClass:
         return self.radius
 
 
-def _as_negative_power(a, q):
-    """Return n >= 0 when a is numerically q^{-n}, else None."""
-    if a == 0 or a.imag != 0 or a.real <= 0:
-        return None
+def _termination_degree(a, q):
+    """n when the number a is real and within _SNAP_ULPS (n + 1) ulps of
+    q ** float(-n), 0 <= n <= _MAX_TERMINATION_N; else _NO_DEGREE."""
     x = a.real
-    if x > 1.0 + 1e-15 or abs(x - 1.0) <= 1e-12:
-        n = round(-math.log(x) / math.log(q))
-        if 0 <= n <= _MAX_TERMINATION_N and abs(x - q**-n) <= _TERMINATION_RTOL * q**-n:
-            return n
-    return None
+    if a.imag or x < _BELOW_ONE:
+        return _NO_DEGREE
+    n = round(math.log(x) / -math.log(q))
+    if not 0 <= n <= _MAX_TERMINATION_N:
+        return _NO_DEGREE
+    try:
+        power = q ** float(-n)
+    except OverflowError:  # x within half a power of q of the largest double
+        return _NO_DEGREE
+    return n if abs(x - power) <= _SNAP_ULPS * (n + 1) * math.ulp(power) else _NO_DEGREE
 
 
-def _negative_powers(a, q):
-    """_as_negative_power at every entry of the array a, with
-    _MAX_TERMINATION_N + 1 where the entry is no q^{-n}.  Its test
-    x > 1 + 1e-15 or |x - 1| <= 1e-12 is x >= 1 - 1e-12."""
-    x = np.where(a.imag == 0, a.real, 0.0)
-    n = np.rint(np.log(np.maximum(x, 1.0 - 1e-12)) / -math.log(q))
-    power = q**-n
-    hit = (n <= _MAX_TERMINATION_N) & (np.abs(x - power) <= _TERMINATION_RTOL * power)
-    return np.where(hit, n, _MAX_TERMINATION_N + 1).astype(int)
+# an entry of a spec over nodes takes the rule at each of its entries
+_entry_degrees = np.vectorize(_termination_degree, otypes=[int])
 
 
 def _one_point(spec):
@@ -178,13 +201,8 @@ def _one_point(spec):
 def classify(spec):
     """Classify by termination first, then by the ratio test on (r,s)."""
     _one_point(spec)
-    best = None
-    for a in spec.upper:
-        n = _as_negative_power(a, spec.q)
-        if n is not None and (best is None or n < best):
-            best = n
-    if best is not None:
-        return ConvergenceClass("TERMINATING", best)
+    if spec.degree <= _MAX_TERMINATION_N:
+        return ConvergenceClass("TERMINATING", spec.degree)
     if spec.r < spec.s + 1:
         return ConvergenceClass("INFINITE")
     if spec.r == spec.s + 1:
@@ -212,26 +230,18 @@ def _phi_nodes(spec):
     """phi_walk of a spec with array entries: kernels.phi_sum's loop, its
     terms, factor order and (-q^k)^(1+s-r), at every node at once.
 
-    Each node sums through k = n, n the least m of its upper parameters
-    q^{-m}, as classify finds it at a point; a node with none raises
-    DomainError.  When no entry is complex the walk runs in float64, as
-    the kernel runs a real walk on floats, so each node's value and
-    sum |t_k| are its point walk's bits.  Overflow gives inf or nan, with
-    no numpy warning, so that the lattice walk can name the node; a zero
-    denominator at a node still summing raises DomainError."""
-    q, upper = spec.q, spec.upper
-    entries = upper + spec.lower + (spec.z,)
-    shape = np.broadcast(*(v for v in entries if isinstance(v, np.ndarray))).shape
-    stop = np.full(shape, _MAX_TERMINATION_N + 1)
-    for a in upper:
-        n = _negative_powers(a, q) if isinstance(a, np.ndarray) else _as_negative_power(a, q)
-        if n is not None:
-            stop = np.minimum(stop, n)
+    Each node sums through k = n, n the spec's degree at that node; a node
+    with none raises DomainError.  When no entry is complex the walk runs
+    in float64, as the kernel runs a real walk on floats, so each node's
+    value and sum |t_k| are its point walk's bits.  Overflow gives inf or
+    nan, with no numpy warning, so that the lattice walk can name the
+    node; a zero denominator at a node still summing raises DomainError."""
+    q, upper, stop = spec.q, spec.upper, spec.degree
     if (stop > _MAX_TERMINATION_N).any():
         raise DomainError("a series over nodes must terminate at every node")
     lower, power = (q,) + spec.lower, 1 + spec.s - spec.r
     first, last = int(stop.min()), int(stop.max())
-    total, term, mass, qk = np.ones(shape), 1.0, np.ones(shape), 1.0
+    total, term, mass, qk = np.ones(stop.shape), 1.0, np.ones(stop.shape), 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(last):
             # scalar factors stay Python numbers, in the kernel's order
@@ -355,8 +365,8 @@ def reverse_terminating(spec):
         raise DomainError("series is not terminating")
     if spec.r != spec.s + 1:
         raise DomainError("reversal implemented for (s+1)_phi_s shape only")
-    n = _as_negative_power(spec.upper[0], spec.q)
-    if n is None or n != cls.n:
+    n = cls.n
+    if _termination_degree(spec.upper[0], spec.q) != n:
         raise DomainError("upper[0] must be q^{-n} realizing the termination degree")
     if any(a == 0 for a in spec.upper[1:]) or any(b == 0 for b in spec.lower):
         raise DomainError("zero parameters are not supported in reversal")
@@ -373,11 +383,6 @@ def reverse_terminating(spec):
     )
     new_upper = [q ** float(-n)] + [q ** float(1 - n) / b for b in spec.lower]
     new_lower = [q ** float(1 - n) / a for a in rest]
-    prod_b = 1.0 + 0.0j
-    for b in spec.lower:
-        prod_b *= b
-    prod_a = 1.0 + 0.0j
-    for a in rest:
-        prod_a *= a
+    prod_b, prod_a = math.prod(spec.lower, start=1 + 0j), math.prod(rest, start=1 + 0j)
     new_z = q ** float(n + 1) * prod_b / (prod_a * z)
     return SeriesSpec(new_upper, new_lower, q, new_z), prefactor

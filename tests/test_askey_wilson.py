@@ -31,7 +31,6 @@ from qspecial import (
 from qspecial.askey_wilson import (
     _midpoint_grid,
     _z_of_x,
-    al_salam_chihara,
     aw_gram_quadrature,
     aw_leading_coefficient,
     aw_qdifference_residual,
@@ -131,7 +130,7 @@ def test_aw_table_at_two_zero_parameters_is_the_al_salam_chihara_recurrence():
     # low degrees only: the 4phi3 series loses digits as n grows
     for n in (2, 4):
         for j, x in enumerate(xs):
-            v = al_salam_chihara(n, x, c, d, q)
+            v = aw_poly(n, x, AWParams(c, d, 0, 0, q))
             assert abs(rows[n, j] - v) <= 1e-9 * max(1.0, abs(v))
 
 
@@ -192,14 +191,6 @@ def test_qdifference_residual():
             res = aw_qdifference_residual(n, z, P)
             s = max(1.0, abs(aw_poly(n, math.cos(theta), P)))
             assert abs(res) <= 1e-9 * s
-
-
-def test_al_salam_chihara_is_two_parameter_specialization():
-    n, x = 4, 0.3
-    spec = AWParams(0.5, -0.35, 0.0, 0.0, 0.6)
-    assert complex(al_salam_chihara(n, x, 0.5, -0.35, 0.6)) == pytest.approx(
-        complex(aw_poly(n, x, spec)), rel=1e-11
-    )
 
 
 def test_continuous_q_hermite_recurrence():

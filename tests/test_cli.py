@@ -168,6 +168,21 @@ def test_table_over_the_degree_matches_eval(capsys):
         assert (code, out.splitlines()[-1]) == (0, value)
 
 
+def test_table_over_two_grids_is_row_major(capsys):
+    # the last grid varies fastest, and each row is the eval at its point
+    aw = ["a=0.6", "b=0.4", "c=-0.3", "d=0.2", "q=0.55"]
+    grids = ["--grid", "n=0:2:1", "--grid", "x=-0.5:0.5:0.5", "--format", "csv"]
+    code, out, _ = run_cli(["table", "aw", *aw, *grids], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["n", "x", "value"]
+    points = [(n, x) for n in (0, 1, 2) for x in (-0.5, 0.0, 0.5)]
+    assert [(float(n), float(x)) for n, x, _ in rows[1:]] == points
+    for (n, x), row in zip(points, rows[1:]):
+        code, out, _ = run_cli(["eval", "aw", f"n={n}", f"x={x}", *aw], capsys)
+        assert (code, out.splitlines()[-1]) == (0, row[2])
+
+
 def test_readme_command_lines_run(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -472,6 +487,22 @@ def test_finite_weights_outside_their_domain_are_errors(capsys):
         code, out, err = run_cli(argv.split(), capsys)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: weight power") and error in err, argv
+        assert "Traceback" not in err
+
+
+def test_norm_lists_outside_their_domain_are_errors(capsys):
+    # 1 - q^{2n+1}ab = 0 at n = 1, and h_71 of big q-Jacobi past the double
+    # range, where (cd)^n overflowed from n = 52
+    for argv, error in [
+        ("ortho little_q_jacobi a=0.5 b=16 q=0.5 --nmax 2", "norm at n = 1 divides by 0"),
+        (
+            "ortho big_qjacobi a=0.5 b=0.4 c=1e3 d=1e3 q=0.9 --nmax 120",
+            "norm h_71 outside the double range",
+        ),
+    ]:
+        code, out, err = run_cli(argv.split(), capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error:") and error in err, argv
         assert "Traceback" not in err
 
 

@@ -7,6 +7,7 @@ sums, dual series representations, and shift-operator algebra.
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -548,6 +549,26 @@ def _affine_qinv_krawtchouk_weight(x, b, big_n, q):
         * q ** (x * (x - 1) / 2)
         / (qpoch(q, q, x) * qpoch(q, q, big_n - x))
     )
+
+
+def test_big_qjacobi_norm_past_an_overflowing_power_matches_mpmath():
+    # (cd)^n overflows from n = 52 while q^{n(n-1)/2} (cd)^n times the rest
+    # stays a double through n = 70; 50-digit closed form from the same doubles
+    p = BigQJacobiParams(0.5, 0.4, 1e3, 1e3, 0.9)
+    norms = big_qjacobi_norms(70, p)
+    with mpmath.workdps(50):
+        a, b, c, d, q = (mpmath.mpf(v) for v in (0.5, 0.4, 1e3, 1e3, 0.9))
+        qp = lambda e, m=None: mpmath.qp(e, q, m)
+        mass = (1 - q) * c * qp(q) * qp(-d / c) * qp(-q * c / d) * qp(q * q * a * b)
+        mass /= qp(q * a) * qp(q * b) * qp(-q * b * c / d) * qp(-q * a * d / c)
+        for n in (52, 60, 70):
+            ref = q ** (n * (n - 1) / 2) * (c * d) ** n * mass
+            ref *= qp(q, n) * qp(q * a, n) * qp(q * b, n) * qp(-q * b * c / d, n)
+            ref *= qp(-q * a * d / c, n) / (qp(q * q * a * b, 2 * n) * qp(q ** (n + 1) * a * b, n))
+            assert abs(norms[n] / complex(ref) - 1) <= 1e-12, n
+    assert big_qjacobi_norms(60, p)[52] == norms[52]
+    with pytest.raises(OutOfRangeError, match="h_71"):
+        big_qjacobi_norms(71, p)
 
 
 def test_norms_and_weights_keep_each_degrees_bits():

@@ -5,6 +5,7 @@ plus classical closed forms (q-binomial theorem, triple product).
 """
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from qspecial import (
     INFINITY,
+    ConvergenceClass,
     SeriesSpec,
     classify,
     eval_phi,
@@ -141,6 +143,60 @@ def test_terminating_phi_matches_finite_sum(n, b, c, q):
         )
         total += term
     assert abs(val - total) <= 1e-10 * max(1.0, abs(total))
+
+
+@pytest.mark.parametrize("n", [0, 1, 40])
+@pytest.mark.parametrize("q", [0.5, 0.7])
+def test_termination_snaps_only_within_the_rounding_of_q_to_the_minus_n(n, q):
+    # a parameter 8 (n + 1) ulps of q^{-n} either side of it terminates the
+    # series at n, the next double beyond does not; a lower parameter so
+    # near 1 = q^0 is refused by the same rule
+    power = q ** float(-n)
+    width = 8 * (n + 1) * math.ulp(power)
+    for edge, beyond in ((power + width, math.inf), (power - width, -math.inf)):
+        terminating = classify(SeriesSpec([edge, 0.3], [0.7], q, 0.5))
+        assert terminating == ConvergenceClass("TERMINATING", n)
+        outside = math.nextafter(edge, beyond)
+        assert classify(SeriesSpec([outside, 0.3], [0.7], q, 0.5)).radius == "UNIT"
+        if n == 0:
+            with pytest.raises(DomainError, match="lower parameter"):
+                SeriesSpec([0.3], [edge], q, 0.5)
+            SeriesSpec([0.3], [outside], q, 0.5)
+
+
+def test_spec_over_nodes_takes_the_point_degree_at_each_node():
+    # entries at the snap width, one ulp beyond it, off the real line and
+    # away from every q^{-n}: a spec over nodes stores at each node the
+    # degree of the point spec there
+    rng = random.Random(17)
+    for _ in range(30):
+        q = rng.uniform(0.1, 0.95)
+
+        def draw():
+            n = rng.randrange(41)
+            power = q ** float(-n)
+            edge = power + rng.choice((-1, 1)) * 8 * (n + 1) * math.ulp(power)
+            beyond = math.nextafter(edge, 2 * edge - power)
+            off = (rng.uniform(0.5, 2.0) * power, complex(power, 1e-3), rng.uniform(-1.0, 1.0))
+            return rng.choice([power, edge, beyond, *off])
+
+        col = np.array([[draw()] for _ in range(4)])
+        row = np.array([draw() for _ in range(5)])
+        degree = SeriesSpec([col, 0.3, row], [0.7], q, 0.5).degree
+        assert degree.shape == (4, 5)
+        for i, j in np.ndindex(degree.shape):
+            point = SeriesSpec([col[i, 0], 0.3, row[j]], [0.7], q, 0.5).degree
+            assert degree[i, j] == point
+
+
+def test_near_negative_power_that_does_not_terminate_is_summed_by_its_radius():
+    # 32 (1 + 1e-13) is not 2^5 within rounding: at z = 3 the series
+    # diverges, and at z = 0.9 it is the sum of all its terms
+    a = 32 * (1 + 1e-13)
+    with pytest.raises(DomainError, match="requires"):
+        eval_phi(SeriesSpec([a, 0.3], [0.7], 0.5, 3.0))
+    value = eval_phi(SeriesSpec([a, 0.3], [0.7], 0.5, 0.9))
+    assert abs(value / -18296.762194564056036 - 1) <= 1e-14
 
 
 def test_unit_radius_rejects_large_argument():

@@ -293,148 +293,14 @@ def phi_walk(spec):
     return _walked(value, mass)
 
 
-# Double-double arithmetic: a number is an unevaluated pair hi + lo with
-# |lo| <= ulp(hi) / 2, about 106 bits (Dekker 1971; Hida, Li and Bailey
-# 2001).  Python 3.11 has no math.fma, so products split at 2^27 + 1.
-_SPLIT = 134217729.0
-
-
-def _split(a):
-    """a = hi + lo, each half of 26 bits or fewer."""
-    t = _SPLIT * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-def _two_sum(a, b):
-    s = a + b
-    v = s - a
-    return s, (a - (s - v)) + (b - v)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ah, al = _split(a)
-    bh, bl = _split(b)
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    t, f = _two_sum(xl, yl)
-    s, e = _two_sum(s, e + t)
-    return _two_sum(s, e + f)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _two_sum(p, e + (xh * yl + xl * yh))
-
-
-def _dd_div(xh, xl, yh, yl):
-    q1 = xh / yh
-    p, e = _two_prod(q1, yh)
-    r = ((xh - p) - e + xl) - q1 * yl
-    return _two_sum(q1, r / yh)
-
-
-def _dd_factors(h, l, params, qh, ql):
-    """(h + l) * prod (1 - p q^k) over the (p, hi, lo) of params, p and
-    its Dekker halves, in double-double; q^k = qh + ql.  The products of
-    _dd_mul, written out: this is the inner loop of _phi_dd."""
-    t = _SPLIT * qh
-    qhh = t - (t - qh)
-    qhl = qh - qhh
-    for a, ah, al in params:
-        p = a * qh  # a q^k = p + e
-        e = ((ah * qhh - p) + ah * qhl + al * qhh) + al * qhl + a * ql
-        s = 1.0 - p  # 1 - a q^k = s + f
-        v = s - 1.0
-        f = ((1.0 - (s - v)) - (p + v)) - e
-        fh = s + f
-        fl = f - (fh - s)
-        m = h * fh  # (h, l) * (fh, fl)
-        t = _SPLIT * h
-        hh = t - (t - h)
-        t = _SPLIT * fh
-        gh = t - (t - fh)
-        hl, gl = h - hh, fh - gh
-        e = ((hh * gh - m) + hh * gl + hl * gh) + hl * gl + (h * fl + l * fh)
-        h = m + e
-        l = e - (h - m)
-    return h, l
-
-
-def _phi_dd(upper, lower, q, z, n):
-    """The terminating series with real parameters upper and lower, real q
-    and z, and degree n, summed through k = n with its terms and partial
-    sums in double-double and rounded once to a double; None if that is
-    not finite (a term or the sum left the double range, or a zero
-    denominator), where the double walk stands.  Each factor 1 - p q^k is
-    formed from the double p, so this is the finite sum of the spec's own
-    doubles, to about (r + s + 2) n 2^-106 of its sum |t_k|."""
-    power = 1 + len(lower) - len(upper)
-    upper = [(a, *_split(a)) for a in upper]
-    lower = [(b, *_split(b)) for b in (q, *lower)]
-    th, tl, sh, sl, qh, ql = 1.0, 0.0, 1.0, 0.0, 1.0, 0.0  # t_0, the sum, q^0
-    for _ in range(n):
-        # t_k z prod (1 - a q^k) / prod (1 - b q^k) (-q^k)^power
-        nh, nl = _dd_factors(*_dd_mul(th, tl, z, 0.0), upper, qh, ql)
-        dh, dl = _dd_factors(1.0, 0.0, lower, qh, ql)
-        for _ in range(abs(power)):
-            if power > 0:
-                nh, nl = _dd_mul(nh, nl, -qh, -ql)
-            else:
-                dh, dl = _dd_mul(dh, dl, -qh, -ql)
-        if not dh:
-            return None
-        th, tl = _dd_div(nh, nl, dh, dl)
-        sh, sl = _dd_add(sh, sl, th, tl)
-        qh, ql = _dd_mul(qh, ql, q, 0.0)
-    value = sh + sl
-    return value if math.isfinite(value) else None
-
-
-# A real terminating sum whose walk amplifies rounding by more than this,
-# sum |t_k| / |sum t_k|, has lost more than 4 of its 16 digits in double;
-# eval_phi sums it again in double-double.
-_REFINE_AMPLIFICATION = 1e4
-
-
 def eval_phi(spec):
     """Evaluate the r_phi_s series: phi_walk(spec) without its sum |t_k|.
 
     UNIT class requires |z| < 1, ZERO class requires z = 0; a terminating
     series (an upper parameter q^{-n}) is summed through k = n for any z,
-    and may have array entries (an array of values comes back).  A real
-    terminating series whose walk amplifies rounding by more than
-    _REFINE_AMPLIFICATION is summed again in double-double (_phi_dd), at
-    a point and at each such node alike, so a node keeps its point's bits.
+    and may have array entries (an array of values comes back).
     """
-    value, mass = phi_walk(spec)
-    if spec.nodes:
-        if np.iscomplexobj(value):  # a walk over nodes is real only in float64
-            return value
-        at = np.flatnonzero(mass > _REFINE_AMPLIFICATION * np.abs(value))
-        if at.size:  # the point spec at each such node, as Python floats
-            entries = (spec.degree, spec.z, *spec.upper, *spec.lower)
-            columns = [np.broadcast_to(v, value.shape).ravel()[at].tolist() for v in entries]
-            for i, n, z, *params in zip(at.tolist(), *columns):
-                refined = _phi_dd(params[: spec.r], params[spec.r :], spec.q, z, n)
-                if refined is not None:
-                    value.flat[i] = refined
-        return value
-    if (
-        spec.degree <= _MAX_TERMINATION_N
-        and mass > _REFINE_AMPLIFICATION * abs(value)
-        and not any(v.imag for v in spec.upper + spec.lower + (spec.z,))
-    ):
-        refined = _phi_dd(
-            [a.real for a in spec.upper], [b.real for b in spec.lower], spec.q, spec.z.real, spec.degree
-        )
-        if refined is not None:
-            return complex(refined)
-    return value
+    return phi_walk(spec)[0]
 
 
 def psi_walk(spec):

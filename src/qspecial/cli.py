@@ -304,8 +304,7 @@ def _gram_report(gram, closed_diag, out, fmt, notes=()):
     """
     gram = gram.tolist()  # Python numbers for the row loop and the output
     nmax = len(gram) - 1
-    scale = max(abs(gram[n][n]) for n in range(nmax + 1))
-    scale = max(scale, 1e-300)
+    scale = max(max(abs(gram[n][n]) for n in range(nmax + 1)), 1e-300)
     breach = False
     rows = []
     for n in range(nmax + 1):
@@ -363,7 +362,8 @@ def cmd_ortho(args, out):
         gram, closed, notes = _call(_ORTHO[args.family], params, args)
     else:  # a tableau family with a printed measure
         fam = _family_params(args.family, params)
-        closed, notes = family_norms(fam, args.nmax), []  # names a degree no norm has
+        # norms first: a norm's DomainError names n before the Gram divides by that 0
+        closed, notes = family_norms(fam, args.nmax), []
         gram = family_gram_matrix(fam, args.nmax)
     return _gram_report(gram, closed, out, args.format, notes)
 

@@ -7,9 +7,9 @@ order q-difference operator, and the special and limit families:
 q-ultraspherical (three printed forms), continuous q-Hermite, and the
 finite q-Racah family with numerically derived weights.
 
-The quadrature weights on a node grid come from one array call of
-qcore.log_qpoch_inf (one peel and one log series for every node), scaled
-by the largest weight, so the module holds no product loop of its own.
+The quadrature weights on a node grid split each product by qcore's peel
+rule: the peeled factors are logs at the nodes, and the log-series tails
+of all products are one Fourier series, summed by one inverse FFT.
 The recurrence table is closed forms in q^k over all degrees at once, so
 the recurrence path makes no q-Pochhammer product per degree; at
 (a, b, 0, 0) it is the Al-Salam-Chihara recurrence.  The norms are one
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qspecial.errors import DomainError, OutOfRangeError
+from qspecial.errors import DomainError
 from qspecial.qcore import (
-    _exp_log, _finite, _qpoch_prefix, _qpow, check_q, log_qpoch_inf, qpoch, qpoch_inf_ratio,
-    qpoch_list,
+    _BLOCK, TAIL_EPSILON, _double, _exp_log, _finite, _peel_length, _qpoch_prefix, _qpow,
+    check_q, qpoch, qpoch_inf_ratio, qpoch_list,
 )
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram
@@ -92,28 +92,52 @@ def _midpoint_grid(p, n_nodes):
     """(cos theta, w / top, top / (2 n_nodes)) on z = e^{i theta},
     theta = 2 pi (j+1/2) / n_nodes, with top the largest |w|.
 
-    w is even in theta, so node n_nodes-1-j mirrors node j: the products
-    are formed on the upper half circle only, and an odd n_nodes keeps its
-    theta = pi node once.  When the parameter set equals its conjugate set,
-    (z^{-2};q)_oo and (e/z;q)_oo are the conjugates of (z^2;q)_oo and some
-    (e'z;q)_oo, so log w = 2 Re(log(z^2;q)_oo - sum_e log(ez;q)_oo) takes
-    five products; otherwise it takes all ten.  The products of all nodes
-    take one log_qpoch_inf; the scale alone leaves log form
-    (OutOfRangeError outside the double range), so no weight need be a
-    double.  The midpoint offset keeps the rule spectrally accurate while
-    avoiding the removable 0/0 points at z = +-1 that occur for boundary
-    parameters with |e| = 1.  Needs n_nodes >= 16."""
+    log w = log(z^2, z^{-2};q)_oo - sum_e log(ez, e/z;q)_oo.  Each
+    (a z^s;q)_oo is split by qcore's peel rule: the factors with
+    |a q^j| > 1/2 are logs at the nodes, and the rest is the log series
+    -sum_k (a q^n)^k z^{sk} / (k (1 - q^k)), so the tails of all ten make
+    one Fourier series sum_m F_m (e^{im theta} + e^{-im theta}), m >= 1.
+    At the nodes sum_m F_m e^{im theta_j} is one inverse FFT of
+    G[m mod n_nodes] += F_m e^{i pi m / n_nodes}, exact for m >= n_nodes
+    too.  When the parameter set equals its conjugate set, log w =
+    2 Re(log(z^2;q)_oo - sum_e log(ez;q)_oo), whose peeled factors are
+    real logs log|1 - a q^j z^s|.  w is even in theta: node n_nodes-1-j
+    mirrors node j, so the peeled factors are formed at half the nodes.
+    The scale alone leaves log form (OutOfRangeError outside the double
+    range), so no weight need be a double.  The midpoint offset avoids the
+    0/0 points z = +-1 of parameters with |e| = 1.  Needs n_nodes >= 16."""
+    from numpy.fft import ifft  # only a grid loads pocketfft
+
     if n_nodes < 16:
         raise DomainError("need n_nodes >= 16")
-    theta = 2.0 * math.pi * (np.arange((n_nodes + 1) // 2) + 0.5) / n_nodes
-    z = np.exp(1j * theta)
-    if p.conjugate_closed:
-        logs = log_qpoch_inf(np.array([z * z] + [e * z for e in p.abcd]), p.q)
-        log_w = 2.0 * (logs[0] - logs[1:].sum(axis=0)).real
-    else:
-        args = np.array([z * z, 1.0 / (z * z)] + [f for e in p.abcd for f in (e * z, e / z)])
-        logs = log_qpoch_inf(args, p.q)
-        log_w = logs[0] + logs[1] - logs[2:].sum(axis=0)
+    lq, half, closed = math.log(p.q), (n_nodes + 1) // 2, p.conjugate_closed
+    # (2j + 1) / n_nodes rounds once, so node j is node 3j + 1 of 3 n_nodes, bit for bit
+    theta = math.pi * ((2 * np.arange(half) + 1) / n_nodes)
+    # the products (a z^s;q)_oo with s > 0 and their signs in log w
+    a, (s, sign) = np.array([1.0, *p.abcd]), np.array([[2, 1, 1, 1, 1], [1, -1, -1, -1, -1]])
+    zs = np.exp(1j * np.outer(s, theta))
+    peels = [_peel_length(v, lq) for v in np.abs(a).tolist()]
+    pick = np.repeat(np.arange(5), peels)  # the product of each peeled factor
+    coef = a[pick] * np.exp(lq * np.concatenate([np.arange(n) for n in peels]))
+    head, block = np.zeros(half, float if closed else complex), max(1, _BLOCK // half)
+    for j in range(0, len(pick), block):
+        c, at = coef[j : j + block, None], pick[j : j + block]
+        f = 1.0 - c * zs[at]
+        logs = np.log(np.abs(f)) if closed else np.log(f * (1.0 - c * zs[at].conj()))
+        head += (sign[at, None] * logs).sum(axis=0)  # not @, which loads BLAS (0.3 MB)
+    b = a * np.exp(lq * np.array(peels))
+    r = np.abs(b).max()
+    # _log_tail's stop at the largest |b|, every term being at most r^k / (1 - q)
+    n_terms = math.ceil(math.log(TAIL_EPSILON * (1.0 - r) / r * -math.expm1(lq)) / math.log(r))
+    k = np.arange(1, n_terms + 1)
+    powers = np.cumprod(np.repeat(b[:, None], n_terms, axis=1), axis=1)  # b^k
+    terms, m = sign[:, None] * powers / (k * np.expm1(k * lq)), s[:, None] * k
+    g = np.zeros(n_nodes, complex)
+    np.add.at(g, m % n_nodes, terms * np.exp(1j * math.pi / n_nodes * m))
+    if not closed:
+        np.add.at(g, -m % n_nodes, terms * np.exp(-1j * math.pi / n_nodes * m))
+    tail = ifft(g, norm="forward")[:half]
+    log_w = 2.0 * (head + tail.real) if closed else head + tail
     top = log_w.real.max()
     scale = _exp_log(top - math.log(2.0 * n_nodes))
     x, w = np.cos(theta), np.exp(log_w - top)
@@ -127,14 +151,6 @@ def aw_integral_numeric(p, n_nodes=512):
     the rule is spectrally accurate).  Equals half the closed form."""
     _, w, scale = _midpoint_grid(p, n_nodes)
     return complex(np.sum(w)) * scale
-
-
-def _double(value, name):
-    """value; OutOfRangeError naming the function when a term or the value
-    left the double range (it is inf or NaN, or a power overflowed)."""
-    if not cmath.isfinite(value):
-        raise OutOfRangeError(f"{name}: value outside the double range")
-    return value
 
 
 def _z_of_x(x):

@@ -108,6 +108,14 @@ def _in_range(value):
     return _MIN_NORMAL <= abs(value) <= _MAX_DOUBLE
 
 
+def _double(value, name):
+    """value; OutOfRangeError naming the function when a term or the value
+    left the double range (it is inf or NaN, or a power overflowed)."""
+    if not cmath.isfinite(value):
+        raise OutOfRangeError(f"{name}: value outside the double range")
+    return value
+
+
 def _factor_count(a, q):
     """The number n of factors of the kernel product (a;q)_oo,
     qpoch_finite(a, q, n): the index of the first j with
@@ -132,9 +140,8 @@ def _factor_count(a, q):
 
 def _log_head(alist, lq, n):
     """sum_{j<n} log(1 - a q^j) for each a of alist: a loop for short
-    peels of a list, numpy blocks otherwise.  -inf when a factor vanishes."""
-    grid = isinstance(alist, np.ndarray)
-    if not grid and n * len(alist) <= 32:
+    peels, numpy blocks otherwise.  -inf when a factor vanishes."""
+    if n * len(alist) <= 32:
         qj = [math.exp(lq * j) for j in range(n)]
         out = []
         for a in alist:
@@ -155,22 +162,18 @@ def _log_head(alist, lq, n):
             f = a * np.exp(lq * np.arange(start, min(start + block, n)))
             np.subtract(1.0, f, out=f)
             out += np.log(f, out=f).sum(axis=1)
-    return out if grid else [complex(v) for v in out]
+    return [complex(v) for v in out]
 
 
 def _log_tail(b, lq):
     """log (b;q)_oo = -sum_{k>=1} b^k / (k (1 - q^k)) for |b| <= 1/2.
 
     The terms shrink at least by |b|, so the tail after a term t is below
-    |t| |b| / (1 - |b|); the sum stops when that is below TAIL_EPSILON.  An array b
-    stops with its largest |b|, whose terms bound those of every entry.
+    |t| |b| / (1 - |b|); the sum stops when that is below TAIL_EPSILON.
     """
-    size = abs
-    if isinstance(b, np.ndarray):
-        size = lambda t: np.abs(t).max(initial=0.0)
-    elif b.imag == 0:
+    if b.imag == 0:
         b = b.real
-    r = size(b)
+    r = abs(b)
     if r == 0:
         return 0.0
     stop = TAIL_EPSILON * (1.0 - r) / r
@@ -178,35 +181,36 @@ def _log_tail(b, lq):
     while True:
         t = power / (k * -math.expm1(k * lq))
         total -= t
-        if size(t) < stop:
+        if abs(t) < stop:
             return total
-        power = power * b  # not *=, which would scale an array b itself
+        power *= b
         k += 1
 
 
+def _peel_length(top, lq):
+    """The number n of factors with |a q^j| > _PEEL, |a| = top, that log (a;q)_oo
+    peels off as logs before its series in a q^n; ConvergenceError beyond _MAX_PEEL."""
+    if top <= _PEEL:
+        return 0
+    # log(top / _PEEL), also where the quotient itself would overflow
+    span = math.log(top / _PEEL) if top <= _MAX_DOUBLE * _PEEL else math.log(top) - math.log(_PEEL)
+    n = math.ceil(span / -lq)
+    if n > _MAX_PEEL:
+        raise ConvergenceError(f"(a;q)_oo would peel {n} factors, more than {_MAX_PEEL}")
+    return n
+
+
 def _log_qpochs(alist, q):
-    """log (a;q)_oo for each a of alist, a list or an array, with one peel
-    length n for all.
+    """log (a;q)_oo for each a of a list, with one peel length n for all.
 
     The factors with |a q^j| > 1/2 (j < n) are peeled off and their logs
     summed, so no partial product can underflow.  What is left, (b;q)_oo
     with b = a q^n and |b| <= 1/2, is the log of the q-binomial theorem
     (Gasper-Rahman 1990, Sec. 1.3).
     """
-    grid = isinstance(alist, np.ndarray)
     lq = math.log(q)
-    top = np.abs(alist).max(initial=0.0) if grid else max(abs(a) for a in alist)
-    if top > _PEEL:
-        # log(top / _PEEL), also where the quotient itself would overflow
-        span = math.log(top / _PEEL) if top <= _MAX_DOUBLE * _PEEL else math.log(top) - math.log(_PEEL)
-        n = math.ceil(span / -lq)
-    else:
-        n = 0
-    if n > _MAX_PEEL:
-        raise ConvergenceError(f"(a;q)_oo would peel {n} factors, more than {_MAX_PEEL}")
+    n = _peel_length(max(abs(a) for a in alist), lq)
     qn = math.exp(lq * n)
-    if grid:
-        return _log_head(alist, lq, n) + _log_tail(alist * qn, lq)
     heads = _log_head(alist, lq, n) if n else [0j] * len(alist)
     return [h + _log_tail(a * qn, lq) for h, a in zip(heads, alist)]
 
@@ -217,15 +221,9 @@ def log_qpoch_inf(a, q):
     Factors with |a q^j| > 1/2 are peeled off in log form; the rest is
     -sum_k b^k / (k (1 - q^k)), summed until its tail is below
     TAIL_EPSILON.  The real part is log|(a;q)_oo| (-inf when a factor
-    vanishes), the imaginary part a branch of its argument.  For a numpy
-    array a, one peel and one log series give the logs of every entry.
+    vanishes), the imaginary part a branch of its argument.
     """
     q = check_q(q)
-    if isinstance(a, np.ndarray):
-        a = a.astype(complex)
-        if not np.isfinite(a).all():
-            raise DomainError("arguments must be finite")
-        return _log_qpochs(a.ravel(), q).reshape(a.shape)
     return _log_qpochs([_finite(a)], q)[0]
 
 

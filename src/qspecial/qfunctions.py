@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from qspecial.errors import DomainError, OutOfRangeError
-from qspecial.qcore import INFINITY, check_q, qpoch, qpoch_inf_ratio
+from qspecial.qcore import INFINITY, _double, check_q, qpoch, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
 
@@ -148,8 +148,14 @@ def theta4_series(x, q):
     return eval_psi(SeriesSpec([], [0], q * q, q * w))
 
 
-def _bessel_prefactor(nu, q):
-    return qpoch_inf_ratio([q ** (nu + 1.0)], [q], q)
+def _bessel(nu, q, base, body, name):
+    """(q^{nu+1};q)_oo / (q;q)_oo base^nu body; OutOfRangeError naming the
+    function when base^nu overflows or the value is outside the double range."""
+    try:
+        power = base**nu
+    except OverflowError:
+        raise OutOfRangeError(f"{name}: value outside the double range") from None
+    return _double(qpoch_inf_ratio([q ** (nu + 1.0)], [q], q) * power * body, name)
 
 
 def jackson_bessel_1(nu, z, q):
@@ -159,7 +165,7 @@ def jackson_bessel_1(nu, z, q):
     if abs(z) >= 2:
         raise DomainError("first Jackson q-Bessel requires |z| < 2")
     body = eval_phi(SeriesSpec([0, 0], [q ** (nu + 1.0)], q, -z * z / 4.0))
-    return _bessel_prefactor(nu, q) * (z / 2.0) ** nu * body
+    return _bessel(nu, q, z / 2.0, body, "jackson_bessel_1")
 
 
 def jackson_bessel_2(nu, z, q):
@@ -168,7 +174,7 @@ def jackson_bessel_2(nu, z, q):
     z = complex(z)
     qnu = q ** (nu + 1.0)
     body = eval_phi(SeriesSpec([], [qnu], q, -qnu * z * z / 4.0))
-    return _bessel_prefactor(nu, q) * (z / 2.0) ** nu * body
+    return _bessel(nu, q, z / 2.0, body, "jackson_bessel_2")
 
 
 def hahn_exton_bessel(nu, z, q):
@@ -176,7 +182,7 @@ def hahn_exton_bessel(nu, z, q):
     q = check_q(q)
     z = complex(z)
     body = eval_phi(SeriesSpec([0], [q ** (nu + 1.0)], q, q * z * z))
-    return _bessel_prefactor(nu, q) * z**nu * body
+    return _bessel(nu, q, z, body, "hahn_exton_bessel")
 
 
 _partition_cache = [1]

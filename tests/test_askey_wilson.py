@@ -371,8 +371,8 @@ def test_integral_numeric_near_q_one(a):
 
 
 def test_grid_weights_match_pointwise_weights():
-    # node by node: the one log series of the grid against qpoch_inf_ratio
-    # of the ten products at that node, and against the 50-digit oracle
+    # node by node: the grid's one Fourier series against qpoch_inf_ratio of
+    # the ten products at that node, and against the 50-digit oracle
     rng = random.Random(11)
     grids = []
     for _ in range(12):
@@ -382,18 +382,27 @@ def test_grid_weights_match_pointwise_weights():
                      complex(re, -im), q)
         grids.append((p, 16))
     # four real parameters on an odd grid, whose theta = pi node is its own
-    # mirror, and a set not closed under conjugation
-    grids += [(AWParams(0.6, 0.4, -0.3, 0.2, 0.55), 17),
-              (AWParams(0.5, -0.7, complex(0.3, 0.4), complex(-0.2, 0.4), 0.8), 16)]
+    # mirror; |e| up to 0.99; q = 0.98; a parameter of modulus above 1 (the
+    # continuous part of the measure only); sets not closed under conjugation.
+    # At 16 nodes every harmonic past the 16th folds onto a lower one.
+    open_set = AWParams(0.5, -0.7, complex(0.3, 0.4), complex(-0.2, 0.4), 0.8)
+    grids += [(AWParams(0.6, 0.4, -0.3, 0.2, 0.55), 17), (open_set, 16),
+              (AWParams(0.99, -0.95, complex(0.3, 0.6), complex(0.3, -0.6), 0.9), 128),
+              (AWParams(0.6, -0.5, 0.3, 0.2, 0.98), 128),
+              (AWParams(1.5, 0.4, -0.3, 0.2, 0.55), 1024), (open_set, 1024)]
     for p, n_nodes in grids:
         q = p.q
         _, w, scale = _midpoint_grid(p, n_nodes)
         assert len(w) == n_nodes
-        for j, wj in enumerate(w.tolist()):
-            z = cmath.exp(2j * math.pi * (j + 0.5) / n_nodes)
+        # on a long grid a fixed sample of nodes on the upper half circle,
+        # away from theta = pi, where the rounding of theta alone moves the
+        # factor 1 - z^2 by more than the bound
+        nodes = range(n_nodes) if n_nodes < 32 else (0, 1, 2, n_nodes // 5, n_nodes // 3)
+        for j in nodes:
+            z = cmath.exp(1j * math.pi * ((2 * j + 1) / n_nodes))
             top = [z * z, 1.0 / (z * z)]
             bottom = [f for e in p.abcd for f in (e * z, e / z)]
-            got = wj * scale * 2 * n_nodes
+            got = w[j] * scale * 2 * n_nodes
             point = qpoch_inf_ratio(top, bottom, q)
             assert abs(got - point) <= 1e-13 * abs(point)
             with mpmath.workdps(50):
@@ -410,7 +419,19 @@ def test_grid_weights_match_pointwise_weights():
                     )
                 want = mpmath.exp(log_w)
                 assert float(abs(got - want) / abs(want)) <= 1e-13
-    assert [p.conjugate_closed for p, _ in grids[-2:]] == [True, False]
+    assert not open_set.conjugate_closed
+
+
+@pytest.mark.parametrize("n_nodes", [16, 17, 128])
+def test_grid_of_three_times_the_nodes_keeps_every_weight(n_nodes):
+    # theta_j = pi (2j + 1) / N = pi (2(3j + 1) + 1) / (3N): node j of the
+    # N-node grid is node 3j + 1 of the 3N-node grid, and its weight holds
+    # through the other FFT length and the other scale
+    for p in (P, AWParams(0.5, -0.7, complex(0.3, 0.4), complex(-0.2, 0.4), 0.8)):
+        _, w, scale = _midpoint_grid(p, n_nodes)
+        _, w3, scale3 = _midpoint_grid(p, 3 * n_nodes)
+        coarse, fine = w * scale * n_nodes, w3[1::3] * scale3 * (3 * n_nodes)
+        assert np.all(np.abs(coarse - fine) <= 1e-14 * np.abs(fine))
 
 
 def test_h0_near_one_is_one_exp_of_logs():

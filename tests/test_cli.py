@@ -42,6 +42,15 @@ def test_eval_gammaq_outside_the_double_range_is_an_error(capsys):
     assert err.startswith("error: Gamma_q: ")
 
 
+def test_eval_besselq2_outside_the_double_range_is_an_error(capsys):
+    argv = ["eval", "besselq2", "nu=3.4686266780376136", "z=99271.47664586779",
+            "q=0.8506938275405417"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: jackson_bessel_2: ")
+    assert "Traceback" not in err
+
+
 def test_eval_phi_empty(capsys):
     code, out, _ = run_cli(
         ["eval", "phi", "upper=0", "lower=", "q=0.5", "z=0"], capsys

@@ -13,7 +13,6 @@ import random
 import sys
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -361,29 +360,6 @@ def test_qpoch_rejects_non_finite_input():
         qpoch(0.5, math.nan, INFINITY)
     with pytest.raises(DomainError, match="finite"):
         log_qpoch_inf(math.nan, 0.5)
-
-
-def test_log_qpoch_inf_array_matches_scalar_calls():
-    # one peel and one series for every entry give each entry's own log
-    rng = random.Random(13)
-    for _ in range(200):
-        q = rng.choice([rng.uniform(0.01, 0.9), rng.uniform(0.9, 0.999)])
-        scale = rng.choice([1e-3, 0.1, 1.0, 3.0])
-        a = np.array(
-            [complex(rng.uniform(-1, 1), rng.choice([0.0, rng.uniform(-1, 1)])) * scale
-             for _ in range(7)]
-        )
-        logs = log_qpoch_inf(a, q)
-        assert logs.shape == a.shape
-        for entry, value in zip(a.tolist(), logs.tolist()):
-            want = log_qpoch_inf(entry, q)
-            assert abs(value - want) <= 1e-14 * max(1.0, abs(want))
-
-
-def test_log_qpoch_inf_array_rejects_non_finite_entry():
-    for bad in (math.nan, math.inf, complex(0.1, math.nan)):
-        with pytest.raises(DomainError, match="finite"):
-            log_qpoch_inf(np.array([0.3, bad, 0.2]), 0.5)
 
 
 def test_tail_sum_finite_iterator_is_exact():

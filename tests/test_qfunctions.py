@@ -132,6 +132,23 @@ def test_bessel_small_argument_leading_order():
     assert abs(hahn_exton_bessel(nu, z, q) - pref * z**nu) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "f, args",
+    [
+        # the values -5.3e315 and about 2.4e308 in modulus, past the double range
+        (jackson_bessel_2, (3.4686266780376136, 99271.47664586779, 0.8506938275405417)),
+        (jackson_bessel_2, (2.0324919961917316, -30786.70996427583, 0.8770985076636091)),
+        (hahn_exton_bessel, (2.345089302520086, 3296756.1260893405, 0.5254397115954851)),
+        # (z/2)^nu in range times a prefactor past it, and (z/2)^nu itself overflowing
+        (jackson_bessel_1, (-40.5, 1e-7, 0.5)),
+        (jackson_bessel_1, (-40.5, 1e-10, 0.5)),
+    ],
+)
+def test_q_bessel_values_above_the_double_range_raise_naming_the_function(f, args):
+    with pytest.raises(OutOfRangeError, match=f"^{f.__name__}: value outside the double range"):
+        f(*args)
+
+
 def enumerate_partitions(n):
     """Count partitions by explicit recursive enumeration (slow, exact)."""
 

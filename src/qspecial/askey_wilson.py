@@ -20,7 +20,6 @@ continuous q-Hermite and q-ultraspherical is one running product.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,22 +32,16 @@ from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram
 
 
-@dataclass(frozen=True)
 class AWParams:
     """Parameters (a, b, c, d; q).  The closed-form integral and the
     positive orthogonality measure need |a|,|b|,|c|,|d| < 1 and the
     parameter set closed under complex conjugation."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    q: float
+    __slots__ = ("a", "b", "c", "d", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", check_q(self.q))
-        for f in "abcd":
-            object.__setattr__(self, f, complex(getattr(self, f)))
+    def __init__(self, a, b, c, d, q):
+        self.q = check_q(q)
+        self.a, self.b, self.c, self.d = complex(a), complex(b), complex(c), complex(d)
 
     @property
     def abcd(self):

@@ -21,8 +21,8 @@ import cmath
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import accumulate, count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ _ROUNDING = 1e-14
 _TRIES = 500
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     """One verifiable identity: two independent sides plus a sampler."""
 
     id: str
@@ -78,17 +77,14 @@ class IdentityRecord:
     guarded: bool = False
 
 
-@dataclass
 class VerificationReport:
     """Outcome of sampling one identity."""
 
-    id: str
-    samples: int
-    seed: int
-    tolerance: float
-    max_rel_error: float = 0.0
-    max_kappa: float = 0.0
-    failures: list = field(default_factory=list)
+    def __init__(self, id, samples, seed, tolerance):
+        self.id, self.samples, self.seed, self.tolerance = id, samples, seed, tolerance
+        self.max_rel_error = 0.0
+        self.max_kappa = 0.0
+        self.failures = []
 
     @property
     def passed(self):

@@ -15,8 +15,8 @@ that is exactly 0, since every later term is 0 times finite factors.
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate, count
+from typing import NamedTuple
 
 from qspecial.errors import DomainError, UnknownPath
 from qspecial.qcore import qbinomial, qpoch, shifted_factorial, tail_sum
@@ -256,14 +256,18 @@ def classical_bessel_j(nu, x):
     return (x / 2.0) ** nu / classical_gamma(nu + 1.0) * total
 
 
-@dataclass
 class LimitReport:
     """Error trace of one limit path."""
 
-    name: str
-    parameters: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-    tolerance: float = 1e-3
+    def __init__(self, name, tolerance=1e-3):
+        self.name, self.tolerance = name, tolerance
+        self.parameters, self.errors = [], []
+
+    def __repr__(self):
+        return (
+            f"LimitReport(name={self.name!r}, parameters={self.parameters!r}, "
+            f"errors={self.errors!r}, tolerance={self.tolerance!r})"
+        )
 
     @property
     def final_error(self):
@@ -315,8 +319,7 @@ def confluence_limit_check(spec, direction, magnitudes):
     return _march("confluence", 1e-6, magnitudes, err)
 
 
-@dataclass(frozen=True)
-class _LimitPath:
+class _LimitPath(NamedTuple):
     """One limit path: the steps of its degeneration parameter, the probe
     points, the approximant (step, *probe) and the limit value
     (*probe)."""

@@ -7,24 +7,20 @@ identity relating u1, u2, u3.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from qspecial.qcalculus import qderiv_backward
 from qspecial.qcore import check_q, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi
 
 
-@dataclass(frozen=True)
 class QHGEParams:
     """Exponent parameters a, b, c (entering as q^a, q^b, q^c) and base q."""
 
-    a: complex
-    b: complex
-    c: complex
-    q: float
+    __slots__ = ("a", "b", "c", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", check_q(self.q))
+    def __init__(self, a, b, c, q):
+        self.a, self.b, self.c = a, b, c
+        self.q = check_q(q)
 
     def qp(self, e):
         """q raised to the (complex) exponent e."""

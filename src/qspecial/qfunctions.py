@@ -149,11 +149,17 @@ def theta4_series(x, q):
 
 
 def _bessel(nu, q, base, body, name):
-    """(q^{nu+1};q)_oo / (q;q)_oo base^nu body; OutOfRangeError naming the
-    function when base^nu overflows or the value is outside the double range."""
+    """(q^{nu+1};q)_oo / (q;q)_oo base^nu body.  Errors name the function:
+    DomainError at base 0 for a nu of negative real part or nonzero
+    imaginary part, OutOfRangeError when base^nu or the value is outside the
+    double range."""
     try:
         power = base**nu
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
+        # ZeroDivisionError: Python's power at base 0, or the inverse of an
+        # integral nu's positive power that underflowed to 0
+        if base == 0:
+            raise DomainError(f"{name}: z = 0 is outside the domain for nu = {nu}") from None
         raise OutOfRangeError(f"{name}: value outside the double range") from None
     return _double(qpoch_inf_ratio([q ** (nu + 1.0)], [q], q) * power * body, name)
 

@@ -30,8 +30,8 @@ coefficients is one running product.
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from qspecial.recurrence import Recurrence, eval_all, gram, lattice_gram
 _MAX_FINITE_N = 60  # keeps q^{-x} in double range down to q = 0.1
 
 
-@dataclass(frozen=True)
 class BigQJacobiParams:
     """Parameters (a, b, c, d; q) of the big q-Jacobi family; c, d > 0.
 
@@ -54,18 +53,12 @@ class BigQJacobiParams:
     polynomials remain well-defined.
     """
 
-    a: complex
-    b: complex
-    c: float
-    d: float
-    q: float
+    __slots__ = ("a", "b", "c", "d", "q")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", check_q(self.q))
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", float(self.d))
+    def __init__(self, a, b, c, d, q):
+        self.q = check_q(q)
+        self.a, self.b = complex(a), complex(b)
+        self.c, self.d = float(c), float(d)
         if self.c <= 0 or self.d <= 0:
             raise DomainError("c and d must be positive")
         if not self.positive_weight:
@@ -477,8 +470,7 @@ def little_qjacobi_norm(n, a, b, q):
 # tableau families
 
 
-@dataclass(frozen=True)
-class FamilyRecord:
+class FamilyRecord(NamedTuple):
     """One tableau family.  Each callable takes the parameters in the
     order of keys, then q: the printed series and the optional second one
     (n, x, *params, q), the optional Gram builder
@@ -501,13 +493,10 @@ def _family(name, keys, series, alt=None, gram=None, norms=None):
     _FAMILIES[name] = FamilyRecord(keys, series, alt, gram, norms)
 
 
-@dataclass(frozen=True)
 class FamilyParams:
     """Tagged parameter bundle for a tableau family; N is stored as an int."""
 
-    name: str
-    q: float
-    params: tuple
+    __slots__ = ("name", "q", "params")
 
     def __init__(self, name, q, **kwargs):
         if name not in _FAMILIES:
@@ -515,14 +504,14 @@ class FamilyParams:
         keys = _FAMILIES[name].keys
         if set(kwargs) != set(keys):
             raise DomainError(f"family {name!r} takes parameters {keys}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "q", check_q(q))
+        self.name = name
+        self.q = check_q(q)
         if "N" in keys:
             big_n = kwargs["N"]
             if not (0 <= big_n <= _MAX_FINITE_N and big_n == int(big_n)):
                 raise DomainError(f"N must be an integer in [0, {_MAX_FINITE_N}]")
             kwargs["N"] = int(big_n)
-        object.__setattr__(self, "params", tuple(kwargs[k] for k in keys))
+        self.params = tuple(kwargs[k] for k in keys)
 
     @property
     def record(self):

@@ -41,7 +41,7 @@ import cmath
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,27 +105,23 @@ def _entry(v):
     return v if v.imag else v.real
 
 
-@dataclass(frozen=True)
 class SeriesSpec:
     """Descriptor of an (r,s) series: upper/lower parameter lists, base,
     argument.  z and the parameters may be numpy arrays over nodes (see
     phi_walk), and then nodes is True; q is one number.  degree is the least
     n of an upper parameter q^{-n}, else _NO_DEGREE; an int array over nodes."""
 
-    upper: tuple
-    lower: tuple
-    q: float
-    z: complex
+    __slots__ = ("upper", "lower", "q", "z", "nodes", "degree")
 
     def __init__(self, upper, lower, q, z):
         nodes = np.ndarray in map(type, upper) or np.ndarray in map(type, lower)
         nodes = nodes or type(z) is np.ndarray
         entry = _entry if nodes else complex
-        object.__setattr__(self, "upper", tuple(map(entry, upper)))
-        object.__setattr__(self, "lower", tuple(map(entry, lower)))
-        object.__setattr__(self, "q", check_q(q))
-        object.__setattr__(self, "z", entry(z))
-        object.__setattr__(self, "nodes", nodes)
+        self.upper = tuple(map(entry, upper))
+        self.lower = tuple(map(entry, lower))
+        self.q = check_q(q)
+        self.z = entry(z)
+        self.nodes = nodes
         entries = self.upper + self.lower + (self.z,)
         for v in entries:
             if not (np.isfinite(v).all() if nodes else cmath.isfinite(v)):
@@ -142,7 +138,7 @@ class SeriesSpec:
                 n = _termination_degree(a, q)
                 if n < degree:
                     degree = n
-        object.__setattr__(self, "degree", degree)
+        self.degree = degree
         # b = 1 makes the first factor 1 - b of (b;q)_k vanish; a lower
         # parameter at 1/q, 1/q^2, ... raises when the walk reaches its zero
         for b in self.lower:
@@ -158,8 +154,7 @@ class SeriesSpec:
         return len(self.lower)
 
 
-@dataclass(frozen=True)
-class ConvergenceClass:
+class ConvergenceClass(NamedTuple):
     """Convergence classification: INFINITE, UNIT, ZERO, or TERMINATING(n)."""
 
     radius: str

@@ -51,6 +51,13 @@ def test_eval_besselq2_outside_the_double_range_is_an_error(capsys):
     assert "Traceback" not in err
 
 
+def test_eval_besselq1_at_its_pole_is_an_error(capsys):
+    code, out, err = run_cli(["eval", "besselq1", "nu=-1.5", "z=0", "q=0.5"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: jackson_bessel_1: ")
+    assert "Traceback" not in err
+
+
 def test_eval_phi_empty(capsys):
     code, out, _ = run_cli(
         ["eval", "phi", "upper=0", "lower=", "q=0.5", "z=0"], capsys

@@ -1,6 +1,5 @@
 """Tests for the machine-checked identity catalog."""
 
-import dataclasses
 import json
 import math
 import random
@@ -90,7 +89,7 @@ def test_verify_all_tolerance_overrides():
 
 def test_non_finite_error_is_a_failure(monkeypatch):
     rec = get_identity("q_binomial_theorem")
-    spoiled = dataclasses.replace(rec, rhs=lambda p: math.nan)
+    spoiled = rec._replace(rhs=lambda p: math.nan)
     monkeypatch.setitem(identities._REGISTRY, rec.id, spoiled)
     rep = verify(rec.id, samples=3, seed=0)
     assert not rep.passed

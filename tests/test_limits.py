@@ -1,6 +1,5 @@
 """Tests for the classical-limit harness."""
 
-import dataclasses
 import math
 import random
 
@@ -202,7 +201,7 @@ def test_run_limit_forms_each_target_once_per_probe(monkeypatch):
             calls.append(probe)
             return _target(*probe)
 
-        monkeypatch.setitem(limits._PATHS, name, dataclasses.replace(path, target=target))
+        monkeypatch.setitem(limits._PATHS, name, path._replace(target=target))
         rep = run_limit(name)
         assert sorted(calls) == sorted(path.probes), name
         assert len(rep.errors) == len(path.steps)

@@ -142,11 +142,22 @@ def test_bessel_small_argument_leading_order():
         # (z/2)^nu in range times a prefactor past it, and (z/2)^nu itself overflowing
         (jackson_bessel_1, (-40.5, 1e-7, 0.5)),
         (jackson_bessel_1, (-40.5, 1e-10, 0.5)),
+        # an integral nu < 0: Python inverts (z/2)^40, which underflowed to 0
+        (jackson_bessel_1, (-40.0, 1e-10, 0.5)),
     ],
 )
 def test_q_bessel_values_above_the_double_range_raise_naming_the_function(f, args):
     with pytest.raises(OutOfRangeError, match=f"^{f.__name__}: value outside the double range"):
         f(*args)
+
+
+@pytest.mark.parametrize(
+    "f, nu",
+    [(jackson_bessel_1, -1.5), (hahn_exton_bessel, -2.5), (jackson_bessel_2, -3.0)],
+)
+def test_q_bessel_at_zero_with_negative_nu_is_a_domain_error(f, nu):
+    with pytest.raises(DomainError, match=f"^{f.__name__}: z = 0 "):
+        f(nu, 0.0, 0.5)
 
 
 def enumerate_partitions(n):

@@ -26,7 +26,7 @@ import numpy as np
 from qspecial.errors import DomainError
 from qspecial.qcore import (
     _BLOCK, TAIL_EPSILON, _double, _exp_log, _finite, _peel_length, _qpoch_prefix, _qpow,
-    check_q, qpoch, qpoch_inf_ratio, qpoch_list,
+    _termination_degree, check_q, qpoch, qpoch_inf_ratio, qpoch_list,
 )
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram
@@ -409,10 +409,11 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
 
 
 def _racah_check(alpha, beta, gamma, delta, big_n, q):
-    """One of alpha q, beta delta q, gamma q must equal q^{-N}."""
-    target = q ** float(-big_n)
+    """One of alpha q, beta delta q, gamma q must be q^{-N} under qcore's
+    rule (_termination_degree)."""
+    q = check_q(q)
     for v in (alpha * q, beta * delta * q, gamma * q):
-        if abs(v - target) <= 1e-10 * target:
+        if _termination_degree(v, q) == big_n:
             return
     raise DomainError("one of alpha*q, beta*delta*q, gamma*q must be q^{-N}")
 
@@ -475,7 +476,7 @@ def q_racah_weights(alpha, beta, gamma, delta, q, big_n):
 def q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n):
     """Gram matrix sum_x R_n(mu(x)) R_m(mu(x)) w(x), n, m = 0..nmax, with
     the derived weights: one moment solve, each R_n(mu(x)) evaluated once."""
-    _racah_check(alpha, beta, gamma, delta, big_n, check_q(q))
+    _racah_check(alpha, beta, gamma, delta, big_n, q)
     if not 0 <= nmax <= big_n:
         raise DomainError("need 0 <= nmax <= N")
     table = _q_racah_table(alpha, beta, gamma, delta, q, big_n)

@@ -14,6 +14,13 @@ Every infinite series and product is truncated by one rule, with fixed
 constants: a series ends after QUIET_TERMS consecutive terms below
 TAIL_EPSILON times its largest |term|, and raises ConvergenceError after
 MAX_TERMS terms; a truncated (a;q)_oo leaves out a tail below TAIL_EPSILON.
+
+A parameter a is q^{-n} by one rule (_termination_degree): a is real and
+within 8 (n + 1) ulps of q ** float(-n), the rounding of forming q^{-n},
+for some 0 <= n <= 10 000.  Then (a;q)_oo vanishes, and a series with a as
+an upper parameter terminates at degree n (Gasper-Rahman 1990,
+Sec. 1.2-1.3).  qpoch_inf_ratio and log_qpoch_inf ask the rule before any
+arithmetic: an upper q^{-n} gives 0 (a log of -inf), a lower one a pole.
 """
 
 import cmath
@@ -46,6 +53,15 @@ _LOG_MIN, _LOG_MAX = math.log(_MIN_NORMAL), math.log(_MAX_DOUBLE)
 TAIL_EPSILON = 1e-16
 MAX_TERMS = 100_000
 QUIET_TERMS = 5
+
+# q^{-n} formed as a pow, a product or quotient of powers, or numpy's power
+# over nodes lies a few ulps from q ** float(-n): 8 (n + 1) ulps hold every
+# catalog and Gram spec, while a relative 1e-12 cut off 32 (1 + 1e-13) at
+# q = 1/2, a series that does not terminate, after 6 terms.
+_SNAP_ULPS = 8
+_MAX_TERMINATION_N = 10_000
+_NO_DEGREE = _MAX_TERMINATION_N + 1  # the degree of a parameter that is no q^{-n}
+_BELOW_ONE = 1.0 - _SNAP_ULPS * math.ulp(1.0)  # below it no parameter is q^{-n}, n >= 0
 
 
 def tail_sum(terms, message, scale=0.0, max_terms=MAX_TERMS):
@@ -83,6 +99,22 @@ def check_q(q):
     if not 0.0 < q < 1.0:
         raise DomainError(f"base q must satisfy 0 < q < 1, got {q}")
     return q
+
+
+def _termination_degree(a, q):
+    """n when the number a is real and within _SNAP_ULPS (n + 1) ulps of
+    q ** float(-n), 0 <= n <= _MAX_TERMINATION_N; else _NO_DEGREE."""
+    x = a.real
+    if a.imag or x < _BELOW_ONE:
+        return _NO_DEGREE
+    n = round(math.log(x) / -math.log(q))
+    if not 0 <= n <= _MAX_TERMINATION_N:
+        return _NO_DEGREE
+    try:
+        power = q ** float(-n)
+    except OverflowError:  # x within half a power of q of the largest double
+        return _NO_DEGREE
+    return n if abs(x - power) <= _SNAP_ULPS * (n + 1) * math.ulp(power) else _NO_DEGREE
 
 
 def _finite(a):
@@ -220,11 +252,15 @@ def log_qpoch_inf(a, q):
 
     Factors with |a q^j| > 1/2 are peeled off in log form; the rest is
     -sum_k b^k / (k (1 - q^k)), summed until its tail is below
-    TAIL_EPSILON.  The real part is log|(a;q)_oo| (-inf when a factor
-    vanishes), the imaginary part a branch of its argument.
+    TAIL_EPSILON.  The real part is log|(a;q)_oo|, the imaginary part a
+    branch of its argument; -inf when a factor vanishes, that is when a
+    is q^{-n} under the rule (module docstring).
     """
     q = check_q(q)
-    return _log_qpochs([_finite(a)], q)[0]
+    a = _finite(a)
+    if _termination_degree(a, q) != _NO_DEGREE:
+        return complex(-math.inf)
+    return _log_qpochs([a], q)[0]
 
 
 def _exp_log(log_value, real=False):
@@ -250,7 +286,8 @@ def qpoch(a, q, k):
     k may be any integer or the sentinel INFINITY.  Negative k uses the
     closed reciprocal product; INFINITY is qpoch_inf_ratio([a], [], q),
     which also forms every quotient of such products.  A value outside the
-    double range raises OutOfRangeError; a vanishing factor gives 0.
+    double range raises OutOfRangeError.  (a;q)_oo has a vanishing factor,
+    and is 0, when a is q^{-n} under the rule (module docstring).
     """
     q = check_q(q)
     a = _finite(a)
@@ -306,9 +343,11 @@ def qpoch_inf_ratio(upper, lower, q, log_factor=0.0):
 
     Kernel products when every factor needs few factors and the parts are
     in range; otherwise one exp of a sum of logs, so that no partial
-    product underflows or overflows.  DomainError when a lower product
-    vanishes (a pole), OutOfRangeError when the value is outside the
-    double range.
+    product underflows or overflows.  The rule (module docstring) decides
+    zeros and poles before any arithmetic: a lower parameter q^{-n} is a
+    pole, DomainError, also where an upper one is q^{-m} (a 0/0); else an
+    upper parameter q^{-n} gives 0.  OutOfRangeError when the value is
+    outside the double range.
     """
     q = check_q(q)
     upper = [_finite(a) for a in upper]
@@ -319,6 +358,12 @@ def qpoch_inf_ratio(upper, lower, q, log_factor=0.0):
 def _inf_ratio(upper, lower, q, log_factor):
     """qpoch_inf_ratio on validated arguments: lists of finite complex
     numbers, q a float in (0, 1) and a complex log_factor."""
+    for a in lower:
+        if _termination_degree(a, q) != _NO_DEGREE:
+            raise DomainError(f"pole: ({a};q)_oo = 0 in a denominator")
+    for a in upper:
+        if _termination_degree(a, q) != _NO_DEGREE:
+            return 0j
     if _LOG_MIN <= log_factor.real <= _LOG_MAX:
         num = _kernel_product(upper, q, cmath.exp(log_factor))
         den = None if num is None else _kernel_product(lower, q, 1.0 + 0.0j)

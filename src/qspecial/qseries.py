@@ -26,11 +26,10 @@ so each node's value is its point walk's, bit for bit.  (numpy's complex
 division is not CPython's, so a complex walk over nodes rounds apart from
 the point walk.)
 
-A series terminates only at an upper parameter q^{-n}, to within 8 (n + 1)
-ulps of q ** float(-n), the rounding of forming it (_termination_degree, at
-a point, at each entry over nodes and for the lower parameter 1 = q^0
-alike); the least such n is found once, when the SeriesSpec is built.  Any
-other series is classified by its radius.
+A series terminates only at an upper parameter q^{-n}, by qcore's one rule
+(qcore._termination_degree, at a point, at each entry over nodes and for
+the lower parameter 1 = q^0 alike); the least such n is found once, when
+the SeriesSpec is built.  Any other series is classified by its radius.
 
 Every walk returns sum |t_k| with its value; inside a _conditioning_scope
 it also records the amplification sum |t_k| / |sum t_k|, the condition
@@ -47,16 +46,10 @@ import numpy as np
 
 from qspecial import kernels
 from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
-from qspecial.qcore import MAX_TERMS, TAIL_EPSILON, check_q, qpoch_list
-
-# q^{-n} formed as a pow, a product or quotient of powers, or numpy's power
-# over nodes lies a few ulps from q ** float(-n): 8 (n + 1) ulps hold every
-# catalog and Gram spec, while a relative 1e-12 cut off 32 (1 + 1e-13) at
-# q = 1/2, a series that does not terminate, after 6 terms.
-_SNAP_ULPS = 8
-_MAX_TERMINATION_N = 10_000
-_NO_DEGREE = _MAX_TERMINATION_N + 1  # the degree of a series that does not terminate
-_BELOW_ONE = 1.0 - _SNAP_ULPS * math.ulp(1.0)  # below it no parameter is q^{-n}, n >= 0
+from qspecial.qcore import (
+    _MAX_TERMINATION_N, _NO_DEGREE, MAX_TERMS, TAIL_EPSILON, _termination_degree, check_q,
+    qpoch_list,
+)
 
 _SCOPE = ContextVar("qspecial_conditioning_scope", default=None)
 
@@ -164,22 +157,6 @@ class ConvergenceClass(NamedTuple):
         if self.radius == "TERMINATING":
             return f"TERMINATING({self.n})"
         return self.radius
-
-
-def _termination_degree(a, q):
-    """n when the number a is real and within _SNAP_ULPS (n + 1) ulps of
-    q ** float(-n), 0 <= n <= _MAX_TERMINATION_N; else _NO_DEGREE."""
-    x = a.real
-    if a.imag or x < _BELOW_ONE:
-        return _NO_DEGREE
-    n = round(math.log(x) / -math.log(q))
-    if not 0 <= n <= _MAX_TERMINATION_N:
-        return _NO_DEGREE
-    try:
-        power = q ** float(-n)
-    except OverflowError:  # x within half a power of q of the largest double
-        return _NO_DEGREE
-    return n if abs(x - power) <= _SNAP_ULPS * (n + 1) * math.ulp(power) else _NO_DEGREE
 
 
 # an entry of a spec over nodes takes the rule at each of its entries

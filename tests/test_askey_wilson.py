@@ -322,6 +322,26 @@ def test_q_racah_requires_termination_condition():
         q_racah(1, 0, 0.4, 0.3, 0.37, 0.6, 0.5, 5)
 
 
+def test_q_racah_accepts_gamma_q_formed_either_way():
+    # gamma q is q^-N by the rule whether gamma is a pow or N + 1 divisions
+    # by q; at q = 0.7 the two round apart for every N here
+    q, alpha, beta, delta = 0.7, 0.4, 0.3, 0.6
+    for N in range(2, 12):
+        divided = 1.0
+        for _ in range(N + 1):
+            divided /= q
+        assert divided != q ** float(-N - 1)
+        for gamma in (q ** float(-N - 1), divided):
+            assert complex(q_racah(1, 0, alpha, beta, gamma, delta, q, N)).real == pytest.approx(1.0)
+
+
+def test_q_racah_rejects_gamma_q_outside_the_rule():
+    # q^-N (1 + 1e-11) is no q^-N, though a relative window of 1e-10 took it
+    q, N = 0.5, 5
+    with pytest.raises(DomainError):
+        q_racah(1, 0, 0.4, 0.3, q ** float(-N) * (1 + 1e-11) / q, 0.6, q, N)
+
+
 def test_recurrence_coefficients_positive_c():
     # positivity of the C_n coefficients certifies orthogonality
     for n in range(1, 7):

@@ -298,6 +298,7 @@ def test_gamma_q_matches_oracle(z, q):
 
 @given(a=argument, q=st.floats(0.01, 0.99))
 @settings(max_examples=60, deadline=None)
+@example(a=9.0, q=1 / 3)
 def test_log_series_matches_kernel_product(a, q):
     # the two paths of (a;q)_oo; the product runs through the first factor
     # with |a q^j| below 1e-17 (1 - q), and two more
@@ -349,6 +350,27 @@ def test_qpoch_inf_ratio_pole_and_zero():
     with pytest.raises(DomainError, match="pole"):
         qpoch_inf_ratio([0.3], [2.0], 0.5)
     assert qpoch_inf_ratio([2.0], [0.3], 0.5) == 0
+
+
+def test_qpoch_inf_ratio_pole_at_a_lower_q_power():
+    # (8;1/2)_oo has the factor 1 - 8 (1/2)^3 = 0: a pole, though the
+    # kernel product's numerator and denominator are both in range
+    with pytest.raises(DomainError, match="pole"):
+        qpoch_inf_ratio([0.5], [8.0], 0.5)
+
+
+def test_qpoch_inf_ratio_zero_over_zero_is_a_pole():
+    # 2 = (1/2)^-1 above and 8 = (1/2)^-3 below: 0/0 has no value
+    with pytest.raises(DomainError, match="pole"):
+        qpoch_inf_ratio([0.5, 2.0], [0.25, 8.0], 0.5, math.log1p(-0.5))
+
+
+def test_qpoch_inf_vanishes_at_a_rounded_q_power():
+    # 9.0 is (1/3)^-2 within the rule's rounding; the factor 1 - 9 q^2 it
+    # forms is rounding error alone, so the product is 0 on either path
+    assert qpoch(9.0, 1 / 3, INFINITY) == 0
+    assert log_qpoch_inf(9.0, 1 / 3).real == -math.inf
+    assert qpoch_inf_ratio([9.0], [0.5], 1 / 3) == 0
 
 
 def test_qpoch_rejects_non_finite_input():

@@ -128,6 +128,12 @@ def test_big_qjacobi_gram_matrix_degree_ten():
                 assert abs(gram[n, m]) <= 1e-9 * scale
 
 
+def test_little_qjacobi_gram_matrix_at_a_weight_pole_raises():
+    # qb = 8 = q^-3: the weight's (qb;q)_oo in a denominator vanishes
+    with pytest.raises(DomainError, match="pole"):
+        little_qjacobi_gram_matrix(2, 0.5, 16.0, 0.5)
+
+
 def test_gram_matrices_reject_a_negative_degree():
     with pytest.raises(DomainError):
         big_qjacobi_gram_matrix(-1, BigQJacobiParams(0.4, 0.6, 1.2, 0.7, 0.5))

@@ -17,9 +17,9 @@ MAX_TERMS terms; a truncated (a;q)_oo leaves out a tail below TAIL_EPSILON.
 
 A parameter a is q^{-n} by one rule (_termination_degree): a is real and
 within 8 (n + 1) ulps of q ** float(-n), the rounding of forming q^{-n},
-for some 0 <= n <= 10 000.  Then (a;q)_oo vanishes, and a series with a as
-an upper parameter terminates at degree n (Gasper-Rahman 1990,
-Sec. 1.2-1.3).  qpoch_inf_ratio and log_qpoch_inf ask the rule before any
+for some 0 <= n <= 10 000.  Then (a;q)_oo and (a;q)_k, k > n, vanish, and a
+series with a as an upper parameter terminates at degree n (Gasper-Rahman
+1990, Sec. 1.2-1.3).  Every product asks the rule once, before any
 arithmetic: an upper q^{-n} gives 0 (a log of -inf), a lower one a pole.
 """
 
@@ -286,8 +286,8 @@ def qpoch(a, q, k):
     k may be any integer or the sentinel INFINITY.  Negative k uses the
     closed reciprocal product; INFINITY is qpoch_inf_ratio([a], [], q),
     which also forms every quotient of such products.  A value outside the
-    double range raises OutOfRangeError.  (a;q)_oo has a vanishing factor,
-    and is 0, when a is q^{-n} under the rule (module docstring).
+    double range raises OutOfRangeError.  (a;q)_oo and (a;q)_k, k > n, are
+    0 when a is q^{-n} under the rule (module docstring).
     """
     q = check_q(q)
     a = _finite(a)
@@ -295,6 +295,9 @@ def qpoch(a, q, k):
         return _inf_ratio([a], [], q, 0j)
     k = int(k)
     if k >= 0:
+        n = _termination_degree(a, q)
+        if n != _NO_DEGREE and k > n:
+            return 0j
         value = kernels.qpoch_finite(a, q, k)
         if not cmath.isfinite(value):
             raise OutOfRangeError(f"(a;q)_{k} outside the double range, a={a}")
@@ -310,19 +313,22 @@ def qpoch(a, q, k):
 def _qpoch_prefix(a, q, n):
     """[(a;q)_k for k = 0..n] from one running product, each value equal
     to qpoch(a, q, k): the kernel's factors in the kernel's order, on
-    floats when a is real.  OutOfRangeError names the first k outside the
-    double range, as qpoch(a, q, k) would; a product that has left the
-    range never returns to it, so the last value tells."""
+    floats when a is real, 0 above the rule's degree of a.  OutOfRangeError
+    names the first k outside the double range, as qpoch(a, q, k) would; a
+    product that has left the range never returns to it, so the last tells."""
     q = check_q(q)
     a = _finite(a)
+    degree = _termination_degree(a, q)
+    m = n if degree == _NO_DEGREE else min(n, degree)
     f = a if a.imag else a.real
     out = 1.0
     values = [1.0 + 0.0j]
-    for _ in range(n):
+    for _ in range(m):
         out *= 1.0 - f
         f *= q
         values.append(complex(out))
-    if not cmath.isfinite(values[-1]):
+    values += [0j] * (n - m)
+    if not cmath.isfinite(values[m]):
         k = next(k for k, v in enumerate(values) if not cmath.isfinite(v))
         raise OutOfRangeError(f"(a;q)_{k} outside the double range, a={a}")
     return values

@@ -107,17 +107,16 @@ def solution_u5(p, z):
     return complex(z) ** (-complex(p.b)) * body
 
 
-def _theta_ratio(alpha, beta, z, q):
+def _theta_ratio(p, alpha, beta, z):
     """(q^alpha z, q^{1-alpha}/z;q)_oo z^{alpha-beta} / (q^beta z, q^{1-beta}/z;q)_oo,
     as (upper, lower, log of z^{alpha-beta}) for qpoch_inf_ratio.
 
     Invariant under z -> qz; building block of the connection coefficients.
     """
-    qe = lambda e: cmath.exp(complex(e) * math.log(q))
     z = complex(z)
     return (
-        [qe(alpha) * z, qe(1 - alpha) / z],
-        [qe(beta) * z, qe(1 - beta) / z],
+        [p.qp(alpha) * z, p.qp(1 - alpha) / z],
+        [p.qp(beta) * z, p.qp(1 - beta) / z],
         complex(alpha - beta) * cmath.log(z),
     )
 
@@ -129,14 +128,14 @@ def connection_coefficients(p, z):
     q = p.q
     a, b, c = p.a, p.b, p.c
     qe = p.qp
-    up, down, log_z = _theta_ratio(b - 1, b - c, z, q)
+    up, down, log_z = _theta_ratio(p, b - 1, b - c, z)
     c2 = qpoch_inf_ratio(
         [qe(a), qe(1 - c), qe(c - b)] + up,
         [qe(c - 1), qe(a - c + 1), qe(1 - b)] + down,
         q,
         log_z,
     )
-    up, down, log_z = _theta_ratio(a + b - c, b - c, z, q)
+    up, down, log_z = _theta_ratio(p, a + b - c, b - c, z)
     c3 = qpoch_inf_ratio(
         [qe(1 - c), qe(a - b + 1)] + up,
         [qe(1 - b), qe(a - c + 1)] + down,

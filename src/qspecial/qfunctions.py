@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from qspecial.errors import DomainError, OutOfRangeError
-from qspecial.qcore import INFINITY, _double, check_q, qpoch, qpoch_inf_ratio
+from qspecial.qcore import INFINITY, _double, _finite, check_q, qpoch, qpoch_inf_ratio
 from qspecial.qseries import SeriesSpec, eval_phi, eval_psi
 
 
@@ -24,111 +24,108 @@ def E_q(z, q):
     return qpoch(-complex(z), q, INFINITY)
 
 
-def _is_pole(z):
-    """True when z is (numerically) one of the poles 0, -1, -2, ... of Gamma_q."""
-    if abs(z.imag) >= 1e-12:
-        return False
-    nearest = round(z.real)
-    return nearest <= 0 and abs(z.real - nearest) < 1e-9
-
-
-def _q_power(x, q, name):
-    """q^x = exp(x log q); OutOfRangeError naming the function when q^x
-    lies above the double range."""
-    try:
-        return cmath.exp(x * math.log(q))
-    except OverflowError:
-        raise OutOfRangeError(f"{name}: q^{x} outside the double range, q={q}") from None
-
-
 def gamma_q(z, q):
     """q-gamma function (q;q)_oo (1-q)^{1-z} / (q^z;q)_oo.
 
     Satisfies Gamma_q(z+1) = (1-q^z)/(1-q) Gamma_q(z), Gamma_q(1) = 1.
-    The two products share one peel and are combined as logs: each alone
-    underflows as q -> 1 while their ratio stays of moderate size.
-    DomainError at the poles z = 0, -1, -2, ..., where q^z is not an exact
-    power of q in double and the vanishing factor would be missed;
-    OutOfRangeError when q^z lies above the double range, where
-    |Gamma_q(z)| lies far below it.
+    One qpoch_inf_ratio over the parts of _power_qpoch: the products share
+    one peel and are combined as logs (each alone underflows as q -> 1),
+    and next to a pole the vanishing factor keeps its digits.  DomainError
+    exactly at the poles z = 0, -1, -2, ...; OutOfRangeError, naming
+    Gamma_q, where the value lies outside the double range.
     """
     q = check_q(q)
-    z = complex(z)
-    if _is_pole(z):
-        raise DomainError(f"Gamma_q pole at z = {z}")
-    qz = _q_power(z, q, "Gamma_q")
-    return qpoch_inf_ratio([q], [qz], q, (1.0 - z) * math.log1p(-q))
+    z = _finite(z)
+    return _power_ratio("Gamma_q", (z,), q, (1.0 - z) * math.log1p(-q), [], [(z,)])
 
 
 def gamma_q_reciprocal(z, q):
-    """1/Gamma_q(z) with the pole convention: 0 at z = 0, -1, -2, ..."""
+    """1/Gamma_q(z); 0 exactly at the poles z = 0, -1, -2, ... that gamma_q refuses."""
     z = complex(z)
-    if _is_pole(z):
+    if not z.imag and z.real <= 0 and z.real.is_integer():
         return 0.0 + 0.0j
     return 1.0 / gamma_q(z, q)
-
-
-def _power_qpoch(q, *terms):
-    """(q^x;q)_oo, for x the sum of the complex terms, as (sign, exponent,
-    upper, lower): sign q^exponent times the product of (u;q)_oo over
-    upper over that of (l;q)_oo over lower.
-
-    Where q^x is a double that is (1, (0, 0), [q^x], []).  Where q^x
-    overflows, its first m = ceil(-Re x) factors are turned over,
-
-        (q^x;q)_oo = (-1)^m q^{mx + m(m-1)/2} (q^{1-x-m}, q^{x+m};q)_oo
-                     / (q^{1-x};q)_oo,
-
-    with every power of q at most 1.  The exponent is the pair of its real
-    and imaginary parts as exact Fractions, formed from the exact sum of
-    the terms: the large exponents of several such products then cancel
-    without rounding, and the rounding of x is not multiplied by m.
-    """
-    x = sum(terms[1:], terms[0])
-    lq = math.log(q)
-    try:
-        return 1, (0, 0), [cmath.exp(x * lq)], []
-    except OverflowError:
-        pass
-    m = math.ceil(-x.real)
-    exponent = (
-        m * sum(Fraction(t.real) for t in terms) + Fraction(m * (m - 1), 2),
-        m * sum(Fraction(t.imag) for t in terms),
-    )
-    frac = x + m  # exact (Sterbenz), as m/2 <= -Re x <= m; 0 <= Re frac < 1
-    upper = [cmath.exp((1.0 - frac) * lq), cmath.exp(frac * lq)]
-    return (-1) ** m, exponent, upper, [cmath.exp((1.0 - x) * lq)]
 
 
 def beta_q(a, b, q):
     """q-beta function (1-q)(q, q^{a+b};q)_oo / ((q^a, q^b;q)_oo).
 
-    One qpoch_inf_ratio.  Where q^a, q^b or q^{a+b} overflows, each
-    (q^x;q)_oo enters it as the quotient of _power_qpoch, so B_q is
-    returned wherever it is a double.  DomainError when a or b is a pole
-    of Gamma_q; OutOfRangeError when B_q lies outside the double range.
+    One qpoch_inf_ratio over the parts of _power_qpoch, as for gamma_q, so
+    B_q is returned wherever it is a double, also where q^a, q^b or q^{a+b}
+    lies above the double range.  DomainError exactly when a or b is a pole
+    of Gamma_q; OutOfRangeError, naming B_q, outside the double range.
     """
     q = check_q(q)
-    a, b = complex(a), complex(b)
-    if _is_pole(a) or _is_pole(b):
-        raise DomainError(f"B_q pole at a = {a}, b = {b}")
+    a, b = _finite(a), _finite(b)
+    return _power_ratio("B_q", (a, b), q, math.log1p(-q), [(a, b)], [(a,), (b,)])
+
+
+def _power_ratio(name, args, q, log_factor, upper, lower):
+    """exp(log_factor) (q;q)_oo prod_upper (q^x;q)_oo / prod_lower (q^x;q)_oo,
+    each x a tuple of complex terms to sum, as one qpoch_inf_ratio over the
+    parts of _power_qpoch, exponents summed exactly.  Errors name the
+    function: DomainError at a pole, OutOfRangeError outside the double range."""
     lq = math.log(q)
+    num, den, sign, re, im = [q], [], 1, 0, 0
     try:
-        upper, lower = [q, cmath.exp((a + b) * lq)], [cmath.exp(a * lq), cmath.exp(b * lq)]
-        sign, log_factor = 1, math.log1p(-q)
-    except OverflowError:
-        (s0, e0, up0, low0), (s1, e1, up1, low1), (s2, e2, up2, low2) = (
-            _power_qpoch(q, a, b), _power_qpoch(q, a), _power_qpoch(q, b)
-        )
-        upper, lower = [q, *up0, *low1, *low2], [*low0, *up1, *up2]
-        sign = s0 * s1 * s2
-        exponent = complex(e0[0] - e1[0] - e2[0], e0[1] - e1[1] - e2[1])
-        log_factor = math.log1p(-q) + exponent * lq
-    try:
-        value = qpoch_inf_ratio(upper, lower, q, log_factor)
-    except OutOfRangeError as exc:
-        raise OutOfRangeError(f"B_q({a}, {b}) with q={q}: {exc}") from None
-    return -value if sign < 0 else value
+        for side, products in ((1, upper), (-1, lower)):
+            for terms in products:
+                x = sum(terms[1:], terms[0])
+                if x.real >= 0.5:  # no turnover: (q^x;q)_oo itself
+                    (num if side > 0 else den).append(cmath.exp(x * lq))
+                    continue
+                s, (e_re, e_im), peeled, up, low = _power_qpoch(lq, x, terms)
+                num, den = (num + up, den + low) if side > 0 else (num + low, den + up)
+                sign, re, im = sign * s, re + side * e_re, im + side * e_im
+                log_factor += side * peeled
+        if re or im:
+            log_factor += complex(re * Fraction(lq), im * Fraction(lq))
+        value = qpoch_inf_ratio(num, den, q, log_factor)
+    except DomainError:
+        raise DomainError(f"{name}: pole at {', '.join(map(str, args))}, q={q}") from None
+    except (OverflowError, OutOfRangeError):
+        where = ", ".join(map(str, args))
+        raise OutOfRangeError(f"{name}: value outside the double range at {where}, q={q}") from None
+    return value if sign > 0 else 0 - value  # not -value, which makes a 0 part -0
+
+
+def _power_qpoch(lq, x, terms):
+    """(q^x;q)_oo for Re x < 1/2, x the sum of the complex terms, lq = log q,
+    as (sign, exponent, log_factor, upper, lower): sign q^exponent
+    exp(log_factor) prod (u;q)_oo over upper / prod (l;q)_oo over lower.
+    Its first m = max(0, ceil(-Re x)) factors are turned over,
+
+        (q^x;q)_oo = (-1)^m q^{mx + m(m-1)/2} (q^{s1}, q^{s2};q)_oo
+                     / (q^{1-x};q)_oo,   s1 = x + m,  s2 = (1 - m) - x
+
+    (at m = 0 only s1 = x is left).  s1 and s2 are one subtraction each,
+    exact next to a pole (Sterbenz).  At most one has real part below 1/2;
+    the first factor of its product, -expm1(s log q), enters log_factor,
+    and the rest is (q^{s+1};q)_oo.  So a factor next to 0 keeps its
+    digits, and no power of q in the lists exceeds q^{1/2} in modulus but
+    at a pole, s1 = 0 exactly: there (q^x;q)_oo is (1;q)_oo = 0, a zero or
+    a pole by the rule of qpoch_inf_ratio.  The exponent is a pair of exact
+    Fractions from the exact terms, so the large exponents of several
+    products cancel exactly and the rounding of x is not multiplied by m.
+    """
+    m = max(0, math.ceil(-x.real))
+    powers = [x + m, (1 - m) - x] if m else [x]
+    if not powers[0]:
+        return 1, (0, 0), 0, [1.0], []
+    exponent = (
+        m * sum(Fraction(t.real) for t in terms) + Fraction(m * (m - 1), 2),
+        m * sum(Fraction(t.imag) for t in terms),
+    ) if m else (0, 0)
+    log_factor = 0
+    for i, s in enumerate(powers):
+        if s.real < 0.5:
+            # 1 - q^s, as e^{a+ib} - 1 = expm1(a) cos b - 2 sin^2(b/2) + i e^a sin b
+            a, b = s.real * lq, s.imag * lq
+            re_part = 2.0 * math.sin(b / 2) ** 2 - math.expm1(a) * math.cos(b)
+            log_factor = cmath.log(complex(re_part, -math.exp(a) * math.sin(b)))
+            powers[i] = s + 1
+    lower = [cmath.exp((1 - x) * lq)] if m else []
+    return (-1) ** m, exponent, log_factor, [cmath.exp(s * lq) for s in powers], lower
 
 
 def theta4(x, q):

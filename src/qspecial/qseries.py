@@ -346,13 +346,10 @@ def reverse_terminating(spec):
         raise DomainError("reversal requires z != 0")
     q, z = spec.q, spec.z
     rest = spec.upper[1:]
-    prefactor = (
-        (-1.0) ** n
-        * q ** (-n * (n + 1) / 2)
-        * qpoch_list(rest, q, n)
-        / qpoch_list(spec.lower, q, n)
-        * z**n
-    )
+    lower = qpoch_list(spec.lower, q, n)
+    if lower == 0:
+        raise DomainError("reversal: a lower (b;q)_n vanishes")
+    prefactor = (-1.0) ** n * q ** (-n * (n + 1) / 2) * qpoch_list(rest, q, n) / lower * z**n
     new_upper = [q ** float(-n)] + [q ** float(1 - n) / b for b in spec.lower]
     new_lower = [q ** float(1 - n) / a for a in rest]
     prod_b, prod_a = math.prod(spec.lower, start=1 + 0j), math.prod(rest, start=1 + 0j)

@@ -1,6 +1,6 @@
 """50-digit mpmath oracles for log (a;q)_oo, the bilateral psi series
-and the Askey-Wilson and big q-Jacobi recurrence coefficients, shared by
-the tests.
+and the Askey-Wilson and big q-Jacobi recurrence coefficients, and a
+60-digit Gamma_q next to its poles, shared by the tests.
 
 Nothing here comes from qspecial: the factors are multiplied and the
 series summed in mpmath, from the exact images of the double inputs.
@@ -13,8 +13,8 @@ import mpmath
 EPS = 2.0**-52
 
 
-def log_qpoch_oracle(a, q):
-    """(log (a;q)_oo at 50 digits, size of the logs combined).
+def log_qpoch_oracle(a, q, dps=50):
+    """(log (a;q)_oo at dps digits, size of the logs combined).
 
     Factors with |a q^j| > 1/2 are multiplied in mpmath, whose exponent
     range is unbounded; the rest is -sum_k b^k / (k (1 - q^k)).  The size
@@ -22,7 +22,7 @@ def log_qpoch_oracle(a, q):
     and |t| of each series term t: a double evaluation of the log errs by
     about EPS times it.
     """
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         a, q = mpmath.mpmathify(a), mpmath.mpf(q)
         head, size = mpmath.mpf(1), 0.0
         while abs(a) > 0.5:
@@ -33,10 +33,10 @@ def log_qpoch_oracle(a, q):
             size += abs(math.log(float(abs(f)))) + float(abs(a / f))
             a *= q
         # q^k and |b^k| as running products, so no term takes a power or a
-        # complex abs; the series ends once |b^k| <= 1e-55
+        # complex abs; the series ends once |b^k| <= 10^-(dps + 5)
         total, power, k = mpmath.mpf(0), a, 1
         qk, modulus, step = q, abs(a), abs(a)
-        bound = mpmath.mpf(10) ** -55
+        bound = mpmath.mpf(10) ** -(dps + 5)
         while modulus > bound:
             d = k * (1 - qk)
             total -= power / d
@@ -46,6 +46,23 @@ def log_qpoch_oracle(a, q):
             qk *= q
             k += 1
         return mpmath.log(head) + total, size
+
+
+def gamma_q_oracle(z, q):
+    """Gamma_q(z) at 60 digits as complex, from the exact images of the
+    double z and q, by the functional equation: with n = max(0, ceil(-Re z))
+    and w = z + n + 1, Gamma_q(z) = (1 - q)^{1-z} (q;q)_oo / (q^w;q)_oo
+    / prod_{k<=n} (1 - q^{z+k}).  Each 1 - q^{z+k} keeps 45 of the 60
+    digits at a distance of 1e-15 from a pole.  (mpmath's qgamma raises
+    NoConvergence at q = 0.99, next to a pole and at w alike.)"""
+    with mpmath.workdps(60):
+        z, q = mpmath.mpmathify(z), mpmath.mpf(q)
+        n = max(0, math.ceil(-float(mpmath.re(z))))
+        top, bottom = (log_qpoch_oracle(a, q, dps=60)[0] for a in (q, q ** (z + n + 1)))
+        value = mpmath.exp(top - bottom) * (1 - q) ** (1 - z)
+        for k in range(n + 1):
+            value /= 1 - q ** (z + k)
+        return complex(value)
 
 
 def log_distance(value, ref):

@@ -42,6 +42,16 @@ def test_eval_gammaq_outside_the_double_range_is_an_error(capsys):
     assert err.startswith("error: Gamma_q: ")
 
 
+def test_eval_gammaq_next_to_a_pole_is_a_value_and_at_it_an_error(capsys):
+    code, out, err = run_cli(["eval", "gammaq", "z=-1.999999999", "q=0.9"], capsys)
+    assert (code, err) == (0, "")
+    # 364163156.19784284 is the 60-digit Gamma_q(-1.999999999) at q = 0.9
+    assert float(out.strip().splitlines()[-1]) == pytest.approx(364163156.19784284, rel=1e-13)
+    code, out, err = run_cli(["eval", "gammaq", "z=-2", "q=0.9"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Gamma_q: pole")
+
+
 def test_eval_besselq2_outside_the_double_range_is_an_error(capsys):
     argv = ["eval", "besselq2", "nu=3.4686266780376136", "z=99271.47664586779",
             "q=0.8506938275405417"]

@@ -373,6 +373,23 @@ def test_qpoch_inf_vanishes_at_a_rounded_q_power():
     assert qpoch_inf_ratio([9.0], [0.5], 1 / 3) == 0
 
 
+@pytest.mark.parametrize("a, q, n", [
+    (0.3**-5.0, 0.3, 5),
+    (0.3**-3.0, 0.3, 3),
+    (101771146.55773683, 0.39775785655519447, 20),
+])
+def test_finite_qpoch_vanishes_above_a_rounded_q_power(a, q, n):
+    # a is q^-n under the rule, so (a;q)_k = 0 for k > n, as (a;q)_oo is;
+    # the kernel product rounds its factor 1 - a q^n to a residue, times
+    # the large factors before it (-4.7e-9, -9.4e-14 and 1.2e68)
+    assert qpoch(a, q, INFINITY) == 0
+    for k in (n + 1, n + 4):
+        assert qpoch(a, q, k) == 0
+    prefix = _qpoch_prefix(a, q, n + 4)
+    assert prefix[: n + 1] == [qpoch(a, q, k) for k in range(n + 1)]
+    assert prefix[n + 1 :] == [0, 0, 0, 0]
+
+
 def test_qpoch_rejects_non_finite_input():
     for a in (math.nan, math.inf, -math.inf, complex(0.1, math.nan)):
         for k in (INFINITY, 3, -2):

@@ -9,6 +9,8 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspecial import (
     E_q,
@@ -26,7 +28,7 @@ from qspecial import (
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qfunctions import gamma_q_reciprocal, theta4_series
 
-from mp_oracle import log_qpoch_oracle
+from mp_oracle import gamma_q_oracle, log_qpoch_oracle
 
 
 def test_e_q_product_form():
@@ -299,6 +301,70 @@ def test_beta_q_where_q_power_overflows(b):
     value = beta_q(a, b, q)
     assert value.imag == 0
     assert _rel(value, want) <= 1e-12
+
+
+# z = -n +- d for the poles -n = 0..-10 and these distances d
+NEAR_POLES = [-n + sign * d for n in range(11) for d in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3)
+              for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("q, tol", [(0.1, 1e-13), (0.3, 1e-13), (0.5, 1e-13), (0.9, 1e-13),
+                                    (0.98, 1e-13), (0.99, 2e-13)])
+def test_gamma_q_next_to_its_poles(q, tol):
+    # the factor 1 - q^(z+n) that vanishes at the pole keeps its digits;
+    # a 1e-9 window used to raise inside and lose 7 digits just outside
+    for z in NEAR_POLES:
+        assert _rel(gamma_q(z, q), gamma_q_oracle(z, q)) <= tol, z
+
+
+def _beta_near_pole_oracle(z, b, q, gamma_b):
+    """B_q(z, b) = Gamma_q(z) Gamma_q(b) / Gamma_q(z + b), z + b exact;
+    gamma_b = Gamma_q(b)."""
+    with mpmath.workdps(60):
+        total = mpmath.mpf(z) + mpmath.mpf(b)
+        return mpmath.mpc(gamma_q_oracle(z, q)) * gamma_b / gamma_q_oracle(total, q)
+
+
+def test_beta_q_next_to_a_pole():
+    # 1.3e-6 off at the parent, just outside its pole window
+    a, b, q = -2 + 1e-9, 1.5, 0.9
+    want = _beta_near_pole_oracle(a, b, q, gamma_q_oracle(b, q))
+    assert _rel(beta_q(a, b, q), want) <= 1e-13
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
+def test_beta_q_with_one_argument_next_to_a_pole(q):
+    # the argument next to a pole comes first at b = 1.5, second at b = 0.7
+    gamma_b = {b: gamma_q_oracle(b, q) for b in (1.5, 0.7)}
+    for i, z in enumerate(NEAR_POLES):
+        b = (1.5, 0.7)[i // 2 % 2]
+        value = beta_q(z, b, q) if b == 1.5 else beta_q(b, z, q)
+        assert _rel(value, _beta_near_pole_oracle(z, b, q, gamma_b[b])) <= 1e-13, (z, b)
+
+
+def test_gamma_q_off_the_real_axis_next_to_a_pole():
+    # the Im z window of 1e-12 refused this point; it is no pole
+    z, q = -2 + 1e-13j, 0.9
+    assert _rel(gamma_q(z, q), gamma_q_oracle(z, q)) <= 1e-13
+    assert gamma_q_reciprocal(z, q) != 0
+
+
+def test_gamma_q_reciprocal_is_zero_at_exact_poles_only():
+    z, q = -2 + 1e-12, 0.9
+    assert gamma_q_reciprocal(z, q) == pytest.approx(1 / gamma_q_oracle(z, q), rel=1e-13)
+    assert gamma_q_reciprocal(-2.0, q) == 0
+
+
+# z = -n + k 2^-e, 0 < |k| < 2^20 <= 2^e, lies within 1 of the pole -n and
+# off every pole; it is exact, and so is z + 1, for n <= 10 and e <= 48
+@given(n=st.integers(0, 10), k=st.integers(1 - 2**20, 2**20 - 1).filter(bool),
+       e=st.integers(20, 48), q=st.floats(0.05, 0.95))
+@settings(max_examples=60, deadline=None)
+def test_gamma_q_functional_equation_next_to_the_poles(n, k, e, q):
+    z = -n + k * 2.0**-e
+    lhs = gamma_q(z + 1, q)
+    rhs = -math.expm1(z * math.log(q)) / (1 - q) * gamma_q(z, q)
+    assert abs(lhs - rhs) <= 1e-13 * abs(lhs)
 
 
 def test_true_poles_keep_domain_error():

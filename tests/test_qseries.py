@@ -219,6 +219,14 @@ def test_reverse_terminating_preserves_value():
     )
 
 
+def test_reverse_terminating_with_a_vanishing_lower_product_raises():
+    # (4;1/2)_5 has the factor 1 - 4 (1/2)^2 = 0: no prefactor exists
+    q = 0.5
+    spec = SeriesSpec([q ** -5.0, 0.3], [4.0], q, 0.4)
+    with pytest.raises(DomainError, match="vanishes"):
+        reverse_terminating(spec)
+
+
 def test_eval_psi_triple_product():
     # 0psi0-style check via 1psi1 at b -> 0 is awkward; use the classical
     # sum_{k in Z} (-1)^k q^{k(k-1)/2} z^k = (q, z, q/z; q)_oo instead,

@@ -314,19 +314,27 @@ _add(
 )
 
 
-def _jackson(end, s, upper, lower, q):
-    """int_0^end t^s prod_u (ut;q)_oo / prod_l (lt;q)_oo d_qt, end > 0, by
-    one lattice walk: the products are taken at t = end only, and the
-    weight steps by its ratio q^s prod (1 - lt) / prod (1 - ut)."""
-    at_end = [u * end for u in upper], [l * end for l in lower]
-    w0 = qpoch_inf_ratio(*at_end, q, log_factor=s * math.log(end))
+def _jackson(end, s, upper, lower, q, start=None):
+    """int_start^end t^s prod_u (ut;q)_oo / prod_l (lt;q)_oo d_qt,
+    0 < start < end (from 0 when start is None), by one lattice walk: the
+    products are taken at the lattice ends t = end and t = start only, and
+    the weight steps by its ratio q^s prod (1 - lt) / prod (1 - ut).  The
+    integral from start is int_0^end - int_0^start, the lattice start q^k
+    walked with end q^k and its weight negated."""
+
+    def w0(t):
+        at_t = [u * t for u in upper], [l * t for l in lower]
+        return qpoch_inf_ratio(*at_t, q, log_factor=s * math.log(t))
 
     def ratio(t):
         num = math.prod((1.0 - l * t for l in lower), start=q**s)
         return num / math.prod(1.0 - u * t for u in upper)
 
+    lattices = [(end, q, w0(end), ratio)]
+    if start is not None:
+        lattices.append((start, q, -w0(start), ratio))
     ones = lambda t: np.ones((1, len(t)))
-    return complex(lattice_gram(ones, (end, q, w0, ratio))[0, 0])
+    return complex(lattice_gram(ones, *lattices)[0, 0])
 
 
 _add(
@@ -757,7 +765,7 @@ def _sample_gauss_integral(rng):
 def _gauss_integral_lhs(p):
     q, a, b, c = p["q"], p["a"], p["b"], p["c"]
     # (ct, qt;q)_oo / (at, bt;q)_oo over [q/c, 1]
-    return _jackson(1.0, 0.0, [c, q], [a, b], q) - _jackson(q / c, 0.0, [c, q], [a, b], q)
+    return _jackson(1.0, 0.0, [c, q], [a, b], q, start=q / c)
 
 
 _add(

@@ -4,8 +4,10 @@ The backward q-derivative is (f(x) - f(qx)) / ((1-q)x); the forward one
 is (f(x/q) - f(x)) / ((1-q)x).  The q-integral from 0 to a is the
 geometric-mesh sum a(1-q) sum_{k>=0} f(a q^k) q^k for any f; a weight
 with a rational ratio w(qx)/w(x) is stepped by recurrence.lattice_gram
-instead, and the tests hold the two together.  Every infinite sum here
-ends by the tail rule of qcore.tail_sum.
+instead, which walks the lattices of int_b^a = int_0^a - int_0^b (or of
+the two half-lines of int_0^inf) in one walk, and the tests hold the two
+together.  Every infinite sum here ends by the tail rule of
+qcore.tail_sum.
 
 Orientation note: qintegral_ab(f, a, b, q) is defined as
 int_0^a - int_0^b, which is the NEGATIVE of the usual orientation.

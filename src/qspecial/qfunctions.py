@@ -42,9 +42,15 @@ def gamma_q(z, q):
 def gamma_q_reciprocal(z, q):
     """1/Gamma_q(z); 0 exactly at the poles z = 0, -1, -2, ... that gamma_q refuses."""
     z = complex(z)
-    if not z.imag and z.real <= 0 and z.real.is_integer():
+    if _at_pole(z):
         return 0.0 + 0.0j
     return 1.0 / gamma_q(z, q)
+
+
+def _at_pole(z):
+    """True when the complex z is a pole 0, -1, -2, ... of Gamma_q: exactly
+    where _power_qpoch's s1 = z + ceil(-Re z) is 0."""
+    return not z.imag and z.real <= 0 and z.real.is_integer()
 
 
 def beta_q(a, b, q):
@@ -81,10 +87,12 @@ def _power_ratio(name, args, q, log_factor, upper, lower):
         if re or im:
             log_factor += complex(re * Fraction(lq), im * Fraction(lq))
         value = qpoch_inf_ratio(num, den, q, log_factor)
-    except DomainError:
-        raise DomainError(f"{name}: pole at {', '.join(map(str, args))}, q={q}") from None
-    except (OverflowError, OutOfRangeError):
+    except (DomainError, OverflowError, OutOfRangeError) as error:
         where = ", ".join(map(str, args))
+        # an upper sum can overflow (B_q(a, b) with a + b below the double
+        # range) before the pole of a lower product is reached
+        if isinstance(error, DomainError) or any(_at_pole(sum(t[1:], t[0])) for t in lower):
+            raise DomainError(f"{name}: pole at {where}, q={q}") from None
         raise OutOfRangeError(f"{name}: value outside the double range at {where}, q={q}") from None
     return value if sign > 0 else 0 - value  # not -value, which makes a 0 part -0
 

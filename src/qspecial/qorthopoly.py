@@ -292,8 +292,9 @@ def big_qjacobi_gram_matrix(nmax, p):
     """Gram matrix int_{-d}^{c} P~_n P~_m w d_qx, n, m <= nmax, of the
     monic family.
 
-    The integral splits over the two endpoint lattices c q^k and -d q^k.
-    The values come from the three term recurrence; the weight takes its
+    The integral is int_0^c - int_0^{-d}, the two endpoint lattices c q^k
+    and -d q^k of one walk, the second with its weight negated.  The
+    values come from the three term recurrence; the weight takes its
     infinite products once at each lattice end and steps inward by
     w(qx)/w(x) = (1-qax/c)(1+qbx/d) / ((1-qx/c)(1+qx/d)).  Diagonal
     entries match big_qjacobi_norm, off-diagonals vanish.
@@ -308,9 +309,11 @@ def big_qjacobi_gram_matrix(nmax, p):
             (1.0 - q * x / c) * (1.0 + q * x / d)
         )
 
-    upper = lattice_gram(values, (c, q, big_qjacobi_weight(c, p), ratio))
-    lower = lattice_gram(values, (-d, q, big_qjacobi_weight(-d, p), ratio))
-    return upper - lower
+    return lattice_gram(
+        values,
+        (c, q, big_qjacobi_weight(c, p), ratio),
+        (-d, q, -big_qjacobi_weight(-d, p), ratio),
+    )
 
 
 def big_qjacobi_recurrence(n, p):
@@ -711,9 +714,8 @@ def _moak_gram(nmax, alpha, q):
     def up(x):
         return q**-alpha / (1.0 + (1.0 - q) * x / q)
 
-    return lattice_gram(values, (1.0, q, w0, down)) + lattice_gram(
-        values, (1.0 / q, 1.0 / q, w0 * up(1.0), up)
-    )
+    # both half-lines in one walk; the up-half rides on the down-half's passes
+    return lattice_gram(values, (1.0, q, w0, down), (1.0 / q, 1.0 / q, w0 * up(1.0), up))
 
 
 def _u_as_big_qjacobi(a, q):

@@ -47,8 +47,8 @@ import numpy as np
 from qspecial import kernels
 from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.qcore import (
-    _MAX_TERMINATION_N, _NO_DEGREE, MAX_TERMS, TAIL_EPSILON, _termination_degree, check_q,
-    qpoch_list,
+    _MAX_TERMINATION_N, _NO_DEGREE, MAX_TERMS, TAIL_EPSILON, _double, _termination_degree,
+    check_q, qpoch_list,
 )
 
 _SCOPE = ContextVar("qspecial_conditioning_scope", default=None)
@@ -159,8 +159,13 @@ class ConvergenceClass(NamedTuple):
         return self.radius
 
 
-# an entry of a spec over nodes takes the rule at each of its entries
-_entry_degrees = np.vectorize(_termination_degree, otypes=[int])
+def _entry_degrees(a, q):
+    """_termination_degree at each entry of an array entry of a spec over
+    nodes, as an int array of its shape, or at a number."""
+    if isinstance(a, np.ndarray):
+        degrees = [_termination_degree(v, q) for v in a.ravel().tolist()]
+        return np.array(degrees, dtype=int).reshape(a.shape)
+    return _termination_degree(a, q)
 
 
 def _one_point(spec):
@@ -289,7 +294,8 @@ def psi_walk(spec):
     the products over the upper a and the nonzero lower b, and e the
     number of zero lower parameters; no q^{-k} is formed.  Returns
     (value, sum |t_k|), t_0 counted once, so the amplification
-    sum |t_k| / |value| comes with the value.  Domain as for eval_psi.
+    sum |t_k| / |value| comes with the value.  Domain as for eval_psi;
+    OutOfRangeError where the sum of the halves leaves the double range.
     """
     _one_point(spec)
     if any(a == 0 for a in spec.upper):
@@ -310,7 +316,8 @@ def psi_walk(spec):
     down_z = q**e * math.prod(nonzero, start=1 + 0j) / (z * math.prod(upper, start=1 + 0j))
     reflected = [q / b for b in nonzero], [q / a for a in upper], q, down_z, e
     down, down_mass = _kernel_sum("bilateral series", *reflected, -1)
-    return _walked(up + down - 1.0, up_mass + down_mass - 1.0)
+    value = _double(up + down - 1.0, "bilateral series")
+    return _walked(value, up_mass + down_mass - 1.0)
 
 
 def eval_psi(spec):

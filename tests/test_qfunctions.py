@@ -342,6 +342,16 @@ def test_beta_q_with_one_argument_next_to_a_pole(q):
         assert _rel(value, _beta_near_pole_oracle(z, b, q, gamma_b[b])) <= 1e-13, (z, b)
 
 
+def test_beta_q_poles_are_decided_before_a_plus_b_overflows():
+    # a + b overflows to -inf, but a (an integer, as is every double of
+    # this size) is a pole; a with b = 0.5 was a pole already
+    q = 0.5
+    with pytest.raises(DomainError, match=r"B_q: pole at \(-1e\+308\+0j\), \(-1e\+308\+0j\)"):
+        beta_q(-1e308, -1e308, q)
+    with pytest.raises(DomainError, match=r"B_q: pole at \(-1e\+308\+0j\), \(0\.5\+0j\), q=0\.5$"):
+        beta_q(-1e308, 0.5, q)
+
+
 def test_gamma_q_off_the_real_axis_next_to_a_pole():
     # the Im z window of 1e-12 refused this point; it is no pole
     z, q = -2 + 1e-13j, 0.9

@@ -738,8 +738,8 @@ def test_series_grams_make_one_walk_per_pass_or_grid(monkeypatch):
 
         return one_pass
 
-    def walk(values, lattice):
-        return lattice_gram(counted(values), lattice)
+    def walk(values, *lattices):
+        return lattice_gram(counted(values), *lattices)
 
     monkeypatch.setattr(qorthopoly, "lattice_gram", walk)
     for module in (qorthopoly, askey_wilson):

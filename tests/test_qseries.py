@@ -501,3 +501,13 @@ def test_walk_over_nodes_raises_on_a_zero_denominator_it_reaches():
         for at_a_point in (eval_psi, psi_walk, classify, reverse_terminating):
             with pytest.raises(DomainError, match="phi_walk only"):
                 at_a_point(spec)
+
+
+def test_eval_psi_outside_the_double_range_raises():
+    # by Ramanujan's 1psi1 the value has log|value| = 712.4, above the
+    # double range; the sum of the two halves overflowed to inf+0j
+    spec = SeriesSpec(
+        [-0.9653802055250816], [-0.12446747756788903], 0.9974198368530456, 0.16327719156927462
+    )
+    with pytest.raises(OutOfRangeError, match="bilateral series"):
+        eval_psi(spec)

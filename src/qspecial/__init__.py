@@ -17,7 +17,6 @@ from qspecial.askey_wilson import (
     aw_poly_by_recurrence,
     aw_recurrence,
     continuous_q_hermite,
-    q_racah,
     q_ultraspherical,
 )
 from qspecial.identities import list_identities, verify, verify_all
@@ -60,6 +59,7 @@ from qspecial.qorthopoly import (
     little_qjacobi,
     little_qjacobi_gram_matrix,
     little_qjacobi_norm,
+    q_racah,
 )
 from qspecial.qseries import ConvergenceClass, SeriesSpec, classify, eval_phi, eval_psi
 

@@ -4,8 +4,9 @@ The Askey-Wilson weight on the unit circle, its integral in closed form
 and by spectrally accurate periodic quadrature, the four-parameter
 polynomials (series and recurrence paths), quadratic norms, the second
 order q-difference operator, and the special and limit families:
-q-ultraspherical (three printed forms), continuous q-Hermite, and the
-finite q-Racah family with numerically derived weights.
+q-ultraspherical (three printed forms) and continuous q-Hermite.  The
+finite q-Racah family, at the top of the q-Hahn tableau, is a qorthopoly
+record.
 
 The quadrature weights on a node grid split each product by qcore's peel
 rule: the peeled factors are logs at the nodes, and the log-series tails
@@ -25,8 +26,8 @@ import numpy as np
 
 from qspecial.errors import DomainError
 from qspecial.qcore import (
-    _BLOCK, TAIL_EPSILON, _double, _exp_log, _finite, _peel_length, _qpoch_prefix, _qpow,
-    _termination_degree, check_q, qpoch, qpoch_inf_ratio, qpoch_list,
+    _BLOCK, TAIL_EPSILON, _double, _exp_log, _finite, _peel_length, _qpoch_prefix, check_q,
+    qpoch, qpoch_inf_ratio, qpoch_list,
 )
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram
@@ -402,85 +403,6 @@ def q_ultraspherical(n, theta, beta, q, form="fourier"):
         value = const * _aw_poly_z(n, _z_of_x(math.cos(theta)), p)
         return _double(value, "q_ultraspherical")
     raise DomainError(f"unknown form {form!r}")
-
-
-# ---------------------------------------------------------------------------
-# q-Racah
-
-
-def _racah_check(alpha, beta, gamma, delta, big_n, q):
-    """One of alpha q, beta delta q, gamma q must be q^{-N} under qcore's
-    rule (_termination_degree)."""
-    q = check_q(q)
-    for v in (alpha * q, beta * delta * q, gamma * q):
-        if _termination_degree(v, q) == big_n:
-            return
-    raise DomainError("one of alpha*q, beta*delta*q, gamma*q must be q^{-N}")
-
-
-def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
-    """q-Racah polynomial R_n(mu(x)):
-
-    4phi3(q^{-n}, q^{n+1} alpha beta, q^{-x}, q^{x+1} gamma delta;
-          alpha q, beta delta q, gamma q; q, q),   n, x = 0..N.
-
-    n and x may be numpy arrays that broadcast, such as a column of degrees
-    and a row of points; their values come from one walk, and with real
-    parameters are the values at each (n, x) bit for bit.
-    """
-    q = check_q(q)
-    _racah_check(alpha, beta, gamma, delta, big_n, q)
-    for v in (n, x):
-        low, high = (v.min(), v.max()) if isinstance(v, np.ndarray) else (v, v)
-        if not (0 <= low and high <= big_n):
-            raise DomainError("need 0 <= n, x <= N")
-    spec = SeriesSpec(
-        [
-            _qpow(q, -n),
-            _qpow(q, n + 1) * alpha * beta,
-            _qpow(q, -x),
-            _qpow(q, x + 1) * gamma * delta,
-        ],
-        [alpha * q, beta * delta * q, gamma * q],
-        q,
-        q,
-    )
-    return eval_phi(spec)
-
-
-def _q_racah_table(alpha, beta, gamma, delta, q, big_n):
-    """R_n(mu(x)) for n, x = 0..N in one walk, a column of degrees against
-    the row of points x = 0..N."""
-    x = np.arange(big_n + 1)
-    return q_racah(x[:, None], x, alpha, beta, gamma, delta, q, big_n)
-
-
-def _q_racah_solve(table):
-    rhs = np.zeros(len(table), dtype=complex)
-    rhs[0] = 1.0
-    return np.linalg.solve(table, rhs)
-
-
-def q_racah_weights(alpha, beta, gamma, delta, q, big_n):
-    """Weights w(x) on x = 0..N derived numerically from the moment
-    conditions sum_x R_n(mu(x)) w(x) = delta_{n,0}, n = 0..N.
-
-    The orthogonality relation is stated without an explicit weight
-    formula; the (N+1)x(N+1) linear solve stays within the printed
-    contract and is exact up to conditioning.
-    """
-    _racah_check(alpha, beta, gamma, delta, big_n, q)
-    return _q_racah_solve(_q_racah_table(alpha, beta, gamma, delta, q, big_n))
-
-
-def q_racah_gram_matrix(nmax, alpha, beta, gamma, delta, q, big_n):
-    """Gram matrix sum_x R_n(mu(x)) R_m(mu(x)) w(x), n, m = 0..nmax, with
-    the derived weights: one moment solve, each R_n(mu(x)) evaluated once."""
-    _racah_check(alpha, beta, gamma, delta, big_n, q)
-    if not 0 <= nmax <= big_n:
-        raise DomainError("need 0 <= nmax <= N")
-    table = _q_racah_table(alpha, beta, gamma, delta, q, big_n)
-    return gram(table[: nmax + 1], _q_racah_solve(table))
 
 
 def aw_gram_quadrature(p, nmax, n_nodes=1024):

@@ -19,13 +19,7 @@ import math
 import os
 import sys
 
-from qspecial.askey_wilson import (
-    AWParams,
-    aw_gram_quadrature,
-    aw_norms,
-    aw_poly,
-    q_racah_gram_matrix,
-)
+from qspecial.askey_wilson import AWParams, aw_gram_quadrature, aw_norms, aw_poly
 from qspecial.errors import QSpecialError
 from qspecial.identities import _jsonable, list_identities, verify
 from qspecial.limits import list_paths, run_limit
@@ -344,14 +338,8 @@ def _ortho_big_qjacobi(args, a, b, c, d, q):
     return big_qjacobi_gram_matrix(args.nmax, p), closed, []
 
 
-def _ortho_q_racah(args, alpha, beta, gamma, delta, q, N):
-    if args.nmax > N:
-        raise UsageError("--nmax exceeds N")
-    return q_racah_gram_matrix(args.nmax, alpha, beta, gamma, delta, q, N), None, []
-
-
-# the reports of the families outside the tableau: (gram, closed or None, notes)
-_ORTHO = {"aw": _ortho_aw, "big_qjacobi": _ortho_big_qjacobi, "q_racah": _ortho_q_racah}
+# the reports of the families outside the tableau registry: (gram, closed, notes)
+_ORTHO = {"aw": _ortho_aw, "big_qjacobi": _ortho_big_qjacobi}
 
 
 def cmd_ortho(args, out):

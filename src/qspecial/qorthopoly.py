@@ -2,9 +2,9 @@
 
 Big and little q-Jacobi polynomials with the full shift-operator
 machinery (weight, monic/normalized forms, raising/lowering operators,
-norms, three term recurrence), the remaining tableau families (q-Hahn,
-q-Krawtchouk variants, big q-Laguerre, q-Meixner, Wall, Moak's
-q-Laguerre, Al-Salam-Carlitz U/V, Stieltjes-Wigert) with dual
+norms, three term recurrence), the remaining tableau families (q-Racah
+at the top, q-Hahn, q-Krawtchouk variants, big q-Laguerre, q-Meixner,
+Wall, Moak's q-Laguerre, Al-Salam-Carlitz U/V, Stieltjes-Wigert) with dual
 evaluation paths where two series representations exist, discrete /
 q-integral orthogonality verifiers, the quadratic transformations
 between little and big polynomials, and the q-Taylor coefficient
@@ -24,7 +24,9 @@ all degrees at once; the a = 0 and a = b = 0 degenerations of big
 q-Jacobi take the same forms.  So are the big and little q-Jacobi norms:
 big_qjacobi_norm and little_qjacobi_norm return entry n of the lists.
 Each run (e;q)_k, k = 0..n, of a norm, a finite weight or the q-Taylor
-coefficients is one running product.
+coefficients is one running product.  The q-Racah weights and norms are
+running products of closed ratios (KLS 14.2.2, the 6phi5 sum for h_0 and
+KLS 14.2.3 for h_n / h_{n-1}), which divide by no parameter.
 """
 
 import cmath
@@ -37,7 +39,9 @@ import numpy as np
 
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qcalculus import qderiv_backward
-from qspecial.qcore import _in_range, _qpoch_prefix, _qpow, check_q, qpoch, qpoch_inf_ratio
+from qspecial.qcore import (
+    _finite, _in_range, _qpoch_prefix, _qpow, _termination_degree, check_q, qpoch, qpoch_inf_ratio,
+)
 from qspecial.qseries import SeriesSpec, eval_phi
 from qspecial.recurrence import Recurrence, eval_all, gram, lattice_gram
 
@@ -619,6 +623,113 @@ def _q_hahn_weights(a, b, big_n, q):
     ]
 
 
+def _racah_case(alpha, beta, gamma, delta, big_n, q):
+    """The index of the lower parameter among (alpha q, beta delta q,
+    gamma q) that is q^{-N} under qcore's rule (_termination_degree)."""
+    for case, v in enumerate((alpha * q, beta * delta * q, gamma * q)):
+        if _termination_degree(_finite(v), q) == big_n:
+            return case
+    raise DomainError("one of alpha*q, beta*delta*q, gamma*q must be q^{-N}")
+
+
+def _q_racah(n, t, alpha, beta, gamma, delta, big_n, q):
+    _racah_case(alpha, beta, gamma, delta, big_n, q)
+    if not isinstance(t, np.ndarray) and t == 0:
+        raise DomainError("the q-Racah series needs a lattice point t != 0")
+    upper = [_qpow(q, -n), _qpow(q, n + 1) * alpha * beta, t, gamma * delta * q / t]
+    return eval_phi(SeriesSpec(upper, [alpha * q, beta * delta * q, gamma * q], q, q))
+
+
+def q_racah(n, x, alpha, beta, gamma, delta, q, big_n):
+    """q-Racah polynomial R_n(mu(x)), mu(x) = q^{-x} + gamma delta q^{x+1}, n, x = 0..N:
+    the q_racah family's series 4phi3(q^{-n}, q^{n+1} alpha beta, t, gamma delta q / t;
+    alpha q, beta delta q, gamma q; q, q) at t = q^{-x}.  n and x may be numpy
+    arrays that broadcast, such as a column of degrees and a row of points;
+    their values come from one walk, and with real parameters are the values
+    at each (n, x) bit for bit."""
+    q = check_q(q)
+    for v in (n, x):
+        low, high = (v.min(), v.max()) if isinstance(v, np.ndarray) else (v, v)
+        if not (0 <= low and high <= big_n):
+            raise DomainError("need 0 <= n, x <= N")
+    return _q_racah(n, _qpow(q, -x), alpha, beta, gamma, delta, big_n, q)
+
+
+def _racah_measure(alpha, beta, gamma, delta, big_n, q):
+    """_racah_case, or DomainError where gamma delta q = q^{-m} with
+    1 <= m <= 2N - 1: then mu(x) = mu(m - x), and the measure collapses."""
+    case = _racah_case(alpha, beta, gamma, delta, big_n, q)
+    m = _termination_degree(_finite(gamma * delta * q), q)
+    if 1 <= m < 2 * big_n:
+        raise DomainError(f"gamma*delta*q = q^-{m}: the points mu(x) and mu({m} - x) coincide")
+    return case
+
+
+def _times(value, num, den, name):
+    """value * (num / den), a step of a running product: DomainError naming
+    the entry where den = 0, OutOfRangeError where a product of nonzero
+    factors leaves the double range."""
+    if den == 0:
+        raise DomainError(f"{name} divides by 0")
+    out = value * (num / den)
+    if value and num and not _in_range(out):
+        raise OutOfRangeError(f"{name} outside the double range")
+    return out
+
+
+def _q_racah_weights(alpha, beta, gamma, delta, big_n, q):
+    """The weights of KLS (Koekoek, Lesky and Swarttouw 2010) 14.2.2, x = 0..N,
+    (alpha q, beta delta q, gamma q, gamma delta q;q)_x (1 - gamma delta q^{2x+1})
+    / ((q, gamma delta q/alpha, gamma q/beta, delta q;q)_x (alpha beta q)^x (1 - gamma delta q)),
+    as one running product of w(x+1)/w(x) from w(0) = 1.  (gamma delta q/alpha,
+    gamma q/beta;q)_x (alpha beta q)^x is multiplied out to
+    prod_{j<x} q (alpha - gamma delta q^{j+1})(beta - gamma q^{j+1}), so that alpha,
+    beta or delta = 0 keeps it; the ratio's (1 - gamma delta q^{x+1}) /
+    (1 - gamma delta q^{2x+1}) is 1 at x = 0."""
+    _racah_measure(alpha, beta, gamma, delta, big_n, q)
+    bd, gd, weights = beta * delta, gamma * delta, [1.0]
+    for x in range(big_n):
+        p = q ** (x + 1)
+        num = (1.0 - alpha * p) * (1.0 - bd * p) * (1.0 - gamma * p) * (1.0 - gd * q ** (2 * x + 3))
+        den = (1.0 - p) * (1.0 - delta * p) * q * (alpha - gd * p) * (beta - gamma * p)
+        if x:
+            num, den = num * (1.0 - gd * p), den * (1.0 - gd * q ** (2 * x + 1))
+        weights.append(_times(weights[-1], num, den, f"q-Racah weight w({x + 1})"))
+    return weights
+
+
+def _q_racah_norms(nmax, alpha, beta, gamma, delta, big_n, q):
+    """h_n = sum_x R_n(mu(x))^2 w(x), n = 0..nmax.  h_0 is the terminating
+    very-well-poised 6phi5 sum (Gasper and Rahman (2.4.2)), for gamma q = q^{-N}
+    (gamma delta q^2;q)_N prod_{j<N} (alpha beta - gamma q^j)
+    / ((alpha - gamma delta q^{j+1})(beta - gamma q^{j+1})); by the sum's symmetry
+    in alpha q, beta delta q and gamma q, the factor is (beta - q^j) /
+    ((beta - gamma q^{j+1})(1 - delta q^{j+1})) for alpha q = q^{-N} and
+    (alpha - delta q^j) / ((alpha - gamma delta q^{j+1})(1 - delta q^{j+1})) for
+    beta delta q = q^{-N}.  Then h_n = h_{n-1} C_n / A_{n-1} with KLS 14.2.3's
+    A_n = (1 - alpha q^{n+1})(1 - alpha beta q^{n+1})(1 - beta delta q^{n+1})
+    (1 - gamma q^{n+1}) / ((1 - alpha beta q^{2n+1})(1 - alpha beta q^{2n+2})) and
+    C_n = q (1 - q^n)(1 - beta q^n)(gamma - alpha beta q^n)(delta - alpha q^n)
+    / ((1 - alpha beta q^{2n})(1 - alpha beta q^{2n+1})), their 1 - alpha beta q^{2n}
+    cancelled.  Both are running products that divide by no parameter."""
+    case = _racah_measure(alpha, beta, gamma, delta, big_n, q)
+    ab, bd, gd, h = alpha * beta, beta * delta, gamma * delta, 1.0
+    for j in range(big_n):
+        p, r = q**j, q ** (j + 1)
+        den = [alpha - gd * r, beta - gamma * r, 1.0 - delta * r]
+        del den[case]
+        top = (beta - p, alpha - delta * p, ab - gamma * p)[case]
+        h = _times(h, (1.0 - gd * q ** (j + 2)) * top, den[0] * den[1], "q-Racah norm h_0")
+    norms = [h]
+    for n in range(1, nmax + 1):
+        p = q**n
+        num = q * (1.0 - p) * (1.0 - beta * p) * (gamma - ab * p) * (delta - alpha * p)
+        den = (1.0 - alpha * p) * (1.0 - ab * p) * (1.0 - bd * p) * (1.0 - gamma * p)
+        num, den = num * (1.0 - ab * q ** (2 * n - 1)), den * (1.0 - ab * q ** (2 * n + 1))
+        norms.append(_times(norms[-1], num, den, f"q-Racah norm h_{n}"))
+    return norms
+
+
 def _q_krawtchouk(n, x, b, big_n, q):
     return eval_phi(
         SeriesSpec([_qpow(q, -n), -_qpow(q, n) / b, x], [0, q ** float(-big_n)], q, q)
@@ -748,6 +859,13 @@ _family(
     ("a", "b", "N"),
     _q_hahn,
     gram=_finite_gram(_q_hahn, _q_hahn_weights),
+)
+_family(
+    "q_racah",
+    ("alpha", "beta", "gamma", "delta", "N"),
+    _q_racah,
+    gram=_finite_gram(_q_racah, _q_racah_weights),
+    norms=_q_racah_norms,
 )
 _family(
     "q_krawtchouk",

@@ -1,6 +1,7 @@
 """50-digit mpmath oracles for log (a;q)_oo, the bilateral psi series
-and the Askey-Wilson and big q-Jacobi recurrence coefficients, and a
-60-digit Gamma_q next to its poles, shared by the tests.
+and the Askey-Wilson and big q-Jacobi recurrence coefficients, a
+60-digit Gamma_q next to its poles, and 80-digit q-Racah weights and
+norms, shared by the tests.
 
 Nothing here comes from qspecial: the factors are multiplied and the
 series summed in mpmath, from the exact images of the double inputs.
@@ -217,3 +218,42 @@ def big_qjacobi_recurrence_oracle(a, b, c, d, q, nmax):
             low = cn * v[n - 1] / v[n] if n else 0
             rows.append((complex(x0 - v[n + 1] / v[n] - low), complex(cn)))
         return rows
+
+
+def q_racah_oracle(alpha, beta, gamma, delta, q, big_n, dps=80):
+    """([w(x) for x = 0..N], [h_n for n = 0..N]) of the q-Racah family as
+    mpf at dps digits, from the exact images of the doubles.  w(x) is the
+    product form of Koekoek, Lesky and Swarttouw (2010), 14.2.2,
+
+    (alpha q, beta delta q, gamma q, gamma delta q;q)_x (1 - gamma delta q^{2x+1})
+      / ((q, gamma delta q / alpha, gamma q / beta, delta q;q)_x (alpha beta q)^x
+         (1 - gamma delta q)),
+
+    with each (gamma delta q / alpha;q)_x alpha^x multiplied out to
+    prod_{j<x} (alpha - gamma delta q^{j+1}), and the same for beta, so that
+    alpha = 0 and beta = 0 are defined.  h_0 = sum_x w(x), and
+    h_n = h_{n-1} C_n / A_{n-1} with A_n and C_n of KLS 14.2.3 as printed.
+    ZeroDivisionError where a denominator vanishes."""
+    with mpmath.workdps(dps):
+        a, b, c, d, q = (mpmath.mpf(v) for v in (alpha, beta, gamma, delta, q))
+        num = den = mpmath.mpf(1)
+        weights = []
+        for x in range(big_n + 1):
+            weights.append(num * (1 - c * d * q ** (2 * x + 1)) / (den * (1 - c * d * q)))
+            p = q ** (x + 1)
+            num *= (1 - a * p) * (1 - b * d * p) * (1 - c * p) * (1 - c * d * p)
+            den *= (1 - p) * (1 - d * p) * q * (a - c * d * p) * (b - c * p)
+
+        def coefficients(n):
+            p = q**n
+            upper = (1 - a * q * p) * (1 - a * b * q * p) * (1 - b * d * q * p) * (1 - c * q * p)
+            lower = q * (1 - p) * (1 - b * p) * (c - a * b * p) * (d - a * p)
+            return (
+                upper / ((1 - a * b * q * p * p) * (1 - a * b * q * q * p * p)),
+                lower / ((1 - a * b * p * p) * (1 - a * b * q * p * p)),
+            )
+
+        norms = [mpmath.fsum(weights)]
+        for n in range(1, big_n + 1):
+            norms.append(norms[-1] * coefficients(n)[1] / coefficients(n - 1)[0])
+        return weights, norms

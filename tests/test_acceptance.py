@@ -39,11 +39,8 @@ from qspecial import (
     run_limit,
     verify_all,
 )
-from qspecial.askey_wilson import (
-    aw_gram_quadrature,
-    aw_qdifference_residual,
-    q_racah_gram_matrix,
-)
+from qspecial.askey_wilson import aw_gram_quadrature, aw_qdifference_residual
+from qspecial.qorthopoly import family_norms
 from qspecial.cli import main
 from qspecial.qdiffeq import (
     QHGEParams,
@@ -173,7 +170,8 @@ def test_gram_q_racah():
     q, N = 0.5, 6
     alpha, beta, delta = 0.4, 0.3, 0.6
     gamma = q ** float(-N - 1)
-    _assert_gram(q_racah_gram_matrix(4, alpha, beta, gamma, delta, q, N))
+    fam = FamilyParams("q_racah", q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, N=N)
+    _assert_gram(family_gram_matrix(fam, 4), family_norms(fam, 4))
 
 
 # 4. dual-path agreement

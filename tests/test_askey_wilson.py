@@ -35,12 +35,11 @@ from qspecial.askey_wilson import (
     aw_leading_coefficient,
     aw_qdifference_residual,
     aw_recurrence_table,
-    q_racah_gram_matrix,
-    q_racah_weights,
 )
 from qspecial.cli import main
 from qspecial.errors import ConvergenceError, DomainError, OutOfRangeError
 from qspecial.qcore import qpoch_inf_ratio
+from qspecial.qorthopoly import FamilyParams, _q_racah_weights, family_gram_matrix
 from qspecial.recurrence import eval_all
 
 from mp_oracle import log_qpoch_oracle
@@ -308,7 +307,8 @@ def test_q_racah_orthogonality():
     q, N = 0.5, 5
     alpha, beta, delta = 0.4, 0.3, 0.6
     gamma = q ** float(-N - 1)
-    gram = q_racah_gram_matrix(3, alpha, beta, gamma, delta, q, N)
+    fam = FamilyParams("q_racah", q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, N=N)
+    gram = family_gram_matrix(fam, 3)
     diag = [abs(gram[n, n]) for n in range(4)]
     scale = max(diag)
     assert all(d > 0 for d in diag)
@@ -350,10 +350,11 @@ def test_recurrence_coefficients_positive_c():
 
 
 def test_q_racah_gram_matrix_matches_entries():
-    # one moment solve for the whole matrix; the entries summed one by one
+    # the weights formed once for the whole matrix; the entries summed one by one
     alpha, beta, gamma, delta, q, N = 0.4, 0.3, 128.0, 0.6, 0.5, 6
-    gram = q_racah_gram_matrix(N, alpha, beta, gamma, delta, q, N)
-    w = q_racah_weights(alpha, beta, gamma, delta, q, N)
+    fam = FamilyParams("q_racah", q, alpha=alpha, beta=beta, gamma=gamma, delta=delta, N=N)
+    gram = family_gram_matrix(fam, N)
+    w = _q_racah_weights(alpha, beta, gamma, delta, N, q)
     nodes = range(N + 1)
     values = [[q_racah(n, x, alpha, beta, gamma, delta, q, N) for x in nodes] for n in nodes]
     scale = max(abs(gram[n, n]) for n in range(N + 1))

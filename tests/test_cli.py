@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from qspecial import cli, identities
+from qspecial import cli, identities, qorthopoly
 from qspecial.cli import main
 from qspecial.qfunctions import gamma_q
 
@@ -412,6 +412,47 @@ def test_ortho_bad_nodes(capsys):
     assert code == 2
 
 
+RACAH = ["ortho", "q_racah", "alpha=512", "beta=0.4", "gamma=0.5", "delta=0.2", "q=0.5", "N=8"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*RACAH, "--nmax", "3"],
+        [*RACAH[:2], "alpha=0", "beta=0.4", "gamma=32", "delta=0.3", "q=0.5", "N=4", "--nmax", "4"],
+        [*RACAH[:2], "alpha=0.3", "beta=0", "gamma=32", "delta=0.3", "q=0.5", "N=4", "--nmax", "4"],
+    ],
+)
+def test_ortho_q_racah_checks_every_diagonal_against_its_closed_norm(argv, capsys, monkeypatch):
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    diag = [row for row in json.loads(out) if row["n"] == row["m"]]
+    assert len(diag) == int(argv[-1]) + 1
+    assert all(isinstance(row["closed"], float) and row["status"] == "ok" for row in diag)
+    # norms off by one part in a million are a breach
+    record = qorthopoly._FAMILIES["q_racah"]
+    spoiled = lambda *args: [h * (1 + 1e-6) for h in record.norms(*args)]
+    monkeypatch.setitem(qorthopoly._FAMILIES, "q_racah", record._replace(norms=spoiled))
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert "BREACH" in out
+
+
+def test_ortho_q_racah_on_a_folded_lattice_is_an_error(capsys):
+    # gamma delta q = 8 = q^-3: mu(x) = mu(3 - x), so the measure collapses
+    argv = [*RACAH[:2], "alpha=0.3", "beta=0.4", "gamma=32", "delta=0.5", "q=0.5", "N=4"]
+    code, out, err = run_cli([*argv, "--nmax", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: gamma*delta*q = q^-3: ")
+    code, out, err = run_cli([*argv, "--nmax", "5"], capsys)
+    assert (code, out, err) == (2, "", "error: degree exceeds N\n")
+    # gamma delta q beyond the double range is an error too, not a traceback
+    argv = [*RACAH[:2], "alpha=16", "beta=1e-250", "gamma=1e200", "delta=1e200", "q=0.5", "N=3"]
+    code, out, err = run_cli([*argv, "--nmax", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument must be finite")
+
+
 def test_ortho_al_salam_carlitz_u_closed_diagonals(capsys):
     code, out, _ = run_cli(
         [
@@ -565,14 +606,14 @@ def _indented_json(items, out):
 def test_json_arrays_have_one_element_per_line(capsys, monkeypatch):
     # the parsed payload is the one the indent=2 writer gave; only the
     # whitespace moves
-    racah = cli.q_racah_gram_matrix
+    family_gram = cli.family_gram_matrix
 
-    def racah_with_a_complex_entry(*args):
-        gram = racah(*args)
+    def gram_with_a_complex_entry(*args):
+        gram = family_gram(*args)
         gram[0, 1] += 0.25j
         return gram
 
-    monkeypatch.setattr(cli, "q_racah_gram_matrix", racah_with_a_complex_entry)
+    monkeypatch.setattr(cli, "family_gram_matrix", gram_with_a_complex_entry)
     commands = [
         ["ortho", "aw", "a=0.6", "b=0.4", "c=-0.3", "d=0.2", "q=0.55", "--nmax", "3"],
         ["ortho", "q_racah", "alpha=512", "beta=0.4", "gamma=0.5", "delta=0.2", "q=0.5",

@@ -6,6 +6,7 @@ sums, dual series representations, and shift-operator algebra.
 
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -22,10 +23,8 @@ from qspecial import (
     little_qjacobi_norm,
     qpoch,
 )
-from qspecial import askey_wilson, kernels, qorthopoly, qseries
-from qspecial.askey_wilson import (
-    AWParams, aw_gram_quadrature, aw_norm, aw_norms, q_racah, q_racah_gram_matrix
-)
+from qspecial import kernels, qorthopoly, qseries
+from qspecial.askey_wilson import AWParams, aw_gram_quadrature, aw_norm, aw_norms
 from qspecial.errors import DomainError, OutOfRangeError
 from qspecial.qorthopoly import (
     _FAMILIES,
@@ -35,6 +34,8 @@ from qspecial.qorthopoly import (
     _moak_recurrence_table,
     _q_hahn_weights,
     _q_krawtchouk_weights,
+    _q_racah_norms,
+    _q_racah_weights,
     al_salam_carlitz_u,
     big_qjacobi_gram_matrix,
     big_qjacobi_norms,
@@ -58,6 +59,8 @@ from qspecial.qorthopoly import (
 from qspecial.qcalculus import qintegral_0a
 from qspecial.qcore import QUIET_TERMS, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import _conditioning_scope
+
+from mp_oracle import q_racah_oracle
 from qspecial.recurrence import _TailRule, eval_all, lattice_gram
 
 BQJ = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
@@ -446,6 +449,7 @@ FAMILY_SAMPLES = {
     "stieltjes_wigert": dict(),
     "little_q_jacobi": dict(a=0.4, b=0.3),
     "case_3a": dict(b=0.5),
+    "q_racah": dict(alpha=0.4, beta=0.3, gamma=0.5**-6.0, delta=0.6, N=5),
 }
 
 
@@ -698,6 +702,7 @@ SERIES_GRAMS = (
     (FamilyParams("q_krawtchouk", 0.5, b=0.7, N=8), 6),
     (FamilyParams("affine_q_krawtchouk", 0.5, a=0.4, N=8), 6),
     (FamilyParams("affine_qinv_krawtchouk", 0.5, b=0.7, N=8), 6),
+    (FamilyParams("q_racah", 0.5, alpha=0.4, beta=0.6, gamma=0.5**-9.0, delta=0.3, N=8), 5),
 )
 
 
@@ -709,7 +714,6 @@ def test_series_grams_make_no_point_kernel_calls(monkeypatch):
     monkeypatch.setattr(kernels, "phi_sum", lambda *args: calls.append(args) or phi_sum(*args))
     for fam, nmax in SERIES_GRAMS:
         family_gram_matrix(fam, nmax)
-    q_racah_gram_matrix(5, 0.4, 0.6, 0.5**-9.0, 0.3, 0.5, 8)
     assert calls == []
     for fam, nmax in SERIES_GRAMS:
         family_eval(fam, nmax, 0.5)
@@ -742,10 +746,9 @@ def test_series_grams_make_one_walk_per_pass_or_grid(monkeypatch):
         return lattice_gram(counted(values), *lattices)
 
     monkeypatch.setattr(qorthopoly, "lattice_gram", walk)
-    for module in (qorthopoly, askey_wilson):
-        gram = module.gram  # a finite grid's table, after its walks
-        record = lambda v, w, gram=gram: tables.append((None, v, len(walks))) or gram(v, w)
-        monkeypatch.setattr(module, "gram", record)
+    gram = qorthopoly.gram  # a finite grid's table, after its walks
+    record = lambda v, w: tables.append((None, v, len(walks))) or gram(v, w)
+    monkeypatch.setattr(qorthopoly, "gram", record)
 
     for fam, nmax in SERIES_GRAMS:
         walks.clear()
@@ -763,15 +766,6 @@ def test_series_grams_make_one_walk_per_pass_or_grid(monkeypatch):
                 assert count == 1
                 assert np.array_equal(v, _per_degree_table(series, nmax, x))
 
-    walks.clear()
-    tables.clear()
-    args = (0.4, 0.6, 0.5**-9.0, 0.3, 0.5, 8)
-    q_racah_gram_matrix(5, *args)
-    ((_, v, count),) = tables
-    series = lambda n, x: q_racah(n, x, *args)
-    assert count == 1
-    assert np.array_equal(v, _per_degree_table(series, 5, np.arange(9)))
-
 
 @pytest.mark.parametrize("fam, nmax", SERIES_GRAMS[2:4])
 def test_finite_gram_in_a_scope_reports_the_worst_kappa_of_its_series(fam, nmax):
@@ -786,3 +780,111 @@ def test_finite_gram_in_a_scope_reports_the_worst_kappa_of_its_series(fam, nmax)
                 family_eval(fam, n, x)
     assert points.worst > 1.0
     assert gram.worst == pytest.approx(points.worst, rel=1e-12)
+
+
+def _racah_draw(rng, case):
+    """(alpha, beta, gamma, delta, q, N) with (alpha q, beta delta q,
+    gamma q)[case] = q^-N; each other parameter is 0 one time in ten."""
+    q, big_n = rng.uniform(0.1, 0.8), rng.randint(1, 30)
+    signed = lambda: rng.choice((-1, 1)) * rng.uniform(0.05, 0.95)
+    alpha, beta, gamma, delta = (0.0 if rng.random() < 0.1 else signed() for _ in range(4))
+    top = q ** float(-big_n - 1)
+    if case == 0:
+        alpha = top
+    elif case == 1:
+        delta = signed()
+        beta = top / delta
+    else:
+        gamma = top
+    return alpha, beta, gamma, delta, q, big_n
+
+
+def _double_range(values):
+    return all(v == 0 or sys.float_info.min <= abs(v) <= sys.float_info.max for v in values)
+
+
+def test_q_racah_weights_and_norms_match_the_80_digit_oracle():
+    # the running products against KLS's product form and against sum w
+    # with the recurrence ratio; a reference outside the double range is an
+    # OutOfRangeError, and a vanishing denominator a DomainError
+    rng = random.Random(37)
+    draws = [_racah_draw(rng, i % 3) for i in range(330)]
+    draws += [(0.5, 0.5, 0.1**-31.0, 0.5, 0.1, 30), (0.1**-31.0, 0.5, 0.5, 0.5, 0.1, 30)]
+    compared = 0
+    for alpha, beta, gamma, delta, q, big_n in draws:
+        params = (alpha, beta, gamma, delta, big_n, q)
+        weights = lambda: _q_racah_weights(*params)
+        norms = lambda: _q_racah_norms(big_n, *params)
+        try:
+            ref_w, ref_h = q_racah_oracle(alpha, beta, gamma, delta, q, big_n)
+        except ZeroDivisionError:
+            for build in (weights, norms):
+                with pytest.raises(DomainError, match="divides by 0"):
+                    build()
+            continue
+        for build, ref, tol in ((weights, ref_w, 1e-12), (norms, ref_h, 1e-11)):
+            if not _double_range(ref):
+                with pytest.raises(OutOfRangeError):
+                    build()
+                continue
+            got = build()
+            compared += 1
+            for v, r in zip(got, ref, strict=True):
+                assert abs(v - r) <= tol * abs(r), (params, v, r)
+    assert compared >= 600
+
+
+def test_q_racah_at_delta_zero_is_q_hahn():
+    # the top arrow of the tableau: at delta = 0 and gamma q = q^-N the
+    # q-Racah weights are the q-Hahn weights up to a constant, and the two
+    # Grams agree up to it
+    a, b, q, big_n = 0.4, 0.3, 0.5, 6
+    ratio = np.array(_q_racah_weights(a, b, q ** float(-big_n - 1), 0.0, big_n, q))
+    ratio = ratio / np.array(_q_hahn_weights(a, b, big_n, q))
+    assert ratio[0] == pytest.approx(0.40065732, rel=1e-8)
+    assert np.all(np.abs(ratio / ratio[0] - 1.0) <= 1e-13)
+    gamma = q ** float(-big_n - 1)
+    racah = FamilyParams("q_racah", q, alpha=a, beta=b, gamma=gamma, delta=0.0, N=big_n)
+    hahn = FamilyParams("q_hahn", q, a=a, b=b, N=big_n)
+    g_racah, g_hahn = family_gram_matrix(racah, big_n), family_gram_matrix(hahn, big_n)
+    scale = np.abs(np.diag(g_racah)).max()
+    assert np.abs(g_racah - ratio[0] * g_hahn).max() <= 1e-11 * scale
+    norms = family_norms(racah, big_n)
+    assert np.allclose(np.diag(g_racah), norms, rtol=1e-10, atol=0)
+
+
+def test_q_racah_measure_on_a_folded_lattice_raises():
+    # gamma delta q = q^-m with 1 <= m <= 2N - 1 gives mu(x) = mu(m - x);
+    # the weights, norms and Gram raise, and the point values stay
+    q, big_n = 0.5, 4
+    gamma = q ** float(-big_n - 1)
+    for m in (1, 3, 7):
+        params = (0.3, 0.4, gamma, q ** float(-m) / (gamma * q))
+        fam = FamilyParams("q_racah", q, **dict(zip(("alpha", "beta", "gamma", "delta"), params)),
+                           N=big_n)
+        for build in (lambda: _q_racah_weights(*params, big_n, q),
+                      lambda: _q_racah_norms(2, *params, big_n, q),
+                      lambda: family_gram_matrix(fam, 2)):
+            with pytest.raises(DomainError, match=rf"q\^-{m}: the points mu\(x\) and mu\({m} - x\)"):
+                build()
+        for x in range(big_n + 1):
+            value = qorthopoly.q_racah(2, x, *params, q, big_n)
+            assert value == family_eval(fam, 2, q ** float(-x))
+    # m = 0 folds no two points: the weights' 1 - gamma delta q cancels
+    fam = FamilyParams("q_racah", q, alpha=0.3, beta=0.4, gamma=gamma, delta=q ** float(big_n),
+                       N=big_n)
+    gram, norms = family_gram_matrix(fam, big_n), family_norms(fam, big_n)
+    assert np.allclose(np.diag(gram), norms, rtol=1e-12, atol=0)
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12 * np.abs(norms).max()
+
+
+def test_q_racah_zero_denominators_name_their_entry():
+    q, big_n = 0.5, 4
+    gamma = q ** float(-big_n - 1)
+    with pytest.raises(DomainError, match=r"weight w\(2\) divides by 0"):
+        _q_racah_weights(gamma, 0.4, 0.3, q**-2.0, big_n, q)  # (delta q;q)_2 = 0
+    with pytest.raises(DomainError, match="norm h_2 divides by 0"):
+        _q_racah_norms(big_n, q**-2.0, 0.4, gamma, 0.3, big_n, q)  # 1 - alpha q^2 = 0
+    fam = FamilyParams("q_racah", q, alpha=0.3, beta=0.4, gamma=gamma, delta=0.3, N=big_n)
+    with pytest.raises(DomainError, match="t != 0"):
+        family_eval(fam, 1, 0.0)

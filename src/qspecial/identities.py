@@ -142,15 +142,16 @@ def _q(rng):
     return rng.uniform(0.1, 0.9)
 
 
-def _lower_ok(vals, q, margin=0.05):
+def _lower_ok(vals, q):
     """Reject lower parameters near the forbidden set {1, q^-1, q^-2, ...}
-    with a margin wide enough to keep the series well conditioned.
+    with a margin of 5%, wide enough to keep the series well conditioned.
 
     The set's points are t_j = 1 divided by q j times (0 < q < 1), for
     j < 80 and t_j <= 1e12.  |v - t_j| < margin t_j puts |v| between
     (1 - margin) t_j and (1 + margin) t_j, so one log of |v| names the j
     to test; each t_j tested is formed by the same j divisions."""
     step = -math.log(q)  # log t_{j+1} - log t_j, up to rounding
+    margin = 0.05
     wide, narrow = math.log1p(margin), math.log1p(-margin)
     for v in vals:
         r = abs(v)

@@ -64,16 +64,16 @@ _NO_DEGREE = _MAX_TERMINATION_N + 1  # the degree of a parameter that is no q^{-
 _BELOW_ONE = 1.0 - _SNAP_ULPS * math.ulp(1.0)  # below it no parameter is q^{-n}, n >= 0
 
 
-def tail_sum(terms, message, scale=0.0, max_terms=MAX_TERMS):
+def tail_sum(terms, message, max_terms=MAX_TERMS):
     """Sum an iterator of terms under the tail rule.
 
     The sum stops once QUIET_TERMS consecutive terms are each below
-    TAIL_EPSILON times the running maximum |term| (floored at 1e-300);
-    scale seeds that maximum.  An iterator that ends gives an exact sum.
+    TAIL_EPSILON times the running maximum |term| (floored at 1e-300).
+    An iterator that ends gives an exact sum.
     Returns (sum, sum of |term|, running maximum); ConvergenceError(message)
     when max_terms terms pass without the rule being met.
     """
-    bound = TAIL_EPSILON * max(scale, 1e-300)
+    scale, bound = 0.0, TAIL_EPSILON * 1e-300
     total, mass, quiet = 0j, 0.0, 0
     for count, term in enumerate(terms, 1):
         total += term

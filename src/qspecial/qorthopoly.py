@@ -428,7 +428,7 @@ def little_qjacobi_gram_matrix(nmax, a, b, q):
     (1-q)(q, q^2 ab;q)_oo / ((qa, qb;q)_oo).  b = 0 (Wall) is allowed.
     The weight takes its products once at t = 1 and steps by
     w(qt)/w(t) = q^alpha (1-qbt)/(1-qt); the series of every degree is
-    summed at all nodes of a chunk in one walk, a column of degrees
+    summed at all nodes of a pass in one walk, a column of degrees
     against the row of nodes.
     """
     q = check_q(q)
@@ -580,13 +580,24 @@ def _finite_gram(series, weights):
     """Gram builder of a family whose last parameter is N: the exact sum
     over the points q^{-x}, x = 0..N, with the N + 1 weights of
     weights(*params, q).  The series of every degree is summed at all
-    points in one walk, a column of degrees against the row of points."""
+    points in one walk, a column of degrees against the row of points.
+    OutOfRangeError, naming the first point x up to which some entry's
+    sum leaves the double range, where the Gram is not finite."""
 
     def build(nmax, *args):
         q = args[-1]
         nodes = _qpow(q, -np.arange(args[-2] + 1))
         v = series(np.arange(nmax + 1)[:, None], nodes, *args)
-        return gram(v, np.array(weights(*args), dtype=complex))
+        w = np.array(weights(*args), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = gram(v, w)
+            if np.isfinite(g).all():
+                return g
+            # every entry's partial sums over the points, its terms
+            # formed in the order gram multiplies
+            sums = np.cumsum((v * w)[:, None] * v[None], axis=2)
+        x = (~np.isfinite(sums).all(axis=(0, 1))).argmax()
+        raise OutOfRangeError(f"Gram entry overflows the double range at point x = {x}")
 
     return build
 

@@ -16,7 +16,7 @@ nodes.
 A Gram matrix is G = V diag(w) V^T over a measure's nodes and weights:
 V holds the values of degrees 0..N (one row per degree), w the weights.
 It is bilinear, with no conjugate.  On geometric lattices (Jackson
-q-integrals) the nodes are walked in chunks, the weight steps by its
+q-integrals) the nodes are walked in passes, the weight steps by its
 rational ratio w(step x)/w(x), each node carries its Jackson mass (1-q) x,
 and the walk, which the catalog's q-integrals also take, ends by the tail
 rule of qcore.tail_sum applied to every entry.  One walk takes every
@@ -27,17 +27,19 @@ stop (the tail rule over its own entries), and its sign rides on its
 first weight, so the walk returns the sum of the Grams its lattices would
 give alone.
 
-The walk evaluates its nodes in passes, one numpy pass for all lattices
-each; a pass after the first holds a quarter of the nodes a tail decaying
-like step^k needs.  A lattice toward 0 (step < 1) asks its first pass for
-the nodes its own decay rate r = step |ratio(0)| needs: a tail decaying
-like r^k has its first term below eps at node k = floor(log eps / log r)
-+ 1, and the quiet run of QUIET_TERMS nodes follows, plus one chunk for
-the few nodes more that its entries need beyond the rate at 0.  The first
-pass takes the most any lattice asks, so a lattice away from 0 (Moak's
-up-half, which gets no rate) rides on its partner's, and such a walk
-mostly ends in one pass.  Chunking never changes which nodes are summed
-or the order of the products.
+A pass evaluates nodes 0..size-1 of every lattice in one numpy pass and
+carries nothing to the next.  A lattice toward 0 (step < 1) asks the
+first pass for the nodes its own decay rate r = step |ratio(0)| needs: a
+tail decaying like r^k has its first term below eps at node k = floor(log
+eps / log r) + 1, and the quiet run of QUIET_TERMS nodes follows, plus a
+quarter of the nodes a tail decaying like step^k needs, for the few nodes
+more that its entries need beyond the rate at 0.  The first pass takes
+the most any lattice asks, so a lattice away from 0 (Moak's up-half,
+which gets no rate) rides on its partner's, and such a walk mostly ends
+in one pass.  A pass that some lattice's tail outlasts is walked again
+with twice the nodes.  A stop depends only on the magnitudes up to it, so
+the size of a pass never changes which nodes are summed or the order of
+the products.
 """
 
 import math
@@ -79,55 +81,36 @@ def gram(v, w):
     return np.einsum("nk,mk->nm", v * w, v)
 
 
-class _TailRule:
-    """The rule of qcore.tail_sum for every entry of a walk at once, fed
-    one chunk of node magnitudes (nodes x entries) at a time.  Each entry
-    keeps its running maximum, its quiet run and the nodes it needed, so
-    a chunk costs the same however long the walk has been.  The entries
-    fall into groups (the lattices of one walk): column j belongs to group
-    j % groups, and each group stops at the max over its own entries."""
-
-    def __init__(self, eps, groups=1):
-        self.eps, self.groups, self.walked = eps, groups, 0
-        # per entry from the first chunk on; stop is 0 until the rule is met
-        self.scale = self.quiet = self.stop = 0
-        # per group: the nodes it sums once met, and its first non-finite one
-        self.lengths, self.bad = [None] * groups, [None] * groups
-
-    def feed(self, mags):
-        """Nodes summed once every group has met the rule (the largest of
-        lengths), else None.  OutOfRangeError if a node that a group sums
-        has a non-finite entry, raised once every group before it has met
-        the rule, so the error names the node a walk of that group alone
-        would name."""
-        top = np.maximum.accumulate(mags, axis=0)
-        scale = np.maximum(top, self.scale) if self.walked else top
-        small = mags < self.eps * np.maximum(scale, 1e-300)
-        rows = np.arange(len(mags))[:, None]
-        loud = np.maximum.accumulate(np.where(small, -1 - self.quiet, rows), axis=0)
-        quiet = rows - loud  # quiet nodes in a row, the carried run included
-        met = quiet >= QUIET_TERMS
-        first = self.walked + met.argmax(axis=0) + 1
-        self.stop = np.where((self.stop == 0) & met.any(axis=0), first, self.stop)
-        start, self.walked = self.walked, self.walked + len(mags)
-        self.scale, self.quiet = scale[-1], quiet[-1]
-        stops = self.stop.reshape(-1, self.groups)
-        done, ends = stops.all(axis=0).tolist(), stops.max(axis=0).tolist()
-        self.lengths = [end if met else None for end, met in zip(ends, done)]
-        # the maximum carries NaN, so one row shows whether any entry is not finite
-        if not np.isfinite(top[-1]).all():
-            for g in (g for g in range(self.groups) if self.bad[g] is None):
-                # a group that met the rule in an earlier chunk sums none of these
-                summed = mags[: max(0, (self.lengths[g] or self.walked) - start), g :: self.groups]
-                bad = ~np.isfinite(summed).all(axis=1)
-                if bad.any():
-                    self.bad[g] = start + int(bad.argmax())
-        for length, bad in zip(self.lengths, self.bad):
-            if bad is not None:
-                raise OutOfRangeError(f"Gram entry overflows the double range at node {bad}")
-            if length is None:
-                return None
-        return max(self.lengths)
+def _tail_lengths(mags, eps, groups=1):
+    """The rule of qcore.tail_sum for every entry of one pass at once, over
+    its node magnitudes (nodes x entries) from node 0.  The entries fall
+    into groups (the lattices of one walk): column j belongs to group
+    j % groups, and each group stops at the max over its own entries.
+    Returns the nodes each group sums, or None if some group has not met
+    the rule within the pass.  OutOfRangeError if a node that a group sums
+    has a non-finite entry, raised once every group before it has met the
+    rule, so the error names the node a walk of that group alone would
+    name."""
+    top = np.maximum.accumulate(mags, axis=0)
+    small = mags < eps * np.maximum(top, 1e-300)
+    rows = np.arange(len(mags))[:, None]
+    quiet = rows - np.maximum.accumulate(np.where(small, -1, rows), axis=0)
+    met = quiet >= QUIET_TERMS
+    # per entry the nodes it sums, 0 where it has not met the rule
+    stops = np.where(met.any(axis=0), met.argmax(axis=0) + 1, 0).reshape(-1, groups)
+    # the maximum carries NaN, so one row shows whether any entry is not finite
+    finite = np.isfinite(top[-1]).all()
+    lengths = []
+    for g, stop in enumerate(stops.T):
+        length = int(stop.max()) if stop.all() else None
+        if not finite:
+            bad = ~np.isfinite(mags[: length or len(mags), g::groups]).all(axis=1)
+            if bad.any():
+                raise OutOfRangeError(f"Gram entry overflows the double range at node {bad.argmax()}")
+        if length is None:
+            return None
+        lengths.append(length)
+    return lengths
 
 
 def lattice_gram(values, *lattices):
@@ -140,81 +123,74 @@ def lattice_gram(values, *lattices):
     with w(x0) negated is subtracted, exactly, since a - b == a + (-b) in
     floating point: int_{-d}^{c} is the lattices c q^k and -d q^k, the
     second with its w(-d) negated.  values(x) gives the (N+1, len(x))
-    values at a flat array of nodes, each evaluated once; a pass evaluates
-    the nodes of all lattices in one call.  Each lattice keeps its own
-    weights, its own mass 1 - q and its own stop: it sums as many nodes as
-    its entry with the slowest tail needs, so its Gram is the one a walk of
-    that lattice alone gives.  A weight below the double range is carried
-    as w 2^s, and 2^(-s/2) moves into each value at its node
-    (_scaled_weights), so the walk ends by its terms, not by an underflow.
-    OutOfRangeError, naming the node, once a summed entry overflows.
+    values at a flat array of nodes, each evaluated once per pass; a pass
+    evaluates nodes 0..size-1 of all lattices in one call, and a pass that
+    falls short of some lattice's stop is walked again from node 0 with
+    twice the nodes, up to MAX_TERMS (ConvergenceError past it).  Each
+    lattice keeps its own weights, its own mass 1 - q and its own stop: it
+    sums as many nodes as its entry with the slowest tail needs, so its
+    Gram is the one a walk of that lattice alone gives.  A weight below
+    the double range is carried as w 2^s, and 2^(-s/2) moves into each
+    value at its node (_scaled_weights), so the walk ends by its terms,
+    not by an underflow.  OutOfRangeError, naming the node, once a summed
+    entry overflows.
     """
     count = len(lattices)
-    x_next, steps, w_next, ratios = zip(*lattices)
-    x_next, steps, w_next = np.array(x_next), np.array(steps), np.array(w_next)
+    x0, steps, w0, ratios = zip(*lattices)
+    x0, steps, w0 = np.array(x0), np.array(steps), np.array(w0)
     mass = 1.0 - np.minimum(steps, 1.0 / steps)
     # a quarter of the nodes a tail decaying like step^k needs
-    chunk = max(8, *(int(math.log(TAIL_EPSILON) / -abs(math.log(s))) // 4 for s in steps))
-    # a down-walk's first pass runs one chunk past the nodes its decay asks
+    pad = max(8, *(int(math.log(TAIL_EPSILON) / -abs(math.log(s))) // 4 for s in steps))
+    # a down-walk's first pass runs that far past the nodes its decay asks
     # for; the pass serves the lattice that asks for most
-    size = max((_first_chunk(s, f) or 0) for s, f in set(zip(steps, ratios))) + chunk
-    vs, us = [], []
-    rule = _TailRule(TAIL_EPSILON, count)
-    shift = np.zeros(count, dtype=int)
+    size = max((_decay_length(s, f) or 0) for s, f in set(zip(steps, ratios))) + pad
     while True:
-        if rule.walked >= MAX_TERMS:
-            raise ConvergenceError("q-integral tail not reached within max_terms")
-        size = min(size, MAX_TERMS - rule.walked)
+        size = min(size, MAX_TERMS)
         # nodes, weights, values and magnitudes past a lattice's stop may
-        # overflow to inf or nan; feed raises OutOfRangeError for any such
-        # node it sums, so numpy need not warn.  The magnitudes are formed
-        # in the order gram multiplies, so v^2 cannot overflow where v u is
-        # finite.
+        # overflow to inf or nan; _tail_lengths raises OutOfRangeError for
+        # any such node a lattice sums, so numpy need not warn.  The
+        # magnitudes are formed in the order gram multiplies, so v^2 cannot
+        # overflow where v u is finite.
         with np.errstate(over="ignore", invalid="ignore"):
             x = np.empty((count, size))
-            x[:, 0], x[:, 1:] = x_next, steps[:, None]
+            x[:, 0], x[:, 1:] = x0, steps[:, None]
             np.cumprod(x, axis=1, out=x)
-            # r[l, k] = w(x[l, k+1]) / w(x[l, k]); the last steps past the pass
-            r = np.array([f(row) for f, row in zip(ratios, x)])
-            factors = np.concatenate((w_next[:, None], r[:, :-1]), axis=1)
-            w, shifts = _scaled_weights(factors, shift)
-            x_next, w_next, shift = x[:, -1] * steps, w[:, -1] * r[:, -1], shifts[:, -1]
+            # r[l, k] = w(x[l, k+1]) / w(x[l, k])
+            r = np.array([f(row[:-1]) for f, row in zip(ratios, x)])
+            w, shifts = _scaled_weights(np.concatenate((w0[:, None], r), axis=1))
             u = mass[:, None] * x * w
             v = values(x.ravel()).reshape(-1, count, size)
             if shifts.any():
                 v = v * np.ldexp(1.0, -shifts // 2)
             mags = np.abs(v[:, None] * (v[None] * u)).reshape(-1, size).T
-        if rule.feed(mags) is None:
-            vs.append(v)
-            us.append(u)
-            size = chunk
-            continue
-        if vs:
-            v, u = np.concatenate(vs + [v], axis=2), np.concatenate(us + [u], axis=1)
-        grams = [gram(v[:, k, :n], u[k, :n]) for k, n in enumerate(rule.lengths)]
-        return sum(grams[1:], grams[0])
+        lengths = _tail_lengths(mags, TAIL_EPSILON, count)
+        if lengths is not None:
+            grams = [gram(v[:, k, :n], u[k, :n]) for k, n in enumerate(lengths)]
+            return sum(grams[1:], grams[0])
+        if size == MAX_TERMS:
+            raise ConvergenceError("q-integral tail not reached within max_terms")
+        size *= 2
 
 
-def _scaled_weights(factors, shift):
-    """The weights w_k = cumprod(factors) 2^-shift (shift even) along each
-    row (lattice) as (w_k 2^s_k, s_k).  s_k = shift while cumprod(factors)
-    stays above 2^-900; further on, s_k is the even exponent that keeps
-    w_k 2^s_k near 1, so that a weight below the double range keeps its
-    digits.  Scaling by a power of 2 is exact, so where the plain product
-    stays in range these are its own bits.  A zero factor zeroes every
-    weight after it."""
+def _scaled_weights(factors):
+    """The weights w_k = cumprod(factors) along each row (lattice) as
+    (w_k 2^s_k, s_k).  s_k = 0 while cumprod(factors) stays above 2^-900;
+    further on, s_k is the even exponent that keeps w_k 2^s_k near 1, so
+    that a weight below the double range keeps its digits.  Scaling by a
+    power of 2 is exact, so where the plain product stays in range these
+    are its own bits.  A zero factor zeroes every weight after it."""
     w = np.cumprod(factors, axis=1)
     if (np.abs(w) >= 2.0**-900).all():
-        return w, shift[:, None]  # one column: the shift of every node
+        return w, np.zeros((len(w), 1), dtype=int)  # one column: the shift of every node
     with np.errstate(divide="ignore"):
         logs = np.cumsum(np.log2(np.abs(factors)), axis=1)
     deep = np.isfinite(logs) & (logs < -900)
-    s = shift[:, None] + 2 * np.where(deep, np.round(-logs / 2), 0).astype(int)
-    steps = np.ldexp(1.0, np.diff(s, axis=1, prepend=shift[:, None]))
+    s = 2 * np.where(deep, np.round(-logs / 2), 0).astype(int)
+    steps = np.ldexp(1.0, np.diff(s, axis=1, prepend=0))
     return np.cumprod(factors * steps, axis=1), s
 
 
-def _first_chunk(step, ratio):
+def _decay_length(step, ratio):
     """The nodes a down-walk (step < 1) needs when its terms decay like r^k,
     r = step |w(step x)/w(x)| at x = 0: through the quiet run from the first
     node below eps = TAIL_EPSILON, k = floor(log eps / log r) + 1.  None for

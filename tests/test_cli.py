@@ -751,6 +751,20 @@ def test_ortho_moak_up_walk_past_weight_underflow_names_its_node(capsys):
     assert err == "error: Gram entry overflows the double range at node 38\n"
 
 
+def test_ortho_finite_gram_past_the_double_range_names_its_point(capsys):
+    # the q-Hahn weights grow like 1e28^x at a = 1e-27; from x = 10 the
+    # terms v_n w v_m of the degree-11 values leave the double range, and
+    # the report names that point instead of printing inf and NaN entries.
+    # numpy does not warn of the overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(
+            ["ortho", "q_hahn", "a=1e-27", "b=0.5", "N=11", "q=0.1", "--nmax", "11"], capsys
+        )
+    assert (code, out) == (2, "")
+    assert err == "error: Gram entry overflows the double range at point x = 10\n"
+
+
 def test_cached_parser_is_reentrant(capsys, monkeypatch):
     # in-process callers share one parser; each call must print and exit as
     # it does with a parser of its own, and no --tolerance list may carry over

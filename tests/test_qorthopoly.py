@@ -61,7 +61,7 @@ from qspecial.qcore import QUIET_TERMS, qpoch_inf_ratio, qpoch_list
 from qspecial.qseries import _conditioning_scope
 
 from mp_oracle import q_racah_oracle
-from qspecial.recurrence import _TailRule, eval_all, lattice_gram
+from qspecial.recurrence import _tail_lengths, eval_all, lattice_gram
 
 BQJ = BigQJacobiParams(0.95, 0.3, 0.855, 1.0, 0.9)
 
@@ -178,7 +178,7 @@ def _one_pass_walk_length(mags, eps):
     return int(run.argmax(axis=0).max()) + QUIET_TERMS
 
 
-def test_tail_rule_fed_in_chunks_matches_one_pass():
+def test_tail_rule_over_passes_of_random_lengths_matches_a_rescan():
     rng = np.random.default_rng(7)
     eps = 1e-6
     for trial in range(40):
@@ -190,11 +190,10 @@ def test_tail_rule_fed_in_chunks_matches_one_pass():
         mags = np.exp(-np.outer(np.arange(nodes), rates)) * rng.uniform(0.1, 1.0, (nodes, entries))
         mags[rng.random((nodes, entries)) < 0.05] *= 1e8
         mags[rng.random((nodes, entries)) < 0.05] = 0.0
-        rule, walked, got = _TailRule(eps), 0, None
+        walked, got = 0, None
         while got is None and walked < nodes:
-            size = int(rng.integers(1, 12))
-            got = rule.feed(mags[walked : walked + size])
-            walked = min(nodes, walked + size)
+            walked = min(nodes, walked + int(rng.integers(1, 12)))
+            (got,) = _tail_lengths(mags[:walked], eps) or [None]
             assert got == _one_pass_walk_length(mags[:walked], eps), trial
         assert got is not None
 
@@ -205,16 +204,15 @@ def test_tail_rule_raises_on_a_summed_non_finite_entry():
     # past the stop at node 19 a non-finite entry is never summed
     late = mags.copy()
     late[30, 1] = np.inf
-    assert _TailRule(eps).feed(late) == _one_pass_walk_length(mags, eps) == 19
+    assert _tail_lengths(late, eps) == [_one_pass_walk_length(mags, eps)] == [19]
     for bad in (np.inf, np.nan):
         early = mags.copy()
         early[10, 2] = bad
         with pytest.raises(OutOfRangeError):
-            _TailRule(eps).feed(early)
-        rule = _TailRule(eps)
-        assert rule.feed(mags[:8]) is None
+            _tail_lengths(early, eps)
+        assert _tail_lengths(early[:8], eps) is None
         with pytest.raises(OutOfRangeError):
-            rule.feed(early[8:16])
+            _tail_lengths(early[:16], eps)
 
 
 def test_eval_all_rows_match_scalar_recurrence():
